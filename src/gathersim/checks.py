@@ -64,9 +64,8 @@ def _pair_separated(trace: Trace, i: int, j: int, t0: float,
     peak barely past eps, hence the one-sided tolerance.
     """
     ta, tb = trace.trajectories[i], trace.trajectories[j]
-    cuts = sorted({t for t, _ in ta.breakpoints() if t0 < t < t1}
-                  | {t for t, _ in tb.breakpoints() if t0 < t < t1}
-                  | {t0, t1})
+    cuts = sorted({*ta.breakpoint_times_between(t0, t1),
+                   *tb.breakpoint_times_between(t0, t1), t0, t1})
     best = max(ta.position_at(t).dist(tb.position_at(t)) for t in cuts)
     return best > eps - TIME_TOL
 

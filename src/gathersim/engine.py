@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .config import InitialConfiguration
@@ -47,6 +47,9 @@ class AgentRef:
     __gt__ = __lt__
     __ge__ = __lt__
 
+    def __hash__(self):
+        return self._token
+
     def __repr__(self):
         return f"AgentRef(#{self._token})"
 
@@ -62,7 +65,6 @@ class KnowledgeItem:
     ref: AgentRef
     initial_position: Point
     state: str
-    metadata: Optional[dict] = None
 
 
 def translate_knowledge(item: KnowledgeItem, offset: Vec2) -> KnowledgeItem:
@@ -71,7 +73,7 @@ def translate_knowledge(item: KnowledgeItem, offset: Vec2) -> KnowledgeItem:
     offset is the position of the sender's frame origin in the receiver's
     frame, so the receiver adds it to every incoming coordinate.
     """
-    return replace(item, initial_position=item.initial_position + offset)
+    return KnowledgeItem(item.ref, item.initial_position + offset, item.state)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,11 +220,6 @@ class Trace:
             if ev.kind == "ga":
                 return ev.time
         return None
-
-
-def read_jsonl(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def form_ga_groups(adjacent: set[frozenset],
@@ -459,23 +456,32 @@ class Simulation:
     # -- knowledge -----------------------------------------------------------
 
     def _gossip(self, group: tuple[int, ...]) -> None:
+        """Give every member the union of the group's knowledge.
+
+        A ref a member lacks is copied from its first holder in group
+        order, as held before this GA, and re-framed by the offset between
+        the two members' origins.  Each member receives the refs it lacks
+        in the order of that first holding: holders in group order, each
+        holder's items in insertion order.
+        """
         members = [self.agents[i] for i in group]
         for ag in members:
             self_item = ag.knowledge.get(ag.ref)
             if self_item is None or self_item.state != ag.tag:
                 ag.knowledge[ag.ref] = KnowledgeItem(ag.ref, Point(0.0, 0.0),
                                                      ag.tag)
-        snapshots = {ag.idx: dict(ag.knowledge) for ag in members}
+        first_holder: dict[AgentRef, tuple[_Agent, KnowledgeItem]] = {}
+        for send in members:
+            for ref, item in send.knowledge.items():
+                if ref not in first_holder:
+                    first_holder[ref] = (send, item)
         for recv in members:
-            for send in members:
-                if send is recv:
-                    continue
-                offset = Vec2(send.origin.x - recv.origin.x,
-                              send.origin.y - recv.origin.y)
-                for item in snapshots[send.idx].values():
-                    if item.ref not in recv.knowledge:
-                        recv.knowledge[item.ref] = \
-                            translate_knowledge(item, offset)
+            known = recv.knowledge
+            for ref, (send, item) in first_holder.items():
+                if ref not in known:
+                    known[ref] = translate_knowledge(
+                        item, Vec2(send.origin.x - recv.origin.x,
+                                   send.origin.y - recv.origin.y))
         # Direct observations refresh state tags.
         for recv in members:
             for part in members:

@@ -9,8 +9,10 @@ in time.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 # Shared tolerances.  Times within TIME_TOL are treated as simultaneous,
 # positions within POS_TOL as coincident, speeds within SPEED_TOL of 0 or 1
@@ -156,7 +158,9 @@ class Trajectory:
     [start_time, end_time]; queries before the start or after the end raise.
     """
 
-    __slots__ = ("segments",)
+    # _times: breakpoint times, built on the first time query; () when
+    # they are not non-decreasing, which only hand-built segments allow.
+    __slots__ = ("segments", "_times")
 
     def __init__(self, segments: list[Segment], check_speed: bool = True):
         if not segments:
@@ -181,6 +185,7 @@ class Trajectory:
                     raise ValueError("segments are not contiguous in space")
             prev = seg
         self.segments = list(segments)
+        self._times: Optional[Sequence[float]] = None
 
     @property
     def start_time(self) -> float:
@@ -198,21 +203,48 @@ class Trajectory:
     def end_point(self) -> Point:
         return self.segments[-1].end_point
 
+    def _breakpoint_times(self) -> Sequence[float]:
+        times = self._times
+        if times is None:
+            times = array("d", [self.segments[0].start_time])
+            times.extend([seg.end_time for seg in self.segments])
+            if any(b < a for a, b in zip(times, times[1:])):
+                times = ()
+            self._times = times
+        return times
+
     def position_at(self, t: float) -> Point:
         if t < self.start_time - TIME_TOL or t > self.end_time + TIME_TOL:
             raise ValueError(f"time {t} outside trajectory span "
                              f"[{self.start_time}, {self.end_time}]")
         t = min(max(t, self.start_time), self.end_time)
-        # Linear scan; trajectories are consumed mostly in order and n is small.
+        times = self._breakpoint_times()
+        if times:
+            # The first segment with t <= end_time + TIME_TOL; times[k] is
+            # the end of segment k - 1, and t <= end_time bounds the search.
+            k = bisect_left(times, t, 1, key=_plus_time_tol)
+            return self.segments[k - 1].point_at(t)
         for seg in self.segments:
             if t <= seg.end_time + TIME_TOL:
                 return seg.point_at(t)
         return self.segments[-1].point_at(t)
 
+    def breakpoint_times_between(self, t0: float,
+                                 t1: float) -> Sequence[float]:
+        """Breakpoint times t with t0 < t < t1, in trajectory order."""
+        times = self._breakpoint_times()
+        if times:
+            return times[bisect_right(times, t0):bisect_left(times, t1)]
+        return [t for t, _ in self.breakpoints() if t0 < t < t1]
+
     def breakpoints(self) -> Iterator[tuple[float, Point]]:
         yield self.segments[0].start_time, self.segments[0].start_point
         for seg in self.segments:
             yield seg.end_time, seg.end_point
+
+
+def _plus_time_tol(t: float) -> float:
+    return t + TIME_TOL
 
 
 class TrajectoryBuilder:

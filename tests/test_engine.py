@@ -1,14 +1,18 @@
 """Engine semantics: events, GA groups, gossip frames, verdicts."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from conftest import pair
+from gathersim.algorithms import gather_n_program
 from gathersim.config import InitialConfiguration
 from gathersim.engine import (AgentRef, Go, GotoStop, InvalidInstruction,
-                              KnowledgeItem, Program, Wait, default_horizon,
-                              form_ga_groups, run, translate_knowledge)
+                              KnowledgeItem, Program, Simulation, Wait,
+                              default_horizon, form_ga_groups, run,
+                              translate_knowledge)
+from gathersim.generate import good_config
 from gathersim.geometry import Point, Vec2
 
 
@@ -130,9 +134,79 @@ def test_gossip_round_trip_frames():
     assert kb[AgentRef(0)].dist(Point(-0.8, -0.6)) < 1e-9
 
 
+def _all_pairs_gossip(self, group):
+    """The original O(m^2 K) merge: every receiver scans every sender's
+    snapshot, in group order, and keeps the first copy of each ref."""
+    members = [self.agents[i] for i in group]
+    for ag in members:
+        self_item = ag.knowledge.get(ag.ref)
+        if self_item is None or self_item.state != ag.tag:
+            ag.knowledge[ag.ref] = KnowledgeItem(ag.ref, Point(0.0, 0.0),
+                                                 ag.tag)
+    snapshots = {ag.idx: dict(ag.knowledge) for ag in members}
+    for recv in members:
+        for send in members:
+            if send is recv:
+                continue
+            offset = Vec2(send.origin.x - recv.origin.x,
+                          send.origin.y - recv.origin.y)
+            for item in snapshots[send.idx].values():
+                if item.ref not in recv.knowledge:
+                    recv.knowledge[item.ref] = \
+                        translate_knowledge(item, offset)
+    for recv in members:
+        for part in members:
+            old = recv.knowledge[part.ref]
+            if old.state != part.tag:
+                recv.knowledge[part.ref] = replace(old, state=part.tag)
+
+
+def _knowledge_at_every_ga(cfg):
+    """(token, initial position bits, state) of each agent's knowledge,
+    in insertion order, at every on_ga callback of a gather-n run."""
+    make = gather_n_program(cfg.n)
+    log = []
+
+    class Recording(Program):
+        def __init__(self):
+            self.inner = make()
+
+        def on_appear(self, ctx):
+            self.inner.on_appear(ctx)
+
+        def on_ga(self, ctx, view):
+            log.append(tuple(
+                (item.ref._token,
+                 tuple(map(float.hex, item.initial_position.coords)),
+                 item.state)
+                for item in ctx.knowledge.values()))
+            self.inner.on_ga(ctx, view)
+
+        def on_order(self, ctx, target, issuer):
+            self.inner.on_order(ctx, target, issuer)
+
+        def on_idle(self, ctx):
+            self.inner.on_idle(ctx)
+
+    trace = run(cfg, Recording)
+    return log, trace.jsonl_lines()
+
+
+@pytest.mark.parametrize("seed,n", [(0, 6), (1, 7), (2, 8)])
+def test_gossip_matches_all_pairs_merge(seed, n, monkeypatch):
+    cfg = good_config(seed, n)
+    log, lines = _knowledge_at_every_ga(cfg)
+    monkeypatch.setattr(Simulation, "_gossip", _all_pairs_gossip)
+    ref_log, ref_lines = _knowledge_at_every_ga(cfg)
+    assert len(log) > n
+    assert log == ref_log
+    assert lines == ref_lines
+
+
 def test_refs_are_unordered():
     a, b = AgentRef(0), AgentRef(1)
     assert a == a and a != b
+    assert hash(a) == hash(AgentRef(0)) and hash(a) != hash(b)
     with pytest.raises(TypeError):
         a < b  # noqa: B015
 

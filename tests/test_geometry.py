@@ -200,3 +200,62 @@ def test_crossing_in_root_is_on_circle(r0, v, eps):
     else:
         assert s is not None
         assert abs((r0 - v * s) - eps) < 1e-7
+
+
+def _linear_position_at(traj, t):
+    """Reference lookup: scan for the first segment ending at or after t."""
+    if t < traj.start_time - TIME_TOL or t > traj.end_time + TIME_TOL:
+        raise ValueError("outside span")
+    t = min(max(t, traj.start_time), traj.end_time)
+    for seg in traj.segments:
+        if t <= seg.end_time + TIME_TOL:
+            return seg.point_at(t)
+    return traj.segments[-1].point_at(t)
+
+
+def _linear_times_between(traj, t0, t1):
+    return [t for t, _ in traj.breakpoints() if t0 < t < t1]
+
+
+# A step back by half the tolerance is legal and makes the breakpoint
+# times non-monotone; sub-tolerance durations sit on the lookup's edges.
+durations = st.one_of(st.just(0.0), st.just(-TIME_TOL / 2),
+                      st.floats(TIME_TOL / 4, 4 * TIME_TOL),
+                      st.floats(0.01, 3.0))
+legs = st.tuples(durations, st.booleans(), st.floats(0.0, 2 * math.pi))
+
+
+@st.composite
+def contiguous_trajectories(draw):
+    t = draw(st.floats(-5.0, 5.0))
+    p = Point(draw(coord), draw(coord))
+    segs = []
+    for dur, moving, ang in draw(st.lists(legs, min_size=1, max_size=10)):
+        step = max(dur, 0.0) if moving else 0.0
+        q = Point(p.x + step * math.cos(ang), p.y + step * math.sin(ang))
+        segs.append(Segment(t, t + dur, p, q))
+        t, p = t + dur, q
+    return Trajectory(segs)
+
+
+@given(contiguous_trajectories(), st.lists(st.floats(0.0, 1.0), max_size=4))
+@settings(max_examples=150)
+def test_position_at_bisect_matches_linear_scan(traj, fractions):
+    times = [t for t, _ in traj.breakpoints()]
+    queries = [b + d for b in times
+               for d in (0.0, -TIME_TOL / 2, TIME_TOL / 2)]
+    queries += [seg.start_time + f * seg.duration
+                for seg in traj.segments for f in fractions]
+    queries += [traj.start_time - 2 * TIME_TOL, traj.end_time + 2 * TIME_TOL]
+    for t in queries:
+        try:
+            want = _linear_position_at(traj, t)
+        except ValueError:
+            with pytest.raises(ValueError):
+                traj.position_at(t)
+            continue
+        assert traj.position_at(t) == want
+    for t0 in queries:
+        for t1 in queries:
+            assert list(traj.breakpoint_times_between(t0, t1)) \
+                == _linear_times_between(traj, t0, t1)

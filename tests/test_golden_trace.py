@@ -1,0 +1,42 @@
+"""Behaviour contract: the JSONL traces of a fixed corpus are pinned.
+
+A change that is meant only to restructure or speed up the engine must
+leave these traces byte-identical.  A change that alters behaviour on
+purpose updates GOLDEN_SHA256 and explains the difference in CHANGES.md.
+"""
+
+import hashlib
+
+from gathersim.algorithms import (dedicated_program, gather_a_program,
+                                  gather_n_program)
+from gathersim.assumption import AssumptionSet, build_dependent_counterexample
+from gathersim.engine import run
+from gathersim.generate import good_config, good_pair
+
+GOLDEN_SHA256 = ("3d1f66f1f5943d2a687de21f1b568d3d"
+                 "8da354fd67a613d745dedc0c121899c4")
+
+
+def _corpus_traces():
+    for i in range(4):
+        cfg = good_config(i, 8)
+        yield run(cfg, gather_n_program(cfg.n))
+    for i in range(8):
+        cfg = good_pair(i)
+        yield run(cfg, dedicated_program(cfg, cfg.epsilon))
+    a = AssumptionSet((2, 4))
+    cx = build_dependent_counterexample(a, 0.5)
+    yield run(cx.config, gather_a_program(a.elements))
+
+
+def corpus_digest() -> str:
+    h = hashlib.sha256()
+    for trace in _corpus_traces():
+        for line in trace.jsonl_lines():
+            h.update(line.encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_golden_trace_corpus():
+    assert corpus_digest() == GOLDEN_SHA256
