@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .config import (InitialConfiguration, NoQualifyingPair, qualifying_vector,
+from .config import (InitialConfiguration, NoQualifyingPair,
                      vector_sequence)
 from .engine import AgentContext, GAView, Go, GotoStop, Program, Wait
 from .geometry import POS_TOL, TIME_TOL, Point, Vec2, lex_less

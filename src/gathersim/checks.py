@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .config import InitialConfiguration
 from .engine import Trace
-from .geometry import POS_TOL, SPEED_TOL, TIME_TOL, Point, Trajectory
+from .geometry import POS_TOL, TIME_TOL, Point, has_legal_speed
 
 # GA participants may sit up to the engine's proximity slack beyond eps.
 GA_DIST_SLACK = 1e-8
@@ -42,13 +42,8 @@ def check_speeds(trace: Trace) -> None:
     """Every trajectory segment moves at unit speed or stands still."""
     for idx, traj in enumerate(trace.trajectories):
         for seg in traj.segments:
-            if seg.duration <= TIME_TOL:
-                continue
-            s = seg.speed
-            drift = abs(seg.start_point.dist(seg.end_point) - seg.duration)
-            if (abs(s) > SPEED_TOL and abs(s - 1.0) > 1e-6
-                    and drift > 10.0 * TIME_TOL):
-                _fail(f"agent {idx} segment at speed {s}")
+            if not has_legal_speed(seg):
+                _fail(f"agent {idx} segment at speed {seg.speed}")
 
 
 def _group_positions(trace: Trace, group, t: float) -> dict[int, Point]:

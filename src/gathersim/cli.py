@@ -24,7 +24,7 @@ from .assumption import (AssumptionSet, build_dependent_counterexample,
                          independence)
 from .checks import CheckFailure, check_all
 from .config import Feasibility, InitialConfiguration, classify
-from .engine import run
+from .engine import ProgramFactory, Simulation
 from .generate import config_of_class
 from .render import write_svg
 
@@ -70,6 +70,14 @@ def _program_factory(algorithm: str, cfg: InitialConfiguration,
     raise SystemExit(f"error: unknown algorithm {algorithm!r}")
 
 
+def _simulation(cfg: InitialConfiguration, factory: ProgramFactory,
+                horizon: float | None) -> Simulation:
+    try:
+        return Simulation(cfg, factory, horizon)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def cmd_classify(args) -> int:
     cfg = _load_config(args.config)
     result = classify(cfg)
@@ -87,7 +95,7 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     factory = _program_factory(args.algorithm, cfg, args.assumption_set)
-    trace = run(cfg, factory, horizon=args.horizon)
+    trace = _simulation(cfg, factory, args.horizon).run()
     if args.trace:
         trace.write_jsonl(args.trace)
     if args.svg:
@@ -146,7 +154,7 @@ def _sweep_one(task: tuple) -> dict:
     kind = _CLASS_NAMES[class_name]
     cfg = config_of_class(seed, kind, n)
     factory = _program_factory(algorithm, cfg, assumption_set)
-    trace = run(cfg, factory, horizon=horizon)
+    trace = _simulation(cfg, factory, horizon).run()
     violation = ""
     try:
         check_all(cfg, trace)

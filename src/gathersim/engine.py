@@ -222,8 +222,11 @@ class Trace:
         return None
 
 
-def form_ga_groups(adjacent: set[frozenset],
-                   new_edges: set[frozenset]) -> list[tuple[int, ...]]:
+Pair = tuple[int, int]  # agent indices, smaller first
+
+
+def form_ga_groups(adjacent: set[Pair],
+                   new_edges: set[Pair]) -> list[tuple[int, ...]]:
     """Connected components of the proximity graph that contain a new edge.
 
     adjacent holds all pairs currently within epsilon (including the new
@@ -234,8 +237,7 @@ def form_ga_groups(adjacent: set[frozenset],
     if not new_edges:
         return []
     nbr: dict[int, set[int]] = {}
-    for pair in adjacent | new_edges:
-        a, b = tuple(pair)
+    for a, b in adjacent | new_edges:
         nbr.setdefault(a, set()).add(b)
         nbr.setdefault(b, set()).add(a)
     seen: set[int] = set()
@@ -252,7 +254,8 @@ def form_ga_groups(adjacent: set[frozenset],
                     comp.add(v)
                     queue.append(v)
         seen |= comp
-        if any(pair <= comp for pair in new_edges):
+        # Both ends of an edge lie in one component.
+        if any(a in comp for a, _ in new_edges):
             groups.append(tuple(sorted(comp)))
     groups.sort(key=lambda g: g[0])
     return groups
@@ -271,6 +274,10 @@ class _Motion:
     vx: float
     vy: float
     stop_on_arrival: bool
+
+
+# The trajectory leg of an agent that executes no instruction.
+_STILL = object()
 
 
 class _Agent:
@@ -294,12 +301,6 @@ class _Agent:
         self.pos = origin
         self.builder: Optional[TrajectoryBuilder] = None
         self.ctx: Optional[AgentContext] = None
-
-    @property
-    def velocity(self) -> tuple[float, float]:
-        if self.motion is None:
-            return (0.0, 0.0)
-        return (self.motion.vx, self.motion.vy)
 
 
 class AgentContext:
@@ -366,6 +367,9 @@ class Simulation:
         self.cfg = cfg
         self.eps = cfg.epsilon
         self.horizon = default_horizon(cfg) if horizon is None else horizon
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError("horizon must be finite and positive, "
+                             f"got {self.horizon}")
         self.agents = []
         for i in range(cfg.n):
             start, t0 = cfg.agent(i)
@@ -373,8 +377,8 @@ class Simulation:
             ag.ctx = AgentContext(self, ag)
             self.agents.append(ag)
         self._now = min(cfg.times)
-        self.adjacent: set[frozenset] = set()
-        self._recent_separation: dict[frozenset, float] = {}
+        self.adjacent: set[Pair] = set()
+        self._recent_separation: dict[Pair, float] = {}
         self.events: list[Event] = []
         self._pending_orders: list[tuple[_Agent, Point, tuple[int, ...]]] = []
 
@@ -444,13 +448,16 @@ class Simulation:
         for ag in self.agents:
             if not ag.appeared:
                 continue
-            if ag.motion is not None and dt > 0.0:
-                m = ag.motion
+            m = ag.motion
+            if m is None:
+                ag.builder.move_to(t, ag.pos, _STILL)
+                continue
+            if dt > 0.0:
                 if t >= m.t_end - TIME_TOL:
                     ag.pos = m.p_end
                 else:
                     ag.pos = Point(ag.pos.x + m.vx * dt, ag.pos.y + m.vy * dt)
-            ag.builder.move_to(t, ag.pos)
+            ag.builder.move_to(t, ag.pos, m)
         self._now = t
 
     # -- knowledge -----------------------------------------------------------
@@ -506,42 +513,9 @@ class Simulation:
                           if e[1] == observer.idx)
         return GAView(self._now - observer.start_time, parts, self_index)
 
-    # -- event computation ---------------------------------------------------
-
-    def _pair_candidate(self, a: _Agent, b: _Agent,
-                        window: float) -> Optional[tuple[float, str]]:
-        pair = frozenset((a.idx, b.idx))
-        avx, avy = a.velocity
-        bvx, bvy = b.velocity
-        rx = b.pos.x - a.pos.x
-        ry = b.pos.y - a.pos.y
-        vx = bvx - avx
-        vy = bvy - avy
-        if pair in self.adjacent:
-            s = solve_crossing_out(rx, ry, vx, vy, self.eps, window)
-            if s is None:
-                return None
-            return (self._now + s, "separate")
-        s = solve_crossing_in(rx, ry, vx, vy, self.eps, window)
-        if s is None:
-            return None
-        t = self._now + s
-        if t <= self._recent_separation.get(pair, -math.inf) + TIME_TOL:
-            return None
-        if s <= TIME_TOL:
-            # Boundary contact at the window start only counts when the pair
-            # is genuinely closing in; a pair parked at distance epsilon
-            # after separating does not re-trigger.
-            closing = rx * vx + ry * vy
-            dist2 = rx * rx + ry * ry
-            if dist2 >= (self.eps - POS_TOL) ** 2 and closing >= -1e-15:
-                return None
-        return (t, "approach")
-
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Trace:
-        cfg = self.cfg
         while True:
             live = [ag for ag in self.agents if ag.appeared]
             pending_appear = [ag for ag in self.agents if not ag.appeared]
@@ -561,22 +535,7 @@ class Simulation:
                     t_bound = min(t_bound, ag.motion.t_end)
             t_bound = max(t_bound, self._now)
 
-            t_event = t_bound
-            window = t_bound - self._now
-            pair_hits: list[tuple[float, str, frozenset]] = []
-            for i in range(len(self.agents)):
-                a = self.agents[i]
-                if not a.appeared:
-                    continue
-                for j in range(i + 1, len(self.agents)):
-                    b = self.agents[j]
-                    if not b.appeared:
-                        continue
-                    cand = self._pair_candidate(a, b, window)
-                    if cand is not None:
-                        pair_hits.append((cand[0], cand[1],
-                                          frozenset((a.idx, b.idx))))
-                        t_event = min(t_event, cand[0])
+            t_event, pair_hits = self._next_pair_events(live, t_bound)
 
             if t_event > self.horizon + TIME_TOL:
                 return self._finish("timeout")
@@ -586,6 +545,63 @@ class Simulation:
 
             self._advance_to(t_event)
             self._process_instant(pair_hits)
+
+    def _next_pair_events(self, live: list[_Agent], t_bound: float
+                          ) -> tuple[float, list[tuple[float, str, Pair]]]:
+        """Every pair's next epsilon crossing before t_bound.
+
+        Returns the earliest crossing time (t_bound when there is none) and
+        the crossings as (time, "approach" | "separate", pair), pairs in
+        index order.
+        """
+        now = self._now
+        eps = self.eps
+        window = t_bound - now
+        adjacent = self.adjacent
+        recent = self._recent_separation
+        states = []
+        for ag in live:
+            m = ag.motion
+            if m is None:
+                states.append((ag.idx, ag.pos.x, ag.pos.y, 0.0, 0.0))
+            else:
+                states.append((ag.idx, ag.pos.x, ag.pos.y, m.vx, m.vy))
+        t_event = t_bound
+        hits = []
+        for k, (i, ax, ay, avx, avy) in enumerate(states):
+            for j, bx, by, bvx, bvy in states[k + 1:]:
+                rx = bx - ax
+                ry = by - ay
+                vx = bvx - avx
+                vy = bvy - avy
+                if (i, j) in adjacent:
+                    s = solve_crossing_out(rx, ry, vx, vy, eps, window)
+                    if s is None:
+                        continue
+                    t = now + s
+                    kind = "separate"
+                else:
+                    s = solve_crossing_in(rx, ry, vx, vy, eps, window)
+                    if s is None:
+                        continue
+                    t = now + s
+                    if t <= recent.get((i, j), -math.inf) + TIME_TOL:
+                        continue
+                    if s <= TIME_TOL:
+                        # Boundary contact at the window start only counts
+                        # when the pair is genuinely closing in; a pair
+                        # parked at distance epsilon after separating does
+                        # not re-trigger.
+                        closing = rx * vx + ry * vy
+                        dist2 = rx * rx + ry * ry
+                        if dist2 >= (eps - POS_TOL) ** 2 \
+                                and closing >= -1e-15:
+                            continue
+                    kind = "approach"
+                hits.append((t, kind, (i, j)))
+                if t < t_event:
+                    t_event = t
+        return t_event, hits
 
     def _instant_has_work(self, t: float,
                           pair_hits: list) -> bool:
@@ -599,7 +615,7 @@ class Simulation:
 
     def _process_instant(self, pair_hits: list) -> None:
         t = self._now
-        new_edges: set[frozenset] = set()
+        new_edges: set[Pair] = set()
 
         # Appearances first: they may create proximity immediately.
         appeared_now = []
@@ -618,7 +634,7 @@ class Simulation:
             for other in self.agents:
                 if other is ag or not other.appeared:
                     continue
-                pair = frozenset((ag.idx, other.idx))
+                pair = (min(ag.idx, other.idx), max(ag.idx, other.idx))
                 if pair in self.adjacent or pair in new_edges:
                     continue
                 if ag.pos.dist(other.pos) <= self.eps + PROX_TOL:
@@ -666,7 +682,7 @@ class Simulation:
                 ag.program.on_idle(ag.ctx)
             self._start_pending(ag)
 
-    def _run_gas(self, new_edges: set[frozenset]) -> None:
+    def _run_gas(self, new_edges: set[Pair]) -> None:
         t = self._now
         # Mark adjacency for every group pair currently within epsilon.
         groups = form_ga_groups(self.adjacent, new_edges)
@@ -677,7 +693,7 @@ class Simulation:
                     a = self.agents[group[x]]
                     b = self.agents[group[y]]
                     if a.pos.dist(b.pos) <= self.eps + PROX_TOL:
-                        self.adjacent.add(frozenset((a.idx, b.idx)))
+                        self.adjacent.add((a.idx, b.idx))
         for group in groups:
             self._gossip(group)
             members = [self.agents[i] for i in group]

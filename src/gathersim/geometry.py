@@ -90,16 +90,6 @@ def lex_less(a: Union[Point, Vec2], b: Union[Point, Vec2]) -> bool:
     return ay < by
 
 
-def lex_max(items):
-    """Largest element under lex_less.  Items must be non-empty."""
-    it = iter(items)
-    best = next(it)
-    for x in it:
-        if lex_less(best, x):
-            best = x
-    return best
-
-
 def is_finite_point(p: Point) -> bool:
     return math.isfinite(p.x) and math.isfinite(p.y)
 
@@ -151,11 +141,32 @@ class Segment:
         )
 
 
+def has_legal_speed(seg: Segment) -> bool:
+    """The unit-speed rule: seg stands still or moves at speed 1.
+
+    Sub-tolerance slivers from coalesced events carry no usable speed
+    information and always pass.  Slightly longer slivers can still have
+    their ratio distorted by event-time snapping, so unit speed is also
+    accepted when the absolute length/duration drift is below snapping
+    scale.
+    """
+    dur = seg.duration
+    if dur <= TIME_TOL:
+        return True
+    length = seg.start_point.dist(seg.end_point)
+    sp = length / dur
+    return (sp <= SPEED_TOL or abs(sp - 1.0) <= 1e-6
+            or abs(length - dur) <= 10.0 * TIME_TOL)
+
+
 class Trajectory:
     """Piecewise-linear path of a single agent, defined from its start time on.
 
-    Segments are contiguous in time and space.  position_at is defined on
-    [start_time, end_time]; queries before the start or after the end raise.
+    Segments are contiguous in time and space.  A trajectory recorded by
+    the engine has one segment per instruction leg: one Go, Wait or
+    GotoStop, or one stretch without an instruction.  position_at is
+    defined on [start_time, end_time]; queries before the start or after
+    the end raise.
     """
 
     # _times: breakpoint times, built on the first time query; () when
@@ -167,17 +178,9 @@ class Trajectory:
             raise ValueError("trajectory needs at least one segment")
         prev = None
         for seg in segments:
-            # Sub-tolerance slivers from coalesced events carry no usable
-            # speed information.  Slightly longer slivers can still have
-            # their ratio distorted by event-time snapping, so unit speed
-            # is also accepted when the absolute length/duration drift is
-            # below snapping scale.
-            if check_speed and seg.duration > TIME_TOL:
-                sp = seg.speed
-                drift = abs(seg.start_point.dist(seg.end_point) - seg.duration)
-                if not (sp <= SPEED_TOL or abs(sp - 1.0) <= 1e-6
-                        or drift <= 10.0 * TIME_TOL):
-                    raise ValueError(f"segment speed {sp} is neither 0 nor 1")
+            if check_speed and not has_legal_speed(seg):
+                raise ValueError(f"segment speed {seg.speed} is neither "
+                                 "0 nor 1")
             if prev is not None:
                 if abs(seg.start_time - prev.end_time) > TIME_TOL:
                     raise ValueError("segments are not contiguous in time")
@@ -248,13 +251,22 @@ def _plus_time_tol(t: float) -> float:
 
 
 class TrajectoryBuilder:
-    """Incrementally records an agent's motion as the engine advances time."""
+    """Incrementally records an agent's motion as the engine advances time.
 
-    __slots__ = ("_times", "_points")
+    Every record names the leg it ends: the instruction, or stretch
+    without one, that moved the agent since the previous record.  Records
+    of one leg lie on one straight constant-velocity line, so a record
+    that continues the previous record's leg replaces it, and each
+    segment of the built trajectory is one leg.
+    """
+
+    # _leg: the token of the last record; None never matches.
+    __slots__ = ("_times", "_points", "_leg")
 
     def __init__(self, start_time: float, start_point: Point):
         self._times = [start_time]
         self._points = [start_point]
+        self._leg = None
 
     @property
     def current_time(self) -> float:
@@ -264,12 +276,23 @@ class TrajectoryBuilder:
     def current_point(self) -> Point:
         return self._points[-1]
 
-    def move_to(self, t: float, p: Point) -> None:
-        if t < self._times[-1] - TIME_TOL:
+    def move_to(self, t: float, p: Point, leg: object = None) -> None:
+        """Record that the agent is at p at time t, at the end of leg.
+
+        leg is any token, compared by identity; None starts a new segment
+        on every call.
+        """
+        times = self._times
+        if t < times[-1] - TIME_TOL:
             raise ValueError("trajectory time went backwards")
-        t = max(t, self._times[-1])
-        self._times.append(t)
-        self._points.append(p)
+        t = max(t, times[-1])
+        if leg is not None and leg is self._leg:
+            times[-1] = t
+            self._points[-1] = p
+        else:
+            times.append(t)
+            self._points.append(p)
+            self._leg = leg
 
     def build(self) -> Trajectory:
         segs = []

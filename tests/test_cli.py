@@ -77,6 +77,25 @@ def test_simulate_timeout(tmp_path, capsys):
     assert "TIMEOUT" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("horizon", ["nan", "-5", "0", "inf"])
+def test_simulate_rejects_bad_horizon(tmp_path, capsys, horizon):
+    code = main(["simulate", write_cfg(tmp_path, GOOD),
+                 "--algorithm", "gather-n", "--horizon", horizon])
+    assert code == 3
+    assert "horizon must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "-5"])
+def test_sweep_rejects_bad_horizon(capsys, horizon):
+    argv = ["sweep", "--n", "3", "--count", "2", "--seed", "1",
+            "--class", "good", "--algorithm", "gather-n",
+            "--horizon", horizon]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "horizon must be finite and positive" in captured.err
+    assert "invariant violations" not in captured.out
+
+
 def test_simulate_gather_a_requires_set(tmp_path, capsys):
     code = main(["simulate", write_cfg(tmp_path, GOOD),
                  "--algorithm", "gather-a"])

@@ -77,12 +77,10 @@ def test_three_agent_chain_component():
 
 
 def test_form_ga_groups_rules():
-    adj = {frozenset((1, 2))}
+    adj = {(1, 2)}
     assert form_ga_groups(adj, set()) == []
-    assert form_ga_groups(adj | {frozenset((0, 1))},
-                          {frozenset((0, 1))}) == [(0, 1, 2)]
-    groups = form_ga_groups({frozenset((0, 1)), frozenset((2, 3))},
-                            {frozenset((0, 1)), frozenset((2, 3))})
+    assert form_ga_groups(adj | {(0, 1)}, {(0, 1)}) == [(0, 1, 2)]
+    groups = form_ga_groups({(0, 1), (2, 3)}, {(0, 1), (2, 3)})
     assert groups == [(0, 1), (2, 3)]
 
 
@@ -277,6 +275,40 @@ def test_timeout_verdict_and_horizon_event():
     assert trace.verdict.kind == "timeout"
     assert trace.events[-1].kind == "horizon"
     assert trace.trajectories[0].end_time == 7.0
+
+
+@pytest.mark.parametrize("horizon", [math.nan, -5.0, 0.0, math.inf,
+                                     -math.inf])
+def test_horizon_must_be_finite_and_positive(horizon):
+    # Only the constructor runs: a NaN horizon that got through would make
+    # run() loop forever, since every comparison with NaN is false.
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        Simulation(cfg, Still, horizon)
+
+
+def test_trajectory_has_one_segment_per_leg():
+    # The stepper ends a leg every 0.5 time units, so the engine records
+    # the walker ten times during its single 5-unit leg; they merge.
+    class Walker(Program):
+        def on_appear(self, ctx):
+            ctx.issue(Go(Vec2(0.0, 1.0), 5.0))
+
+    class Stepper(Program):
+        def on_appear(self, ctx):
+            for _ in range(10):
+                ctx.issue(Wait(0.5))
+
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    mk = iter([Walker(), Stepper()])
+    trace = run(cfg, lambda: next(mk), horizon=20.0)
+    walker, stepper = trace.trajectories
+    assert [(s.start_time, s.end_time) for s in walker.segments] \
+        == [(0.0, 5.0)]
+    assert walker.end_point == Point(0, 5)
+    # Consecutive waits are separate legs even at the same velocity.
+    assert [s.end_time for s in stepper.segments] \
+        == [0.5 * k for k in range(1, 11)]
 
 
 def test_default_horizon_formula():

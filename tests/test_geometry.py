@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from gathersim.geometry import (POS_TOL, TIME_TOL, Point, Segment,
                                 Trajectory, TrajectoryBuilder, Vec2,
-                                earliest_approach, lex_less, lex_max,
-                                solve_crossing_in, solve_crossing_out)
+                                earliest_approach, has_legal_speed,
+                                lex_less, solve_crossing_in,
+                                solve_crossing_out)
 
 coord = st.floats(-50.0, 50.0)
 points = st.builds(Point, coord, coord)
@@ -35,11 +36,6 @@ dyadic_points = st.builds(Point, dyadic, dyadic)
 @given(dyadic_points, dyadic_points, st.builds(Vec2, dyadic, dyadic))
 def test_lex_less_translation_invariant(p, q, v):
     assert lex_less(p, q) == lex_less(p + v, q + v)
-
-
-def test_lex_max():
-    pts = [Point(0, 0), Point(1, -5), Point(1, 2), Point(-3, 9)]
-    assert lex_max(pts) == Point(1, 2)
 
 
 def test_point_vector_arithmetic():
@@ -259,3 +255,54 @@ def test_position_at_bisect_matches_linear_scan(traj, fractions):
         for t1 in queries:
             assert list(traj.breakpoint_times_between(t0, t1)) \
                 == _linear_times_between(traj, t0, t1)
+
+
+def test_builder_merges_records_of_one_leg():
+    leg, other = object(), object()
+    b = TrajectoryBuilder(0.0, Point(0, 0))
+    for k in range(1, 6):
+        b.move_to(float(k), Point(float(k), 0.0), leg)
+    # Up to TIME_TOL early is clamped to the last time, also on replacing.
+    b.move_to(5.0 - TIME_TOL / 2, Point(5.0, 0.0), leg)
+    b.move_to(7.0, Point(5.0, 2.0), other)
+    # None is no leg: every such record ends a segment of its own.
+    b.move_to(8.0, Point(5.0, 2.0))
+    b.move_to(9.0, Point(5.0, 2.0))
+    segs = b.build().segments
+    assert [(s.start_time, s.end_time) for s in segs] \
+        == [(0.0, 5.0), (5.0, 7.0), (7.0, 8.0), (8.0, 9.0)]
+    assert segs[0].end_point == Point(5, 0)
+
+
+# One recorded leg: unit motion or rest, and the steps in which the engine
+# records it, zero-length steps included.
+step_dts = st.one_of(st.just(0.0), st.floats(1e-6, 2.0))
+recorded_legs = st.tuples(st.booleans(), st.floats(0.0, 2 * math.pi),
+                          st.lists(step_dts, min_size=1, max_size=6))
+
+
+@given(st.floats(-5.0, 5.0), points,
+       st.lists(recorded_legs, min_size=1, max_size=8))
+@settings(max_examples=150)
+def test_leg_merging_keeps_the_path(t0, p0, legs_drawn):
+    merged = TrajectoryBuilder(t0, p0)
+    plain = TrajectoryBuilder(t0, p0)
+    t, x, y = t0, p0.x, p0.y
+    recorded = []
+    for moving, ang, dts in legs_drawn:
+        leg = object()
+        vx, vy = (math.cos(ang), math.sin(ang)) if moving else (0.0, 0.0)
+        for dt in dts:
+            # As the engine advances: start + v * sum(dt), step by step.
+            t += dt
+            x += vx * dt
+            y += vy * dt
+            merged.move_to(t, Point(x, y), leg)
+            plain.move_to(t, Point(x, y))
+            recorded.append(t)
+    a, b = merged.build(), plain.build()
+    for t in recorded:
+        assert a.position_at(t).dist(b.position_at(t)) <= 1e-9
+    assert {t for t, _ in a.breakpoints()} <= {t for t, _ in b.breakpoints()}
+    assert len(a.segments) <= len(legs_drawn)
+    assert all(has_legal_speed(seg) for seg in a.segments)

@@ -11,7 +11,7 @@ from gathersim.algorithms import (dedicated_program, gather_a_program,
                                   gather_n_program)
 from gathersim.assumption import AssumptionSet, build_dependent_counterexample
 from gathersim.engine import run
-from gathersim.generate import good_config, good_pair
+from gathersim.generate import good_config, good_pair, ungatherable_config
 
 GOLDEN_SHA256 = ("3d1f66f1f5943d2a687de21f1b568d3d"
                  "8da354fd67a613d745dedc0c121899c4")
@@ -29,9 +29,15 @@ def _corpus_traces():
     yield run(cx.config, gather_a_program(a.elements))
 
 
-def corpus_digest() -> str:
+# Two n=8 UNGATHERABLE runs that reach the horizon without a meeting, so
+# every engine step is event search and trajectory recording.
+TIMEOUT_SHA256 = ("b6457e555de8972561ef92669ad790ba"
+                  "acffa29500dcef299c7041fb18568928")
+
+
+def jsonl_digest(traces) -> str:
     h = hashlib.sha256()
-    for trace in _corpus_traces():
+    for trace in traces:
         for line in trace.jsonl_lines():
             h.update(line.encode())
             h.update(b"\n")
@@ -39,4 +45,11 @@ def corpus_digest() -> str:
 
 
 def test_golden_trace_corpus():
-    assert corpus_digest() == GOLDEN_SHA256
+    assert jsonl_digest(_corpus_traces()) == GOLDEN_SHA256
+
+
+def test_golden_trace_timeout():
+    traces = [run(ungatherable_config(i, 8), gather_n_program(8))
+              for i in range(2)]
+    assert [tr.verdict.kind for tr in traces] == ["timeout", "timeout"]
+    assert jsonl_digest(traces) == TIMEOUT_SHA256
