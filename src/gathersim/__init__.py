@@ -13,8 +13,7 @@ from .assumption import (AssumptionSet, Certificate,
                          build_dependent_counterexample, independence,
                          is_independent)
 from .config import (Feasibility, FeasibilityClass, InitialConfiguration,
-                     classify, pair_margin, qualifying_vector,
-                     vector_sequence)
+                     classify, pair_margin, vector_sequence)
 from .engine import GAView, Program, Simulation, Trace, Verdict, run
 from .geometry import POS_TOL, TIME_TOL, Point, Trajectory, Vec2
 from .algorithms import (dedicated_program, gather_a_program,
@@ -46,7 +45,6 @@ __all__ = [
     "independence",
     "is_independent",
     "pair_margin",
-    "qualifying_vector",
     "run",
     "star_phase_params",
     "vector_sequence",

@@ -58,14 +58,6 @@ def ray_direction(angle_cw_from_north: float) -> Vec2:
     return Vec2(math.sin(angle_cw_from_north), math.cos(angle_cw_from_north))
 
 
-def star_stage_legs(x: int, stage: int) -> list:
-    """The three instructions of one stage: out along the ray, back, wait."""
-    alpha, _ = star_phase_params(x)
-    d = ray_direction((stage - 1) * alpha)
-    fx = float(x)
-    return [Go(d, fx), Go(-d, fx), Wait(fx)]
-
-
 class StarWalk:
     """Cursor over the infinite stage/leg stream of the star sweep."""
 
@@ -121,12 +113,18 @@ def _largest_initial(ctx: AgentContext, refs) -> Point:
     return _initial_of(ctx, _largest_ref(ctx, refs))
 
 
-def _go_home_leg(ctx: AgentContext) -> Optional[Go]:
+def _gather_point(ctx: AgentContext) -> Point:
+    return _largest_initial(ctx, ctx.knowledge.keys())
+
+
+def _go_to_leg(ctx: AgentContext, target: Point) -> Optional[Go]:
+    """Leg from the current position to target (own frame); None if there."""
     pos = ctx.position
-    d = math.hypot(pos.x, pos.y)
+    dx, dy = target.x - pos.x, target.y - pos.y
+    d = math.hypot(dx, dy)
     if d <= POS_TOL:
         return None
-    return Go(Vec2(-pos.x / d, -pos.y / d), d)
+    return Go(Vec2(dx / d, dy / d), d)
 
 
 # -- dedicated algorithm ------------------------------------------------------
@@ -158,9 +156,6 @@ class DedicatedProgram(Program):
     def _knows_all(self, ctx) -> bool:
         return len(ctx.knowledge) >= self.n
 
-    def _gather_point(self, ctx) -> Point:
-        return _largest_initial(ctx, ctx.knowledge.keys())
-
     def _issue_out_and_back(self, ctx, w: Vec2) -> None:
         u = w.normalized()
         ctx.issue(Go(u, w.norm))
@@ -185,7 +180,7 @@ class DedicatedProgram(Program):
             if self._knows_all(ctx):
                 self.finishing = True
                 ctx.clear_plan()
-                ctx.issue(GotoStop(self._gather_point(ctx)))
+                ctx.issue(GotoStop(_gather_point(ctx)))
         # Active agents keep to their route; completeness is rechecked when
         # the current out-and-back ends.
 
@@ -198,7 +193,7 @@ class DedicatedProgram(Program):
             if self.mode == "passive":
                 if self._knows_all(ctx):
                     self.finishing = True
-                    ctx.issue(GotoStop(self._gather_point(ctx)))
+                    ctx.issue(GotoStop(_gather_point(ctx)))
                 return
         if self.mode == "active":
             if self.final_round is None and self._knows_all(ctx):
@@ -208,7 +203,7 @@ class DedicatedProgram(Program):
                     self._issue_out_and_back(ctx, self.final_round.pop(0))
                 else:
                     self.finishing = True
-                    ctx.issue(GotoStop(self._gather_point(ctx)))
+                    ctx.issue(GotoStop(_gather_point(ctx)))
                 return
             w = self.vseq[self.cycle_index % len(self.vseq)]
             self.cycle_index += 1
@@ -302,45 +297,42 @@ class GatherProgram(Program):
 
     # -- helpers
 
-    def _gather_point(self, ctx) -> Point:
-        return _largest_initial(ctx, ctx.knowledge.keys())
+    def _go_home(self, ctx) -> None:
+        """Drop the plan and head back to the origin."""
+        ctx.clear_plan()
+        home = _go_to_leg(ctx, Point(0.0, 0.0))
+        if home is not None:
+            ctx.issue(home)
 
     def _queue_finale_phase(self, ctx) -> None:
         """Return home, then redo every stage of the last executed phase."""
-        ctx.clear_plan()
-        home = _go_home_leg(ctx)
-        if home is not None:
-            ctx.issue(home)
+        self._go_home(ctx)
         x = max(self.star.last_issued_phase, 1)
-        _, k = star_phase_params(x)
-        for stage in range(1, k + 1):
-            for leg in star_stage_legs(x, stage):
-                ctx.issue(leg)
+        replay = StarWalk(x)
+        while replay.phase == x:
+            ctx.issue(replay.next_instruction())
         self.mode = "finale"
 
     def _resume_star(self, ctx) -> None:
-        ctx.clear_plan()
-        home = _go_home_leg(ctx)
-        if home is not None:
-            ctx.issue(home)
+        self._go_home(ctx)
         self.star.jump_to_phase(max(self.star.last_issued_phase, 0) + 1)
         self.mode = "star"
 
+    def _head_to(self, ctx, target: Point) -> bool:
+        """Move to target, stopping there if final; False if nothing to do."""
+        if self.final_stop:
+            ctx.issue(GotoStop(target))
+            return True
+        leg = _go_to_leg(ctx, target)
+        if leg is not None:
+            ctx.issue(leg)
+        return leg is not None
+
     def _start_next_order(self, ctx) -> None:
         while self.orders:
-            target = self.orders.pop(0)
-            if self.final_stop:
-                ctx.issue(GotoStop(target))
+            if self._head_to(ctx, self.orders.pop(0)):
                 self.executing_order = True
                 return
-            pos = ctx.position
-            dx, dy = target.x - pos.x, target.y - pos.y
-            d = math.hypot(dx, dy)
-            if d <= POS_TOL:
-                continue
-            ctx.issue(Go(Vec2(dx / d, dy / d), d))
-            self.executing_order = True
-            return
         self.executing_order = False
 
     # -- callbacks
@@ -416,13 +408,13 @@ class GatherProgram(Program):
             return
 
         if self.mode in ("finale", "finale_goto"):
-            ctx.send_order(self._gather_point(ctx))
+            ctx.send_order(_gather_point(ctx))
             return
         if self.mode != "star":
             return  # settled group; only an upgrade wakes us
 
         if len(self.seen) >= self.assumption - 1:
-            ctx.send_order(self._gather_point(ctx))
+            ctx.send_order(_gather_point(ctx))
             self._queue_finale_phase(ctx)
             return
         if pre_tokens and self.tokens:
@@ -445,15 +437,7 @@ class GatherProgram(Program):
             ctx.issue(self.star.next_instruction())
             return
         if self.role == "explorer" and self.mode == "finale":
-            g = self._gather_point(ctx)
-            if self.final_stop:
-                ctx.issue(GotoStop(g))
-            else:
-                pos = ctx.position
-                dx, dy = g.x - pos.x, g.y - pos.y
-                d = math.hypot(dx, dy)
-                if d > POS_TOL:
-                    ctx.issue(Go(Vec2(dx / d, dy / d), d))
+            self._head_to(ctx, _gather_point(ctx))
             self.mode = "finale_goto"
             return
         if self.role == "explorer" and self.mode == "finale_goto":

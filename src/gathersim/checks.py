@@ -12,7 +12,7 @@ import math
 from itertools import combinations
 
 from .config import InitialConfiguration
-from .engine import Trace
+from .engine import Trace, connected_components
 from .geometry import POS_TOL, TIME_TOL, Point, has_legal_speed
 
 # GA participants may sit up to the engine's proximity slack beyond eps.
@@ -82,26 +82,13 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
         pos = _group_positions(trace, group, ev.time)
         if len(group) < 2:
             _fail(f"GA at {ev.time} with fewer than two agents")
-        adj = {i: set() for i in group}
-        for i, j in combinations(group, 2):
-            if pos[i].dist(pos[j]) <= eps + GA_DIST_SLACK:
-                adj[i].add(j)
-                adj[j].add(i)
-        seen = {group[0]}
-        frontier = [group[0]]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if seen != set(group):
+        close = [(i, j) for i, j in combinations(group, 2)
+                 if pos[i].dist(pos[j]) <= eps + GA_DIST_SLACK]
+        if len(connected_components(group, close)) != 1:
             _fail(f"GA at {ev.time}: group {group} not proximity-connected")
 
         fresh = False
-        for i, j in combinations(group, 2):
-            if pos[i].dist(pos[j]) > eps + GA_DIST_SLACK:
-                continue
+        for i, j in close:
             prev = last_meeting.get((i, j))
             if prev is None:
                 fresh = True

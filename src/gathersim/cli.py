@@ -172,6 +172,8 @@ def _sweep_one(task: tuple) -> dict:
 def cmd_sweep(args) -> int:
     if args.count < 1:
         raise SystemExit("error: --count must be at least 1")
+    if args.jobs < 1:
+        raise SystemExit("error: --jobs must be at least 1")
     if args.n < 2:
         raise SystemExit("error: --n must be at least 2")
     if args.cls == "bad" and args.n != 2:
@@ -183,8 +185,10 @@ def cmd_sweep(args) -> int:
     tasks = [(i, args.seed * 1_000_003 + i, args.cls, args.n,
               args.algorithm, args.assumption_set, args.horizon)
              for i in range(args.count)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at once, so never ask for idle ones.
+    jobs = min(args.jobs, args.count)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]

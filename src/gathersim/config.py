@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Point, Vec2, TIME_TOL, is_finite_point, lex_less
+from .geometry import Point, Vec2, TIME_TOL, is_finite_point
 
 
 class Feasibility(enum.Enum):
@@ -167,25 +167,3 @@ def vector_sequence(cfg: InitialConfiguration) -> list[Vec2]:
 
 class NoQualifyingPair(ValueError):
     pass
-
-
-def qualifying_vector(cfg: InitialConfiguration) -> Vec2:
-    """Largest difference vector between a pair meeting the gathering bound.
-
-    Raises NoQualifyingPair when no pair satisfies
-    |t_i - t_j| >= dist - eps (within TIME_TOL), i.e. the configuration is
-    ungatherable.
-    """
-    best = None
-    n = cfg.n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if pair_margin(cfg, i, j) >= -TIME_TOL:
-                v = cfg.starts[j] - cfg.starts[i]
-                if best is None or lex_less(best, v):
-                    best = v
-    if best is None:
-        raise NoQualifyingPair("no pair satisfies |dt| >= dist - eps")
-    return best

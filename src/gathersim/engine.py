@@ -225,6 +225,36 @@ class Trace:
 Pair = tuple[int, int]  # agent indices, smaller first
 
 
+def connected_components(nodes, edges) -> list[tuple[int, ...]]:
+    """Connected components of the graph on nodes with the given edges.
+
+    Every edge endpoint must be one of nodes.  Components are sorted
+    internally and ordered by their smallest member.
+    """
+    nbr: dict[int, list[int]] = {v: [] for v in nodes}
+    for a, b in edges:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    seen: set[int] = set()
+    comps = []
+    # Visiting starts in ascending order makes each start the smallest
+    # member of its component, so components come out in order.
+    for start in sorted(nbr):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            for v in nbr[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    stack.append(v)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 def form_ga_groups(adjacent: set[Pair],
                    new_edges: set[Pair]) -> list[tuple[int, ...]]:
     """Connected components of the proximity graph that contain a new edge.
@@ -236,29 +266,12 @@ def form_ga_groups(adjacent: set[Pair],
     """
     if not new_edges:
         return []
-    nbr: dict[int, set[int]] = {}
-    for a, b in adjacent | new_edges:
-        nbr.setdefault(a, set()).add(b)
-        nbr.setdefault(b, set()).add(a)
-    seen: set[int] = set()
-    groups = []
-    for start in sorted(nbr):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in nbr.get(u, ()):
-                if v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        seen |= comp
-        # Both ends of an edge lie in one component.
-        if any(a in comp for a, _ in new_edges):
-            groups.append(tuple(sorted(comp)))
-    groups.sort(key=lambda g: g[0])
-    return groups
+    edges = adjacent | new_edges
+    nodes = {v for edge in edges for v in edge}
+    # Both ends of an edge lie in one component.
+    fresh = {a for a, _ in new_edges}
+    return [comp for comp in connected_components(nodes, edges)
+            if not fresh.isdisjoint(comp)]
 
 
 def default_horizon(cfg: InitialConfiguration) -> float:
@@ -762,27 +775,12 @@ class Simulation:
                      tuple(trajectories), verdict)
 
 
-def _cluster_points(points: list[Point],
-                    tol: float = POS_TOL) -> list[tuple[int, ...]]:
+def _cluster_points(points: list[Point]) -> list[tuple[int, ...]]:
+    """Groups of points chained together by gaps of at most POS_TOL."""
     n = len(points)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if points[i].dist(points[j]) <= tol:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(v) for _, v in sorted(groups.items())]
+    close = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if points[i].dist(points[j]) <= POS_TOL]
+    return connected_components(range(n), close)
 
 
 def run(cfg: InitialConfiguration, program_factory: ProgramFactory,

@@ -98,8 +98,8 @@ def is_finite_point(p: Point) -> bool:
 class Segment:
     """One constant-velocity piece of a trajectory.
 
-    Invariant: speed is 0 or 1 within SPEED_TOL, except that callers may
-    disable the check for derived or replayed data.
+    Trajectory enforces the unit-speed rule on its segments; see
+    has_legal_speed.
     """
 
     start_time: float
@@ -173,12 +173,12 @@ class Trajectory:
     # they are not non-decreasing, which only hand-built segments allow.
     __slots__ = ("segments", "_times")
 
-    def __init__(self, segments: list[Segment], check_speed: bool = True):
+    def __init__(self, segments: list[Segment]):
         if not segments:
             raise ValueError("trajectory needs at least one segment")
         prev = None
         for seg in segments:
-            if check_speed and not has_legal_speed(seg):
+            if not has_legal_speed(seg):
                 raise ValueError(f"segment speed {seg.speed} is neither "
                                  "0 nor 1")
             if prev is not None:

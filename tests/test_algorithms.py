@@ -6,12 +6,13 @@ from collections import Counter
 import pytest
 
 from conftest import pair
-from gathersim.algorithms import (StarWalk, dedicated_program,
-                                  gather_a_program, gather_n_program,
-                                  ray_direction, star_phase_params,
-                                  star_stage_legs, star_time_through_phase)
+from gathersim.algorithms import (StarWalk, _dedicated_walk,
+                                  dedicated_program, gather_a_program,
+                                  gather_n_program, ray_direction,
+                                  star_phase_params, star_time_through_phase)
 from gathersim.checks import check_all
-from gathersim.config import InitialConfiguration
+from gathersim.config import (InitialConfiguration, NoQualifyingPair,
+                              pair_margin, vector_sequence)
 from gathersim.engine import Go, Wait, run
 from gathersim.geometry import Point, Vec2
 
@@ -55,8 +56,9 @@ def test_ray_direction_north_and_clockwise():
     assert abs(d90.dx - 1.0) < 1e-12 and abs(d90.dy) < 1e-12
 
 
-def test_star_stage_legs_shape():
-    legs = star_stage_legs(3, 1)
+def test_star_walk_stage_shape():
+    w = StarWalk(3)
+    legs = [w.next_instruction() for _ in range(3)]
     assert isinstance(legs[0], Go) and legs[0].distance == 3
     assert isinstance(legs[1], Go) and legs[1].distance == 3
     assert isinstance(legs[2], Wait) and legs[2].duration == 3
@@ -80,6 +82,44 @@ def test_star_time_through_phase():
     assert star_time_through_phase(1) == 18.0
     _, k2 = star_phase_params(2)
     assert star_time_through_phase(2) == 18.0 + 6.0 * k2
+
+
+def test_dedicated_walk_earlier_to_later():
+    # The later agent sits lex-smaller: the walk still runs earlier to
+    # later, and the wait is the time gap.
+    cfg = pair(0.5, (1, 0), 0.0, (0, 0), 1.0)
+    assert _dedicated_walk(cfg) == (Vec2(-1, 0), 1.0)
+
+
+def test_dedicated_walk_time_tie_takes_lex_largest():
+    # Equal times: both orientations of every pair qualify.
+    cfg = InitialConfiguration(
+        2.0, (Point(0, 0), Point(1, 0), Point(0.5, 1)), (0.0, 0.0, 0.0))
+    assert _dedicated_walk(cfg) == (Vec2(1, 0), 0.0)
+
+
+def test_dedicated_walk_restricted_pair():
+    # Only the pair (1,2) qualifies; agent 1 starts first.
+    cfg = InitialConfiguration(
+        0.5,
+        (Point(0, 0), Point(10, 0), Point(10, 0.6)),
+        (0.0, 1.0, 2.0))
+    assert pair_margin(cfg, 0, 1) < 0 and pair_margin(cfg, 0, 2) < 0
+    assert pair_margin(cfg, 1, 2) > 0
+    assert _dedicated_walk(cfg) == (Vec2(0, 0.6), 1.0)
+
+
+def test_dedicated_walk_none():
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 1.0)
+    with pytest.raises(NoQualifyingPair):
+        _dedicated_walk(cfg)
+
+
+def test_dedicated_walk_is_in_sequence():
+    cfg = InitialConfiguration(
+        0.4, (Point(0, 0), Point(1, 1), Point(-2, 0.5)), (0.0, 4.0, 1.0))
+    v, _ = _dedicated_walk(cfg)
+    assert v in vector_sequence(cfg)
 
 
 def test_dedicated_gathers_at_largest_start():

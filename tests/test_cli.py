@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from gathersim import cli
 from gathersim.cli import main
 
 GOOD = {"epsilon": 0.5,
@@ -174,6 +175,54 @@ def test_sweep_parallel_matches_serial(capsys):
     assert main(base + ["--jobs", "2"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the sweep's process pool for one that records its size, starts
+    no process and maps in the calling process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_bad_jobs(capsys, pool_sizes, jobs):
+    argv = ["sweep", "--n", "2", "--count", "2", "--seed", "1",
+            "--class", "good", "--algorithm", "gather-n", "--jobs", jobs]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "--jobs must be at least 1" in captured.err
+    assert "invariant violations" not in captured.out
+    assert pool_sizes == []
+
+
+def test_sweep_pool_never_exceeds_count(capsys, pool_sizes):
+    base = ["sweep", "--n", "2", "--count", "2", "--seed", "1",
+            "--class", "good", "--algorithm", "gather-n"]
+    assert main(base) == 0
+    serial = capsys.readouterr().out
+    assert main(base + ["--jobs", "64"]) == 0
+    assert capsys.readouterr().out == serial
+    assert pool_sizes == [2]
+    one = ["sweep", "--n", "2", "--count", "1", "--seed", "1",
+           "--class", "good", "--algorithm", "gather-n", "--jobs", "8"]
+    assert main(one) == 0
+    assert pool_sizes == [2]  # a single run needs no pool
 
 
 def test_sweep_ungatherable_has_no_gas(capsys):

@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import pair
-from gathersim.config import (Feasibility, InitialConfiguration,
-                              NoQualifyingPair, classify, pair_margin,
-                              qualifying_vector, vector_sequence)
+from gathersim.config import (Feasibility, InitialConfiguration, classify,
+                              pair_margin, vector_sequence)
 from gathersim.geometry import Point, Vec2
 
 
@@ -106,39 +105,6 @@ def test_vector_sequence_three_points():
     for v in seq:
         assert Vec2(-v.dx, -v.dy) in seq
     assert list(seq) == sorted(seq, key=lambda v: (v.dx, v.dy))
-
-
-def test_qualifying_vector_both_pairs():
-    cfg = pair(0.5, (0, 0), 0.0, (1, 0), 1.0)
-    assert qualifying_vector(cfg) == Vec2(1, 0)
-
-
-def test_qualifying_vector_large_eps_equal_times():
-    cfg = pair(2.0, (0, 0), 0.0, (1, 0), 0.0)
-    assert qualifying_vector(cfg) == Vec2(1, 0)
-
-
-def test_qualifying_vector_restricted_pair():
-    # Only the pair (1,2) qualifies; the answer is its larger direction.
-    cfg = InitialConfiguration(
-        0.5,
-        (Point(0, 0), Point(10, 0), Point(10, 0.6)),
-        (0.0, 1.0, 2.0))
-    assert pair_margin(cfg, 0, 1) < 0 and pair_margin(cfg, 0, 2) < 0
-    assert pair_margin(cfg, 1, 2) > 0
-    assert qualifying_vector(cfg) == Vec2(0, 0.6)
-
-
-def test_qualifying_vector_none():
-    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 1.0)
-    with pytest.raises(NoQualifyingPair):
-        qualifying_vector(cfg)
-
-
-def test_qualifying_vector_is_in_sequence():
-    cfg = InitialConfiguration(
-        0.4, (Point(0, 0), Point(1, 1), Point(-2, 0.5)), (0.0, 4.0, 1.0))
-    assert qualifying_vector(cfg) in vector_sequence(cfg)
 
 
 def test_json_round_trip(tmp_path):

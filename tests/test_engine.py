@@ -4,14 +4,16 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import pair
 from gathersim.algorithms import gather_n_program
 from gathersim.config import InitialConfiguration
 from gathersim.engine import (AgentRef, Go, GotoStop, InvalidInstruction,
                               KnowledgeItem, Program, Simulation, Wait,
-                              default_horizon, form_ga_groups, run,
-                              translate_knowledge)
+                              connected_components, default_horizon,
+                              form_ga_groups, run, translate_knowledge)
 from gathersim.generate import good_config
 from gathersim.geometry import Point, Vec2
 
@@ -82,6 +84,42 @@ def test_form_ga_groups_rules():
     assert form_ga_groups(adj | {(0, 1)}, {(0, 1)}) == [(0, 1, 2)]
     groups = form_ga_groups({(0, 1), (2, 3)}, {(0, 1), (2, 3)})
     assert groups == [(0, 1), (2, 3)]
+
+
+@st.composite
+def graphs(draw):
+    """Distinct nodes in shuffled order plus edges among them, with
+    repeats, reversed copies and self-loops allowed."""
+    nodes = draw(st.lists(st.integers(0, 30), unique=True, max_size=12))
+    nodes = draw(st.permutations(nodes))
+    if not nodes:
+        return nodes, []
+    node = st.sampled_from(nodes)
+    return nodes, draw(st.lists(st.tuples(node, node), max_size=20))
+
+
+def _closure_components(nodes, edges):
+    """Reference: grow every node's reachable set to a fixed point."""
+    reach = {v: {v} for v in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            for u, v in ((a, b), (b, a)):
+                if not reach[v] <= reach[u]:
+                    reach[u] |= reach[v]
+                    changed = True
+    return {tuple(sorted(r)) for r in reach.values()}
+
+
+@given(graphs())
+def test_connected_components_matches_closure(graph):
+    nodes, edges = graph
+    comps = connected_components(nodes, edges)
+    assert set(comps) == _closure_components(nodes, edges)
+    assert all(list(c) == sorted(c) for c in comps)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    assert sorted(v for c in comps for v in c) == sorted(nodes)
 
 
 def test_no_repeat_ga_while_adjacent():
@@ -318,10 +356,10 @@ def test_default_horizon_formula():
 
 
 def test_trace_jsonl_schema():
+    import json
     cfg = pair(0.5, (0, 0), 0.0, (0.2, 0), 1.0)
     trace = run(cfg, Still, horizon=5.0)
     lines = trace.jsonl_lines()
-    import json
     objs = [json.loads(s) for s in lines]
     kinds = [o["kind"] for o in objs]
     assert kinds[0] == "appear" and "ga" in kinds
@@ -329,6 +367,17 @@ def test_trace_jsonl_schema():
     ga = next(o for o in objs if o["kind"] == "ga")
     assert set(ga) == {"t", "kind", "agents", "positions", "tags"}
     assert ga["agents"] == [0, 1]
+    # The verdict line carries no "t": each kind has its own fields.
+    assert objs[-1] == {"kind": "verdict", "verdict": "split", "groups": 2,
+                        "points": [[0.0, 0.0], [0.2, 0.0]]}
+    good = pair(0.5, (0, 0), 0.0, (1, 0), 1.0)
+    gathered = json.loads(run(good, gather_n_program(2)).jsonl_lines()[-1])
+    assert set(gathered) == {"kind", "verdict", "point"}
+    assert gathered["verdict"] == "gathered"
+    far = pair(0.5, (0, 0), 0.0, (9, 0), 0.0)
+    timeout = run(far, lambda: WalkEast(100.0), horizon=2.0)
+    assert json.loads(timeout.jsonl_lines()[-1]) == {
+        "kind": "verdict", "verdict": "timeout", "time": 2.0}
 
 
 def test_deterministic_rerun():
