@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Fingerprint the benchmark corpus: one line per workload and seed.
+
+Runs every operation of every workload's corpus (built by
+perfbench/corpus.py, which this script only reads) the way the benchmark
+does: engine.run, checks.check_all, Trace.jsonl_lines and
+render.render_svg.  For each workload and seed it prints the sha256 of all
+JSONL lines and SVG documents in corpus order, and the sha256 of the
+check_all outcomes ("ok" or the failure message).  Two checkouts whose
+lines are equal produce the same traces, pictures and check results on the
+whole corpus, so a refactor or speed-up can show byte identity with
+
+    python3 scripts/corpus_digest.py --seeds 3 17
+
+run from each checkout and compared line by line.
+"""
+
+import argparse
+import hashlib
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = ("large-n", "no-meet", "sweep-mix")
+
+
+def digest(build_corpus, workload: str, seed: int) -> tuple[int, str, str]:
+    from gathersim import checks, engine, render
+    traces = hashlib.sha256()
+    outcomes = hashlib.sha256()
+    ops = build_corpus(workload, seed)
+    for op in ops:
+        trace = engine.run(op.cfg, op.factory, op.horizon)
+        try:
+            checks.check_all(op.cfg, trace)
+            outcome = "ok"
+        except checks.CheckFailure as exc:
+            outcome = f"fail: {exc}"
+        for line in trace.jsonl_lines():
+            traces.update(line.encode())
+            traces.update(b"\n")
+        traces.update(render.render_svg(op.cfg, trace).encode())
+        outcomes.update(f"{op.label} {outcome}\n".encode())
+    return len(ops), traces.hexdigest(), outcomes.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from corpus import build_corpus
+    for workload in WORKLOADS:
+        for seed in args.seeds:
+            count, traces, outcomes = digest(build_corpus, workload, seed)
+            print(f"{workload} seed {seed}: {count} operations "
+                  f"jsonl+svg {traces} check_all {outcomes}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

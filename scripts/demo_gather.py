@@ -2,8 +2,9 @@
 """Simulate the size-aware algorithm on a random good configuration.
 
 Generates a seeded gatherable configuration, runs the team-size-aware
-program on it, prints the event log, and writes trace + picture next to
-this script (or to --outdir).
+program on it, prints the event log, and writes the JSONL trace and the
+SVG picture to --outdir (default: the working directory), creating it if
+needed.
 
 Usage:
     python3 scripts/demo_gather.py [--seed 7] [--n 4] [--outdir .]
@@ -25,6 +26,9 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--outdir", default=".")
     args = ap.parse_args()
+    # Made before the run, so a bad path fails before the simulation.
+    outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     cfg = good_config(args.seed, args.n)
     print(f"configuration (eps = {cfg.epsilon:.4f}):")
@@ -48,7 +52,6 @@ def main() -> None:
     else:
         print()
 
-    outdir = pathlib.Path(args.outdir)
     trace_path = outdir / f"gather_seed{args.seed}_n{args.n}.jsonl"
     svg_path = outdir / f"gather_seed{args.seed}_n{args.n}.svg"
     trace_path.write_text("\n".join(trace.jsonl_lines()) + "\n")

@@ -17,6 +17,7 @@ program boundary.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import deque
@@ -33,6 +34,10 @@ PROX_TOL = 1e-9
 
 # A program may emit at most this many zero-duration instructions in a row.
 MAX_INSTANT_INSTRUCTIONS = 1000
+
+# Slack of the pair certificates over the scan window: larger than the
+# TIME_TOL by which the crossing solvers accept a root past their window.
+_CERT_MARGIN = 2 * TIME_TOL
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,6 +399,12 @@ class Simulation:
         self._recent_separation: dict[Pair, float] = {}
         self.events: list[Event] = []
         self._pending_orders: list[tuple[_Agent, Point, tuple[int, ...]]] = []
+        # Kinetic pair certificates; see _next_pair_events.
+        self._cert: dict[Pair, float] = {}
+        self._cert_queue: list[tuple[float, Pair]] = []
+        self._seen_leg: list[object] = [None] * cfg.n
+        # Pairs the next scan solves whatever their certificate.
+        self._dirty: set[Pair] = set()
 
     # -- program-facing hooks ------------------------------------------------
 
@@ -509,22 +520,35 @@ class Simulation:
                 if old.state != part.tag:
                     recv.knowledge[part.ref] = replace(old, state=part.tag)
 
-    def _view_for(self, observer: _Agent, group: tuple[int, ...]) -> GAView:
-        entries = []
-        for i in group:
-            ag = self.agents[i]
-            rel = Point(ag.pos.x - observer.origin.x,
-                        ag.pos.y - observer.origin.y)
-            rel_init = (ag.origin.x - observer.origin.x,
-                        ag.origin.y - observer.origin.y)
-            near = ag.pos.dist(observer.pos) <= self.eps + PROX_TOL
-            entries.append(((rel.coords, rel_init), ag.idx,
-                            Participant(ag.ref, rel, ag.tag, near)))
-        entries.sort(key=lambda e: e[0])
-        parts = tuple(e[2] for e in entries)
-        self_index = next(k for k, e in enumerate(entries)
-                          if e[1] == observer.idx)
-        return GAView(self._now - observer.start_time, parts, self_index)
+    def _views(self, group: tuple[int, ...],
+               near: list[list[bool]]) -> dict[int, GAView]:
+        """The GA view of every member not stopped, by agent index.
+
+        near is the group's epsilon matrix.  An observer sees the members
+        ordered by current position, then by starting point, both relative
+        to its own origin; ties keep group order.
+        """
+        members = [self.agents[i] for i in group]
+        refs = [ag.ref for ag in members]
+        tags = [ag.tag for ag in members]
+        pos = [(ag.pos.x, ag.pos.y, ag.origin.x, ag.origin.y)
+               for ag in members]
+        rng = range(len(members))
+        views = {}
+        for k, obs in enumerate(members):
+            if obs.stopped:
+                continue  # on_ga is never called for it
+            cx = obs.origin.x
+            cy = obs.origin.y
+            keys = [(x - cx, y - cy, ox - cx, oy - cy)
+                    for x, y, ox, oy in pos]
+            order = sorted(rng, key=keys.__getitem__)
+            row = near[k]
+            parts = tuple([Participant(refs[b], Point(keys[b][0], keys[b][1]),
+                                       tags[b], row[b]) for b in order])
+            views[obs.idx] = GAView(self._now - obs.start_time, parts,
+                                    order.index(k))
+        return views
 
     # -- main loop -----------------------------------------------------------
 
@@ -566,54 +590,110 @@ class Simulation:
         Returns the earliest crossing time (t_bound when there is none) and
         the crossings as (time, "approach" | "separate", pair), pairs in
         index order.
+
+        Each pair holds a kinetic certificate (Basch, Guibas & Hershberger,
+        "Data structures for mobile data", SODA 1997): _cert[pair] is the
+        earliest time at which it can cross epsilon under its two agents'
+        current motions, or inf when it cannot before one of them ends.
+        A pair is dirty, and solved afresh from now, when
+        - an agent of it carries another motion than at its last scan (an
+          agent without one counts as one shared still motion, and an
+          agent that just appeared as changed);
+        - its adjacency flipped since the last scan; or
+        - its certificate is due: cert <= t_bound + _CERT_MARGIN.
+        A clean pair has no crossing in this window and is not visited.
+        A dirty pair is solved once, over the window stretched to the end
+        of its first motion; a root inside the window gives the same float
+        as a solve over the window alone, and a later one becomes the
+        certificate.  A pair with a crossing in the window, or one the
+        approach filters drop, is certified at now, so the next scan
+        solves it again.
         """
         now = self._now
         eps = self.eps
         window = t_bound - now
         adjacent = self.adjacent
         recent = self._recent_separation
-        states = []
+        cert = self._cert
+        queue = self._cert_queue
+        seen = self._seen_leg
+        inf = math.inf
+        dirty = self._dirty
+        self._dirty = again = set()
+        states = {}
+        changed = []
         for ag in live:
+            i = ag.idx
             m = ag.motion
             if m is None:
-                states.append((ag.idx, ag.pos.x, ag.pos.y, 0.0, 0.0))
+                states[i] = (ag.pos.x, ag.pos.y, 0.0, 0.0, inf)
+                m = _STILL
             else:
-                states.append((ag.idx, ag.pos.x, ag.pos.y, m.vx, m.vy))
+                states[i] = (ag.pos.x, ag.pos.y, m.vx, m.vy, m.t_end)
+            if seen[i] is not m:
+                seen[i] = m
+                changed.append(i)
+        for i in changed:
+            for j in states:
+                if j != i:
+                    dirty.add((i, j) if i < j else (j, i))
+        due = t_bound + _CERT_MARGIN
+        while queue and queue[0][0] <= due:
+            t, pair = heapq.heappop(queue)
+            if cert[pair] == t:  # else a later solve replaced this entry
+                dirty.add(pair)
+        # Stretched past the window by more than the solvers' TIME_TOL, so
+        # a root they clamp onto the stretched end lies beyond the window.
+        stretch = window + _CERT_MARGIN
+        horizon = self.horizon
         t_event = t_bound
         hits = []
-        for k, (i, ax, ay, avx, avy) in enumerate(states):
-            for j, bx, by, bvx, bvy in states[k + 1:]:
-                rx = bx - ax
-                ry = by - ay
-                vx = bvx - avx
-                vy = bvy - avy
-                if (i, j) in adjacent:
-                    s = solve_crossing_out(rx, ry, vx, vy, eps, window)
-                    if s is None:
+        for pair in sorted(dirty):
+            i, j = pair
+            ax, ay, avx, avy, a_end = states[i]
+            bx, by, bvx, bvy, b_end = states[j]
+            rx = bx - ax
+            ry = by - ay
+            vx = bvx - avx
+            vy = bvy - avy
+            end = a_end if a_end < b_end else b_end
+            span = (end if end < horizon else horizon) - now
+            if span < stretch:
+                span = stretch
+            if pair in adjacent:
+                s = solve_crossing_out(rx, ry, vx, vy, eps, span)
+                kind = "separate"
+            else:
+                s = solve_crossing_in(rx, ry, vx, vy, eps, span)
+                kind = "approach"
+            if s is None:
+                cert[pair] = inf
+                continue
+            if s > window + TIME_TOL:
+                t = cert[pair] = now + s
+                heapq.heappush(queue, (t, pair))
+                continue
+            cert[pair] = now
+            again.add(pair)
+            if s > window:
+                s = window
+            t = now + s
+            if kind == "approach":
+                if t <= recent.get(pair, -inf) + TIME_TOL:
+                    continue
+                if s <= TIME_TOL:
+                    # Boundary contact at the window start only counts
+                    # when the pair is genuinely closing in; a pair
+                    # parked at distance epsilon after separating does
+                    # not re-trigger.
+                    closing = rx * vx + ry * vy
+                    dist2 = rx * rx + ry * ry
+                    if dist2 >= (eps - POS_TOL) ** 2 \
+                            and closing >= -1e-15:
                         continue
-                    t = now + s
-                    kind = "separate"
-                else:
-                    s = solve_crossing_in(rx, ry, vx, vy, eps, window)
-                    if s is None:
-                        continue
-                    t = now + s
-                    if t <= recent.get((i, j), -math.inf) + TIME_TOL:
-                        continue
-                    if s <= TIME_TOL:
-                        # Boundary contact at the window start only counts
-                        # when the pair is genuinely closing in; a pair
-                        # parked at distance epsilon after separating does
-                        # not re-trigger.
-                        closing = rx * vx + ry * vy
-                        dist2 = rx * rx + ry * ry
-                        if dist2 >= (eps - POS_TOL) ** 2 \
-                                and closing >= -1e-15:
-                            continue
-                    kind = "approach"
-                hits.append((t, kind, (i, j)))
-                if t < t_event:
-                    t_event = t
+            hits.append((t, kind, pair))
+            if t < t_event:
+                t_event = t
         return t_event, hits
 
     def _instant_has_work(self, t: float,
@@ -659,6 +739,7 @@ class Simulation:
             if ht > t + TIME_TOL or kind != "separate":
                 continue
             self.adjacent.discard(pair)
+            self._dirty.add(pair)
             self._recent_separation[pair] = t
         for ht, kind, pair in pair_hits:
             if ht > t + TIME_TOL or kind != "approach":
@@ -697,22 +778,32 @@ class Simulation:
 
     def _run_gas(self, new_edges: set[Pair]) -> None:
         t = self._now
-        # Mark adjacency for every group pair currently within epsilon.
-        groups = form_ga_groups(self.adjacent, new_edges)
-        self.adjacent |= new_edges
+        adjacent = self.adjacent
+        groups = form_ga_groups(adjacent, new_edges)
+        adjacent |= new_edges
+        self._dirty |= new_edges
+        lim = self.eps + PROX_TOL
         for group in groups:
-            for x in range(len(group)):
-                for y in range(x + 1, len(group)):
-                    a = self.agents[group[x]]
-                    b = self.agents[group[y]]
-                    if a.pos.dist(b.pos) <= self.eps + PROX_TOL:
-                        self.adjacent.add((a.idx, b.idx))
-        for group in groups:
-            self._gossip(group)
             members = [self.agents[i] for i in group]
+            # near[x][y]: members x and y are within epsilon.  It marks
+            # adjacency for every such pair and tells each view who is
+            # adjacent to its observer.
+            pos = [ag.pos for ag in members]
+            near = [[True] * len(group) for _ in group]
+            for x, (i, p) in enumerate(zip(group, pos)):
+                for y in range(x + 1, len(group)):
+                    q = pos[y]
+                    if math.hypot(p.x - q.x, p.y - q.y) <= lim:
+                        pair = (i, group[y])
+                        if pair not in adjacent:
+                            adjacent.add(pair)
+                            self._dirty.add(pair)
+                    else:
+                        near[x][y] = near[y][x] = False
+            self._gossip(group)
             # Decisions are simultaneous: every view shows pre-GA states,
             # so a callback's tag change is invisible to its peers.
-            views = {ag.idx: self._view_for(ag, group) for ag in members}
+            views = self._views(group, near)
             self._pending_orders = []
             for ag in members:
                 if ag.stopped:
@@ -770,6 +861,11 @@ class Simulation:
             for ag in self.agents:
                 # Quiescent agents can never move again; mark them stopped.
                 ag.stopped = True
+        for ag in self.agents:
+            # No callback follows.  Cutting the agent -> context ->
+            # simulation cycle lets reference counting free the run's
+            # state now instead of at the next cyclic garbage collection.
+            ag.ctx = None
         return Trace(self.events, tuple(final_positions),
                      tuple(ag.tag for ag in self.agents),
                      tuple(trajectories), verdict)

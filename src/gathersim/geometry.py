@@ -55,12 +55,6 @@ class Vec2:
     def __neg__(self) -> "Vec2":
         return Vec2(-self.dx, -self.dy)
 
-    def scaled(self, s: float) -> "Vec2":
-        return Vec2(self.dx * s, self.dy * s)
-
-    def dot(self, other: "Vec2") -> float:
-        return self.dx * other.dx + self.dy * other.dy
-
     @property
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
@@ -267,14 +261,6 @@ class TrajectoryBuilder:
         self._times = [start_time]
         self._points = [start_point]
         self._leg = None
-
-    @property
-    def current_time(self) -> float:
-        return self._times[-1]
-
-    @property
-    def current_point(self) -> Point:
-        return self._points[-1]
 
     def move_to(self, t: float, p: Point, leg: object = None) -> None:
         """Record that the agent is at p at time t, at the end of leg.

@@ -1,6 +1,8 @@
 """Command line interface: exit codes, printed output, artifact files."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -246,3 +248,19 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "DEPENDENT" in proc.stdout
+
+
+def test_demo_gather_creates_outdir(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    outdir = tmp_path / "fresh" / "nested"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_gather.py"),
+         "--seed", "7", "--n", "3", "--outdir", str(outdir)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: gathered" in proc.stdout
+    trace_lines = (outdir / "gather_seed7_n3.jsonl").read_text().splitlines()
+    assert json.loads(trace_lines[-1])["verdict"] == "gathered"
+    ET.parse(outdir / "gather_seed7_n3.svg")

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from conftest import pair
 from gathersim.algorithms import gather_n_program
 from gathersim.config import InitialConfiguration
-from gathersim.engine import (AgentRef, Go, GotoStop, InvalidInstruction,
-                              KnowledgeItem, Program, Simulation, Wait,
-                              connected_components, default_horizon,
-                              form_ga_groups, run, translate_knowledge)
-from gathersim.generate import good_config
-from gathersim.geometry import Point, Vec2
+from gathersim.engine import (PROX_TOL, AgentRef, GAView, Go, GotoStop,
+                              InvalidInstruction, KnowledgeItem, Participant,
+                              Program, Simulation, Wait, connected_components,
+                              default_horizon, form_ga_groups, run,
+                              translate_knowledge)
+from gathersim.generate import good_config, ungatherable_config
+from gathersim.geometry import (POS_TOL, TIME_TOL, Point, Vec2,
+                                solve_crossing_in, solve_crossing_out)
 
 
 class Still(Program):
@@ -237,6 +239,179 @@ def test_gossip_matches_all_pairs_merge(seed, n, monkeypatch):
     assert len(log) > n
     assert log == ref_log
     assert lines == ref_lines
+
+
+def _full_scan_pair_events(sim, live, t_bound):
+    """The pair scan without certificates: every live pair, every call."""
+    now = sim._now
+    eps = sim.eps
+    window = t_bound - now
+    states = []
+    for ag in live:
+        m = ag.motion
+        if m is None:
+            states.append((ag.idx, ag.pos.x, ag.pos.y, 0.0, 0.0))
+        else:
+            states.append((ag.idx, ag.pos.x, ag.pos.y, m.vx, m.vy))
+    t_event = t_bound
+    hits = []
+    for k, (i, ax, ay, avx, avy) in enumerate(states):
+        for j, bx, by, bvx, bvy in states[k + 1:]:
+            rx = bx - ax
+            ry = by - ay
+            vx = bvx - avx
+            vy = bvy - avy
+            if (i, j) in sim.adjacent:
+                s = solve_crossing_out(rx, ry, vx, vy, eps, window)
+                if s is None:
+                    continue
+                t = now + s
+                kind = "separate"
+            else:
+                s = solve_crossing_in(rx, ry, vx, vy, eps, window)
+                if s is None:
+                    continue
+                t = now + s
+                if t <= sim._recent_separation.get((i, j), -math.inf) \
+                        + TIME_TOL:
+                    continue
+                if s <= TIME_TOL:
+                    closing = rx * vx + ry * vy
+                    dist2 = rx * rx + ry * ry
+                    if dist2 >= (eps - POS_TOL) ** 2 \
+                            and closing >= -1e-15:
+                        continue
+                kind = "approach"
+            hits.append((t, kind, (i, j)))
+            if t < t_event:
+                t_event = t
+    return t_event, hits
+
+
+def _check_pair_events_against_full_scan(monkeypatch):
+    """Make every pair scan assert that it equals the full scan; returns
+    the list of (t_event, hits) the scans produced."""
+    real = Simulation._next_pair_events
+    scans = []
+
+    def checked(self, live, t_bound):
+        expect = _full_scan_pair_events(self, live, t_bound)
+        t_event, hits = real(self, live, t_bound)
+        assert t_event == expect[0]
+        assert sorted(hits) == sorted(expect[1])
+        scans.append((t_event, hits))
+        return t_event, hits
+
+    monkeypatch.setattr(Simulation, "_next_pair_events", checked)
+    return scans
+
+
+@pytest.mark.parametrize("make", [
+    lambda: good_config(0, 6), lambda: good_config(1, 7),
+    lambda: good_config(2, 8), lambda: ungatherable_config(0, 8),
+    lambda: ungatherable_config(1, 8)],
+    ids=["good-0-6", "good-1-7", "good-2-8", "ungatherable-0-8",
+         "ungatherable-1-8"])
+def test_pair_certificates_match_full_scan(make, monkeypatch):
+    cfg = make()
+    plain = run(cfg, gather_n_program(cfg.n)).jsonl_lines()
+    scans = _check_pair_events_against_full_scan(monkeypatch)
+    assert run(cfg, gather_n_program(cfg.n)).jsonl_lines() == plain
+    assert len(scans) > cfg.n
+
+
+def test_adjacency_flip_is_rescanned(monkeypatch):
+    # a and c sit 1 + 5e-10 apart with eps = 1: close enough for the
+    # PROX_TOL slack of a GA, too far for the crossing solver.  Their
+    # appearance GA makes them adjacent and the next scan separates them
+    # at once; when b appears between them at t = 1, its GA marks a and c
+    # adjacent again, and only that flip makes the still pair due for the
+    # separation the full scan reports.  d walks far away so the run
+    # keeps scanning.
+    cfg = InitialConfiguration(
+        1.0, (Point(0, 0), Point(0.5, 0), Point(1 + 5e-10, 0),
+              Point(100, 0)),
+        (0.0, 1.0, 0.0, 0.0))
+    mk = iter([Still(), Still(), Still(), WalkEast(5.0)])
+    scans = _check_pair_events_against_full_scan(monkeypatch)
+    trace = run(cfg, lambda: next(mk), horizon=10.0)
+    assert [ev.agents for ev in trace.ga_events()] == [(0, 2), (0, 1, 2)]
+    separations = [t for _, hits in scans
+                   for t, kind, pair in hits
+                   if kind == "separate" and pair == (0, 2)]
+    assert separations == [0.0, 1.0]
+
+
+def test_crossing_past_the_window_stays_a_certificate(monkeypatch):
+    # c's wait ends the first window at t = 1.  a walks east towards the
+    # still b; its leg ends 0.5e-9 later, and the line of that leg would
+    # reach distance eps from b 1.2e-9 after t = 1: beyond the TIME_TOL
+    # the solver allows past a window, so the full scan finds nothing.
+    # The stretched solve must not clamp that root back into the window.
+    class WalkLeg(Program):
+        def on_appear(self, ctx):
+            ctx.issue(Go(Vec2(1.0, 0.0), 1.0 + 0.5e-9))
+
+    class WaitOne(Program):
+        def on_appear(self, ctx):
+            ctx.issue(Wait(1.0))
+
+    cfg = InitialConfiguration(
+        1.0, (Point(-2.0 - 1.2e-9, 0), Point(0, 0), Point(0, 50)),
+        (0.0, 0.0, 0.0))
+    mk = iter([WalkLeg(), Still(), WaitOne()])
+    scans = _check_pair_events_against_full_scan(monkeypatch)
+    trace = run(cfg, lambda: next(mk), horizon=5.0)
+    assert trace.ga_events() == []
+    # The scan right after the appearances covers [0, 1].
+    assert scans[1] == (1.0, [])
+
+
+def _view_for(sim, observer, group):
+    """The per-observer view builder without the shared epsilon matrix."""
+    entries = []
+    for i in group:
+        ag = sim.agents[i]
+        rel = Point(ag.pos.x - observer.origin.x,
+                    ag.pos.y - observer.origin.y)
+        rel_init = (ag.origin.x - observer.origin.x,
+                    ag.origin.y - observer.origin.y)
+        near = ag.pos.dist(observer.pos) <= sim.eps + PROX_TOL
+        entries.append(((rel.coords, rel_init), ag.idx,
+                        Participant(ag.ref, rel, ag.tag, near)))
+    entries.sort(key=lambda e: e[0])
+    parts = tuple(e[2] for e in entries)
+    self_index = next(k for k, e in enumerate(entries)
+                      if e[1] == observer.idx)
+    return GAView(sim._now - observer.start_time, parts, self_index)
+
+
+def _view_bits(view):
+    return (view.time.hex(), view.self_index,
+            tuple((p.ref._token, p.position.x.hex(), p.position.y.hex(),
+                   p.tag, p.adjacent) for p in view.participants))
+
+
+@pytest.mark.parametrize("seed,n", [(0, 6), (1, 7), (2, 8)])
+def test_views_match_per_observer_build(seed, n, monkeypatch):
+    real = Simulation._views
+    skipped = []
+
+    def checked(self, group, near):
+        views = real(self, group, near)
+        awake = [i for i in group if not self.agents[i].stopped]
+        assert sorted(views) == awake
+        for i in awake:
+            assert _view_bits(views[i]) \
+                == _view_bits(_view_for(self, self.agents[i], group))
+        skipped.append(len(group) - len(awake))
+        return views
+
+    monkeypatch.setattr(Simulation, "_views", checked)
+    run(good_config(seed, n), gather_n_program(n))
+    assert len(skipped) > n
+    # Members stopped at GA start get no view and are still covered.
+    assert sum(skipped) > 0
 
 
 def test_refs_are_unordered():
