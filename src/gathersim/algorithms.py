@@ -93,16 +93,12 @@ class StarWalk:
 
 # -- shared helpers -----------------------------------------------------------
 
-def _initial_of(ctx: AgentContext, ref) -> Point:
-    return ctx.knowledge[ref].initial_position
-
-
 def _largest_ref(ctx: AgentContext, refs):
     """Ref whose known initial position is lexicographically largest."""
     best_ref = None
     best = None
     for r in refs:
-        p = _initial_of(ctx, r)
+        p = ctx.knowledge[r]
         if best is None or lex_less(best, p):
             best = p
             best_ref = r
@@ -110,7 +106,7 @@ def _largest_ref(ctx: AgentContext, refs):
 
 
 def _largest_initial(ctx: AgentContext, refs) -> Point:
-    return _initial_of(ctx, _largest_ref(ctx, refs))
+    return ctx.knowledge[_largest_ref(ctx, refs)]
 
 
 def _gather_point(ctx: AgentContext) -> Point:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -129,8 +130,8 @@ def cmd_counterexample(args) -> int:
         a = AssumptionSet.parse(args.set)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    if args.epsilon <= 0.0:
-        raise SystemExit("error: --epsilon must be positive")
+    if not (args.epsilon > 0.0 and math.isfinite(args.epsilon)):
+        raise SystemExit("error: --epsilon must be finite and positive")
     try:
         ce = build_dependent_counterexample(a, args.epsilon)
     except ValueError as exc:

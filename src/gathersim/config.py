@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,8 +44,8 @@ class InitialConfiguration:
     times: tuple[float, ...]
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and positive")
         n = len(self.starts)
         if n < 2:
             raise ValueError("a configuration needs at least two agents")
@@ -54,8 +55,8 @@ class InitialConfiguration:
             if not is_finite_point(p):
                 raise ValueError("start points must be finite")
         for t in self.times:
-            if not (t >= 0.0):
-                raise ValueError("start times must be >= 0")
+            if not (t >= 0.0 and math.isfinite(t)):
+                raise ValueError("start times must be finite and >= 0")
         for i in range(n):
             for j in range(i + 1, n):
                 if self.starts[i] == self.starts[j]:

@@ -21,7 +21,7 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .config import InitialConfiguration
@@ -59,28 +59,6 @@ class AgentRef:
         return f"AgentRef(#{self._token})"
 
 
-@dataclass(frozen=True)
-class KnowledgeItem:
-    """One fact an agent holds about some agent (possibly itself).
-
-    initial_position is expressed in the owner's frame, whose origin is the
-    owner's own starting point.  Frames share axes and scale, so re-framing
-    is a pure translation.
-    """
-    ref: AgentRef
-    initial_position: Point
-    state: str
-
-
-def translate_knowledge(item: KnowledgeItem, offset: Vec2) -> KnowledgeItem:
-    """Re-express an item in a frame shifted by -offset.
-
-    offset is the position of the sender's frame origin in the receiver's
-    frame, so the receiver adds it to every incoming coordinate.
-    """
-    return KnowledgeItem(item.ref, item.initial_position + offset, item.state)
-
-
 @dataclass(frozen=True, slots=True)
 class Go:
     direction: Vec2
@@ -111,7 +89,7 @@ class Participant:
     tag: str
     # Direct visibility from the observer; chain-connected participants
     # beyond that range are known only through gossip.
-    adjacent: bool = True
+    adjacent: bool
 
 
 @dataclass(frozen=True)
@@ -220,12 +198,6 @@ class Trace:
     def ga_events(self) -> list[Event]:
         return [ev for ev in self.events if ev.kind == "ga"]
 
-    def first_ga_time(self) -> Optional[float]:
-        for ev in self.events:
-            if ev.kind == "ga":
-                return ev.time
-        return None
-
 
 Pair = tuple[int, int]  # agent indices, smaller first
 
@@ -312,7 +284,9 @@ class _Agent:
         self.appeared = False
         self.stopped = False
         self.tag = ""
-        self.knowledge: dict[AgentRef, KnowledgeItem] = {}
+        # Each known agent's start point in this agent's frame, whose
+        # origin is its own start point; itself included, at (0, 0).
+        self.knowledge: dict[AgentRef, Point] = {}
         self.program = program
         self.queue: deque[Instruction] = deque()
         self.motion: Optional[_Motion] = None
@@ -354,7 +328,12 @@ class AgentContext:
         self._agent.tag = value
 
     @property
-    def knowledge(self) -> dict[AgentRef, KnowledgeItem]:
+    def knowledge(self) -> dict[AgentRef, Point]:
+        """Each known agent's start point in this agent's frame, by ref.
+
+        Holds this agent from its appearance on and grows at every GA;
+        refs are in the order they were learnt.
+        """
         return self._agent.knowledge
 
     def issue(self, instr: Instruction) -> None:
@@ -382,7 +361,6 @@ class Simulation:
     def __init__(self, cfg: InitialConfiguration,
                  program_factory: ProgramFactory,
                  horizon: Optional[float] = None):
-        self.cfg = cfg
         self.eps = cfg.epsilon
         self.horizon = default_horizon(cfg) if horizon is None else horizon
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
@@ -490,35 +468,23 @@ class Simulation:
         """Give every member the union of the group's knowledge.
 
         A ref a member lacks is copied from its first holder in group
-        order, as held before this GA, and re-framed by the offset between
+        order, as held before this GA, and shifted by the offset between
         the two members' origins.  Each member receives the refs it lacks
         in the order of that first holding: holders in group order, each
-        holder's items in insertion order.
+        holder's refs in insertion order.
         """
         members = [self.agents[i] for i in group]
-        for ag in members:
-            self_item = ag.knowledge.get(ag.ref)
-            if self_item is None or self_item.state != ag.tag:
-                ag.knowledge[ag.ref] = KnowledgeItem(ag.ref, Point(0.0, 0.0),
-                                                     ag.tag)
-        first_holder: dict[AgentRef, tuple[_Agent, KnowledgeItem]] = {}
+        first_holder: dict[AgentRef, tuple[_Agent, Point]] = {}
         for send in members:
-            for ref, item in send.knowledge.items():
+            for ref, p in send.knowledge.items():
                 if ref not in first_holder:
-                    first_holder[ref] = (send, item)
+                    first_holder[ref] = (send, p)
         for recv in members:
             known = recv.knowledge
-            for ref, (send, item) in first_holder.items():
+            for ref, (send, p) in first_holder.items():
                 if ref not in known:
-                    known[ref] = translate_knowledge(
-                        item, Vec2(send.origin.x - recv.origin.x,
-                                   send.origin.y - recv.origin.y))
-        # Direct observations refresh state tags.
-        for recv in members:
-            for part in members:
-                old = recv.knowledge[part.ref]
-                if old.state != part.tag:
-                    recv.knowledge[part.ref] = replace(old, state=part.tag)
+                    known[ref] = Point(p.x + (send.origin.x - recv.origin.x),
+                                       p.y + (send.origin.y - recv.origin.y))
 
     def _views(self, group: tuple[int, ...],
                near: list[list[bool]]) -> dict[int, GAView]:
@@ -553,32 +519,28 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Trace:
+        horizon = self.horizon
         while True:
             live = [ag for ag in self.agents if ag.appeared]
-            pending_appear = [ag for ag in self.agents if not ag.appeared]
-            if live and all(ag.stopped for ag in live) and not pending_appear:
-                return self._finish("stopped")
-            quiescent = not pending_appear and all(
-                ag.stopped or (ag.motion is None and not ag.queue)
-                for ag in live)
-            if quiescent:
-                return self._finish("quiescent")
+            # Due: the earliest pending appearance or end of a motion.
+            due = [ag.start_time for ag in self.agents if not ag.appeared]
+            if not due and all(ag.stopped or (ag.motion is None
+                                              and not ag.queue)
+                               for ag in live):
+                return self._finish(timed_out=False)
+            due += [ag.motion.t_end for ag in live if ag.motion is not None]
+            t_due = min(due, default=math.inf)
 
-            t_bound = self.horizon
-            for ag in pending_appear:
-                t_bound = min(t_bound, ag.start_time)
-            for ag in live:
-                if ag.motion is not None:
-                    t_bound = min(t_bound, ag.motion.t_end)
-            t_bound = max(t_bound, self._now)
+            t_event, pair_hits = self._next_pair_events(
+                live, max(min(t_due, horizon), self._now))
 
-            t_event, pair_hits = self._next_pair_events(live, t_bound)
-
-            if t_event > self.horizon + TIME_TOL:
-                return self._finish("timeout")
-            if t_event >= self.horizon - TIME_TOL \
-                    and not self._instant_has_work(t_event, pair_hits):
-                return self._finish("timeout")
+            # t_event is the earliest hit when there is one, so an instant
+            # at the horizon has work exactly when it has a hit or when
+            # something falls due at it.
+            if t_event > horizon + TIME_TOL or (
+                    t_event >= horizon - TIME_TOL and not pair_hits
+                    and t_due > t_event + TIME_TOL):
+                return self._finish(timed_out=True)
 
             self._advance_to(t_event)
             self._process_instant(pair_hits)
@@ -696,16 +658,6 @@ class Simulation:
                 t_event = t
         return t_event, hits
 
-    def _instant_has_work(self, t: float,
-                          pair_hits: list) -> bool:
-        for ag in self.agents:
-            if not ag.appeared and ag.start_time <= t + TIME_TOL:
-                return True
-            if ag.appeared and ag.motion is not None \
-                    and ag.motion.t_end <= t + TIME_TOL:
-                return True
-        return any(ht <= t + TIME_TOL for ht, _, _ in pair_hits)
-
     def _process_instant(self, pair_hits: list) -> None:
         t = self._now
         new_edges: set[Pair] = set()
@@ -717,8 +669,7 @@ class Simulation:
                 ag.appeared = True
                 ag.pos = ag.origin
                 ag.builder = TrajectoryBuilder(t, ag.origin)
-                ag.knowledge[ag.ref] = KnowledgeItem(ag.ref, Point(0.0, 0.0),
-                                                     ag.tag)
+                ag.knowledge[ag.ref] = Point(0.0, 0.0)
                 self.events.append(Event(t, "appear", (ag.idx,), (ag.pos,)))
                 appeared_now.append(ag)
         for ag in appeared_now:
@@ -747,23 +698,18 @@ class Simulation:
             if pair not in self.adjacent:
                 new_edges.add(pair)
 
-        completed = [ag for ag in self.agents
-                     if ag.appeared and not ag.stopped
-                     and ag.motion is not None
-                     and ag.motion.t_end <= t + TIME_TOL]
-
         if new_edges:
             self._run_gas(new_edges)
 
-        for ag in completed:
-            if ag.stopped or ag.motion is None:
-                continue  # replaced or stopped during the GA
-            if ag.motion.t_end > t + TIME_TOL:
+        # A GA callback may clear or stop a motion but never starts one:
+        # only the idle pass below does.
+        for ag in self.agents:
+            m = ag.motion
+            if m is None or m.t_end > t + TIME_TOL:
                 continue
-            was_goto = ag.motion.stop_on_arrival
-            ag.pos = ag.motion.p_end
+            ag.pos = m.p_end
             ag.motion = None
-            if was_goto:
+            if m.stop_on_arrival:
                 self._request_stop(ag)
 
         for ag in self.agents:
@@ -830,8 +776,8 @@ class Simulation:
                                 target_global.y - ag.origin.y)
                     ag.program.on_order(ag.ctx, rel, issuer.ref)
 
-    def _finish(self, reason: str) -> Trace:
-        if reason == "timeout":
+    def _finish(self, timed_out: bool) -> Trace:
+        if timed_out:
             self._advance_to(self.horizon)
             self.events.append(Event(self.horizon, "horizon"))
         final_positions = []
@@ -847,7 +793,7 @@ class Simulation:
                 ag.builder.move_to(end, last)
             trajectories.append(ag.builder.build())
             final_positions.append(last)
-        if reason == "timeout":
+        if timed_out:
             verdict = Verdict("timeout", self.horizon)
         else:
             groups = _cluster_points(final_positions)

@@ -156,15 +156,14 @@ def has_legal_speed(seg: Segment) -> bool:
 class Trajectory:
     """Piecewise-linear path of a single agent, defined from its start time on.
 
-    Segments are contiguous in time and space.  A trajectory recorded by
-    the engine has one segment per instruction leg: one Go, Wait or
-    GotoStop, or one stretch without an instruction.  position_at is
-    defined on [start_time, end_time]; queries before the start or after
-    the end raise.
+    Segments are contiguous in time and space, and their breakpoint times
+    never step back.  A trajectory recorded by the engine has one segment
+    per instruction leg: one Go, Wait or GotoStop, or one stretch without
+    an instruction.  position_at is defined on [start_time, end_time];
+    queries before the start or after the end raise.
     """
 
-    # _times: breakpoint times, built on the first time query; () when
-    # they are not non-decreasing, which only hand-built segments allow.
+    # _times: breakpoint times, built on the first time query.
     __slots__ = ("segments", "_times")
 
     def __init__(self, segments: list[Segment]):
@@ -175,6 +174,9 @@ class Trajectory:
             if not has_legal_speed(seg):
                 raise ValueError(f"segment speed {seg.speed} is neither "
                                  "0 nor 1")
+            if seg.end_time < seg.start_time or (
+                    prev is not None and seg.end_time < prev.end_time):
+                raise ValueError("trajectory time steps back")
             if prev is not None:
                 if abs(seg.start_time - prev.end_time) > TIME_TOL:
                     raise ValueError("segments are not contiguous in time")
@@ -203,11 +205,8 @@ class Trajectory:
     def _breakpoint_times(self) -> Sequence[float]:
         times = self._times
         if times is None:
-            times = array("d", [self.segments[0].start_time])
+            times = self._times = array("d", [self.segments[0].start_time])
             times.extend([seg.end_time for seg in self.segments])
-            if any(b < a for a, b in zip(times, times[1:])):
-                times = ()
-            self._times = times
         return times
 
     def position_at(self, t: float) -> Point:
@@ -215,24 +214,16 @@ class Trajectory:
             raise ValueError(f"time {t} outside trajectory span "
                              f"[{self.start_time}, {self.end_time}]")
         t = min(max(t, self.start_time), self.end_time)
-        times = self._breakpoint_times()
-        if times:
-            # The first segment with t <= end_time + TIME_TOL; times[k] is
-            # the end of segment k - 1, and t <= end_time bounds the search.
-            k = bisect_left(times, t, 1, key=_plus_time_tol)
-            return self.segments[k - 1].point_at(t)
-        for seg in self.segments:
-            if t <= seg.end_time + TIME_TOL:
-                return seg.point_at(t)
-        return self.segments[-1].point_at(t)
+        # The first segment with t <= end_time + TIME_TOL; times[k] is the
+        # end of segment k - 1, and t <= end_time bounds the search.
+        k = bisect_left(self._breakpoint_times(), t, 1, key=_plus_time_tol)
+        return self.segments[k - 1].point_at(t)
 
     def breakpoint_times_between(self, t0: float,
                                  t1: float) -> Sequence[float]:
         """Breakpoint times t with t0 < t < t1, in trajectory order."""
         times = self._breakpoint_times()
-        if times:
-            return times[bisect_right(times, t0):bisect_left(times, t1)]
-        return [t for t, _ in self.breakpoints() if t0 < t < t1]
+        return times[bisect_right(times, t0):bisect_left(times, t1)]
 
     def breakpoints(self) -> Iterator[tuple[float, Point]]:
         yield self.segments[0].start_time, self.segments[0].start_point

@@ -105,8 +105,9 @@ def test_criterion_3_first_ga_phase_bound(capsys):
             phase = max(math.ceil(delta), math.ceil(1.0 / z))
             bound = max(cfg.times) + star_time_through_phase(phase)
             trace = run(cfg, gather_n_program(2), horizon=bound + 50.0)
-            first = trace.first_ga_time()
-            assert first is not None, seed
+            gas = trace.ga_events()
+            assert gas, seed
+            first = gas[0].time
             assert first <= bound + 1e-9, (seed, first, bound)
             worst = max(worst, first / bound)
         return f"100 good pairs met in time; worst first-GA/bound = {worst:.3f}"

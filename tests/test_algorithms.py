@@ -137,7 +137,7 @@ def test_dedicated_close_pair_meets_by_return():
     assert trace.verdict.kind == "gathered"
     v = Vec2(0.3, 0.0)
     latest = max(cfg.times) + 2.0 * v.norm
-    assert trace.first_ga_time() <= latest + 1e-9
+    assert trace.ga_events()[0].time <= latest + 1e-9
 
 
 def test_dedicated_first_ga_within_first_out_and_back():
@@ -148,7 +148,7 @@ def test_dedicated_first_ga_within_first_out_and_back():
         trace = run(cfg, dedicated_program(cfg, eps))
         assert trace.verdict.kind == "gathered"
         bound = max(cfg.times) + 2.0 * d
-        assert trace.first_ga_time() <= bound + 1e-9
+        assert trace.ga_events()[0].time <= bound + 1e-9
 
 
 def test_gather_n_two_agents_roles():

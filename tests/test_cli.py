@@ -58,6 +58,19 @@ def test_classify_malformed_json_points_at_line(tmp_path, capsys):
     assert '"agents": [}' in err
 
 
+def test_infinite_start_time_is_an_input_error(tmp_path, capsys):
+    # 1e400 parses as an infinite float.
+    path = tmp_path / "inf.json"
+    path.write_text('{"epsilon": 0.5, "agents": [{"x": 0, "y": 0, "t": 0},'
+                    ' {"x": 1, "y": 0, "t": 1e400}]}')
+    assert main(["classify", str(path)]) == 3
+    assert main(["simulate", str(path), "--algorithm", "dedicated",
+                 "--horizon", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("start times must be finite") == 2
+
+
 def test_simulate_gathered(tmp_path, capsys):
     code = main(["simulate", write_cfg(tmp_path, GOOD),
                  "--algorithm", "gather-n"])
@@ -148,6 +161,17 @@ def test_counterexample_writes_config(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert len(data["agents"]) == 4
     assert main(["classify", str(out)]) == 2
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1"])
+def test_counterexample_rejects_bad_epsilon(tmp_path, capsys, epsilon):
+    out = tmp_path / "cx.json"
+    code = main(["counterexample", "--set", "2,4",
+                 "--epsilon", epsilon, "--out", str(out)])
+    assert code == 3
+    assert "--epsilon must be finite and positive" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_counterexample_independent_set_fails(tmp_path, capsys):

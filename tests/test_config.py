@@ -24,6 +24,11 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         InitialConfiguration(0.5, (Point(0, 0), Point(float("nan"), 0)),
                              (0.0, 1.0))
+    inf = float("inf")
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        InitialConfiguration(inf, (Point(0, 0), Point(1, 0)), (0.0, 0.0))
+    with pytest.raises(ValueError, match="start times must be finite"):
+        InitialConfiguration(0.5, (Point(0, 0), Point(1, 0)), (0.0, inf))
 
 
 def test_classify_boundary_pair():

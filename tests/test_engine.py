@@ -1,7 +1,6 @@
 """Engine semantics: events, GA groups, gossip frames, verdicts."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -11,10 +10,9 @@ from conftest import pair
 from gathersim.algorithms import gather_n_program
 from gathersim.config import InitialConfiguration
 from gathersim.engine import (PROX_TOL, AgentRef, GAView, Go, GotoStop,
-                              InvalidInstruction, KnowledgeItem, Participant,
-                              Program, Simulation, Wait, connected_components,
-                              default_horizon, form_ga_groups, run,
-                              translate_knowledge)
+                              InvalidInstruction, Participant, Program,
+                              Simulation, Wait, connected_components,
+                              default_horizon, form_ga_groups, run)
 from gathersim.generate import good_config, ungatherable_config
 from gathersim.geometry import (POS_TOL, TIME_TOL, Point, Vec2,
                                 solve_crossing_in, solve_crossing_out)
@@ -144,23 +142,13 @@ def test_separation_then_rega():
     assert len(trace.ga_events()) == 2
 
 
-def test_translate_knowledge_example():
-    ref = AgentRef(0)
-    item = KnowledgeItem(ref, Point(1, 1), "cruiser")
-    moved = translate_knowledge(item, Vec2(3, 0))
-    assert moved.initial_position == Point(4, 1)
-    assert moved.ref is ref
-
-
 def test_gossip_round_trip_frames():
-    """b learns a's origin in b's frame; a's own item stays at (0,0)."""
+    """b learns a's origin in b's frame; a's own entry stays at (0,0)."""
     seen = {}
 
     class Recorder(Program):
         def on_ga(self, ctx, view):
-            seen[ctx.self_ref] = {
-                r: item.initial_position
-                for r, item in ctx.knowledge.items()}
+            seen[ctx.self_ref] = dict(ctx.knowledge)
 
     cfg = pair(1.0, (0, 0), 0.0, (0.8, 0.6), 0.0)
     trace = run(cfg, Recorder, horizon=5.0)
@@ -176,11 +164,6 @@ def _all_pairs_gossip(self, group):
     """The original O(m^2 K) merge: every receiver scans every sender's
     snapshot, in group order, and keeps the first copy of each ref."""
     members = [self.agents[i] for i in group]
-    for ag in members:
-        self_item = ag.knowledge.get(ag.ref)
-        if self_item is None or self_item.state != ag.tag:
-            ag.knowledge[ag.ref] = KnowledgeItem(ag.ref, Point(0.0, 0.0),
-                                                 ag.tag)
     snapshots = {ag.idx: dict(ag.knowledge) for ag in members}
     for recv in members:
         for send in members:
@@ -188,20 +171,14 @@ def _all_pairs_gossip(self, group):
                 continue
             offset = Vec2(send.origin.x - recv.origin.x,
                           send.origin.y - recv.origin.y)
-            for item in snapshots[send.idx].values():
-                if item.ref not in recv.knowledge:
-                    recv.knowledge[item.ref] = \
-                        translate_knowledge(item, offset)
-    for recv in members:
-        for part in members:
-            old = recv.knowledge[part.ref]
-            if old.state != part.tag:
-                recv.knowledge[part.ref] = replace(old, state=part.tag)
+            for ref, p in snapshots[send.idx].items():
+                if ref not in recv.knowledge:
+                    recv.knowledge[ref] = p + offset
 
 
 def _knowledge_at_every_ga(cfg):
-    """(token, initial position bits, state) of each agent's knowledge,
-    in insertion order, at every on_ga callback of a gather-n run."""
+    """(token, start point bits) of each agent's knowledge, in insertion
+    order, at every on_ga callback of a gather-n run."""
     make = gather_n_program(cfg.n)
     log = []
 
@@ -214,10 +191,8 @@ def _knowledge_at_every_ga(cfg):
 
         def on_ga(self, ctx, view):
             log.append(tuple(
-                (item.ref._token,
-                 tuple(map(float.hex, item.initial_position.coords)),
-                 item.state)
-                for item in ctx.knowledge.values()))
+                (ref._token, tuple(map(float.hex, p.coords)))
+                for ref, p in ctx.knowledge.items()))
             self.inner.on_ga(ctx, view)
 
         def on_order(self, ctx, target, issuer):
@@ -488,6 +463,52 @@ def test_timeout_verdict_and_horizon_event():
     assert trace.verdict.kind == "timeout"
     assert trace.events[-1].kind == "horizon"
     assert trace.trajectories[0].end_time == 7.0
+
+
+# Work that falls due exactly at the horizon is still processed.
+
+def test_appearance_at_horizon_is_processed():
+    cfg = pair(0.5, (0, 0), 0.0, (5, 0), 3.0)
+    trace = run(cfg, Still, horizon=3.0)
+    assert [(ev.kind, ev.time, ev.agents) for ev in trace.events
+            if ev.kind == "appear"] == [("appear", 0.0, (0,)),
+                                         ("appear", 3.0, (1,))]
+
+
+def test_leg_ending_at_horizon_reaches_on_idle():
+    class WalkThenStop(WalkEast):
+        def on_idle(self, ctx):
+            ctx.stop()
+
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    trace = run(cfg, WalkThenStop, horizon=2.0)
+    assert [(ev.kind, ev.time, ev.agents) for ev in trace.events
+            if ev.kind == "stop"] == [("stop", 2.0, (0,)),
+                                       ("stop", 2.0, (1,))]
+    assert trace.verdict.kind == "split"
+
+
+def test_approach_at_horizon_records_ga():
+    # a walks east from the origin towards b, still at (3, 0); with
+    # epsilon 1/2 they meet at t = 2.5 exactly, the horizon.
+    mk = iter([WalkEast(10.0), Still()])
+    cfg = pair(0.5, (0, 0), 0.0, (3, 0), 0.0)
+    trace = run(cfg, lambda: next(mk), horizon=2.5)
+    assert [ev.time for ev in trace.ga_events()] == [2.5]
+    assert trace.verdict.kind == "timeout"
+
+
+@pytest.mark.parametrize("times", [(0.0, 5.0), (5.0, 6.0)])
+def test_next_event_past_horizon_times_out(times):
+    # The first case waits for an appearance past the horizon, the second
+    # starts after it.
+    mk = iter([WalkEast(10.0), Still()])
+    cfg = pair(0.5, (0, 0), times[0], (10, 0), times[1])
+    trace = run(cfg, lambda: next(mk), horizon=2.0)
+    assert trace.events[-1].kind == "horizon"
+    assert trace.events[-1].time == 2.0
+    assert trace.verdict.kind == "timeout"
+    assert trace.verdict.time == 2.0
 
 
 @pytest.mark.parametrize("horizon", [math.nan, -5.0, 0.0, math.inf,

@@ -90,6 +90,18 @@ def test_trajectory_rejects_gap():
                     Segment(1.0, 2.0, Point(5, 0), Point(6, 0))])
 
 
+def test_trajectory_rejects_time_stepping_back():
+    # Each step back lies within the TIME_TOL that Segment and the
+    # contiguity check allow, so only the monotonicity check catches it.
+    with pytest.raises(ValueError, match="steps back"):
+        Trajectory([Segment(1.0, 1.0 - TIME_TOL / 2, Point(0, 0),
+                            Point(0, 0))])
+    with pytest.raises(ValueError, match="steps back"):
+        Trajectory([Segment(0.0, 1.0, Point(0, 0), Point(1, 0)),
+                    Segment(1.0 - TIME_TOL / 2, 1.0 - TIME_TOL / 4,
+                            Point(1, 0), Point(1, 0))])
+
+
 def test_head_on_approach_time():
     # B closes in from distance 2 at speed 1; gap hits 0.5 at t = 1.5.
     a = Trajectory([Segment(0.0, 5.0, Point(0, 0), Point(0, 0))])
@@ -213,9 +225,8 @@ def _linear_times_between(traj, t0, t1):
     return [t for t, _ in traj.breakpoints() if t0 < t < t1]
 
 
-# A step back by half the tolerance is legal and makes the breakpoint
-# times non-monotone; sub-tolerance durations sit on the lookup's edges.
-durations = st.one_of(st.just(0.0), st.just(-TIME_TOL / 2),
+# Sub-tolerance durations sit on the lookup's edges.
+durations = st.one_of(st.just(0.0),
                       st.floats(TIME_TOL / 4, 4 * TIME_TOL),
                       st.floats(0.01, 3.0))
 legs = st.tuples(durations, st.booleans(), st.floats(0.0, 2 * math.pi))
@@ -227,7 +238,7 @@ def contiguous_trajectories(draw):
     p = Point(draw(coord), draw(coord))
     segs = []
     for dur, moving, ang in draw(st.lists(legs, min_size=1, max_size=10)):
-        step = max(dur, 0.0) if moving else 0.0
+        step = dur if moving else 0.0
         q = Point(p.x + step * math.cos(ang), p.y + step * math.sin(ang))
         segs.append(Segment(t, t + dur, p, q))
         t, p = t + dur, q
