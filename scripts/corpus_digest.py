@@ -12,7 +12,10 @@ whole corpus, so a refactor or speed-up can show byte identity with
 
     python3 scripts/corpus_digest.py --seeds 3 17
 
-run from each checkout and compared line by line.
+run from each checkout and compared line by line.  The output of that
+command is committed as scripts/corpus_digest.expected, and CI fails when
+a fresh run differs from it; a change that alters traces on purpose
+updates the file and says why in CHANGES.md.
 """
 
 import argparse

@@ -338,12 +338,12 @@ class GatherProgram(Program):
         ctx.issue(self.star.next_instruction())
 
     def on_ga(self, ctx, view: GAView) -> None:
-        others = view.others()
         if self.role == "cruiser":
-            self._cruiser_ga(ctx, view, others)
+            self._cruiser_ga(ctx, view, view.others())
         elif self.role == "explorer":
-            self._explorer_ga(ctx, view, others)
-        # Tokens and shadows only gossip; they move on explicit orders.
+            self._explorer_ga(ctx, view, view.others())
+        # Tokens and shadows only gossip, and never read their view; they
+        # move on explicit orders.
 
     def _cruiser_ga(self, ctx, view, others) -> None:
         if any(p.tag == "token" for p in others):

@@ -260,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--class", dest="cls", required=True,
-                   choices=["good", "bad", "ungatherable"])
+                   choices=["good", "bad", "ungatherable"],
+                   help="feasibility class to generate; bad pairs are "
+                        "axis-aligned, so the star sweep's exact axis "
+                        "rays can gather them")
     p.add_argument("--algorithm", required=True,
                    choices=["dedicated", "gather-n", "gather-a"])
     p.add_argument("--assumption-set", default=None, metavar="a,b,c")

@@ -92,15 +92,61 @@ class Participant:
     adjacent: bool
 
 
-@dataclass(frozen=True)
 class GAView:
-    time: float  # observer-local
-    participants: tuple[Participant, ...]
-    self_index: int
+    """What one participant sees of a GA: a snapshot of the GA's start.
 
-    def others(self):
-        return tuple(p for k, p in enumerate(self.participants)
-                     if k != self.self_index)
+    time is the observer's local clock.  participants lists every member,
+    the observer included at self_index, with the tag it held before any
+    callback of this GA and its position relative to the observer's
+    origin at the GA instant.  The list is built on the first read of
+    participants, self_index or others(); a view that is never read costs
+    nothing, and one read later, even after the agents moved or changed
+    tags, shows the same GA-start state.  Views are made by the engine.
+    """
+
+    __slots__ = ("time", "_snap", "_k", "_participants", "_self_index")
+
+    def __init__(self, time: float, snapshot: tuple, k: int):
+        # snapshot is _views' (refs, tags, coords, near) of the group, and
+        # k the observer's place in it.
+        self.time = time
+        self._snap = snapshot
+        self._k = k
+        self._participants: Optional[tuple[Participant, ...]] = None
+        self._self_index = -1
+
+    @property
+    def participants(self) -> tuple[Participant, ...]:
+        if self._participants is None:
+            self._build()
+        return self._participants
+
+    @property
+    def self_index(self) -> int:
+        if self._participants is None:
+            self._build()
+        return self._self_index
+
+    def others(self) -> tuple[Participant, ...]:
+        parts = self.participants
+        return tuple(p for k, p in enumerate(parts)
+                     if k != self._self_index)
+
+    def _build(self) -> None:
+        # Members ordered by current position, then by starting point, both
+        # relative to the observer's origin; ties keep group order.
+        refs, tags, coords, near = self._snap
+        k = self._k
+        cx = coords[k][2]
+        cy = coords[k][3]
+        keys = [(x - cx, y - cy, ox - cx, oy - cy)
+                for x, y, ox, oy in coords]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        row = near[k]
+        self._participants = tuple([
+            Participant(refs[b], Point(keys[b][0], keys[b][1]), tags[b],
+                        row[b]) for b in order])
+        self._self_index = order.index(k)
 
 
 class Program:
@@ -117,7 +163,8 @@ class Program:
         pass
 
     def on_ga(self, ctx: "AgentContext", view: GAView) -> None:
-        pass
+        """view is a snapshot of the GA's start, built on its first read;
+        a program that does not read it pays nothing for it."""
 
     def on_order(self, ctx: "AgentContext", target: Point,
                  issuer: AgentRef) -> None:
@@ -471,9 +518,13 @@ class Simulation:
         order, as held before this GA, and shifted by the offset between
         the two members' origins.  Each member receives the refs it lacks
         in the order of that first holding: holders in group order, each
-        holder's refs in insertion order.
+        holder's refs in insertion order.  When every member already knows
+        every agent of the run there is nothing to copy.
         """
         members = [self.agents[i] for i in group]
+        n = len(self.agents)
+        if all(len(ag.knowledge) == n for ag in members):
+            return
         first_holder: dict[AgentRef, tuple[_Agent, Point]] = {}
         for send in members:
             for ref, p in send.knowledge.items():
@@ -490,31 +541,17 @@ class Simulation:
                near: list[list[bool]]) -> dict[int, GAView]:
         """The GA view of every member not stopped, by agent index.
 
-        near is the group's epsilon matrix.  An observer sees the members
-        ordered by current position, then by starting point, both relative
-        to its own origin; ties keep group order.
+        near is the group's epsilon matrix.  All views share one snapshot
+        of the group's refs, tags, positions and origins, taken now; each
+        view sorts it for its observer on first read.
         """
         members = [self.agents[i] for i in group]
-        refs = [ag.ref for ag in members]
-        tags = [ag.tag for ag in members]
-        pos = [(ag.pos.x, ag.pos.y, ag.origin.x, ag.origin.y)
-               for ag in members]
-        rng = range(len(members))
-        views = {}
-        for k, obs in enumerate(members):
-            if obs.stopped:
-                continue  # on_ga is never called for it
-            cx = obs.origin.x
-            cy = obs.origin.y
-            keys = [(x - cx, y - cy, ox - cx, oy - cy)
-                    for x, y, ox, oy in pos]
-            order = sorted(rng, key=keys.__getitem__)
-            row = near[k]
-            parts = tuple([Participant(refs[b], Point(keys[b][0], keys[b][1]),
-                                       tags[b], row[b]) for b in order])
-            views[obs.idx] = GAView(self._now - obs.start_time, parts,
-                                    order.index(k))
-        return views
+        snap = ([ag.ref for ag in members], [ag.tag for ag in members],
+                [(ag.pos.x, ag.pos.y, ag.origin.x, ag.origin.y)
+                 for ag in members], near)
+        # A stopped member gets no view: on_ga is never called for it.
+        return {ag.idx: GAView(self._now - ag.start_time, snap, k)
+                for k, ag in enumerate(members) if not ag.stopped}
 
     # -- main loop -----------------------------------------------------------
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import pair
 from gathersim.algorithms import gather_n_program
 from gathersim.config import InitialConfiguration
-from gathersim.engine import (PROX_TOL, AgentRef, GAView, Go, GotoStop,
-                              InvalidInstruction, Participant, Program,
-                              Simulation, Wait, connected_components,
-                              default_horizon, form_ga_groups, run)
+from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
+                              InvalidInstruction, Program, Simulation, Wait,
+                              connected_components, default_horizon,
+                              form_ga_groups, run)
 from gathersim.generate import good_config, ungatherable_config
 from gathersim.geometry import (POS_TOL, TIME_TOL, Point, Vec2,
                                 solve_crossing_in, solve_crossing_out)
@@ -208,7 +208,23 @@ def _knowledge_at_every_ga(cfg):
 @pytest.mark.parametrize("seed,n", [(0, 6), (1, 7), (2, 8)])
 def test_gossip_matches_all_pairs_merge(seed, n, monkeypatch):
     cfg = good_config(seed, n)
+    real = Simulation._gossip
+    saturated = []  # per GA: share of members that know all n agents
+
+    def counted(self, group):
+        saturated.append(sum(len(self.agents[i].knowledge) == n
+                             for i in group) / len(group))
+        real(self, group)
+
+    monkeypatch.setattr(Simulation, "_gossip", counted)
     log, lines = _knowledge_at_every_ga(cfg)
+    # The reference covers both ways through _gossip: the early return of
+    # a GA whose members all know everyone, and the merge.
+    assert 1.0 in saturated and min(saturated) < 1.0
+    if (seed, n) == (1, 7):
+        # This run also has GAs where only some members know everyone,
+        # which an early return on any saturated member would get wrong.
+        assert any(0.0 < share < 1.0 for share in saturated)
     monkeypatch.setattr(Simulation, "_gossip", _all_pairs_gossip)
     ref_log, ref_lines = _knowledge_at_every_ga(cfg)
     assert len(log) > n
@@ -343,7 +359,8 @@ def test_crossing_past_the_window_stays_a_certificate(monkeypatch):
 
 
 def _view_for(sim, observer, group):
-    """The per-observer view builder without the shared epsilon matrix."""
+    """The _view_bits of observer's view, built per observer from the live
+    agents, without the shared snapshot or epsilon matrix."""
     entries = []
     for i in group:
         ag = sim.agents[i]
@@ -353,12 +370,13 @@ def _view_for(sim, observer, group):
                     ag.origin.y - observer.origin.y)
         near = ag.pos.dist(observer.pos) <= sim.eps + PROX_TOL
         entries.append(((rel.coords, rel_init), ag.idx,
-                        Participant(ag.ref, rel, ag.tag, near)))
+                        (ag.ref._token, rel.x.hex(), rel.y.hex(), ag.tag,
+                         near)))
     entries.sort(key=lambda e: e[0])
-    parts = tuple(e[2] for e in entries)
     self_index = next(k for k, e in enumerate(entries)
                       if e[1] == observer.idx)
-    return GAView(sim._now - observer.start_time, parts, self_index)
+    return ((sim._now - observer.start_time).hex(), self_index,
+            tuple(e[2] for e in entries))
 
 
 def _view_bits(view):
@@ -370,15 +388,15 @@ def _view_bits(view):
 @pytest.mark.parametrize("seed,n", [(0, 6), (1, 7), (2, 8)])
 def test_views_match_per_observer_build(seed, n, monkeypatch):
     real = Simulation._views
+    made = []  # (view, bits expected at GA start) of every view handed out
     skipped = []
 
     def checked(self, group, near):
         views = real(self, group, near)
         awake = [i for i in group if not self.agents[i].stopped]
         assert sorted(views) == awake
-        for i in awake:
-            assert _view_bits(views[i]) \
-                == _view_bits(_view_for(self, self.agents[i], group))
+        made.extend((views[i], _view_for(self, self.agents[i], group))
+                    for i in awake)
         skipped.append(len(group) - len(awake))
         return views
 
@@ -387,6 +405,86 @@ def test_views_match_per_observer_build(seed, n, monkeypatch):
     assert len(skipped) > n
     # Members stopped at GA start get no view and are still covered.
     assert sum(skipped) > 0
+    # Tokens and shadows never read their views; the reads below build
+    # those too, after the run, and still see each GA's start.
+    assert any(view._participants is None for view, _ in made)
+    for view, bits in made:
+        assert _view_bits(view) == bits
+
+
+def _snapshot_read(view):
+    def rows(parts):
+        return tuple(((p.ref, p.tag, p.adjacent), p.position) for p in parts)
+    return (view.time, view.self_index, rows(view.participants),
+            rows(view.others()))
+
+
+def test_view_is_a_ga_start_snapshot():
+    """A view read late shows the GA's start, not the agents' live state.
+
+    Agent 0 is first in group order: in on_ga it changes its tag, clears
+    its plan and walks east, keeping its view unread until its next
+    on_idle.  Agent 1 appears within epsilon of it, reads its view only
+    after agent 0's callback, walks west, and reads the stored view again
+    at its next on_idle.  By then live positions would flip the order and
+    the adjacency of the two.
+    """
+    reads = []
+
+    class First(Program):
+        view = None
+
+        def on_appear(self, ctx):
+            ctx.tag = "zero"
+            ctx.issue(Wait(5.0))
+
+        def on_ga(self, ctx, view):
+            self.view = view
+            ctx.tag = "after"
+            ctx.clear_plan()
+            ctx.issue(Go(Vec2(1.0, 0.0), 3.0))
+
+        def on_idle(self, ctx):
+            if self.view is not None:
+                reads.append((0, ctx.now, _snapshot_read(self.view)))
+                self.view = None
+
+    class Later(Program):
+        view = None
+
+        def on_appear(self, ctx):
+            ctx.tag = "one"
+            ctx.issue(Go(Vec2(-1.0, 0.0), 1.0))
+
+        def on_ga(self, ctx, view):
+            self.view = view
+            reads.append((1, ctx.now, _snapshot_read(view)))
+            ctx.tag = "later"
+
+        def on_idle(self, ctx):
+            if self.view is not None:
+                reads.append((1, ctx.now, _snapshot_read(self.view)))
+                self.view = None
+
+    cfg = InitialConfiguration(1.0, (Point(0.0, 0.0), Point(0.3, 0.4)),
+                               (0.0, 1.0))
+    mk = iter([First(), Later()])
+    trace = run(cfg, lambda: next(mk), horizon=10.0)
+    assert [ev.time for ev in trace.ga_events()] == [1.0]
+    a = (AgentRef(0), "zero", True)
+    b = (AgentRef(1), "one", True)
+    seen_by_0 = (1.0, 0, ((a, Point(0.0, 0.0)), (b, Point(0.3, 0.4))),
+                 ((b, Point(0.3, 0.4)),))
+    seen_by_1 = (0.0, 1, ((a, Point(-0.3, -0.4)), (b, Point(0.0, 0.0))),
+                 ((a, Point(-0.3, -0.4)),))
+    assert reads == [(1, 0.0, seen_by_1), (1, 1.0, seen_by_1),
+                     (0, 4.0, seen_by_0)]
+    # At the late reads the agents stand more than epsilon apart, agent 0
+    # east of agent 1.
+    assert trace.trajectories[0].position_at(2.0).dist(
+        Point(1.0, 0.0)) < 1e-12
+    assert trace.trajectories[1].position_at(2.0).dist(
+        Point(-0.7, 0.4)) < 1e-12
 
 
 def test_refs_are_unordered():
