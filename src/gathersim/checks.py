@@ -9,11 +9,10 @@ double as an independent audit of a run.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from .config import InitialConfiguration
 from .engine import Trace, connected_components
-from .geometry import POS_TOL, TIME_TOL, Point, has_legal_speed
+from .geometry import POS_TOL, TIME_TOL, has_legal_speed
 
 # GA participants may sit up to the engine's proximity slack beyond eps.
 GA_DIST_SLACK = 1e-8
@@ -46,8 +45,19 @@ def check_speeds(trace: Trace) -> None:
                 _fail(f"agent {idx} segment at speed {seg.speed}")
 
 
-def _group_positions(trace: Trace, group, t: float) -> dict[int, Point]:
-    return {i: trace.trajectories[i].position_at(t) for i in group}
+def _group_xy(trace: Trace, group: list[int],
+              t: float) -> list[tuple[float, float]]:
+    n = len(trace.trajectories)
+    xy = []
+    for i in group:
+        if not 0 <= i < n:
+            _fail(f"GA at {t} names agent {i}, not one of the {n} agents")
+        try:
+            xy.append(trace.trajectories[i].xy_at(t))
+        except ValueError:
+            _fail(f"GA at {t}: agent {i} has no position, the time lies "
+                  "outside its trajectory span")
+    return xy
 
 
 def _pair_separated(trace: Trace, i: int, j: int, t0: float,
@@ -56,13 +66,19 @@ def _pair_separated(trace: Trace, i: int, j: int, t0: float,
 
     Distance along straight legs is convex, so the maximum over an
     interval is attained at a trajectory breakpoint.  Grazing separations
-    peak barely past eps, hence the one-sided tolerance.
+    peak barely past eps, hence the one-sided tolerance.  The walk stops
+    at the first breakpoint farther apart than that.
     """
     ta, tb = trace.trajectories[i], trace.trajectories[j]
     cuts = sorted({*ta.breakpoint_times_between(t0, t1),
                    *tb.breakpoint_times_between(t0, t1), t0, t1})
-    best = max(ta.position_at(t).dist(tb.position_at(t)) for t in cuts)
-    return best > eps - TIME_TOL
+    limit = eps - TIME_TOL
+    for t in cuts:
+        ax, ay = ta.xy_at(t)
+        bx, by = tb.xy_at(t)
+        if math.hypot(ax - bx, ay - by) > limit:
+            return True
+    return False
 
 
 def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
@@ -74,33 +90,58 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     distance exceeded eps since their previous common GA.  Pairs that stay
     adjacent may keep appearing in group events; what may not happen is a
     whole group re-firing with no new contact at all.
+
+    Each pair keeps the time of its last common GA and whether it was
+    farther apart than eps - TIME_TOL then, both set in the loop that
+    measures every pair of the group.  A close pair whose last common GA
+    lies more than TIME_TOL back and found it apart is fresh without a
+    breakpoint walk.  This is exact: that GA's time is the first cut of
+    _pair_separated, which would sample the same positions there and
+    measure the same distance.  Only close pairs that neither this rule
+    nor a first meeting makes fresh are walked, and only when no pair of
+    the group is fresh already.
     """
     eps = cfg.epsilon
-    last_meeting: dict[tuple[int, int], float] = {}
+    eps_close = eps + GA_DIST_SLACK
+    apart_limit = eps - TIME_TOL
+    n = len(trace.trajectories)
+    # Row i, column j > i: the time of the pair's last common GA (None
+    # before the first) and whether it was farther than apart_limit then.
+    last = [[None] * n for _ in range(n)]
+    apart = [[False] * n for _ in range(n)]
     for ev in trace.ga_events():
+        t = ev.time
         group = sorted(ev.agents)
-        pos = _group_positions(trace, group, ev.time)
+        xy = _group_xy(trace, group, t)
         if len(group) < 2:
-            _fail(f"GA at {ev.time} with fewer than two agents")
-        close = [(i, j) for i, j in combinations(group, 2)
-                 if pos[i].dist(pos[j]) <= eps + GA_DIST_SLACK]
-        if len(connected_components(group, close)) != 1:
-            _fail(f"GA at {ev.time}: group {group} not proximity-connected")
-
+            _fail(f"GA at {t} with fewer than two agents")
+        close = []
         fresh = False
-        for i, j in close:
-            prev = last_meeting.get((i, j))
-            if prev is None:
-                fresh = True
-            elif ev.time - prev > TIME_TOL and \
-                    _pair_separated(trace, i, j, prev, ev.time, eps):
-                fresh = True
-            if fresh:
-                break
-        if not fresh:
-            _fail(f"GA at {ev.time}: group {group} has no fresh contact")
-        for i, j in combinations(group, 2):
-            last_meeting[(i, j)] = ev.time
+        walks = []
+        for a, i in enumerate(group):
+            xi, yi = xy[a]
+            last_i, apart_i = last[i], apart[i]
+            for b in range(a + 1, len(group)):
+                j = group[b]
+                xj, yj = xy[b]
+                d = math.hypot(xi - xj, yi - yj)
+                if d <= eps_close:
+                    close.append((i, j))
+                    prev = last_i[j]
+                    if prev is None:
+                        fresh = True
+                    elif t - prev > TIME_TOL:
+                        if apart_i[j]:
+                            fresh = True
+                        else:
+                            walks.append((i, j, prev))
+                last_i[j] = t
+                apart_i[j] = d > apart_limit
+        if len(connected_components(group, close)) != 1:
+            _fail(f"GA at {t}: group {group} not proximity-connected")
+        if not fresh and not any(_pair_separated(trace, i, j, prev, t, eps)
+                                 for i, j, prev in walks):
+            _fail(f"GA at {t}: group {group} has no fresh contact")
 
 
 def check_verdict(cfg: InitialConfiguration, trace: Trace) -> None:

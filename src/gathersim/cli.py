@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from .algorithms import (dedicated_program, gather_a_program,
                          gather_n_program)
@@ -51,6 +52,15 @@ def _load_config(path: str) -> InitialConfiguration:
         return InitialConfiguration.from_dict(data)
     except ValueError as exc:
         raise SystemExit(f"error: {path}: {exc}")
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError raised while writing path into an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror}")
 
 
 def _program_factory(algorithm: str, cfg: InitialConfiguration,
@@ -98,9 +108,11 @@ def cmd_simulate(args) -> int:
     factory = _program_factory(args.algorithm, cfg, args.assumption_set)
     trace = _simulation(cfg, factory, args.horizon).run()
     if args.trace:
-        trace.write_jsonl(args.trace)
+        with _writing(args.trace):
+            trace.write_jsonl(args.trace)
     if args.svg:
-        write_svg(cfg, trace, args.svg)
+        with _writing(args.svg):
+            write_svg(cfg, trace, args.svg)
     v = trace.verdict
     if v.kind == "gathered":
         print(f"GATHERED at ({v.point.x:g},{v.point.y:g}) t={v.time:g}")
@@ -136,7 +148,8 @@ def cmd_counterexample(args) -> int:
         ce = build_dependent_counterexample(a, args.epsilon)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    ce.config.save(args.out)
+    with _writing(args.out):
+        ce.config.save(args.out)
     sizes = ",".join(str(len(c)) for c in ce.clusters)
     print(f"DEPENDENT: {ce.certificate.format()}")
     print(f"wrote {ce.config.n} agents in clusters of {sizes} to {args.out}")

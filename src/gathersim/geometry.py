@@ -124,15 +124,18 @@ class Segment:
             return 0.0
         return self.start_point.dist(self.end_point) / dur
 
-    def point_at(self, t: float) -> Point:
+    def xy_at(self, t: float) -> tuple[float, float]:
+        """Coordinates of point_at(t), without building a Point."""
+        sp = self.start_point
         dur = self.duration
         if dur <= 0.0:
-            return self.start_point
+            return (sp.x, sp.y)
+        ep = self.end_point
         u = (t - self.start_time) / dur
-        return Point(
-            self.start_point.x + (self.end_point.x - self.start_point.x) * u,
-            self.start_point.y + (self.end_point.y - self.start_point.y) * u,
-        )
+        return (sp.x + (ep.x - sp.x) * u, sp.y + (ep.y - sp.y) * u)
+
+    def point_at(self, t: float) -> Point:
+        return Point(*self.xy_at(t))
 
 
 def has_legal_speed(seg: Segment) -> bool:
@@ -159,8 +162,9 @@ class Trajectory:
     Segments are contiguous in time and space, and their breakpoint times
     never step back.  A trajectory recorded by the engine has one segment
     per instruction leg: one Go, Wait or GotoStop, or one stretch without
-    an instruction.  position_at is defined on [start_time, end_time];
-    queries before the start or after the end raise.
+    an instruction.  position_at, and xy_at which gives the same
+    coordinates as a tuple, are defined on [start_time, end_time]; queries
+    before the start or after the end raise.
     """
 
     # _times: breakpoint times, built on the first time query.
@@ -209,15 +213,21 @@ class Trajectory:
             times.extend([seg.end_time for seg in self.segments])
         return times
 
-    def position_at(self, t: float) -> Point:
-        if t < self.start_time - TIME_TOL or t > self.end_time + TIME_TOL:
+    def xy_at(self, t: float) -> tuple[float, float]:
+        """Coordinates of position_at(t), without building a Point."""
+        times = self._breakpoint_times()
+        start, end = times[0], times[-1]
+        if t < start - TIME_TOL or t > end + TIME_TOL:
             raise ValueError(f"time {t} outside trajectory span "
-                             f"[{self.start_time}, {self.end_time}]")
-        t = min(max(t, self.start_time), self.end_time)
+                             f"[{start}, {end}]")
+        t = min(max(t, start), end)
         # The first segment with t <= end_time + TIME_TOL; times[k] is the
         # end of segment k - 1, and t <= end_time bounds the search.
-        k = bisect_left(self._breakpoint_times(), t, 1, key=_plus_time_tol)
-        return self.segments[k - 1].point_at(t)
+        k = bisect_left(times, t, 1, key=_plus_time_tol)
+        return self.segments[k - 1].xy_at(t)
+
+    def position_at(self, t: float) -> Point:
+        return Point(*self.xy_at(t))
 
     def breakpoint_times_between(self, t0: float,
                                  t1: float) -> Sequence[float]:

@@ -1,0 +1,247 @@
+"""The trace checker's GA audit on real and doctored traces."""
+
+import dataclasses
+from itertools import combinations
+
+import pytest
+
+from gathersim import checks
+from gathersim.algorithms import gather_n_program
+from gathersim.checks import (GA_DIST_SLACK, CheckFailure, _fail,
+                              check_all, check_ga_events)
+from gathersim.config import InitialConfiguration
+from gathersim.engine import (Event, Trace, Verdict, connected_components,
+                              run)
+from gathersim.generate import good_config
+from gathersim.geometry import TIME_TOL, Point, Segment, Trajectory
+
+
+# -- Reference: check_ga_events as it was before it kept per-pair state --
+
+def _ref_group_positions(trace: Trace, group, t: float) -> dict[int, Point]:
+    return {i: trace.trajectories[i].position_at(t) for i in group}
+
+
+def _ref_pair_separated(trace: Trace, i: int, j: int, t0: float,
+                        t1: float, eps: float) -> bool:
+    """Whether dist(i, j) plausibly exceeded eps somewhere in (t0, t1).
+
+    Distance along straight legs is convex, so the maximum over an
+    interval is attained at a trajectory breakpoint.  Grazing separations
+    peak barely past eps, hence the one-sided tolerance.
+    """
+    ta, tb = trace.trajectories[i], trace.trajectories[j]
+    cuts = sorted({*ta.breakpoint_times_between(t0, t1),
+                   *tb.breakpoint_times_between(t0, t1), t0, t1})
+    best = max(ta.position_at(t).dist(tb.position_at(t)) for t in cuts)
+    return best > eps - TIME_TOL
+
+
+def reference_check_ga_events(cfg: InitialConfiguration,
+                              trace: Trace) -> None:
+    """GA groups are proximity-connected and contain a fresh contact.
+
+    Connectivity: at the event time the participants form one connected
+    component of the within-eps graph.  Freshness: every GA has at least
+    one pair meeting for the first time, or meeting again after the pair's
+    distance exceeded eps since their previous common GA.  Pairs that stay
+    adjacent may keep appearing in group events; what may not happen is a
+    whole group re-firing with no new contact at all.
+    """
+    eps = cfg.epsilon
+    last_meeting: dict[tuple[int, int], float] = {}
+    for ev in trace.ga_events():
+        group = sorted(ev.agents)
+        pos = _ref_group_positions(trace, group, ev.time)
+        if len(group) < 2:
+            _fail(f"GA at {ev.time} with fewer than two agents")
+        close = [(i, j) for i, j in combinations(group, 2)
+                 if pos[i].dist(pos[j]) <= eps + GA_DIST_SLACK]
+        if len(connected_components(group, close)) != 1:
+            _fail(f"GA at {ev.time}: group {group} not proximity-connected")
+
+        fresh = False
+        for i, j in close:
+            prev = last_meeting.get((i, j))
+            if prev is None:
+                fresh = True
+            elif ev.time - prev > TIME_TOL and \
+                    _ref_pair_separated(trace, i, j, prev, ev.time, eps):
+                fresh = True
+            if fresh:
+                break
+        if not fresh:
+            _fail(f"GA at {ev.time}: group {group} has no fresh contact")
+        for i, j in combinations(group, 2):
+            last_meeting[(i, j)] = ev.time
+
+
+# -- Helpers --
+
+def _outcome(check, cfg, trace):
+    try:
+        check(cfg, trace)
+    except Exception as exc:  # the reference may leak ValueError
+        return type(exc).__name__, str(exc)
+    return "pass"
+
+
+def _kind(outcome) -> str:
+    """"pass", or the kind of GA failure named at the end of its message."""
+    if outcome == "pass":
+        return outcome
+    for kind in ("no fresh contact", "not proximity-connected",
+                 "fewer than two agents"):
+        if outcome[1].endswith(kind):
+            return kind
+    return outcome[1]
+
+
+def _with_gas(trace: Trace, gas: list[Event]) -> Trace:
+    """trace with its GA events replaced by gas, other events kept."""
+    others = [ev for ev in trace.events if ev.kind != "ga"]
+    events = sorted(others + gas, key=lambda ev: ev.time)
+    return dataclasses.replace(trace, events=events)
+
+
+def _doctored(trace: Trace):
+    """(label, trace) for one-GA edits at the first, middle and last GA."""
+    gas = trace.ga_events()
+    for k in sorted({0, len(gas) // 2, len(gas) - 1}):
+        ev = gas[k]
+        yield f"delete {k}", _with_gas(trace, gas[:k] + gas[k + 1:])
+        yield f"duplicate {k}", _with_gas(trace, gas[:k + 1] + gas[k:])
+        for dt in (-1e-3, 1e-3):
+            moved = dataclasses.replace(ev, time=ev.time + dt)
+            yield (f"shift {k} by {dt}",
+                   _with_gas(trace, gas[:k] + [moved] + gas[k + 1:]))
+        for m in sorted({0, len(ev.agents) - 1}):
+            fewer = dataclasses.replace(
+                ev, agents=ev.agents[:m] + ev.agents[m + 1:])
+            yield (f"drop member {m} of {k}",
+                   _with_gas(trace, gas[:k] + [fewer] + gas[k + 1:]))
+
+
+class _Walks:
+    """Records the pairs that check_ga_events walks breakpoint by breakpoint."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        walk = checks._pair_separated
+
+        def recorded(trace, i, j, t0, t1, eps):
+            result = walk(trace, i, j, t0, t1, eps)
+            self.calls.append((i, j, t0, t1, result))
+            return result
+
+        monkeypatch.setattr(checks, "_pair_separated", recorded)
+
+
+# -- Real traces, doctored one GA at a time --
+
+RUNS = [(0, 3), (1, 4), (2, 5), (3, 6)]
+
+
+@pytest.fixture(scope="module")
+def real_runs():
+    out = []
+    for seed, n in RUNS:
+        cfg = good_config(seed, n)
+        out.append((cfg, run(cfg, gather_n_program(n))))
+    return out
+
+
+def test_real_traces_pass_both_checkers(real_runs):
+    for cfg, trace in real_runs:
+        assert trace.ga_events()
+        assert _outcome(reference_check_ga_events, cfg, trace) == "pass"
+        assert _outcome(check_ga_events, cfg, trace) == "pass"
+
+
+def test_doctored_traces_match_reference(real_runs, monkeypatch):
+    walks = _Walks(monkeypatch)
+    seen = set()
+    for cfg, trace in real_runs:
+        for label, doctored in _doctored(trace):
+            want = _outcome(reference_check_ga_events, cfg, doctored)
+            got = _outcome(check_ga_events, cfg, doctored)
+            if want != "pass" and want[0] == "ValueError":
+                # The reference leaked position_at's error; the checker
+                # names the agent and the time instead.
+                assert got[0] == "CheckFailure", label
+                assert "outside its trajectory span" in got[1], label
+                seen.add("out of span")
+                continue
+            assert got == want, label
+            seen.add(_kind(got))
+    assert seen >= {"pass", "no fresh contact", "not proximity-connected"}
+    # Some doctored GA made the checker walk breakpoints, with both
+    # answers.
+    assert {result for *_, result in walks.calls} == {True, False}
+
+
+def test_ga_past_trajectory_end_is_a_check_failure(real_runs):
+    cfg, trace = real_runs[0]
+    end = max(traj.end_time for traj in trace.trajectories)
+    late = Event(end + 1.0, "ga", tuple(range(cfg.n)))
+    doctored = dataclasses.replace(trace, events=trace.events + [late])
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, doctored)
+    assert str(err.value) == (f"GA at {end + 1.0}: agent 0 has no position, "
+                              "the time lies outside its trajectory span")
+
+
+def test_ga_naming_an_unknown_agent_is_a_check_failure(real_runs):
+    cfg, trace = real_runs[0]
+    ev = trace.ga_events()[0]
+    for bad in (cfg.n, -1):
+        odd = dataclasses.replace(ev, agents=ev.agents + (bad,))
+        with pytest.raises(CheckFailure) as err:
+            check_ga_events(cfg, _with_gas(trace, [odd]))
+        assert str(err.value) == (f"GA at {ev.time} names agent {bad}, "
+                                  f"not one of the {cfg.n} agents")
+
+
+# -- Hand-made traces, one per freshness path --
+
+# eps = 1.  Agent 0 waits at the origin.  Agent 1 walks in from (3, 0),
+# is at distance eps at t=2 and 0.5 at t=2.5, walks back out to 3 by
+# t=5, in again to 0.5 by t=7.5, and waits there until t=10.
+EPS = 1.0
+HAND_CFG = InitialConfiguration(EPS, (Point(0, 0), Point(3, 0)), (0.0, 0.0))
+
+
+def _hand_trace(ga_times) -> Trace:
+    waits = Trajectory([Segment(0.0, 10.0, Point(0, 0), Point(0, 0))])
+    legs = [(0.0, 3.0), (2.0, 1.0), (2.5, 0.5), (5.0, 3.0), (7.5, 0.5),
+            (10.0, 0.5)]
+    walks = Trajectory([Segment(t0, t1, Point(x0, 0), Point(x1, 0))
+                        for (t0, x0), (t1, x1) in zip(legs, legs[1:])])
+    gas = [Event(t, "ga", (0, 1)) for t in ga_times]
+    return Trace(events=gas, final_positions=(Point(0, 0), Point(0.5, 0)),
+                 final_tags=("", ""), trajectories=(waits, walks),
+                 verdict=Verdict("timeout", 10.0))
+
+
+@pytest.mark.parametrize("ga_times, walked, result", [
+    # A pair that never met is fresh.
+    ([2.0], [], "pass"),
+    # The pair's last GA found it at distance eps, farther than
+    # eps - TIME_TOL: fresh from the flag, with no walk.
+    ([2.0, 2.5], [], "pass"),
+    # At 2.5 the pair was 0.5 apart, so 7.5 walks and finds t=5.
+    ([2.0, 2.5, 7.5], [True], "pass"),
+    # Nothing between 7.5 and 8 separates the pair.
+    ([2.0, 2.5, 7.5, 8.0], [True, False], "no fresh contact"),
+    # The flag needs the last GA more than TIME_TOL back.
+    ([2.0, 2.0], [], "no fresh contact"),
+    ([2.0, 2.0 + TIME_TOL / 2], [], "no fresh contact"),
+])
+def test_freshness_paths(monkeypatch, ga_times, walked, result):
+    walks = _Walks(monkeypatch)
+    trace = _hand_trace(ga_times)
+    want = _outcome(reference_check_ga_events, HAND_CFG, trace)
+    got = _outcome(check_ga_events, HAND_CFG, trace)
+    assert got == want
+    assert _kind(got) == result
+    assert [res for *_, res in walks.calls] == walked

@@ -140,6 +140,19 @@ def test_simulate_trace_and_svg(tmp_path, capsys):
     assert len(root.findall(".//s:circle", ns)) >= 1
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--svg"])
+def test_simulate_unwritable_artifact_is_an_input_error(tmp_path, capsys,
+                                                        flag):
+    path = tmp_path / "missing" / "run.out"
+    code = main(["simulate", write_cfg(tmp_path, GOOD),
+                 "--algorithm", "gather-n", flag, str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "No such file or directory" in err
+    assert not path.parent.exists()
+
+
 def test_check_independence_exit_codes(capsys):
     assert main(["check-independence", "3,4,5"]) == 0
     assert "INDEPENDENT" in capsys.readouterr().out
@@ -172,6 +185,16 @@ def test_counterexample_rejects_bad_epsilon(tmp_path, capsys, epsilon):
     assert "--epsilon must be finite and positive" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_counterexample_unwritable_out_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "cx.json"
+    code = main(["counterexample", "--set", "2,4",
+                 "--epsilon", "0.5", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "No such file or directory" in err
 
 
 def test_counterexample_independent_set_fails(tmp_path, capsys):

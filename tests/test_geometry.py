@@ -258,10 +258,17 @@ def test_position_at_bisect_matches_linear_scan(traj, fractions):
         try:
             want = _linear_position_at(traj, t)
         except ValueError:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as pos_err:
                 traj.position_at(t)
+            with pytest.raises(ValueError) as xy_err:
+                traj.xy_at(t)
+            assert str(xy_err.value) == str(pos_err.value)
             continue
-        assert traj.position_at(t) == want
+        pos = traj.position_at(t)
+        assert pos == want
+        # The float sampler gives the same coordinates, bit for bit.
+        assert [c.hex() for c in traj.xy_at(t)] \
+            == [c.hex() for c in pos.coords]
     for t0 in queries:
         for t1 in queries:
             assert list(traj.breakpoint_times_between(t0, t1)) \
