@@ -18,8 +18,10 @@ program boundary.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -304,10 +306,11 @@ def default_horizon(cfg: InitialConfiguration) -> float:
         + 100.0 / eps_floor
 
 
-@dataclass
+@dataclass(slots=True)
 class _Motion:
     t_end: float
-    p_end: Point
+    x_end: float
+    y_end: float
     vx: float
     vy: float
     stop_on_arrival: bool
@@ -317,10 +320,13 @@ class _Motion:
 _STILL = object()
 
 
+_index = operator.attrgetter("idx")
+
+
 class _Agent:
-    __slots__ = ("idx", "ref", "origin", "start_time", "appeared", "stopped",
-                 "tag", "knowledge", "program", "queue", "motion", "pos",
-                 "builder", "ctx")
+    __slots__ = ("idx", "ref", "origin", "start_time", "stopped",
+                 "tag", "knowledge", "program", "queue", "motion", "x", "y",
+                 "leg_from", "builder", "ctx")
 
     def __init__(self, idx: int, ref: AgentRef, origin: Point,
                  start_time: float, program: Program):
@@ -328,7 +334,6 @@ class _Agent:
         self.ref = ref
         self.origin = origin
         self.start_time = start_time
-        self.appeared = False
         self.stopped = False
         self.tag = ""
         # Each known agent's start point in this agent's frame, whose
@@ -336,8 +341,14 @@ class _Agent:
         self.knowledge: dict[AgentRef, Point] = {}
         self.program = program
         self.queue: deque[Instruction] = deque()
+        # The current leg: motion, or none while the agent stands still.
         self.motion: Optional[_Motion] = None
-        self.pos = origin
+        self.x = origin.x
+        self.y = origin.y
+        # Simulation._advances when the current leg began.  The builder
+        # gets one record per leg, made when the leg ends, and only for a
+        # leg that lasted over at least one advance (see _record_leg).
+        self.leg_from = 0
         self.builder: Optional[TrajectoryBuilder] = None
         self.ctx: Optional[AgentContext] = None
 
@@ -362,9 +373,9 @@ class AgentContext:
 
     @property
     def position(self) -> Point:
-        p = self._agent.pos
-        o = self._agent.origin
-        return Point(p.x - o.x, p.y - o.y)
+        ag = self._agent
+        o = ag.origin
+        return Point(ag.x - o.x, ag.y - o.y)
 
     @property
     def tag(self) -> str:
@@ -390,7 +401,8 @@ class AgentContext:
 
     def clear_plan(self) -> None:
         self._agent.queue.clear()
-        self._agent.motion = None
+        if self._agent.motion is not None:
+            self._sim._set_motion(self._agent, None)
 
     def stop(self) -> None:
         self._sim._request_stop(self._agent)
@@ -420,6 +432,16 @@ class Simulation:
             ag.ctx = AgentContext(self, ag)
             self.agents.append(ag)
         self._now = min(cfg.times)
+        # _advance_to calls so far; see _Agent.leg_from.
+        self._advances = 0
+        # Appeared agents in index order, and the rest by starting time.
+        self._live: list[_Agent] = []
+        self._arrivals = deque(sorted(self.agents,
+                                      key=lambda ag: (ag.start_time, ag.idx)))
+        # (t_end, seq, agent, motion) of every motion set; an entry whose
+        # motion is no longer its agent's is dropped when it comes up.
+        self._ends: list[tuple[float, int, _Agent, _Motion]] = []
+        self._seq = itertools.count()
         self.adjacent: set[Pair] = set()
         self._recent_separation: dict[Pair, float] = {}
         self.events: list[Event] = []
@@ -428,6 +450,8 @@ class Simulation:
         self._cert: dict[Pair, float] = {}
         self._cert_queue: list[tuple[float, Pair]] = []
         self._seen_leg: list[object] = [None] * cfg.n
+        # Agents whose leg changed, or that appeared, since the last scan.
+        self._marked: list[_Agent] = []
         # Pairs the next scan solves whatever their certificate.
         self._dirty: set[Pair] = set()
 
@@ -438,9 +462,10 @@ class Simulation:
             return
         agent.stopped = True
         agent.queue.clear()
-        agent.motion = None
+        if agent.motion is not None:
+            self._set_motion(agent, None)
         self.events.append(Event(self._now, "stop", (agent.idx,),
-                                 (agent.pos,)))
+                                 (Point(agent.x, agent.y),)))
 
     def _queue_order(self, issuer: _Agent, target: Point,
                      group: tuple[int, ...]) -> None:
@@ -450,6 +475,29 @@ class Simulation:
 
     # -- motion --------------------------------------------------------------
 
+    def _record_leg(self, agent: _Agent) -> None:
+        """Record the end of the agent's current leg, if it has one yet.
+
+        A leg that lasted over at least one advance ends where the last
+        advance, the one to now, left the agent: the last record a builder
+        fed at every advance would have kept for it.  A leg begun since the
+        last advance had no such record and gets none.
+        """
+        if self._advances > agent.leg_from:
+            m = agent.motion
+            agent.builder.move_to(self._now, Point(agent.x, agent.y),
+                                  _STILL if m is None else m)
+
+    def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
+        """Every change of an agent's leg goes through here."""
+        self._record_leg(agent)
+        agent.leg_from = self._advances
+        agent.motion = motion
+        self._marked.append(agent)
+        if motion is not None:
+            heapq.heappush(self._ends,
+                           (motion.t_end, next(self._seq), agent, motion))
+
     def _start_pending(self, agent: _Agent) -> None:
         """Begin the next queued instruction, skipping instantaneous ones."""
         for _ in range(MAX_INSTANT_INSTRUCTIONS):
@@ -457,56 +505,69 @@ class Simulation:
                 return
             instr = agent.queue.popleft()
             if isinstance(instr, Go):
-                if instr.distance < 0.0:
-                    raise InvalidInstruction("negative distance")
-                if abs(instr.direction.norm - 1.0) > 1e-9:
-                    raise InvalidInstruction("direction is not a unit vector")
+                # Written so that NaN fails each test.
+                if not instr.distance >= 0.0:
+                    raise InvalidInstruction(
+                        f"distance is negative or NaN: {instr!r}")
+                if not abs(instr.direction.norm - 1.0) <= 1e-9:
+                    raise InvalidInstruction(
+                        f"direction is not a unit vector: {instr!r}")
                 if instr.distance <= POS_TOL:
                     continue
-                end = Point(agent.pos.x + instr.direction.dx * instr.distance,
-                            agent.pos.y + instr.direction.dy * instr.distance)
-                agent.motion = _Motion(self._now + instr.distance, end,
-                                       instr.direction.dx, instr.direction.dy,
-                                       False)
+                dx = instr.direction.dx
+                dy = instr.direction.dy
+                self._set_motion(agent, _Motion(
+                    self._now + instr.distance,
+                    agent.x + dx * instr.distance,
+                    agent.y + dy * instr.distance, dx, dy, False))
                 return
             if isinstance(instr, Wait):
-                if instr.duration < 0.0:
-                    raise InvalidInstruction("negative wait")
+                if not instr.duration >= 0.0:
+                    raise InvalidInstruction(
+                        f"wait is negative or NaN: {instr!r}")
                 if instr.duration <= TIME_TOL:
                     continue
-                agent.motion = _Motion(self._now + instr.duration, agent.pos,
-                                       0.0, 0.0, False)
+                self._set_motion(agent, _Motion(
+                    self._now + instr.duration, agent.x, agent.y,
+                    0.0, 0.0, False))
                 return
             if isinstance(instr, GotoStop):
-                tgt = Point(agent.origin.x + instr.target.x,
-                            agent.origin.y + instr.target.y)
-                d = agent.pos.dist(tgt)
+                if not (math.isfinite(instr.target.x)
+                        and math.isfinite(instr.target.y)):
+                    raise InvalidInstruction(
+                        f"target is not finite: {instr!r}")
+                tx = agent.origin.x + instr.target.x
+                ty = agent.origin.y + instr.target.y
+                dx = tx - agent.x
+                dy = ty - agent.y
+                d = math.hypot(dx, dy)
                 if d <= POS_TOL:
                     self._request_stop(agent)
                     return
-                u = (tgt - agent.pos).normalized()
-                agent.motion = _Motion(self._now + d, tgt, u.dx, u.dy, True)
+                self._set_motion(agent, _Motion(
+                    self._now + d, tx, ty, dx / d, dy / d, True))
                 return
             raise InvalidInstruction(f"unknown instruction {instr!r}")
         raise InvalidInstruction("too many zero-duration instructions")
 
     def _advance_to(self, t: float) -> None:
+        """Move the live agents on to time t.
+
+        Makes no trajectory record: a leg is recorded when it ends.
+        """
         dt = t - self._now
-        if dt < 0.0:
-            dt = 0.0
-        for ag in self.agents:
-            if not ag.appeared:
-                continue
-            m = ag.motion
-            if m is None:
-                ag.builder.move_to(t, ag.pos, _STILL)
-                continue
-            if dt > 0.0:
+        if dt > 0.0:
+            for ag in self._live:
+                m = ag.motion
+                if m is None:
+                    continue
                 if t >= m.t_end - TIME_TOL:
-                    ag.pos = m.p_end
+                    ag.x = m.x_end
+                    ag.y = m.y_end
                 else:
-                    ag.pos = Point(ag.pos.x + m.vx * dt, ag.pos.y + m.vy * dt)
-            ag.builder.move_to(t, ag.pos, m)
+                    ag.x = ag.x + m.vx * dt
+                    ag.y = ag.y + m.vy * dt
+        self._advances += 1
         self._now = t
 
     # -- knowledge -----------------------------------------------------------
@@ -547,7 +608,7 @@ class Simulation:
         """
         members = [self.agents[i] for i in group]
         snap = ([ag.ref for ag in members], [ag.tag for ag in members],
-                [(ag.pos.x, ag.pos.y, ag.origin.x, ag.origin.y)
+                [(ag.x, ag.y, ag.origin.x, ag.origin.y)
                  for ag in members], near)
         # A stopped member gets no view: on_ga is never called for it.
         return {ag.idx: GAView(self._now - ag.start_time, snap, k)
@@ -557,19 +618,23 @@ class Simulation:
 
     def run(self) -> Trace:
         horizon = self.horizon
+        arrivals = self._arrivals
+        ends = self._ends
         while True:
-            live = [ag for ag in self.agents if ag.appeared]
-            # Due: the earliest pending appearance or end of a motion.
-            due = [ag.start_time for ag in self.agents if not ag.appeared]
-            if not due and all(ag.stopped or (ag.motion is None
-                                              and not ag.queue)
-                               for ag in live):
+            while ends and ends[0][2].motion is not ends[0][3]:
+                heapq.heappop(ends)
+            # After an instant's idle pass an agent that is not stopped and
+            # has no motion has an empty queue, so with no appearance and
+            # no motion left nothing can happen any more.
+            if not arrivals and not ends:
                 return self._finish(timed_out=False)
-            due += [ag.motion.t_end for ag in live if ag.motion is not None]
-            t_due = min(due, default=math.inf)
+            # Due: the earliest pending appearance or end of a motion.
+            t_due = ends[0][0] if ends else math.inf
+            if arrivals and arrivals[0].start_time < t_due:
+                t_due = arrivals[0].start_time
 
             t_event, pair_hits = self._next_pair_events(
-                live, max(min(t_due, horizon), self._now))
+                self._live, max(min(t_due, horizon), self._now))
 
             # t_event is the earliest hit when there is one, so an instant
             # at the horizon has work exactly when it has a hit or when
@@ -590,14 +655,16 @@ class Simulation:
         the crossings as (time, "approach" | "separate", pair), pairs in
         index order.
 
-        Each pair holds a kinetic certificate (Basch, Guibas & Hershberger,
-        "Data structures for mobile data", SODA 1997): _cert[pair] is the
-        earliest time at which it can cross epsilon under its two agents'
-        current motions, or inf when it cannot before one of them ends.
+        live holds the appeared agents.  Each pair holds a kinetic
+        certificate (Basch, Guibas & Hershberger, "Data structures for
+        mobile data", SODA 1997): _cert[pair] is the earliest time at
+        which it can cross epsilon under its two agents' current motions,
+        or inf when it cannot before one of them ends.
         A pair is dirty, and solved afresh from now, when
         - an agent of it carries another motion than at its last scan (an
           agent without one counts as one shared still motion, and an
-          agent that just appeared as changed);
+          agent that just appeared as changed); only agents marked by
+          _set_motion or their appearance can have changed;
         - its adjacency flipped since the last scan; or
         - its certificate is due: cert <= t_bound + _CERT_MARGIN.
         A clean pair has no crossing in this window and is not visited.
@@ -619,21 +686,18 @@ class Simulation:
         inf = math.inf
         dirty = self._dirty
         self._dirty = again = set()
-        states = {}
         changed = []
-        for ag in live:
-            i = ag.idx
+        for ag in self._marked:
             m = ag.motion
             if m is None:
-                states[i] = (ag.pos.x, ag.pos.y, 0.0, 0.0, inf)
                 m = _STILL
-            else:
-                states[i] = (ag.pos.x, ag.pos.y, m.vx, m.vy, m.t_end)
-            if seen[i] is not m:
-                seen[i] = m
-                changed.append(i)
+            if seen[ag.idx] is not m:
+                seen[ag.idx] = m
+                changed.append(ag.idx)
+        self._marked = []
         for i in changed:
-            for j in states:
+            for ag in live:
+                j = ag.idx
                 if j != i:
                     dirty.add((i, j) if i < j else (j, i))
         due = t_bound + _CERT_MARGIN
@@ -645,12 +709,20 @@ class Simulation:
         # a root they clamp onto the stretched end lies beyond the window.
         stretch = window + _CERT_MARGIN
         horizon = self.horizon
+        agents = self.agents
+        states = {}  # _kinetics of the agents met so far
         t_event = t_bound
         hits = []
         for pair in sorted(dirty):
             i, j = pair
-            ax, ay, avx, avy, a_end = states[i]
-            bx, by, bvx, bvy, b_end = states[j]
+            a = states.get(i)
+            if a is None:
+                a = states[i] = _kinetics(agents[i])
+            b = states.get(j)
+            if b is None:
+                b = states[j] = _kinetics(agents[j])
+            ax, ay, avx, avy, a_end = a
+            bx, by, bvx, bvy, b_end = b
             rx = bx - ax
             ry = by - ay
             vx = bvx - avx
@@ -700,25 +772,32 @@ class Simulation:
         new_edges: set[Pair] = set()
 
         # Appearances first: they may create proximity immediately.
+        live = self._live
+        arrivals = self._arrivals
         appeared_now = []
-        for ag in self.agents:
-            if not ag.appeared and ag.start_time <= t + TIME_TOL:
-                ag.appeared = True
-                ag.pos = ag.origin
-                ag.builder = TrajectoryBuilder(t, ag.origin)
-                ag.knowledge[ag.ref] = Point(0.0, 0.0)
-                self.events.append(Event(t, "appear", (ag.idx,), (ag.pos,)))
-                appeared_now.append(ag)
+        while arrivals and arrivals[0].start_time <= t + TIME_TOL:
+            appeared_now.append(arrivals.popleft())
+        appeared_now.sort(key=_index)
+        for ag in appeared_now:
+            ag.leg_from = self._advances
+            ag.builder = TrajectoryBuilder(t, ag.origin)
+            ag.knowledge[ag.ref] = Point(0.0, 0.0)
+            self.events.append(Event(t, "appear", (ag.idx,), (ag.origin,)))
+            self._marked.append(ag)
+        if appeared_now:
+            live.extend(appeared_now)
+            live.sort(key=_index)
         for ag in appeared_now:
             ag.program.on_appear(ag.ctx)
         for ag in appeared_now:
-            for other in self.agents:
-                if other is ag or not other.appeared:
+            for other in live:
+                if other is ag:
                     continue
                 pair = (min(ag.idx, other.idx), max(ag.idx, other.idx))
                 if pair in self.adjacent or pair in new_edges:
                     continue
-                if ag.pos.dist(other.pos) <= self.eps + PROX_TOL:
+                if math.hypot(ag.x - other.x, ag.y - other.y) \
+                        <= self.eps + PROX_TOL:
                     new_edges.add(pair)
 
         # Separations before approaches: a pair leaving the epsilon disc now
@@ -740,17 +819,23 @@ class Simulation:
 
         # A GA callback may clear or stop a motion but never starts one:
         # only the idle pass below does.
-        for ag in self.agents:
+        ends = self._ends
+        arrived = []
+        while ends and ends[0][0] <= t + TIME_TOL:
+            _, _, ag, m = heapq.heappop(ends)
+            if ag.motion is m:
+                arrived.append(ag)
+        arrived.sort(key=_index)
+        for ag in arrived:
             m = ag.motion
-            if m is None or m.t_end > t + TIME_TOL:
-                continue
-            ag.pos = m.p_end
-            ag.motion = None
+            self._set_motion(ag, None)
+            ag.x = m.x_end
+            ag.y = m.y_end
             if m.stop_on_arrival:
                 self._request_stop(ag)
 
-        for ag in self.agents:
-            if not ag.appeared or ag.stopped or ag.motion is not None:
+        for ag in live:
+            if ag.stopped or ag.motion is not None:
                 continue
             # Poll every idle agent, not only the ones whose motion ended
             # now: a GA callback may have cleared the plan without issuing
@@ -771,12 +856,11 @@ class Simulation:
             # near[x][y]: members x and y are within epsilon.  It marks
             # adjacency for every such pair and tells each view who is
             # adjacent to its observer.
-            pos = [ag.pos for ag in members]
             near = [[True] * len(group) for _ in group]
-            for x, (i, p) in enumerate(zip(group, pos)):
+            for x, (i, a) in enumerate(zip(group, members)):
                 for y in range(x + 1, len(group)):
-                    q = pos[y]
-                    if math.hypot(p.x - q.x, p.y - q.y) <= lim:
+                    b = members[y]
+                    if math.hypot(a.x - b.x, a.y - b.y) <= lim:
                         pair = (i, group[y])
                         if pair not in adjacent:
                             adjacent.add(pair)
@@ -796,8 +880,8 @@ class Simulation:
                 ag.ctx._in_ga_group = None
             self.events.append(Event(
                 t, "ga", tuple(group),
-                tuple(self.agents[i].pos for i in group),
-                tuple(self.agents[i].tag for i in group)))
+                tuple([Point(ag.x, ag.y) for ag in members]),
+                tuple([ag.tag for ag in members])))
             orders = self._pending_orders
             self._pending_orders = []
             for issuer, target_global, ogroup in orders:
@@ -821,11 +905,14 @@ class Simulation:
         trajectories = []
         end = max(self._now, max(ag.start_time for ag in self.agents))
         for ag in self.agents:
-            if ag.builder is None:
+            if ag.builder is None:  # the agent never appeared
                 ag.builder = TrajectoryBuilder(ag.start_time, ag.origin)
+                last = ag.origin
+            else:
+                self._record_leg(ag)
+                last = Point(ag.x, ag.y)
             # Pad with a final rest so every trajectory covers the same
             # closing time regardless of when its agent stopped.
-            last = ag.pos if ag.appeared else ag.origin
             if end > ag.start_time:
                 ag.builder.move_to(end, last)
             trajectories.append(ag.builder.build())
@@ -852,6 +939,15 @@ class Simulation:
         return Trace(self.events, tuple(final_positions),
                      tuple(ag.tag for ag in self.agents),
                      tuple(trajectories), verdict)
+
+
+def _kinetics(agent: _Agent) -> tuple[float, float, float, float, float]:
+    """Position, velocity and end of motion of an agent, for a pair solve;
+    an agent without motion stands still for ever."""
+    m = agent.motion
+    if m is None:
+        return agent.x, agent.y, 0.0, 0.0, math.inf
+    return agent.x, agent.y, m.vx, m.vy, m.t_end
 
 
 def _cluster_points(points: list[Point]) -> list[tuple[int, ...]]:

@@ -246,13 +246,14 @@ def _plus_time_tol(t: float) -> float:
 
 
 class TrajectoryBuilder:
-    """Incrementally records an agent's motion as the engine advances time.
+    """Incrementally records an agent's motion, one record per leg.
 
-    Every record names the leg it ends: the instruction, or stretch
-    without one, that moved the agent since the previous record.  Records
-    of one leg lie on one straight constant-velocity line, so a record
-    that continues the previous record's leg replaces it, and each
-    segment of the built trajectory is one leg.
+    The engine makes a record when a leg ends: the instruction, or
+    stretch without one, that moved the agent since the previous record.
+    Every record names that leg.  Records of one leg lie on one straight
+    constant-velocity line, so a record that continues the previous
+    record's leg replaces it, and each segment of the built trajectory is
+    one leg.
     """
 
     # _leg: the token of the last record; None never matches.

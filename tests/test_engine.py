@@ -1,21 +1,25 @@
 """Engine semantics: events, GA groups, gossip frames, verdicts."""
 
+import functools
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import pair
-from gathersim.algorithms import gather_n_program
-from gathersim.config import InitialConfiguration
+from test_acceptance import _dedicated_horizon
+from gathersim.algorithms import dedicated_program, gather_n_program
+from gathersim.config import Feasibility, InitialConfiguration
 from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
                               InvalidInstruction, Program, Simulation, Wait,
                               connected_components, default_horizon,
                               form_ga_groups, run)
-from gathersim.generate import good_config, ungatherable_config
-from gathersim.geometry import (POS_TOL, TIME_TOL, Point, Vec2,
-                                solve_crossing_in, solve_crossing_out)
+from gathersim.generate import (config_of_class, good_config,
+                                ungatherable_config)
+from gathersim.geometry import (POS_TOL, TIME_TOL, Point, TrajectoryBuilder,
+                                Vec2, solve_crossing_in, solve_crossing_out)
 
 
 class Still(Program):
@@ -241,9 +245,9 @@ def _full_scan_pair_events(sim, live, t_bound):
     for ag in live:
         m = ag.motion
         if m is None:
-            states.append((ag.idx, ag.pos.x, ag.pos.y, 0.0, 0.0))
+            states.append((ag.idx, ag.x, ag.y, 0.0, 0.0))
         else:
-            states.append((ag.idx, ag.pos.x, ag.pos.y, m.vx, m.vy))
+            states.append((ag.idx, ag.x, ag.y, m.vx, m.vy))
     t_event = t_bound
     hits = []
     for k, (i, ax, ay, avx, avy) in enumerate(states):
@@ -364,11 +368,12 @@ def _view_for(sim, observer, group):
     entries = []
     for i in group:
         ag = sim.agents[i]
-        rel = Point(ag.pos.x - observer.origin.x,
-                    ag.pos.y - observer.origin.y)
+        rel = Point(ag.x - observer.origin.x,
+                    ag.y - observer.origin.y)
         rel_init = (ag.origin.x - observer.origin.x,
                     ag.origin.y - observer.origin.y)
-        near = ag.pos.dist(observer.pos) <= sim.eps + PROX_TOL
+        near = math.hypot(ag.x - observer.x, ag.y - observer.y) \
+            <= sim.eps + PROX_TOL
         entries.append(((rel.coords, rel_init), ag.idx,
                         (ag.ref._token, rel.x.hex(), rel.y.hex(), ag.tag,
                          near)))
@@ -495,20 +500,39 @@ def test_refs_are_unordered():
         a < b  # noqa: B015
 
 
+class Issues(Program):
+    """Issues one instruction on appearing."""
+
+    def __init__(self, instr):
+        self.instr = instr
+
+    def on_appear(self, ctx):
+        ctx.issue(self.instr)
+
+
 def test_invalid_instruction_rejected():
-    class BadDir(Program):
-        def on_appear(self, ctx):
-            ctx.issue(Go(Vec2(2.0, 0.0), 1.0))
-
-    class NegDist(Program):
-        def on_appear(self, ctx):
-            ctx.issue(Go(Vec2(1.0, 0.0), -1.0))
-
+    # NaN passes a plain "< 0" test and used to fail only when the
+    # trajectory was built; an infinite GotoStop target never ended the
+    # run.  The error names the instruction.
     cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
-    with pytest.raises(InvalidInstruction):
-        run(cfg, BadDir, horizon=5.0)
-    with pytest.raises(InvalidInstruction):
-        run(cfg, NegDist, horizon=5.0)
+    for instr in (Go(Vec2(2.0, 0.0), 1.0), Go(Vec2(1.0, 0.0), -1.0),
+                  Go(Vec2(1.0, 0.0), math.nan), Go(Vec2(math.nan, 0.0), 1.0),
+                  Go(Vec2(0.0, math.nan), 1.0), Wait(-1.0), Wait(math.nan),
+                  GotoStop(Point(math.nan, 0.0)),
+                  GotoStop(Point(0.0, math.inf)),
+                  GotoStop(Point(-math.inf, 1.0))):
+        with pytest.raises(InvalidInstruction, match=re.escape(repr(instr))):
+            run(cfg, functools.partial(Issues, instr), horizon=5.0)
+
+
+@pytest.mark.parametrize("instr", [Wait(math.inf),
+                                   Go(Vec2(1.0, 0.0), math.inf)], ids=repr)
+def test_endless_instruction_runs_to_the_horizon(instr):
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    trace = run(cfg, lambda: Issues(instr), horizon=5.0)
+    assert trace.verdict.kind == "timeout"
+    walked = 5.0 if isinstance(instr, Go) else 0.0
+    assert trace.final_positions[0] == Point(walked, 0.0)
 
 
 def test_goto_stop_and_gathered_verdict():
@@ -641,6 +665,76 @@ def test_trajectory_has_one_segment_per_leg():
     # Consecutive waits are separate legs even at the same velocity.
     assert [s.end_time for s in stepper.segments] \
         == [0.5 * k for k in range(1, 11)]
+
+
+_STILL_LEG = object()
+
+
+class _EveryEventRecorder(Simulation):
+    """The reference recorder: every advance records every live agent at
+    the end of its current leg, and leg changes record nothing.  The
+    builder keeps the last record of each leg."""
+
+    def _record_leg(self, agent):
+        pass
+
+    def _advance_to(self, t):
+        super()._advance_to(t)
+        for ag in self._live:
+            m = ag.motion
+            ag.builder.move_to(t, Point(ag.x, ag.y),
+                               _STILL_LEG if m is None else m)
+
+
+def _segment_bits(trace):
+    return [[(s.start_time.hex(), s.end_time.hex(),
+              s.start_point.x.hex(), s.start_point.y.hex(),
+              s.end_point.x.hex(), s.end_point.y.hex())
+             for s in traj.segments] for traj in trace.trajectories]
+
+
+def _recorder_case(kind, seed, n=2):
+    if kind == "gather-n":
+        cfg = good_config(seed, n)
+        return cfg, gather_n_program(n), None
+    if kind == "timeout":
+        cfg = ungatherable_config(seed, n)
+        return cfg, gather_n_program(n), None
+    cfg = config_of_class(seed, Feasibility.GOOD, n=2)
+    return cfg, dedicated_program(cfg, cfg.epsilon), _dedicated_horizon(cfg)
+
+
+_RECORDER_CASES = ([("gather-n", seed, n) for n in (4, 8)
+                    for seed in range(4)]
+                   + [("timeout", 0, 8), ("dedicated", 5)])
+
+
+@pytest.mark.parametrize("case", _RECORDER_CASES,
+                         ids=["-".join(map(str, c)) for c in _RECORDER_CASES])
+def test_leg_records_match_every_event_recorder(case, monkeypatch):
+    cfg, factory, horizon = _recorder_case(*case)
+    calls = []
+    real = TrajectoryBuilder.move_to
+
+    def counted(self, *args):
+        calls.append(None)
+        return real(self, *args)
+
+    monkeypatch.setattr(TrajectoryBuilder, "move_to", counted)
+    trace = Simulation(cfg, factory, horizon).run()
+    made = len(calls)
+    ref = _EveryEventRecorder(cfg, factory, horizon).run()
+    assert trace.jsonl_lines() == ref.jsonl_lines()
+    assert _segment_bits(trace) == _segment_bits(ref)
+    segments = sum(len(traj.segments) for traj in trace.trajectories)
+    # One record per leg, plus the closing pad of each agent.
+    assert made <= segments + cfg.n
+    if case[0] == "gather-n":
+        assert trace.ga_events()
+    elif case[0] == "timeout":
+        assert trace.verdict.kind == "timeout"
+    else:
+        assert trace.verdict.kind == "gathered"
 
 
 def test_default_horizon_formula():
