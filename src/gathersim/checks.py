@@ -115,18 +115,20 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
         xy = _group_xy(trace, group, t)
         if len(group) < 2:
             _fail(f"GA at {t} with fewer than two agents")
-        close = []
+        # The within-eps graph of the group, as neighbour lists.
+        nbr = {i: [] for i in group}
         fresh = False
         walks = []
         for a, i in enumerate(group):
             xi, yi = xy[a]
-            last_i, apart_i = last[i], apart[i]
+            last_i, apart_i, nbr_i = last[i], apart[i], nbr[i]
             for b in range(a + 1, len(group)):
                 j = group[b]
                 xj, yj = xy[b]
                 d = math.hypot(xi - xj, yi - yj)
                 if d <= eps_close:
-                    close.append((i, j))
+                    nbr_i.append(j)
+                    nbr[j].append(i)
                     prev = last_i[j]
                     if prev is None:
                         fresh = True
@@ -137,7 +139,7 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
                             walks.append((i, j, prev))
                 last_i[j] = t
                 apart_i[j] = d > apart_limit
-        if len(connected_components(group, close)) != 1:
+        if len(connected_components(nbr, (group[0],))[0]) != len(nbr):
             _fail(f"GA at {t}: group {group} not proximity-connected")
         if not fresh and not any(_pair_separated(trace, i, j, prev, t, eps)
                                  for i, j, prev in walks):

@@ -7,7 +7,8 @@ that close).  A GA is instantaneous: participants exchange knowledge and may
 change course.  Participants of one GA are the whole connected component of
 the proximity graph that contains a newly formed edge, so chains of agents
 within epsilon of each other gossip together even when the endpoints of the
-chain are more than epsilon apart.
+chain are more than epsilon apart.  A GA's groups are searched from the
+new edges only, so a GA costs its groups, not the whole graph.
 
 Programs see only relative data: their own clock, their own dead-reckoned
 position, and other agents' positions relative to themselves.  Absolute
@@ -24,7 +25,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .config import InitialConfiguration
 from .geometry import (POS_TOL, TIME_TOL, Point, Trajectory, TrajectoryBuilder,
@@ -84,8 +85,7 @@ class InvalidInstruction(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Participant:
+class Participant(NamedTuple):
     ref: AgentRef
     position: Point  # current, in the observing agent's frame
     tag: str
@@ -156,9 +156,11 @@ class Program:
 
     The engine calls on_appear once at the agent's starting time, on_ga at
     every gathering event the agent participates in, on_order when another
-    participant of the current GA directs it somewhere, and on_idle when the
-    instruction queue runs dry.  A program that issues nothing simply waits
-    in place until an external event wakes it.
+    participant of the current GA directs it somewhere, and on_idle at
+    every event instant of the run, whichever agents it concerns, while
+    the agent is not stopped, has no motion and has an empty queue.  A
+    program that issues nothing waits in place and is polled again at
+    the next instant.
     """
 
     def on_appear(self, ctx: "AgentContext") -> None:
@@ -251,21 +253,16 @@ class Trace:
 Pair = tuple[int, int]  # agent indices, smaller first
 
 
-def connected_components(nodes, edges) -> list[tuple[int, ...]]:
-    """Connected components of the graph on nodes with the given edges.
+def connected_components(nbr, starts) -> list[tuple[int, ...]]:
+    """The connected components that hold a vertex of starts.
 
-    Every edge endpoint must be one of nodes.  Components are sorted
-    internally and ordered by their smallest member.
+    nbr[v] lists the neighbours of vertex v; every edge is listed at both
+    ends.  Only the components of starts are searched.  Components are
+    sorted internally and ordered by their smallest member.
     """
-    nbr: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b in edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
     seen: set[int] = set()
     comps = []
-    # Visiting starts in ascending order makes each start the smallest
-    # member of its component, so components come out in order.
-    for start in sorted(nbr):
+    for start in starts:
         if start in seen:
             continue
         seen.add(start)
@@ -277,27 +274,11 @@ def connected_components(nodes, edges) -> list[tuple[int, ...]]:
                     seen.add(v)
                     comp.append(v)
                     stack.append(v)
-        comps.append(tuple(sorted(comp)))
+        comp.sort()
+        comps.append(tuple(comp))
+    # Disjoint sorted tuples compare by their smallest members.
+    comps.sort()
     return comps
-
-
-def form_ga_groups(adjacent: set[Pair],
-                   new_edges: set[Pair]) -> list[tuple[int, ...]]:
-    """Connected components of the proximity graph that contain a new edge.
-
-    adjacent holds all pairs currently within epsilon (including the new
-    ones); new_edges the pairs that crossed within epsilon at this instant.
-    Components without a new edge had their GA earlier and stay silent.
-    Returned groups are sorted internally and ordered by smallest member.
-    """
-    if not new_edges:
-        return []
-    edges = adjacent | new_edges
-    nodes = {v for edge in edges for v in edge}
-    # Both ends of an edge lie in one component.
-    fresh = {a for a, _ in new_edges}
-    return [comp for comp in connected_components(nodes, edges)
-            if not fresh.isdisjoint(comp)]
 
 
 def default_horizon(cfg: InitialConfiguration) -> float:
@@ -442,7 +423,9 @@ class Simulation:
         # motion is no longer its agent's is dropped when it comes up.
         self._ends: list[tuple[float, int, _Agent, _Motion]] = []
         self._seq = itertools.count()
-        self.adjacent: set[Pair] = set()
+        # _nbr[i]: the agents within epsilon of agent i, as of its last
+        # GA or separation; the one adjacency structure of the run.
+        self._nbr: list[set[int]] = [set() for _ in range(cfg.n)]
         self._recent_separation: dict[Pair, float] = {}
         self.events: list[Event] = []
         self._pending_orders: list[tuple[_Agent, Point, tuple[int, ...]]] = []
@@ -678,7 +661,7 @@ class Simulation:
         now = self._now
         eps = self.eps
         window = t_bound - now
-        adjacent = self.adjacent
+        nbr = self._nbr
         recent = self._recent_separation
         cert = self._cert
         queue = self._cert_queue
@@ -731,7 +714,7 @@ class Simulation:
             span = (end if end < horizon else horizon) - now
             if span < stretch:
                 span = stretch
-            if pair in adjacent:
+            if j in nbr[i]:
                 s = solve_crossing_out(rx, ry, vx, vy, eps, span)
                 kind = "separate"
             else:
@@ -769,6 +752,7 @@ class Simulation:
 
     def _process_instant(self, pair_hits: list) -> None:
         t = self._now
+        nbr = self._nbr
         new_edges: set[Pair] = set()
 
         # Appearances first: they may create proximity immediately.
@@ -794,7 +778,7 @@ class Simulation:
                 if other is ag:
                     continue
                 pair = (min(ag.idx, other.idx), max(ag.idx, other.idx))
-                if pair in self.adjacent or pair in new_edges:
+                if other.idx in nbr[ag.idx] or pair in new_edges:
                     continue
                 if math.hypot(ag.x - other.x, ag.y - other.y) \
                         <= self.eps + PROX_TOL:
@@ -805,13 +789,15 @@ class Simulation:
         for ht, kind, pair in pair_hits:
             if ht > t + TIME_TOL or kind != "separate":
                 continue
-            self.adjacent.discard(pair)
+            i, j = pair
+            nbr[i].discard(j)
+            nbr[j].discard(i)
             self._dirty.add(pair)
             self._recent_separation[pair] = t
         for ht, kind, pair in pair_hits:
             if ht > t + TIME_TOL or kind != "approach":
                 continue
-            if pair not in self.adjacent:
+            if pair[1] not in nbr[pair[0]]:
                 new_edges.add(pair)
 
         if new_edges:
@@ -842,31 +828,51 @@ class Simulation:
             # a replacement, and such an agent must still be driven.
             if not ag.queue:
                 ag.program.on_idle(ag.ctx)
+                if not ag.queue:
+                    continue
             self._start_pending(ag)
 
     def _run_gas(self, new_edges: set[Pair]) -> None:
+        """Run the GA of every component that holds a new edge.
+
+        Components without one had their GA earlier and stay silent.  Both
+        ends of an edge lie in one component, so searching from one end of
+        each new edge finds every group.
+        """
         t = self._now
-        adjacent = self.adjacent
-        groups = form_ga_groups(adjacent, new_edges)
-        adjacent |= new_edges
-        self._dirty |= new_edges
+        nbr = self._nbr
+        dirty = self._dirty
+        for i, j in new_edges:
+            nbr[i].add(j)
+            nbr[j].add(i)
+        dirty |= new_edges
+        groups = connected_components(nbr, [i for i, _ in new_edges])
         lim = self.eps + PROX_TOL
+        hypot = math.hypot
         for group in groups:
             members = [self.agents[i] for i in group]
+            m = len(group)
+            xs = [ag.x for ag in members]
+            ys = [ag.y for ag in members]
             # near[x][y]: members x and y are within epsilon.  It marks
             # adjacency for every such pair and tells each view who is
             # adjacent to its observer.
-            near = [[True] * len(group) for _ in group]
-            for x, (i, a) in enumerate(zip(group, members)):
-                for y in range(x + 1, len(group)):
-                    b = members[y]
-                    if math.hypot(a.x - b.x, a.y - b.y) <= lim:
-                        pair = (i, group[y])
-                        if pair not in adjacent:
-                            adjacent.add(pair)
-                            self._dirty.add(pair)
+            near = [[True] * m for _ in group]
+            for x in range(m):
+                i = group[x]
+                xi = xs[x]
+                yi = ys[x]
+                nbr_i = nbr[i]
+                row = near[x]
+                for y in range(x + 1, m):
+                    if hypot(xi - xs[y], yi - ys[y]) <= lim:
+                        j = group[y]
+                        if j not in nbr_i:
+                            nbr_i.add(j)
+                            nbr[j].add(i)
+                            dirty.add((i, j))
                     else:
-                        near[x][y] = near[y][x] = False
+                        row[y] = near[y][x] = False
             self._gossip(group)
             # Decisions are simultaneous: every view shows pre-GA states,
             # so a callback's tag change is invisible to its peers.
@@ -953,9 +959,13 @@ def _kinetics(agent: _Agent) -> tuple[float, float, float, float, float]:
 def _cluster_points(points: list[Point]) -> list[tuple[int, ...]]:
     """Groups of points chained together by gaps of at most POS_TOL."""
     n = len(points)
-    close = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if points[i].dist(points[j]) <= POS_TOL]
-    return connected_components(range(n), close)
+    nbr = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if points[i].dist(points[j]) <= POS_TOL:
+                nbr[i].append(j)
+                nbr[j].append(i)
+    return connected_components(nbr, range(n))
 
 
 def run(cfg: InitialConfiguration, program_factory: ProgramFactory,

@@ -167,8 +167,9 @@ class Trajectory:
     before the start or after the end raise.
     """
 
-    # _times: breakpoint times, built on the first time query.
-    __slots__ = ("segments", "_times")
+    # _times: breakpoint times, and _keys the same plus TIME_TOL, both
+    # built on the first time query.
+    __slots__ = ("segments", "_times", "_keys")
 
     def __init__(self, segments: list[Segment]):
         if not segments:
@@ -189,6 +190,7 @@ class Trajectory:
             prev = seg
         self.segments = list(segments)
         self._times: Optional[Sequence[float]] = None
+        self._keys: Optional[Sequence[float]] = None
 
     @property
     def start_time(self) -> float:
@@ -211,6 +213,7 @@ class Trajectory:
         if times is None:
             times = self._times = array("d", [self.segments[0].start_time])
             times.extend([seg.end_time for seg in self.segments])
+            self._keys = array("d", [t + TIME_TOL for t in times])
         return times
 
     def xy_at(self, t: float) -> tuple[float, float]:
@@ -221,9 +224,10 @@ class Trajectory:
             raise ValueError(f"time {t} outside trajectory span "
                              f"[{start}, {end}]")
         t = min(max(t, start), end)
-        # The first segment with t <= end_time + TIME_TOL; times[k] is the
-        # end of segment k - 1, and t <= end_time bounds the search.
-        k = bisect_left(times, t, 1, key=_plus_time_tol)
+        # The first segment with t <= end_time + TIME_TOL; _keys[k] is the
+        # end of segment k - 1 plus TIME_TOL, and t <= end_time bounds the
+        # search.
+        k = bisect_left(self._keys, t, 1)
         return self.segments[k - 1].xy_at(t)
 
     def position_at(self, t: float) -> Point:
@@ -239,10 +243,6 @@ class Trajectory:
         yield self.segments[0].start_time, self.segments[0].start_point
         for seg in self.segments:
             yield seg.end_time, seg.end_point
-
-
-def _plus_time_tol(t: float) -> float:
-    return t + TIME_TOL
 
 
 class TrajectoryBuilder:

@@ -57,7 +57,11 @@ def reference_check_ga_events(cfg: InitialConfiguration,
             _fail(f"GA at {ev.time} with fewer than two agents")
         close = [(i, j) for i, j in combinations(group, 2)
                  if pos[i].dist(pos[j]) <= eps + GA_DIST_SLACK]
-        if len(connected_components(group, close)) != 1:
+        nbr = {i: [] for i in group}
+        for i, j in close:
+            nbr[i].append(j)
+            nbr[j].append(i)
+        if connected_components(nbr, group) != [tuple(sorted(nbr))]:
             _fail(f"GA at {ev.time}: group {group} not proximity-connected")
 
         fresh = False
@@ -178,6 +182,19 @@ def test_doctored_traces_match_reference(real_runs, monkeypatch):
     # Some doctored GA made the checker walk breakpoints, with both
     # answers.
     assert {result for *_, result in walks.calls} == {True, False}
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 1")
+def test_missing_first_ga_is_a_check_failure():
+    # check_ga_events vets only the GAs a trace names, so a trace without
+    # its first meeting still passes.  A complete GA oracle rejects it.
+    for seed in range(6):
+        cfg = good_config(seed, 4)
+        trace = run(cfg, gather_n_program(4))
+        gas = trace.ga_events()
+        with pytest.raises(CheckFailure):
+            check_all(cfg, _with_gas(trace, gas[1:]))
 
 
 def test_ga_past_trajectory_end_is_a_check_failure(real_runs):

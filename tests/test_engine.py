@@ -14,8 +14,7 @@ from gathersim.algorithms import dedicated_program, gather_n_program
 from gathersim.config import Feasibility, InitialConfiguration
 from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
                               InvalidInstruction, Program, Simulation, Wait,
-                              connected_components, default_horizon,
-                              form_ga_groups, run)
+                              connected_components, default_horizon, run)
 from gathersim.generate import (config_of_class, good_config,
                                 ungatherable_config)
 from gathersim.geometry import (POS_TOL, TIME_TOL, Point, TrajectoryBuilder,
@@ -82,12 +81,57 @@ def test_three_agent_chain_component():
     assert abs(gas[1].time - 1.5) < 1e-9
 
 
+def form_ga_groups(adjacent, new_edges):
+    """Reference: the GA groups as the engine once formed them, from the
+    components of the whole proximity graph that contain a new edge.
+
+    adjacent holds the pairs within epsilon before this instant, new_edges
+    the pairs that crossed within epsilon at it.  Groups are sorted
+    internally and ordered by smallest member.
+    """
+    edges = adjacent | new_edges
+    nodes = {v for edge in edges for v in edge}
+    fresh = {a for a, _ in new_edges}
+    return sorted(comp for comp in _closure_components(nodes, edges)
+                  if not fresh.isdisjoint(comp))
+
+
+def _adjacent_pairs(nbr):
+    """The pairs of the engine's neighbour sets, after asserting that
+    they are symmetric and irreflexive."""
+    for i, row in enumerate(nbr):
+        assert i not in row
+        assert all(i in nbr[j] for j in row)
+    return {(i, j) for i, row in enumerate(nbr) for j in row if i < j}
+
+
+def _engine_ga_groups(adjacent, new_edges):
+    """The groups of the GAs the engine runs for new_edges, with four
+    still agents far apart that hold the given adjacency."""
+    cfg = InitialConfiguration(
+        0.5, tuple(Point(10.0 * k, 0) for k in range(4)), (0.0,) * 4)
+    sim = Simulation(cfg, Still)
+    sim._advance_to(0.0)
+    sim._process_instant([])
+    for i, j in adjacent:
+        sim._nbr[i].add(j)
+        sim._nbr[j].add(i)
+    sim._run_gas(new_edges)
+    assert _adjacent_pairs(sim._nbr) == adjacent | new_edges
+    return [ev.agents for ev in sim.events if ev.kind == "ga"]
+
+
 def test_form_ga_groups_rules():
-    adj = {(1, 2)}
-    assert form_ga_groups(adj, set()) == []
-    assert form_ga_groups(adj | {(0, 1)}, {(0, 1)}) == [(0, 1, 2)]
-    groups = form_ga_groups({(0, 1), (2, 3)}, {(0, 1), (2, 3)})
-    assert groups == [(0, 1), (2, 3)]
+    # (adjacent, new edges, groups): the engine's GAs follow the rules
+    # of the reference.
+    for adjacent, new_edges, groups in [
+            ({(1, 2)}, set(), []),
+            ({(1, 2)}, {(0, 1)}, [(0, 1, 2)]),
+            ({(1, 2)}, {(0, 3)}, [(0, 3)]),
+            (set(), {(2, 3), (0, 1)}, [(0, 1), (2, 3)]),
+            ({(0, 1), (2, 3)}, {(1, 2)}, [(0, 1, 2, 3)])]:
+        assert form_ga_groups(adjacent, new_edges) == groups
+        assert _engine_ga_groups(adjacent, new_edges) == groups
 
 
 @st.composite
@@ -116,14 +160,45 @@ def _closure_components(nodes, edges):
     return {tuple(sorted(r)) for r in reach.values()}
 
 
-@given(graphs())
-def test_connected_components_matches_closure(graph):
+@given(graphs(), st.data())
+def test_connected_components_matches_closure(graph, data):
     nodes, edges = graph
-    comps = connected_components(nodes, edges)
-    assert set(comps) == _closure_components(nodes, edges)
+    starts = data.draw(st.lists(st.sampled_from(nodes), max_size=6)
+                       if nodes else st.just([]))
+    nbr = {v: [] for v in nodes}
+    for a, b in edges:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    comps = connected_components(nbr, starts)
+    held = {c for c in _closure_components(nodes, edges)
+            if not set(starts).isdisjoint(c)}
+    assert len(comps) == len(held)
+    assert set(comps) == held
     assert all(list(c) == sorted(c) for c in comps)
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)
-    assert sorted(v for c in comps for v in c) == sorted(nodes)
+    assert connected_components(nbr, nodes) == sorted(
+        _closure_components(nodes, edges))
+
+
+def test_idle_agent_is_polled_at_every_instant():
+    # The silent agent issues nothing, and is 100 away from the walker;
+    # its on_idle still runs at each end of the walker's five legs.
+    polls = []
+
+    class Silent(Program):
+        def on_idle(self, ctx):
+            polls.append(ctx.now)
+
+    class FiveLegs(Program):
+        def on_appear(self, ctx):
+            for _ in range(5):
+                ctx.issue(Go(Vec2(1.0, 0.0), 1.0))
+
+    cfg = pair(0.5, (0, 0), 0.0, (100, 0), 0.0)
+    mk = iter([Silent(), FiveLegs()])
+    trace = run(cfg, lambda: next(mk), horizon=50.0)
+    assert trace.ga_events() == []
+    assert polls == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_no_repeat_ga_while_adjacent():
@@ -256,7 +331,7 @@ def _full_scan_pair_events(sim, live, t_bound):
             ry = by - ay
             vx = bvx - avx
             vy = bvy - avy
-            if (i, j) in sim.adjacent:
+            if j in sim._nbr[i]:
                 s = solve_crossing_out(rx, ry, vx, vy, eps, window)
                 if s is None:
                     continue
@@ -311,8 +386,31 @@ def test_pair_certificates_match_full_scan(make, monkeypatch):
     cfg = make()
     plain = run(cfg, gather_n_program(cfg.n)).jsonl_lines()
     scans = _check_pair_events_against_full_scan(monkeypatch)
-    assert run(cfg, gather_n_program(cfg.n)).jsonl_lines() == plain
+    groups = _check_ga_groups_against_reference(monkeypatch)
+    trace = run(cfg, gather_n_program(cfg.n))
+    assert trace.jsonl_lines() == plain
     assert len(scans) > cfg.n
+    assert groups == [ev.agents for ev in trace.ga_events()]
+
+
+def _check_ga_groups_against_reference(monkeypatch):
+    """Make every GA instant assert that the neighbour sets are symmetric
+    and irreflexive, and that its groups are form_ga_groups' on the pairs
+    of those sets plus the new edges; returns the groups, in order."""
+    real = Simulation._run_gas
+    groups = []
+
+    def checked(self, new_edges):
+        expect = form_ga_groups(_adjacent_pairs(self._nbr), new_edges)
+        before = len(self.events)
+        real(self, new_edges)
+        got = [ev.agents for ev in self.events[before:] if ev.kind == "ga"]
+        assert got == expect
+        _adjacent_pairs(self._nbr)
+        groups.extend(got)
+
+    monkeypatch.setattr(Simulation, "_run_gas", checked)
+    return groups
 
 
 def test_adjacency_flip_is_rescanned(monkeypatch):
