@@ -14,7 +14,8 @@ from .config import InitialConfiguration
 from .engine import Trace, connected_components
 from .geometry import POS_TOL, TIME_TOL, has_legal_speed
 
-# GA participants may sit up to the engine's proximity slack beyond eps.
+# GA members may sit this far beyond eps in the recorded trajectories:
+# ten times the slack PROX_TOL (1e-9) with which the engine joins a group.
 GA_DIST_SLACK = 1e-8
 
 

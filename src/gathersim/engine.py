@@ -7,8 +7,9 @@ that close).  A GA is instantaneous: participants exchange knowledge and may
 change course.  Participants of one GA are the whole connected component of
 the proximity graph that contains a newly formed edge, so chains of agents
 within epsilon of each other gossip together even when the endpoints of the
-chain are more than epsilon apart.  A GA's groups are searched from the
-new edges only, so a GA costs its groups, not the whole graph.
+chain are more than epsilon apart.  ProximityGraph owns that graph and
+this rule, and searches a GA's groups from the new edges only, so a GA
+costs its groups; Simulation runs motion, knowledge and programs.
 
 Programs see only relative data: their own clock, their own dead-reckoned
 position, and other agents' positions relative to themselves.  Absolute
@@ -397,6 +398,207 @@ class AgentContext:
 ProgramFactory = Callable[[], Program]
 
 
+class ProximityGraph:
+    """The proximity graph of a run, and the meeting rule on it.
+
+    A pair that comes within epsilon after having been farther apart forms
+    a new edge, and every component that holds a new edge has a GA.  agents
+    is the run's agent list; the engine adds to changed every agent whose
+    leg changed, or that appeared, since the last scan.
+    """
+
+    def __init__(self, agents: list[_Agent], eps: float, horizon: float):
+        self.agents = agents
+        self.eps = eps
+        self.horizon = horizon
+        self.changed: set[int] = set()
+        # _nbr[i]: the agents within epsilon of agent i, as of its last
+        # GA or separation; the one adjacency structure of the run.
+        self._nbr: list[set[int]] = [set() for _ in agents]
+        self._recent_separation: dict[Pair, float] = {}
+        # Kinetic pair certificates; see next_events.
+        self._cert: dict[Pair, float] = {}
+        self._cert_queue: list[tuple[float, Pair]] = []
+        # Pairs the next scan solves whatever their certificate.
+        self._dirty: set[Pair] = set()
+
+    def next_events(self, live: list[_Agent], now: float, t_bound: float
+                    ) -> tuple[float, list[tuple[float, str, Pair]]]:
+        """Every pair's next epsilon crossing in [now, t_bound].
+
+        Returns the earliest crossing time (t_bound when there is none) and
+        the crossings as (time, "approach" | "separate", pair), pairs in
+        index order.
+
+        live holds the appeared agents.  Each pair holds a kinetic
+        certificate (Basch, Guibas & Hershberger, "Data structures for
+        mobile data", SODA 1997): _cert[pair] is the earliest time at
+        which it can cross epsilon under its two agents' current motions,
+        or inf when it cannot before one of them ends.
+        A pair is dirty, and solved afresh from now, when
+        - an agent of it is in changed: every change of a leg installs a
+          new motion or drops one, so such an agent never ends a scan
+          interval on the motion it began it with;
+        - its adjacency flipped since the last scan; or
+        - its certificate is due: cert <= t_bound + _CERT_MARGIN.
+        A clean pair has no crossing in this window and is not visited.
+        A dirty pair is solved once, over the window stretched to the end
+        of its first motion; a root inside the window gives the same float
+        as a solve over the window alone, and a later one becomes the
+        certificate.  A pair with a crossing in the window, or one the
+        approach filters drop, is certified at now, so the next scan
+        solves it again.
+        """
+        eps = self.eps
+        window = t_bound - now
+        nbr = self._nbr
+        recent = self._recent_separation
+        cert = self._cert
+        queue = self._cert_queue
+        inf = math.inf
+        dirty = self._dirty
+        self._dirty = again = set()
+        for i in self.changed:
+            for ag in live:
+                j = ag.idx
+                if j != i:
+                    dirty.add((i, j) if i < j else (j, i))
+        self.changed.clear()
+        due = t_bound + _CERT_MARGIN
+        while queue and queue[0][0] <= due:
+            t, pair = heapq.heappop(queue)
+            if cert[pair] == t:  # else a later solve replaced this entry
+                dirty.add(pair)
+        # Stretched past the window by more than the solvers' TIME_TOL, so
+        # a root they clamp onto the stretched end lies beyond the window.
+        stretch = window + _CERT_MARGIN
+        horizon = self.horizon
+        agents = self.agents
+        states = {}  # _kinetics of the agents met so far
+        t_event = t_bound
+        hits = []
+        for pair in sorted(dirty):
+            i, j = pair
+            a = states.get(i)
+            if a is None:
+                a = states[i] = _kinetics(agents[i])
+            b = states.get(j)
+            if b is None:
+                b = states[j] = _kinetics(agents[j])
+            ax, ay, avx, avy, a_end = a
+            bx, by, bvx, bvy, b_end = b
+            rx = bx - ax
+            ry = by - ay
+            vx = bvx - avx
+            vy = bvy - avy
+            end = a_end if a_end < b_end else b_end
+            span = (end if end < horizon else horizon) - now
+            if span < stretch:
+                span = stretch
+            if j in nbr[i]:
+                s = solve_crossing_out(rx, ry, vx, vy, eps, span)
+                kind = "separate"
+            else:
+                s = solve_crossing_in(rx, ry, vx, vy, eps, span)
+                kind = "approach"
+            if s is None:
+                cert[pair] = inf
+                continue
+            if s > window + TIME_TOL:
+                t = cert[pair] = now + s
+                heapq.heappush(queue, (t, pair))
+                continue
+            cert[pair] = now
+            again.add(pair)
+            if s > window:
+                s = window
+            t = now + s
+            if kind == "approach":
+                if t <= recent.get(pair, -inf) + TIME_TOL:
+                    continue
+                if s <= TIME_TOL:
+                    # Boundary contact at the window start only counts
+                    # when the pair is genuinely closing in; a pair
+                    # parked at distance epsilon after separating does
+                    # not re-trigger.
+                    closing = rx * vx + ry * vy
+                    dist2 = rx * rx + ry * ry
+                    if dist2 >= (eps - POS_TOL) ** 2 \
+                            and closing >= -1e-15:
+                        continue
+            hits.append((t, kind, pair))
+            if t < t_event:
+                t_event = t
+        return t_event, hits
+
+    def touching(self, agent: _Agent, live: list[_Agent]) -> list[Pair]:
+        """The pairs of an agent appearing now with the live agents within
+        epsilon of it, up to PROX_TOL; it has no edge yet."""
+        i = agent.idx
+        lim = self.eps + PROX_TOL
+        return [(min(i, o.idx), max(i, o.idx)) for o in live
+                if o is not agent
+                and math.hypot(agent.x - o.x, agent.y - o.y) <= lim]
+
+    def apply(self, t: float, hits: list[tuple[float, str, Pair]]
+              ) -> set[Pair]:
+        """Apply the crossings of hits at the instant t; return the
+        approaching pairs.  A separating pair loses its edge and records t
+        as its last separation.  An approaching pair was apart at the
+        scan, and nothing joins a pair between the scan and its instant."""
+        nbr = self._nbr
+        approaches = set()
+        for ht, kind, pair in hits:
+            if ht > t + TIME_TOL:
+                continue
+            if kind == "approach":
+                approaches.add(pair)
+            else:
+                i, j = pair
+                nbr[i].discard(j)
+                nbr[j].discard(i)
+                self._recent_separation[pair] = t
+        return approaches
+
+    def ga_groups(self, new_edges: set[Pair]):
+        """Add new_edges; yield (group, near) for each component that
+        holds one, by smallest member.  Components without one had their
+        GA earlier and stay silent.  Both ends of an edge lie in one
+        component, so searching from one end of each finds every group.
+        near[x][y] tells whether members x and y are within epsilon, up to
+        PROX_TOL; every such pair becomes an edge.  A group's matrix is
+        measured when it is asked for, after the GAs before it.
+        """
+        nbr = self._nbr
+        for i, j in new_edges:
+            nbr[i].add(j)
+            nbr[j].add(i)
+        lim = self.eps + PROX_TOL
+        hypot = math.hypot
+        agents = self.agents
+        for group in connected_components(nbr, [i for i, _ in new_edges]):
+            m = len(group)
+            xs = [agents[i].x for i in group]
+            ys = [agents[i].y for i in group]
+            near = [[True] * m for _ in group]
+            for x in range(m):
+                i = group[x]
+                xi = xs[x]
+                yi = ys[x]
+                nbr_i = nbr[i]
+                row = near[x]
+                for y in range(x + 1, m):
+                    if hypot(xi - xs[y], yi - ys[y]) <= lim:
+                        j = group[y]
+                        if j not in nbr_i:
+                            nbr_i.add(j)
+                            nbr[j].add(i)
+                            self._dirty.add((i, j))
+                    else:
+                        row[y] = near[y][x] = False
+            yield group, near
+
+
 class Simulation:
     def __init__(self, cfg: InitialConfiguration,
                  program_factory: ProgramFactory,
@@ -423,20 +625,9 @@ class Simulation:
         # motion is no longer its agent's is dropped when it comes up.
         self._ends: list[tuple[float, int, _Agent, _Motion]] = []
         self._seq = itertools.count()
-        # _nbr[i]: the agents within epsilon of agent i, as of its last
-        # GA or separation; the one adjacency structure of the run.
-        self._nbr: list[set[int]] = [set() for _ in range(cfg.n)]
-        self._recent_separation: dict[Pair, float] = {}
+        self._prox = ProximityGraph(self.agents, self.eps, self.horizon)
         self.events: list[Event] = []
         self._pending_orders: list[tuple[_Agent, Point, tuple[int, ...]]] = []
-        # Kinetic pair certificates; see _next_pair_events.
-        self._cert: dict[Pair, float] = {}
-        self._cert_queue: list[tuple[float, Pair]] = []
-        self._seen_leg: list[object] = [None] * cfg.n
-        # Agents whose leg changed, or that appeared, since the last scan.
-        self._marked: list[_Agent] = []
-        # Pairs the next scan solves whatever their certificate.
-        self._dirty: set[Pair] = set()
 
     # -- program-facing hooks ------------------------------------------------
 
@@ -476,7 +667,7 @@ class Simulation:
         self._record_leg(agent)
         agent.leg_from = self._advances
         agent.motion = motion
-        self._marked.append(agent)
+        self._prox.changed.add(agent.idx)
         if motion is not None:
             heapq.heappush(self._ends,
                            (motion.t_end, next(self._seq), agent, motion))
@@ -616,8 +807,8 @@ class Simulation:
             if arrivals and arrivals[0].start_time < t_due:
                 t_due = arrivals[0].start_time
 
-            t_event, pair_hits = self._next_pair_events(
-                self._live, max(min(t_due, horizon), self._now))
+            t_event, pair_hits = self._prox.next_events(
+                self._live, self._now, max(min(t_due, horizon), self._now))
 
             # t_event is the earliest hit when there is one, so an instant
             # at the horizon has work exactly when it has a hit or when
@@ -630,130 +821,9 @@ class Simulation:
             self._advance_to(t_event)
             self._process_instant(pair_hits)
 
-    def _next_pair_events(self, live: list[_Agent], t_bound: float
-                          ) -> tuple[float, list[tuple[float, str, Pair]]]:
-        """Every pair's next epsilon crossing before t_bound.
-
-        Returns the earliest crossing time (t_bound when there is none) and
-        the crossings as (time, "approach" | "separate", pair), pairs in
-        index order.
-
-        live holds the appeared agents.  Each pair holds a kinetic
-        certificate (Basch, Guibas & Hershberger, "Data structures for
-        mobile data", SODA 1997): _cert[pair] is the earliest time at
-        which it can cross epsilon under its two agents' current motions,
-        or inf when it cannot before one of them ends.
-        A pair is dirty, and solved afresh from now, when
-        - an agent of it carries another motion than at its last scan (an
-          agent without one counts as one shared still motion, and an
-          agent that just appeared as changed); only agents marked by
-          _set_motion or their appearance can have changed;
-        - its adjacency flipped since the last scan; or
-        - its certificate is due: cert <= t_bound + _CERT_MARGIN.
-        A clean pair has no crossing in this window and is not visited.
-        A dirty pair is solved once, over the window stretched to the end
-        of its first motion; a root inside the window gives the same float
-        as a solve over the window alone, and a later one becomes the
-        certificate.  A pair with a crossing in the window, or one the
-        approach filters drop, is certified at now, so the next scan
-        solves it again.
-        """
-        now = self._now
-        eps = self.eps
-        window = t_bound - now
-        nbr = self._nbr
-        recent = self._recent_separation
-        cert = self._cert
-        queue = self._cert_queue
-        seen = self._seen_leg
-        inf = math.inf
-        dirty = self._dirty
-        self._dirty = again = set()
-        changed = []
-        for ag in self._marked:
-            m = ag.motion
-            if m is None:
-                m = _STILL
-            if seen[ag.idx] is not m:
-                seen[ag.idx] = m
-                changed.append(ag.idx)
-        self._marked = []
-        for i in changed:
-            for ag in live:
-                j = ag.idx
-                if j != i:
-                    dirty.add((i, j) if i < j else (j, i))
-        due = t_bound + _CERT_MARGIN
-        while queue and queue[0][0] <= due:
-            t, pair = heapq.heappop(queue)
-            if cert[pair] == t:  # else a later solve replaced this entry
-                dirty.add(pair)
-        # Stretched past the window by more than the solvers' TIME_TOL, so
-        # a root they clamp onto the stretched end lies beyond the window.
-        stretch = window + _CERT_MARGIN
-        horizon = self.horizon
-        agents = self.agents
-        states = {}  # _kinetics of the agents met so far
-        t_event = t_bound
-        hits = []
-        for pair in sorted(dirty):
-            i, j = pair
-            a = states.get(i)
-            if a is None:
-                a = states[i] = _kinetics(agents[i])
-            b = states.get(j)
-            if b is None:
-                b = states[j] = _kinetics(agents[j])
-            ax, ay, avx, avy, a_end = a
-            bx, by, bvx, bvy, b_end = b
-            rx = bx - ax
-            ry = by - ay
-            vx = bvx - avx
-            vy = bvy - avy
-            end = a_end if a_end < b_end else b_end
-            span = (end if end < horizon else horizon) - now
-            if span < stretch:
-                span = stretch
-            if j in nbr[i]:
-                s = solve_crossing_out(rx, ry, vx, vy, eps, span)
-                kind = "separate"
-            else:
-                s = solve_crossing_in(rx, ry, vx, vy, eps, span)
-                kind = "approach"
-            if s is None:
-                cert[pair] = inf
-                continue
-            if s > window + TIME_TOL:
-                t = cert[pair] = now + s
-                heapq.heappush(queue, (t, pair))
-                continue
-            cert[pair] = now
-            again.add(pair)
-            if s > window:
-                s = window
-            t = now + s
-            if kind == "approach":
-                if t <= recent.get(pair, -inf) + TIME_TOL:
-                    continue
-                if s <= TIME_TOL:
-                    # Boundary contact at the window start only counts
-                    # when the pair is genuinely closing in; a pair
-                    # parked at distance epsilon after separating does
-                    # not re-trigger.
-                    closing = rx * vx + ry * vy
-                    dist2 = rx * rx + ry * ry
-                    if dist2 >= (eps - POS_TOL) ** 2 \
-                            and closing >= -1e-15:
-                        continue
-            hits.append((t, kind, pair))
-            if t < t_event:
-                t_event = t
-        return t_event, hits
-
     def _process_instant(self, pair_hits: list) -> None:
         t = self._now
-        nbr = self._nbr
-        new_edges: set[Pair] = set()
+        prox = self._prox
 
         # Appearances first: they may create proximity immediately.
         live = self._live
@@ -767,39 +837,15 @@ class Simulation:
             ag.builder = TrajectoryBuilder(t, ag.origin)
             ag.knowledge[ag.ref] = Point(0.0, 0.0)
             self.events.append(Event(t, "appear", (ag.idx,), (ag.origin,)))
-            self._marked.append(ag)
+            prox.changed.add(ag.idx)
         if appeared_now:
             live.extend(appeared_now)
             live.sort(key=_index)
         for ag in appeared_now:
             ag.program.on_appear(ag.ctx)
+        new_edges = prox.apply(t, pair_hits)
         for ag in appeared_now:
-            for other in live:
-                if other is ag:
-                    continue
-                pair = (min(ag.idx, other.idx), max(ag.idx, other.idx))
-                if other.idx in nbr[ag.idx] or pair in new_edges:
-                    continue
-                if math.hypot(ag.x - other.x, ag.y - other.y) \
-                        <= self.eps + PROX_TOL:
-                    new_edges.add(pair)
-
-        # Separations before approaches: a pair leaving the epsilon disc now
-        # cannot also re-enter it at the same instant.
-        for ht, kind, pair in pair_hits:
-            if ht > t + TIME_TOL or kind != "separate":
-                continue
-            i, j = pair
-            nbr[i].discard(j)
-            nbr[j].discard(i)
-            self._dirty.add(pair)
-            self._recent_separation[pair] = t
-        for ht, kind, pair in pair_hits:
-            if ht > t + TIME_TOL or kind != "approach":
-                continue
-            if pair[1] not in nbr[pair[0]]:
-                new_edges.add(pair)
-
+            new_edges.update(prox.touching(ag, live))
         if new_edges:
             self._run_gas(new_edges)
 
@@ -833,46 +879,10 @@ class Simulation:
             self._start_pending(ag)
 
     def _run_gas(self, new_edges: set[Pair]) -> None:
-        """Run the GA of every component that holds a new edge.
-
-        Components without one had their GA earlier and stay silent.  Both
-        ends of an edge lie in one component, so searching from one end of
-        each new edge finds every group.
-        """
+        """Run the GA of every component that holds a new edge."""
         t = self._now
-        nbr = self._nbr
-        dirty = self._dirty
-        for i, j in new_edges:
-            nbr[i].add(j)
-            nbr[j].add(i)
-        dirty |= new_edges
-        groups = connected_components(nbr, [i for i, _ in new_edges])
-        lim = self.eps + PROX_TOL
-        hypot = math.hypot
-        for group in groups:
+        for group, near in self._prox.ga_groups(new_edges):
             members = [self.agents[i] for i in group]
-            m = len(group)
-            xs = [ag.x for ag in members]
-            ys = [ag.y for ag in members]
-            # near[x][y]: members x and y are within epsilon.  It marks
-            # adjacency for every such pair and tells each view who is
-            # adjacent to its observer.
-            near = [[True] * m for _ in group]
-            for x in range(m):
-                i = group[x]
-                xi = xs[x]
-                yi = ys[x]
-                nbr_i = nbr[i]
-                row = near[x]
-                for y in range(x + 1, m):
-                    if hypot(xi - xs[y], yi - ys[y]) <= lim:
-                        j = group[y]
-                        if j not in nbr_i:
-                            nbr_i.add(j)
-                            nbr[j].add(i)
-                            dirty.add((i, j))
-                    else:
-                        row[y] = near[y][x] = False
             self._gossip(group)
             # Decisions are simultaneous: every view shows pre-GA states,
             # so a callback's tag change is invisible to its peers.

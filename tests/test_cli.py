@@ -101,6 +101,19 @@ def test_simulate_rejects_bad_horizon(tmp_path, capsys, horizon):
     assert "horizon must be finite and positive" in capsys.readouterr().err
 
 
+def test_simulate_names_a_default_horizon_that_is_not_finite(tmp_path,
+                                                             capsys):
+    # The starts are finite, but 50 times their distance overflows.
+    far = {"epsilon": 0.5,
+           "agents": [{"x": 0.0, "y": 0.0, "t": 0.0},
+                      {"x": 1e308, "y": -1e308, "t": 0.0}]}
+    code = main(["simulate", write_cfg(tmp_path, far),
+                 "--algorithm", "gather-n"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "default horizon" in err and "--horizon" in err
+
+
 @pytest.mark.parametrize("horizon", ["nan", "-5"])
 def test_sweep_rejects_bad_horizon(capsys, horizon):
     argv = ["sweep", "--n", "3", "--count", "2", "--seed", "1",
