@@ -416,9 +416,11 @@ class ProximityGraph:
         # GA or separation; the one adjacency structure of the run.
         self._nbr: list[set[int]] = [set() for _ in agents]
         self._recent_separation: dict[Pair, float] = {}
-        # Kinetic pair certificates; see next_events.
-        self._cert: dict[Pair, float] = {}
-        self._cert_queue: list[tuple[float, Pair]] = []
+        # Kinetic pair certificates by key lo * n + hi (see next_events);
+        # heap entries (cert, key) pop as (cert, (lo, hi)) would.
+        n = self._n = len(agents)
+        self._cert: list[float] = [math.inf] * (n * n)
+        self._cert_queue: list[tuple[float, int]] = []
         # Pairs the next scan solves whatever their certificate.
         self._dirty: set[Pair] = set()
 
@@ -430,11 +432,11 @@ class ProximityGraph:
         the crossings as (time, "approach" | "separate", pair), pairs in
         index order.
 
-        live holds the appeared agents.  Each pair holds a kinetic
+        live holds the appeared agents.  Each pair (lo, hi) holds a kinetic
         certificate (Basch, Guibas & Hershberger, "Data structures for
-        mobile data", SODA 1997): _cert[pair] is the earliest time at
-        which it can cross epsilon under its two agents' current motions,
-        or inf when it cannot before one of them ends.
+        mobile data", SODA 1997): _cert[lo * n + hi] is the earliest time
+        at which it can cross epsilon under its two agents' current
+        motions, or inf when it cannot before one of them ends.
         A pair is dirty, and solved afresh from now, when
         - an agent of it is in changed: every change of a leg installs a
           new motion or drops one, so such an agent never ends a scan
@@ -442,93 +444,119 @@ class ProximityGraph:
         - its adjacency flipped since the last scan; or
         - its certificate is due: cert <= t_bound + _CERT_MARGIN.
         A clean pair has no crossing in this window and is not visited.
-        A dirty pair is solved once, over the window stretched to the end
-        of its first motion; a root inside the window gives the same float
-        as a solve over the window alone, and a later one becomes the
+        Dirty pairs are solved in rows, each once: a changed agent, in
+        index order, with the live agents but itself and the changed ones
+        before it, or the lower agent of another dirty pair with the other.
+        r and v are taken from the row agent's side; negating all four
+        keeps the solvers' results, which use only |r|^2, |v|^2 and r.v.
+        A dirty pair is solved over the window stretched to the end of its
+        first motion; a root inside the window gives the same float as a
+        solve over the window alone, and a later one becomes the
         certificate.  A pair with a crossing in the window, or one the
         approach filters drop, is certified at now, so the next scan
         solves it again.
         """
-        eps = self.eps
-        window = t_bound - now
-        nbr = self._nbr
-        recent = self._recent_separation
+        n = self._n
         cert = self._cert
         queue = self._cert_queue
-        inf = math.inf
         dirty = self._dirty
-        self._dirty = again = set()
-        for i in self.changed:
-            for ag in live:
-                j = ag.idx
-                if j != i:
-                    dirty.add((i, j) if i < j else (j, i))
-        self.changed.clear()
         due = t_bound + _CERT_MARGIN
         while queue and queue[0][0] <= due:
-            t, pair = heapq.heappop(queue)
-            if cert[pair] == t:  # else a later solve replaced this entry
-                dirty.add(pair)
+            t, key = heapq.heappop(queue)
+            if cert[key] == t:  # else a later solve replaced this entry
+                dirty.add(divmod(key, n))
+        agents = self.agents
+        changed = self.changed
+        rows = []
+        if changed and len(live) > 1:
+            for i in sorted(changed):
+                rows.append((agents[i], live))
+        for lo, hi in dirty:
+            if lo not in changed and hi not in changed:
+                rows.append((agents[lo], (agents[hi],)))
+        if not rows:  # a dirty pair with a changed end is in its row
+            changed.clear()
+            return t_bound, []
+        self._dirty = again = set()
+        eps = self.eps
+        window = t_bound - now
         # Stretched past the window by more than the solvers' TIME_TOL, so
         # a root they clamp onto the stretched end lies beyond the window.
         stretch = window + _CERT_MARGIN
         horizon = self.horizon
-        agents = self.agents
-        states = {}  # _kinetics of the agents met so far
+        nbr = self._nbr
+        recent = self._recent_separation
+        inf = math.inf
         t_event = t_bound
         hits = []
-        for pair in sorted(dirty):
-            i, j = pair
-            a = states.get(i)
-            if a is None:
-                a = states[i] = _kinetics(agents[i])
-            b = states.get(j)
-            if b is None:
-                b = states[j] = _kinetics(agents[j])
-            ax, ay, avx, avy, a_end = a
-            bx, by, bvx, bvy, b_end = b
-            rx = bx - ax
-            ry = by - ay
-            vx = bvx - avx
-            vy = bvy - avy
-            end = a_end if a_end < b_end else b_end
-            span = (end if end < horizon else horizon) - now
-            if span < stretch:
-                span = stretch
-            if j in nbr[i]:
-                s = solve_crossing_out(rx, ry, vx, vy, eps, span)
-                kind = "separate"
+        for a, partners in rows:
+            i = a.idx
+            ax = a.x
+            ay = a.y
+            m = a.motion
+            if m is None:
+                avx = avy = 0.0
+                cap = horizon
             else:
-                s = solve_crossing_in(rx, ry, vx, vy, eps, span)
-                kind = "approach"
-            if s is None:
-                cert[pair] = inf
-                continue
-            if s > window + TIME_TOL:
-                t = cert[pair] = now + s
-                heapq.heappush(queue, (t, pair))
-                continue
-            cert[pair] = now
-            again.add(pair)
-            if s > window:
-                s = window
-            t = now + s
-            if kind == "approach":
-                if t <= recent.get(pair, -inf) + TIME_TOL:
+                avx, avy, cap = m.vx, m.vy, min(m.t_end, horizon)
+            near = nbr[i]
+            row = i * n
+            for b in partners:
+                j = b.idx
+                if j <= i and j in changed:
+                    continue  # itself, or a changed agent's earlier row
+                m = b.motion
+                if m is None:
+                    vx = 0.0 - avx
+                    vy = 0.0 - avy
+                    span = cap - now
+                else:
+                    vx = m.vx - avx
+                    vy = m.vy - avy
+                    span = (m.t_end if m.t_end < cap else cap) - now
+                if span < stretch:
+                    span = stretch
+                rx = b.x - ax
+                ry = b.y - ay
+                key = row + j if i < j else j * n + i
+                if j in near:
+                    s = solve_crossing_out(rx, ry, vx, vy, eps, span)
+                    kind = "separate"
+                else:
+                    s = solve_crossing_in(rx, ry, vx, vy, eps, span)
+                    kind = "approach"
+                if s is None:
+                    cert[key] = inf
                     continue
-                if s <= TIME_TOL:
-                    # Boundary contact at the window start only counts
-                    # when the pair is genuinely closing in; a pair
-                    # parked at distance epsilon after separating does
-                    # not re-trigger.
-                    closing = rx * vx + ry * vy
-                    dist2 = rx * rx + ry * ry
-                    if dist2 >= (eps - POS_TOL) ** 2 \
-                            and closing >= -1e-15:
+                if s > window + TIME_TOL:
+                    t = cert[key] = now + s
+                    heapq.heappush(queue, (t, key))
+                    continue
+                cert[key] = now
+                pair = (i, j) if i < j else (j, i)
+                again.add(pair)
+                if s > window:
+                    s = window
+                t = now + s
+                if kind == "approach":
+                    if t <= recent.get(pair, -inf) + TIME_TOL:
                         continue
-            hits.append((t, kind, pair))
-            if t < t_event:
-                t_event = t
+                    if s <= TIME_TOL:
+                        # Boundary contact at the window start only counts
+                        # when the pair is genuinely closing in; a pair
+                        # parked at distance epsilon after separating does
+                        # not re-trigger.
+                        closing = rx * vx + ry * vy
+                        dist2 = rx * rx + ry * ry
+                        if dist2 >= (eps - POS_TOL) ** 2 \
+                                and closing >= -1e-15:
+                            continue
+                hits.append((t, kind, pair))
+                if t < t_event:
+                    t_event = t
+        changed.clear()
+        if len(hits) > 1:
+            hits.sort(key=operator.itemgetter(2))
         return t_event, hits
 
     def touching(self, agent: _Agent, live: list[_Agent]) -> list[Pair]:
@@ -955,15 +983,6 @@ class Simulation:
         return Trace(self.events, tuple(final_positions),
                      tuple(ag.tag for ag in self.agents),
                      tuple(trajectories), verdict)
-
-
-def _kinetics(agent: _Agent) -> tuple[float, float, float, float, float]:
-    """Position, velocity and end of motion of an agent, for a pair solve;
-    an agent without motion stands still for ever."""
-    m = agent.motion
-    if m is None:
-        return agent.x, agent.y, 0.0, 0.0, math.inf
-    return agent.x, agent.y, m.vx, m.vy, m.t_end
 
 
 def _cluster_points(points: list[Point]) -> list[tuple[int, ...]]:

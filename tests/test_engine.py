@@ -1,6 +1,7 @@
 """Engine semantics: events, GA groups, gossip frames, verdicts."""
 
 import functools
+import heapq
 import math
 import re
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import pair
 from test_acceptance import _dedicated_horizon
+from gathersim import engine
 from gathersim.algorithms import dedicated_program, gather_n_program
 from gathersim.config import Feasibility, InitialConfiguration
 from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
@@ -367,6 +369,9 @@ def _check_pair_events_against_full_scan(monkeypatch):
         t_event, hits = real(self, live, now, t_bound)
         assert t_event == expect[0]
         assert sorted(hits) == sorted(expect[1])
+        # next_events returns its hits in pair index order.
+        assert [pair for _, _, pair in hits] \
+            == sorted(pair for _, _, pair in hits)
         scans.append((t_event, hits))
         return t_event, hits
 
@@ -496,6 +501,43 @@ def test_crossing_past_the_window_stays_a_certificate(monkeypatch):
     assert trace.ga_events() == []
     # The scan right after the appearances covers [0, 1].
     assert scans[1] == (1.0, [])
+
+
+def test_scan_solves_each_dirty_pair_once(monkeypatch):
+    # Changed agents 1 and 3 share the pair (1, 3), which is also due in
+    # the certificate heap and flipped; (0, 2) is due and (4, 5) flipped
+    # with no changed end.  The scan has to solve eleven pairs once each:
+    # 1 and 3 with each of the four other agents, (1, 3), (0, 2), (4, 5).
+    def agent(idx, x, vx=None):
+        motion = None if vx is None else SimpleNamespace(
+            vx=vx, vy=0.0, t_end=5.0)
+        return SimpleNamespace(idx=idx, x=x, y=0.0, motion=motion)
+
+    agents = [agent(0, 0.0), agent(1, 5.0, 1.0), agent(2, 0.8, -1.0),
+              agent(3, 5.6), agent(4, 10.0), agent(5, 10.3, 1.0)]
+    graph = ProximityGraph(agents, 0.5, 100.0)
+    graph._nbr[4].add(5)
+    graph._nbr[5].add(4)
+    graph.changed.update((1, 3))
+    graph._dirty.update({(1, 3), (4, 5)})
+    for t, (i, j) in ((0.7, (1, 3)), (0.5, (0, 2))):
+        graph._cert[i * 6 + j] = t
+        heapq.heappush(graph._cert_queue, (t, i * 6 + j))
+    calls = []
+    for name in ("solve_crossing_in", "solve_crossing_out"):
+        real = getattr(engine, name)
+
+        def counted(*args, real=real):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    expect = _full_scan_pair_events(graph, agents, 0.0, 1.0)
+    t_event, hits = graph.next_events(agents, 0.0, 1.0)
+    assert len(calls) == 11
+    assert (t_event, hits) == expect
+    assert [(kind, pair) for _, kind, pair in hits] == [
+        ("approach", (0, 2)), ("approach", (1, 3)), ("separate", (4, 5))]
 
 
 def _view_for(sim, observer, group):

@@ -210,6 +210,40 @@ def test_crossing_in_root_is_on_circle(r0, v, eps):
         assert abs((r0 - v * s) - eps) < 1e-7
 
 
+# Relative coordinates with both zeros drawn on purpose: a pair scan
+# takes r and v from either agent's side, which can flip a zero's sign.
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def relative_motions(draw):
+    """(rx, ry, vx, vy, eps), some starting at distance exactly eps and
+    some with no relative velocity."""
+    eps = draw(st.floats(0.05, 2.0))
+    if draw(st.booleans()):
+        rx, ry = draw(st.sampled_from([(eps, 0.0), (-eps, -0.0),
+                                       (0.0, eps), (-0.0, -eps)]))
+    else:
+        rx, ry = draw(signed), draw(signed)
+    if draw(st.booleans()):
+        vx, vy = draw(st.sampled_from([(0.0, 0.0), (-0.0, 0.0),
+                                       (-0.0, -0.0)]))
+    else:
+        vx, vy = draw(signed), draw(signed)
+    return rx, ry, vx, vy, eps
+
+
+@given(relative_motions(), st.floats(0.0, 10.0))
+@settings(max_examples=300)
+def test_crossing_solvers_ignore_the_side(motion, length):
+    # The solvers use only |r|^2, |v|^2 and r.v, which negating all four
+    # of (rx, ry, vx, vy) leaves as they are.
+    rx, ry, vx, vy, eps = motion
+    for solve in (solve_crossing_in, solve_crossing_out):
+        assert solve(rx, ry, vx, vy, eps, length) \
+            == solve(-rx, -ry, -vx, -vy, eps, length)
+
+
 def _linear_position_at(traj, t):
     """Reference lookup: scan for the first segment ending at or after t."""
     if t < traj.start_time - TIME_TOL or t > traj.end_time + TIME_TOL:
