@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .config import (InitialConfiguration, NoQualifyingPair,
+from .config import (InitialConfiguration, NoQualifyingPair, pair_margin,
                      vector_sequence)
 from .engine import AgentContext, GAView, Go, GotoStop, Program, Wait
 from .geometry import POS_TOL, TIME_TOL, Point, Vec2, lex_less
@@ -221,10 +221,9 @@ def _dedicated_walk(cfg: InitialConfiguration) -> tuple[Vec2, float]:
         for j in range(cfg.n):
             if i == j or cfg.times[j] < cfg.times[i] - TIME_TOL:
                 continue
-            d = cfg.starts[i].dist(cfg.starts[j])
-            delta = abs(cfg.times[i] - cfg.times[j])
-            if delta < d - cfg.epsilon - TIME_TOL:
+            if pair_margin(cfg, i, j) < -TIME_TOL:
                 continue
+            delta = abs(cfg.times[i] - cfg.times[j])
             u = Vec2(cfg.starts[j].x - cfg.starts[i].x,
                      cfg.starts[j].y - cfg.starts[i].y)
             key = (u.dx, u.dy, delta)

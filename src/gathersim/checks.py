@@ -12,11 +12,11 @@ import math
 
 from .config import InitialConfiguration
 from .engine import Trace, connected_components
-from .geometry import POS_TOL, TIME_TOL, has_legal_speed
+from .geometry import POS_TOL, PROX_TOL, TIME_TOL, has_legal_speed
 
 # GA members may sit this far beyond eps in the recorded trajectories:
-# ten times the slack PROX_TOL (1e-9) with which the engine joins a group.
-GA_DIST_SLACK = 1e-8
+# ten times the slack PROX_TOL with which the engine joins a group.
+GA_DIST_SLACK = 10 * PROX_TOL
 
 
 class CheckFailure(AssertionError):
@@ -73,7 +73,7 @@ def _pair_separated(trace: Trace, i: int, j: int, t0: float,
     ta, tb = trace.trajectories[i], trace.trajectories[j]
     cuts = sorted({*ta.breakpoint_times_between(t0, t1),
                    *tb.breakpoint_times_between(t0, t1), t0, t1})
-    limit = eps - TIME_TOL
+    limit = eps - PROX_TOL
     for t in cuts:
         ax, ay = ta.xy_at(t)
         bx, by = tb.xy_at(t)
@@ -93,7 +93,7 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     whole group re-firing with no new contact at all.
 
     Each pair keeps the time of its last common GA and whether it was
-    farther apart than eps - TIME_TOL then, both set in the loop that
+    farther apart than eps - PROX_TOL then, both set in the loop that
     measures every pair of the group.  A close pair whose last common GA
     lies more than TIME_TOL back and found it apart is fresh without a
     breakpoint walk.  This is exact: that GA's time is the first cut of
@@ -104,7 +104,7 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     """
     eps = cfg.epsilon
     eps_close = eps + GA_DIST_SLACK
-    apart_limit = eps - TIME_TOL
+    apart_limit = eps - PROX_TOL
     n = len(trace.trajectories)
     # Row i, column j > i: the time of the pair's last common GA (None
     # before the first) and whether it was farther than apart_limit then.

@@ -35,22 +35,17 @@ ERR = 3
 
 def _load_config(path: str) -> InitialConfiguration:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return InitialConfiguration.load(path)
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        lines = text.splitlines()
+        lines = exc.doc.splitlines()
         context = lines[exc.lineno - 1] if 0 < exc.lineno <= len(lines) \
             else ""
         msg = (f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}\n"
                f"  {context}")
         raise SystemExit(msg)
-    try:
-        return InitialConfiguration.from_dict(data)
-    except ValueError as exc:
+    except ValueError as exc:  # also a file that is not UTF-8
         raise SystemExit(f"error: {path}: {exc}")
 
 

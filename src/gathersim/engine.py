@@ -29,12 +29,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .config import InitialConfiguration
-from .geometry import (POS_TOL, TIME_TOL, Point, Trajectory, TrajectoryBuilder,
-                       Vec2, solve_crossing_in, solve_crossing_out)
-
-# Absolute slack on proximity checks at event instants.  Purely float noise
-# scale; genuine approaches are detected by root finding, not by this slack.
-PROX_TOL = 1e-9
+from .geometry import (CLOSING_TOL, POS_TOL, PROX_TOL, SPEED_TOL, TIME_TOL,
+                       Point, Trajectory, TrajectoryBuilder, Vec2,
+                       solve_crossing_in, solve_crossing_out)
 
 # A program may emit at most this many zero-duration instructions in a row.
 MAX_INSTANT_INSTRUCTIONS = 1000
@@ -487,6 +484,13 @@ class ProximityGraph:
         nbr = self._nbr
         recent = self._recent_separation
         inf = math.inf
+        time_tol = TIME_TOL
+        closing_tol = CLOSING_TOL
+        # A pair at least this far apart, squared, is on the eps circle.
+        rim2 = (eps - POS_TOL) ** 2
+        solve_in = solve_crossing_in
+        solve_out = solve_crossing_out
+        push = heapq.heappush
         t_event = t_bound
         hits = []
         for a, partners in rows:
@@ -520,17 +524,17 @@ class ProximityGraph:
                 ry = b.y - ay
                 key = row + j if i < j else j * n + i
                 if j in near:
-                    s = solve_crossing_out(rx, ry, vx, vy, eps, span)
+                    s = solve_out(rx, ry, vx, vy, eps, span)
                     kind = "separate"
                 else:
-                    s = solve_crossing_in(rx, ry, vx, vy, eps, span)
+                    s = solve_in(rx, ry, vx, vy, eps, span)
                     kind = "approach"
                 if s is None:
                     cert[key] = inf
                     continue
-                if s > window + TIME_TOL:
+                if s > window + time_tol:
                     t = cert[key] = now + s
-                    heapq.heappush(queue, (t, key))
+                    push(queue, (t, key))
                     continue
                 cert[key] = now
                 pair = (i, j) if i < j else (j, i)
@@ -539,17 +543,16 @@ class ProximityGraph:
                     s = window
                 t = now + s
                 if kind == "approach":
-                    if t <= recent.get(pair, -inf) + TIME_TOL:
+                    if t <= recent.get(pair, -inf) + time_tol:
                         continue
-                    if s <= TIME_TOL:
+                    if s <= time_tol:
                         # Boundary contact at the window start only counts
                         # when the pair is genuinely closing in; a pair
                         # parked at distance epsilon after separating does
                         # not re-trigger.
                         closing = rx * vx + ry * vy
                         dist2 = rx * rx + ry * ry
-                        if dist2 >= (eps - POS_TOL) ** 2 \
-                                and closing >= -1e-15:
+                        if dist2 >= rim2 and closing >= -closing_tol:
                             continue
                 hits.append((t, kind, pair))
                 if t < t_event:
@@ -711,7 +714,7 @@ class Simulation:
                 if not instr.distance >= 0.0:
                     raise InvalidInstruction(
                         f"distance is negative or NaN: {instr!r}")
-                if not abs(instr.direction.norm - 1.0) <= 1e-9:
+                if not abs(instr.direction.norm - 1.0) <= SPEED_TOL:
                     raise InvalidInstruction(
                         f"direction is not a unit vector: {instr!r}")
                 if instr.distance <= POS_TOL:

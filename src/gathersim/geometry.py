@@ -14,12 +14,47 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-# Shared tolerances.  Times within TIME_TOL are treated as simultaneous,
-# positions within POS_TOL as coincident, speeds within SPEED_TOL of 0 or 1
-# as legal.
+# The tolerance model.  Every float slack of gathersim is defined here,
+# once, and every other slack is written from these names.  All are
+# absolute; distance slacks would scale with the frame and time slacks
+# with the clock (Goldberg, "What every computer scientist should know
+# about floating-point arithmetic", 1991).
+#
+# TIME_TOL        time.  Time noise: instants within it are one instant,
+#                 and a unit-speed margin (|t_i - t_j| - distance, or a
+#                 leg's length - duration) within it of zero is zero.
+#                 engine._CERT_MARGIN must exceed it.
+# PROX_TOL        distance.  Distance noise at an event instant: agents
+#                 within eps + PROX_TOL are within eps.  Genuine
+#                 approaches are found by root finding, not by this slack.
+#                 checks.GA_DIST_SLACK must exceed it.
+# POS_TOL         distance.  Positions within it are one point.  Exceeds
+#                 PROX_TOL: a pair within POS_TOL inside eps is parked on
+#                 the eps circle, a band that holds the PROX_TOL noise.
+# SPEED_TOL       speed.  Speed noise: a direction within it of unit
+#                 length is a unit vector, a speed at or below it is rest,
+#                 and the crossing solvers take a relative velocity with
+#                 |v|^2 <= SPEED_TOL2, its square, as none.
+# UNIT_SPEED_TOL  speed.  A leg whose speed is within it of 1 moves at
+#                 unit speed.  Exceeds SPEED_TOL: event-time snapping
+#                 distorts the speed of a short leg more than that.
+# GRAZE_TOL       dimensionless.  A negative discriminant within this
+#                 fraction of its terms' scale is a grazing touch.  Exceeds
+#                 the float unit round-off, 2.2e-16.
+# DISC_FLOOR      distance^4 / time^2, the unit of the discriminant.  The
+#                 least scale GRAZE_TOL is measured against; it only keeps
+#                 that scale positive.
+# CLOSING_TOL     distance^2 / time, the unit of r.v.  A pair on the eps
+#                 circle with r.v >= -CLOSING_TOL is not closing in.
 TIME_TOL = 1e-9
+PROX_TOL = 1e-9
 POS_TOL = 1e-6
 SPEED_TOL = 1e-9
+UNIT_SPEED_TOL = 1e-6
+GRAZE_TOL = 1e-12
+DISC_FLOOR = 1e-30
+CLOSING_TOL = 1e-15
+SPEED_TOL2 = SPEED_TOL * SPEED_TOL
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +187,7 @@ def has_legal_speed(seg: Segment) -> bool:
         return True
     length = seg.start_point.dist(seg.end_point)
     sp = length / dur
-    return (sp <= SPEED_TOL or abs(sp - 1.0) <= 1e-6
+    return (sp <= SPEED_TOL or abs(sp - 1.0) <= UNIT_SPEED_TOL
             or abs(length - dur) <= 10.0 * TIME_TOL)
 
 
@@ -311,7 +346,7 @@ def solve_crossing_in(rx: float, ry: float, vx: float, vy: float,
     if a0 <= 0.0:
         # Already at distance <= eps at the window start.
         return 0.0
-    if a2 <= 1e-18:
+    if a2 <= SPEED_TOL2:
         return None
     a1 = 2.0 * (rx * vx + ry * vy)
     if a1 >= 0.0:
@@ -321,8 +356,8 @@ def solve_crossing_in(rx: float, ry: float, vx: float, vy: float,
     if disc < 0.0:
         # Tolerate float loss on grazing passes: the minimum squared distance
         # is a0 - a1^2/(4 a2); accept if it is within noise of eps^2.
-        scale = max(a1 * a1, abs(4.0 * a2 * a0), 1e-30)
-        if disc / scale < -1e-12:
+        scale = max(a1 * a1, abs(4.0 * a2 * a0), DISC_FLOOR)
+        if disc / scale < -GRAZE_TOL:
             return None
         disc = 0.0
     sq = math.sqrt(disc)
@@ -346,7 +381,7 @@ def solve_crossing_out(rx: float, ry: float, vx: float, vy: float,
     if a0 > 0.0:
         # Numerically already outside; separate immediately.
         return 0.0
-    if a2 <= 1e-18:
+    if a2 <= SPEED_TOL2:
         return None
     a1 = 2.0 * (rx * vx + ry * vy)
     disc = a1 * a1 - 4.0 * a2 * a0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .config import InitialConfiguration
 from .engine import Trace
+from .geometry import POS_TOL
 
 _PAD_FRAC = 0.08
 _TARGET_W = 900.0
@@ -34,7 +35,7 @@ def render_svg(cfg: InitialConfiguration, trace: Trace) -> str:
     eps = cfg.epsilon
     min_x, max_x = min(xs) - eps, max(xs) + eps
     min_y, max_y = min(ys) - eps, max(ys) + eps
-    span = max(max_x - min_x, max_y - min_y, 1e-6)
+    span = max(max_x - min_x, max_y - min_y, POS_TOL)
     pad = span * _PAD_FRAC
     min_x -= pad
     min_y -= pad

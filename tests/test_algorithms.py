@@ -1,6 +1,7 @@
 """Star sweep geometry and the three gathering programs."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -11,10 +12,11 @@ from gathersim.algorithms import (StarWalk, _dedicated_walk,
                                   gather_n_program, ray_direction,
                                   star_phase_params, star_time_through_phase)
 from gathersim.checks import check_all
-from gathersim.config import (InitialConfiguration, NoQualifyingPair,
-                              pair_margin, vector_sequence)
+from gathersim.config import (Feasibility, InitialConfiguration,
+                              NoQualifyingPair, classify, pair_margin,
+                              vector_sequence)
 from gathersim.engine import Go, Wait, run
-from gathersim.geometry import Point, Vec2
+from gathersim.geometry import TIME_TOL, Point, Vec2
 
 
 def test_star_params_phase_one():
@@ -113,6 +115,33 @@ def test_dedicated_walk_none():
     cfg = pair(0.5, (0, 0), 0.0, (10, 0), 1.0)
     with pytest.raises(NoQualifyingPair):
         _dedicated_walk(cfg)
+
+
+def test_dedicated_walk_qualifies_what_classify_calls_gatherable():
+    # Pairs whose margin lies within float rounding of -TIME_TOL or
+    # +TIME_TOL: the walk finds no qualifying pair exactly when classify
+    # calls the pair UNGATHERABLE.
+    rng = random.Random(14)
+    for _ in range(2000):
+        eps = rng.uniform(0.1, 2.0)
+        d = rng.uniform(eps + 0.5, 20.0)
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        p = Point(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+        q = Point(p.x + d * math.cos(a), p.y + d * math.sin(a))
+        gap = rng.choice((-TIME_TOL, TIME_TOL)) \
+            * (1.0 + rng.uniform(-1e-6, 1e-6))
+        t = rng.uniform(0.0, 10.0)
+        times = (t, t + p.dist(q) - eps + gap)
+        if rng.random() < 0.5:
+            times = times[::-1]
+        cfg = InitialConfiguration(eps, (p, q), times)
+        ungatherable = classify(cfg).kind is Feasibility.UNGATHERABLE
+        try:
+            _dedicated_walk(cfg)
+        except NoQualifyingPair:
+            assert ungatherable, cfg
+        else:
+            assert not ungatherable, cfg
 
 
 def test_dedicated_walk_is_in_sequence():

@@ -8,12 +8,12 @@ import pytest
 from gathersim import checks
 from gathersim.algorithms import gather_n_program
 from gathersim.checks import (GA_DIST_SLACK, CheckFailure, _fail,
-                              check_all, check_ga_events)
+                              check_all, check_ga_events, check_speeds)
 from gathersim.config import InitialConfiguration
 from gathersim.engine import (Event, Trace, Verdict, connected_components,
                               run)
 from gathersim.generate import good_config
-from gathersim.geometry import TIME_TOL, Point, Segment, Trajectory
+from gathersim.geometry import TIME_TOL, Point, Segment, Trajectory, Vec2
 
 
 # -- Reference: check_ga_events as it was before it kept per-pair state --
@@ -217,6 +217,21 @@ def test_ga_naming_an_unknown_agent_is_a_check_failure(real_runs):
             check_ga_events(cfg, _with_gas(trace, [odd]))
         assert str(err.value) == (f"GA at {ev.time} names agent {bad}, "
                                   f"not one of the {cfg.n} agents")
+
+
+def test_segment_at_speed_two_is_a_check_failure():
+    # Trajectory refuses such a segment, so it is put in after the run.
+    cfg = good_config(0, 3)
+    trace = run(cfg, gather_n_program(3))
+    k = 1
+    segs = trace.trajectories[k].segments
+    last = segs[-1]
+    segs.append(Segment(last.end_time, last.end_time + 1.0, last.end_point,
+                        last.end_point + Vec2(2.0, 0.0)))
+    for check in (check_speeds, lambda t: check_all(cfg, t)):
+        with pytest.raises(CheckFailure) as err:
+            check(trace)
+        assert str(err.value) == f"agent {k} segment at speed 2.0"
 
 
 # -- Hand-made traces, one per freshness path --

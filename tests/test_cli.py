@@ -58,6 +58,20 @@ def test_classify_malformed_json_points_at_line(tmp_path, capsys):
     assert '"agents": [}' in err
 
 
+def test_config_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"epsilon": 0.5, "agents": []} \u00e9'.encode("latin-1"))
+    assert main(["classify", str(path)]) == 3
+    assert main(["simulate", str(path), "--algorithm", "dedicated",
+                 "--horizon", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith(f"error: {path}: ") and "utf-8" in line
+               for line in lines)
+
+
 def test_infinite_start_time_is_an_input_error(tmp_path, capsys):
     # 1e400 parses as an infinite float.
     path = tmp_path / "inf.json"

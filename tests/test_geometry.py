@@ -1,12 +1,19 @@
 """Plane primitives: ordering, trajectories, closest-approach roots."""
 
+import ast
 import math
+import pathlib
 import random
+import re
+import sys
+import tokenize
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gathersim
+from gathersim import checks, engine, geometry
 from gathersim.geometry import (POS_TOL, TIME_TOL, Point, Segment,
                                 Trajectory, TrajectoryBuilder, Vec2,
                                 earliest_approach, has_legal_speed,
@@ -358,3 +365,38 @@ def test_leg_merging_keeps_the_path(t0, p0, legs_drawn):
     assert {t for t, _ in a.breakpoints()} <= {t for t, _ in b.breakpoints()}
     assert len(a.segments) <= len(legs_drawn)
     assert all(has_legal_speed(seg) for seg in a.segments)
+
+
+# -- The tolerance model --
+
+def _small_float_literals():
+    """(file name, line, literal) for each float literal below 1e-3."""
+    for path in sorted(pathlib.Path(gathersim.__file__).parent.glob("*.py")):
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type != tokenize.NUMBER:
+                    continue
+                value = ast.literal_eval(tok.string)
+                if isinstance(value, float) and 0.0 < value < 1e-3:
+                    yield path.name, tok.line, tok.string
+
+
+def test_every_float_slack_is_a_named_tolerance_in_geometry():
+    names = []
+    for name, line, literal in _small_float_literals():
+        assert name == "geometry.py", (name, line)
+        m = re.fullmatch(r"([A-Z][A-Z0-9_]*) = " + re.escape(literal),
+                         line.strip())
+        assert m, line
+        names.append(m.group(1))
+    assert len(names) == len(set(names)) <= 8
+
+
+def test_tolerance_orderings():
+    # The orderings stated with the tolerance model in geometry.
+    assert checks.GA_DIST_SLACK > geometry.PROX_TOL
+    assert engine._CERT_MARGIN > geometry.TIME_TOL
+    assert geometry.POS_TOL > geometry.PROX_TOL
+    assert geometry.UNIT_SPEED_TOL > geometry.SPEED_TOL
+    assert geometry.GRAZE_TOL > sys.float_info.epsilon
+    assert geometry.DISC_FLOOR > 0.0
