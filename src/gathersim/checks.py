@@ -63,17 +63,18 @@ def _group_xy(trace: Trace, group: list[int],
 
 def _pair_separated(trace: Trace, i: int, j: int, t0: float,
                     t1: float, eps: float) -> bool:
-    """Whether dist(i, j) plausibly exceeded eps somewhere in (t0, t1).
+    """Whether dist(i, j) exceeded eps + PROX_TOL somewhere in [t0, t1].
 
     Distance along straight legs is convex, so the maximum over an
-    interval is attained at a trajectory breakpoint.  Grazing separations
-    peak barely past eps, hence the one-sided tolerance.  The walk stops
-    at the first breakpoint farther apart than that.
+    interval is attained at a trajectory breakpoint.  The engine parts a
+    pair only beyond eps + SEPARATION_TOL, so a pair within eps + PROX_TOL
+    throughout never left eps.  The walk stops at the first breakpoint
+    farther apart than that.
     """
     ta, tb = trace.trajectories[i], trace.trajectories[j]
     cuts = sorted({*ta.breakpoint_times_between(t0, t1),
                    *tb.breakpoint_times_between(t0, t1), t0, t1})
-    limit = eps - PROX_TOL
+    limit = eps + PROX_TOL
     for t in cuts:
         ax, ay = ta.xy_at(t)
         bx, by = tb.xy_at(t)
@@ -88,12 +89,12 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     Connectivity: at the event time the participants form one connected
     component of the within-eps graph.  Freshness: every GA has at least
     one pair meeting for the first time, or meeting again after the pair's
-    distance exceeded eps since their previous common GA.  Pairs that stay
-    adjacent may keep appearing in group events; what may not happen is a
-    whole group re-firing with no new contact at all.
+    distance exceeded eps + PROX_TOL since their previous common GA.  Pairs
+    that stay adjacent may keep appearing in group events; what may not
+    happen is a whole group re-firing with no new contact at all.
 
     Each pair keeps the time of its last common GA and whether it was
-    farther apart than eps - PROX_TOL then, both set in the loop that
+    farther apart than eps + PROX_TOL then, both set in the loop that
     measures every pair of the group.  A close pair whose last common GA
     lies more than TIME_TOL back and found it apart is fresh without a
     breakpoint walk.  This is exact: that GA's time is the first cut of
@@ -104,7 +105,7 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     """
     eps = cfg.epsilon
     eps_close = eps + GA_DIST_SLACK
-    apart_limit = eps - PROX_TOL
+    apart_limit = eps + PROX_TOL
     n = len(trace.trajectories)
     # Row i, column j > i: the time of the pair's last common GA (None
     # before the first) and whether it was farther than apart_limit then.

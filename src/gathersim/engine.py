@@ -3,9 +3,11 @@
 Agents appear at their starting times, move at speed 0 or 1 along straight
 instructions, and trigger a gathering event (GA) whenever two of them come
 within distance epsilon after having been farther apart (or when one appears
-that close).  A GA is instantaneous: participants exchange knowledge and may
-change course.  Participants of one GA are the whole connected component of
-the proximity graph that contains a newly formed edge, so chains of agents
+that close).  A pair that met parts only beyond epsilon + SEPARATION_TOL,
+so rounding at the epsilon circle never makes it meet again.  A GA is
+instantaneous: participants exchange knowledge and may change course.
+Participants of one GA are the whole connected component of the
+proximity graph that contains a newly formed edge, so chains of agents
 within epsilon of each other gossip together even when the endpoints of the
 chain are more than epsilon apart.  ProximityGraph owns that graph and
 this rule, and searches a GA's groups from the new edges only, so a GA
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .config import InitialConfiguration
-from .geometry import (CLOSING_TOL, POS_TOL, PROX_TOL, SPEED_TOL, TIME_TOL,
-                       Point, Trajectory, TrajectoryBuilder, Vec2,
+from .geometry import (POS_TOL, PROX_TOL, SEPARATION_TOL, SPEED_TOL,
+                       TIME_TOL, Point, Trajectory, TrajectoryBuilder, Vec2,
                        solve_crossing_in, solve_crossing_out)
 
 # A program may emit at most this many zero-duration instructions in a row.
@@ -398,10 +400,13 @@ ProgramFactory = Callable[[], Program]
 class ProximityGraph:
     """The proximity graph of a run, and the meeting rule on it.
 
-    A pair that comes within epsilon after having been farther apart forms
-    a new edge, and every component that holds a new edge has a GA.  agents
-    is the run's agent list; the engine adds to changed every agent whose
-    leg changed, or that appeared, since the last scan.
+    Adjacency is a band.  A pair joins at the root of its approach to
+    epsilon, or within epsilon + PROX_TOL at an appearance or a GA; it
+    separates only when its distance exceeds epsilon + SEPARATION_TOL.
+    A joining pair forms a new edge, and every component that holds a new
+    edge has a GA.  agents is the run's agent list; the engine adds to
+    changed every agent whose leg changed, or that appeared, since the
+    last scan.
     """
 
     def __init__(self, agents: list[_Agent], eps: float, horizon: float):
@@ -409,10 +414,9 @@ class ProximityGraph:
         self.eps = eps
         self.horizon = horizon
         self.changed: set[int] = set()
-        # _nbr[i]: the agents within epsilon of agent i, as of its last
-        # GA or separation; the one adjacency structure of the run.
+        # _nbr[i]: the agents adjacent to agent i, joined and not yet
+        # separated; the one adjacency structure of the run.
         self._nbr: list[set[int]] = [set() for _ in agents]
-        self._recent_separation: dict[Pair, float] = {}
         # Kinetic pair certificates by key lo * n + hi (see next_events);
         # heap entries (cert, key) pop as (cert, (lo, hi)) would.
         n = self._n = len(agents)
@@ -423,7 +427,8 @@ class ProximityGraph:
 
     def next_events(self, live: list[_Agent], now: float, t_bound: float
                     ) -> tuple[float, list[tuple[float, str, Pair]]]:
-        """Every pair's next epsilon crossing in [now, t_bound].
+        """Every pair's next crossing in [now, t_bound]: into epsilon for
+        a pair apart, out of epsilon + SEPARATION_TOL for an adjacent one.
 
         Returns the earliest crossing time (t_bound when there is none) and
         the crossings as (time, "approach" | "separate", pair), pairs in
@@ -432,8 +437,8 @@ class ProximityGraph:
         live holds the appeared agents.  Each pair (lo, hi) holds a kinetic
         certificate (Basch, Guibas & Hershberger, "Data structures for
         mobile data", SODA 1997): _cert[lo * n + hi] is the earliest time
-        at which it can cross epsilon under its two agents' current
-        motions, or inf when it cannot before one of them ends.
+        at which it can cross under its two agents' current motions, or
+        inf when it cannot before one of them ends.
         A pair is dirty, and solved afresh from now, when
         - an agent of it is in changed: every change of a leg installs a
           new motion or drops one, so such an agent never ends a scan
@@ -449,9 +454,8 @@ class ProximityGraph:
         A dirty pair is solved over the window stretched to the end of its
         first motion; a root inside the window gives the same float as a
         solve over the window alone, and a later one becomes the
-        certificate.  A pair with a crossing in the window, or one the
-        approach filters drop, is certified at now, so the next scan
-        solves it again.
+        certificate.  A pair with a crossing in the window is certified at
+        now, so the next scan solves it again.
         """
         n = self._n
         cert = self._cert
@@ -482,12 +486,9 @@ class ProximityGraph:
         stretch = window + _CERT_MARGIN
         horizon = self.horizon
         nbr = self._nbr
-        recent = self._recent_separation
+        sep = eps + SEPARATION_TOL
         inf = math.inf
         time_tol = TIME_TOL
-        closing_tol = CLOSING_TOL
-        # A pair at least this far apart, squared, is on the eps circle.
-        rim2 = (eps - POS_TOL) ** 2
         solve_in = solve_crossing_in
         solve_out = solve_crossing_out
         push = heapq.heappush
@@ -524,7 +525,7 @@ class ProximityGraph:
                 ry = b.y - ay
                 key = row + j if i < j else j * n + i
                 if j in near:
-                    s = solve_out(rx, ry, vx, vy, eps, span)
+                    s = solve_out(rx, ry, vx, vy, sep, span)
                     kind = "separate"
                 else:
                     s = solve_in(rx, ry, vx, vy, eps, span)
@@ -542,18 +543,6 @@ class ProximityGraph:
                 if s > window:
                     s = window
                 t = now + s
-                if kind == "approach":
-                    if t <= recent.get(pair, -inf) + time_tol:
-                        continue
-                    if s <= time_tol:
-                        # Boundary contact at the window start only counts
-                        # when the pair is genuinely closing in; a pair
-                        # parked at distance epsilon after separating does
-                        # not re-trigger.
-                        closing = rx * vx + ry * vy
-                        dist2 = rx * rx + ry * ry
-                        if dist2 >= rim2 and closing >= -closing_tol:
-                            continue
                 hits.append((t, kind, pair))
                 if t < t_event:
                     t_event = t
@@ -574,9 +563,9 @@ class ProximityGraph:
     def apply(self, t: float, hits: list[tuple[float, str, Pair]]
               ) -> set[Pair]:
         """Apply the crossings of hits at the instant t; return the
-        approaching pairs.  A separating pair loses its edge and records t
-        as its last separation.  An approaching pair was apart at the
-        scan, and nothing joins a pair between the scan and its instant."""
+        approaching pairs.  A separating pair loses its edge.  An
+        approaching pair was apart at the scan, and nothing joins a pair
+        between the scan and its instant."""
         nbr = self._nbr
         approaches = set()
         for ht, kind, pair in hits:
@@ -588,7 +577,6 @@ class ProximityGraph:
                 i, j = pair
                 nbr[i].discard(j)
                 nbr[j].discard(i)
-                self._recent_separation[pair] = t
         return approaches
 
     def ga_groups(self, new_edges: set[Pair]):

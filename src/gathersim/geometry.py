@@ -28,9 +28,7 @@ from typing import Iterator, Optional, Sequence, Union
 #                 within eps + PROX_TOL are within eps.  Genuine
 #                 approaches are found by root finding, not by this slack.
 #                 checks.GA_DIST_SLACK must exceed it.
-# POS_TOL         distance.  Positions within it are one point.  Exceeds
-#                 PROX_TOL: a pair within POS_TOL inside eps is parked on
-#                 the eps circle, a band that holds the PROX_TOL noise.
+# POS_TOL         distance.  Positions within it are one point.
 # SPEED_TOL       speed.  Speed noise: a direction within it of unit
 #                 length is a unit vector, a speed at or below it is rest,
 #                 and the crossing solvers take a relative velocity with
@@ -44,8 +42,15 @@ from typing import Iterator, Optional, Sequence, Union
 # DISC_FLOOR      distance^4 / time^2, the unit of the discriminant.  The
 #                 least scale GRAZE_TOL is measured against; it only keeps
 #                 that scale positive.
-# CLOSING_TOL     distance^2 / time, the unit of r.v.  A pair on the eps
-#                 circle with r.v >= -CLOSING_TOL is not closing in.
+# SEPARATION_TOL  distance.  Width of the adjacency band: a pair joins
+#                 within eps and separates only beyond eps + SEPARATION_TOL,
+#                 so rounding at the eps circle neither parts a pair that
+#                 just met nor makes it meet again.  Exceeds PROX_TOL, the
+#                 slack a pair may join with at a GA.  Exceeds 2 * TIME_TOL:
+#                 a solver snaps a root up to TIME_TOL past its window onto
+#                 it, and at relative speed at most 2 the pair is then up
+#                 to 2 * TIME_TOL outside eps.  Below checks.GA_DIST_SLACK,
+#                 so every chain of adjacent agents passes the checker.
 TIME_TOL = 1e-9
 PROX_TOL = 1e-9
 POS_TOL = 1e-6
@@ -53,7 +58,7 @@ SPEED_TOL = 1e-9
 UNIT_SPEED_TOL = 1e-6
 GRAZE_TOL = 1e-12
 DISC_FLOOR = 1e-30
-CLOSING_TOL = 1e-15
+SEPARATION_TOL = 5 * PROX_TOL
 SPEED_TOL2 = SPEED_TOL * SPEED_TOL
 
 

@@ -13,7 +13,8 @@ from gathersim.config import InitialConfiguration
 from gathersim.engine import (Event, Trace, Verdict, connected_components,
                               run)
 from gathersim.generate import good_config
-from gathersim.geometry import TIME_TOL, Point, Segment, Trajectory, Vec2
+from gathersim.geometry import (PROX_TOL, TIME_TOL, Point, Segment,
+                               Trajectory, Vec2)
 
 
 # -- Reference: check_ga_events as it was before it kept per-pair state --
@@ -24,17 +25,16 @@ def _ref_group_positions(trace: Trace, group, t: float) -> dict[int, Point]:
 
 def _ref_pair_separated(trace: Trace, i: int, j: int, t0: float,
                         t1: float, eps: float) -> bool:
-    """Whether dist(i, j) plausibly exceeded eps somewhere in (t0, t1).
+    """Whether dist(i, j) exceeded eps + PROX_TOL somewhere in [t0, t1].
 
     Distance along straight legs is convex, so the maximum over an
-    interval is attained at a trajectory breakpoint.  Grazing separations
-    peak barely past eps, hence the one-sided tolerance.
+    interval is attained at a trajectory breakpoint.
     """
     ta, tb = trace.trajectories[i], trace.trajectories[j]
     cuts = sorted({*ta.breakpoint_times_between(t0, t1),
                    *tb.breakpoint_times_between(t0, t1), t0, t1})
     best = max(ta.position_at(t).dist(tb.position_at(t)) for t in cuts)
-    return best > eps - TIME_TOL
+    return best > eps + PROX_TOL
 
 
 def reference_check_ga_events(cfg: InitialConfiguration,
@@ -44,9 +44,9 @@ def reference_check_ga_events(cfg: InitialConfiguration,
     Connectivity: at the event time the participants form one connected
     component of the within-eps graph.  Freshness: every GA has at least
     one pair meeting for the first time, or meeting again after the pair's
-    distance exceeded eps since their previous common GA.  Pairs that stay
-    adjacent may keep appearing in group events; what may not happen is a
-    whole group re-firing with no new contact at all.
+    distance exceeded eps + PROX_TOL since their previous common GA.  Pairs
+    that stay adjacent may keep appearing in group events; what may not
+    happen is a whole group re-firing with no new contact at all.
     """
     eps = cfg.epsilon
     last_meeting: dict[tuple[int, int], float] = {}
@@ -258,13 +258,16 @@ def _hand_trace(ga_times) -> Trace:
 @pytest.mark.parametrize("ga_times, walked, result", [
     # A pair that never met is fresh.
     ([2.0], [], "pass"),
-    # The pair's last GA found it at distance eps, farther than
-    # eps - TIME_TOL: fresh from the flag, with no walk.
-    ([2.0, 2.5], [], "pass"),
+    # The pair's last GA found it at distance eps + 5e-9, farther than
+    # eps + PROX_TOL: fresh from the flag, with no walk.
+    ([2.0 - 5e-9, 2.5], [], "pass"),
     # At 2.5 the pair was 0.5 apart, so 7.5 walks and finds t=5.
-    ([2.0, 2.5, 7.5], [True], "pass"),
+    ([2.5, 7.5], [True], "pass"),
+    # At distance eps the pair was within eps + PROX_TOL, so 2.5 walks,
+    # and the pair never left eps between the two GAs.
+    ([2.0, 2.5], [False], "no fresh contact"),
     # Nothing between 7.5 and 8 separates the pair.
-    ([2.0, 2.5, 7.5, 8.0], [True, False], "no fresh contact"),
+    ([2.5, 7.5, 8.0], [True, False], "no fresh contact"),
     # The flag needs the last GA more than TIME_TOL back.
     ([2.0, 2.0], [], "no fresh contact"),
     ([2.0, 2.0 + TIME_TOL / 2], [], "no fresh contact"),

@@ -3,7 +3,11 @@
 import functools
 import heapq
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -19,10 +23,11 @@ from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
                               InvalidInstruction, Program, ProximityGraph,
                               Simulation, Wait, connected_components,
                               default_horizon, run)
-from gathersim.generate import (config_of_class, good_config,
+from gathersim.generate import (config_of_class, good_config, good_pair,
                                 ungatherable_config)
-from gathersim.geometry import (POS_TOL, TIME_TOL, Point, TrajectoryBuilder,
-                                Vec2, solve_crossing_in, solve_crossing_out)
+from gathersim.geometry import (POS_TOL, SEPARATION_TOL, TIME_TOL, Point,
+                                TrajectoryBuilder, Vec2, solve_crossing_in,
+                                solve_crossing_out)
 
 
 class Still(Program):
@@ -332,26 +337,15 @@ def _full_scan_pair_events(graph, live, now, t_bound):
             vx = bvx - avx
             vy = bvy - avy
             if j in graph._nbr[i]:
-                s = solve_crossing_out(rx, ry, vx, vy, eps, window)
-                if s is None:
-                    continue
-                t = now + s
+                s = solve_crossing_out(rx, ry, vx, vy, eps + SEPARATION_TOL,
+                                       window)
                 kind = "separate"
             else:
                 s = solve_crossing_in(rx, ry, vx, vy, eps, window)
-                if s is None:
-                    continue
-                t = now + s
-                if t <= graph._recent_separation.get((i, j), -math.inf) \
-                        + TIME_TOL:
-                    continue
-                if s <= TIME_TOL:
-                    closing = rx * vx + ry * vy
-                    dist2 = rx * rx + ry * ry
-                    if dist2 >= (eps - POS_TOL) ** 2 \
-                            and closing >= -1e-15:
-                        continue
                 kind = "approach"
+            if s is None:
+                continue
+            t = now + s
             hits.append((t, kind, (i, j)))
             if t < t_event:
                 t_event = t
@@ -434,9 +428,10 @@ NORTH = Vec2(0.0, 1.0)
 
 
 def test_pair_turning_back_as_it_separates_does_not_meet_again():
-    # The mover leaves the still agent's epsilon disc at t = 0.3 and turns
-    # back at once.  Re-entering at the instant of the separation is not a
-    # new meeting (the recent-separation filter of the approach pass).
+    # The mover reaches the rim of the still agent's epsilon disc at
+    # t = 0.3 and turns back at once.  It never gets farther than
+    # eps + SEPARATION_TOL, so the pair never separates and cannot meet
+    # again.
     cfg = pair(0.5, (0, 0), 0.0, (0.2, 0), 0.0)
     mk = iter([Still(), Legs((EAST, 0.3), (WEST, 0.3))])
     trace = run(cfg, lambda: next(mk), horizon=2.0)
@@ -444,10 +439,9 @@ def test_pair_turning_back_as_it_separates_does_not_meet_again():
 
 
 def test_pair_parked_at_epsilon_does_not_meet_again():
-    # The mover separates at t = 0.3 and parks at distance exactly
-    # epsilon.  The walker far away ends legs at t = 1, 2 and 3, and each
-    # scan solves the parked pair again: touching the boundary without
-    # closing in is not a meeting (the boundary-contact filter).
+    # The mover parks at distance exactly epsilon at t = 0.3, inside the
+    # separation band, so the pair stays adjacent.  The walker far away
+    # ends legs at t = 1, 2 and 3; none of those instants is a meeting.
     cfg = InitialConfiguration(
         0.5, (Point(0, 0), Point(0.2, 0), Point(100, 0)), (0.0,) * 3)
     mk = iter([Still(), Legs((EAST, 0.3)),
@@ -456,26 +450,42 @@ def test_pair_parked_at_epsilon_does_not_meet_again():
     assert [ev.time for ev in trace.ga_events()] == [0.0]
 
 
+@pytest.mark.parametrize("k", range(12))
+def test_pair_meets_on_the_eps_circle_or_at_an_appearance(k):
+    # Two agents meet again only after they were farther than eps, so
+    # every GA of theirs either comes with an appearance or finds them at
+    # distance eps, where the approach root put them.
+    cfg = good_pair(k)
+    trace = run(cfg, dedicated_program(cfg, cfg.epsilon))
+    for ev in trace.ga_events():
+        (ax, ay), (bx, by) = (traj.xy_at(ev.time)
+                              for traj in trace.trajectories)
+        on_circle = abs(math.hypot(ax - bx, ay - by) - cfg.epsilon) \
+            <= PROX_TOL
+        appears = any(abs(ev.time - t) <= TIME_TOL for t in cfg.times)
+        assert on_circle or appears, ev.time
+
+
 def test_adjacency_flip_is_rescanned(monkeypatch):
-    # a and c sit 1 + 5e-10 apart with eps = 1: close enough for the
-    # PROX_TOL slack of a GA, too far for the crossing solver.  Their
-    # appearance GA makes them adjacent and the next scan separates them
-    # at once; when b appears between them at t = 1, its GA marks a and c
-    # adjacent again, and only that flip makes the still pair due for the
-    # separation the full scan reports.  d walks far away so the run
-    # keeps scanning.
+    # eps = 1.  c walks north along x = 1 + 5e-10 past the still a: it
+    # never comes within eps of a, so the pair has no crossing and no
+    # certificate.  At t = 3, when c passes a at distance 1 + 5e-10, b
+    # appears between them; that is close enough for the PROX_TOL slack of
+    # b's GA, which marks a and c adjacent.  Neither a nor c changed a
+    # leg, so only that flip makes the pair due for the separation the
+    # full scan reports, once c is eps + SEPARATION_TOL from a.
     cfg = InitialConfiguration(
-        1.0, (Point(0, 0), Point(0.5, 0), Point(1 + 5e-10, 0),
-              Point(100, 0)),
-        (0.0, 1.0, 0.0, 0.0))
-    mk = iter([Still(), Still(), Still(), WalkEast(5.0)])
+        1.0, (Point(0, 0), Point(0.5, 0), Point(1 + 5e-10, -3.0)),
+        (0.0, 3.0, 0.0))
+    mk = iter([Still(), Still(), Legs((NORTH, 6.0))])
     scans = _check_pair_events_against_full_scan(monkeypatch)
     trace = run(cfg, lambda: next(mk), horizon=10.0)
-    assert [ev.agents for ev in trace.ga_events()] == [(0, 2), (0, 1, 2)]
+    assert [(ev.time, ev.agents) for ev in trace.ga_events()] \
+        == [(3.0, (0, 1, 2))]
     separations = [t for _, hits in scans
                    for t, kind, pair in hits
                    if kind == "separate" and pair == (0, 2)]
-    assert separations == [0.0, 1.0]
+    assert len(separations) == 1 and 3.0 < separations[0] < 3.001
 
 
 def test_crossing_past_the_window_stays_a_certificate(monkeypatch):
@@ -973,8 +983,11 @@ def test_deterministic_rerun():
 # run's configuration and maps its verdict time and point back.
 _SHIFTS = {
     "time": (lambda cfg: cfg.time_shifted(1e3), 1e3, Vec2(0.0, 0.0)),
+    "late-time": (lambda cfg: cfg.time_shifted(1e6), 1e6, Vec2(0.0, 0.0)),
     "plane": (lambda cfg: cfg.translated(Vec2(1e3, -1e3)), 0.0,
               Vec2(1e3, -1e3)),
+    "far-plane": (lambda cfg: cfg.translated(Vec2(1e5, -1e5)), 0.0,
+                  Vec2(1e5, -1e5)),
 }
 
 
@@ -996,11 +1009,35 @@ def test_shifted_run_keeps_its_verdict(seed, shift):
     assert (moved.verdict.point + -dp).dist(base.verdict.point) <= POS_TOL
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: GA counts drift under a shift")
 def test_shifted_run_keeps_its_ga_sequence():
     for shift in sorted(_SHIFTS):
         for seed in range(6):
             base, moved = _shifted_gather_n(seed, shift)
             assert [ev.agents for ev in moved.ga_events()] \
                 == [ev.agents for ev in base.ga_events()]
+
+
+_FAR_RUNS = """
+from gathersim.algorithms import gather_n_program
+from gathersim.engine import run
+from gathersim.generate import good_config
+from gathersim.geometry import Vec2
+for seed in (4006, 4007):
+    cfg = good_config(seed, 4).translated(Vec2(1e7, -1e7))
+    print(run(cfg, gather_n_program(4), horizon=3000.0).verdict.kind)
+"""
+
+
+def test_far_translated_runs_gather():
+    # Translated by (1e7, -1e7), these two runs once froze simulated time
+    # in an endless burst of GAs at one instant: a pair parted by rounding
+    # at the eps circle met again at every later event.  A subprocess with
+    # a timeout turns such a livelock into a failure.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FAR_RUNS],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["gathered", "gathered"]

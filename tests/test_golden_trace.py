@@ -13,8 +13,8 @@ from gathersim.assumption import AssumptionSet, build_dependent_counterexample
 from gathersim.engine import run
 from gathersim.generate import good_config, good_pair, ungatherable_config
 
-GOLDEN_SHA256 = ("3d1f66f1f5943d2a687de21f1b568d3d"
-                 "8da354fd67a613d745dedc0c121899c4")
+GOLDEN_SHA256 = ("0f38755ba0e4be32f9745d1f567f2359"
+                 "d8ade1c5631aa6b2c94641871355901f")
 
 
 def _corpus_traces():
