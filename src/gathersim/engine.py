@@ -89,8 +89,9 @@ class Participant(NamedTuple):
     ref: AgentRef
     position: Point  # current, in the observing agent's frame
     tag: str
-    # Direct visibility from the observer; chain-connected participants
-    # beyond that range are known only through gossip.
+    # Within epsilon + PROX_TOL of the observer at the GA: direct
+    # visibility, not an edge (a band pair keeps its edge farther out).
+    # Participants beyond that range are known only through gossip.
     adjacent: bool
 
 
@@ -585,8 +586,9 @@ class ProximityGraph:
         GA earlier and stay silent.  Both ends of an edge lie in one
         component, so searching from one end of each finds every group.
         near[x][y] tells whether members x and y are within epsilon, up to
-        PROX_TOL; every such pair becomes an edge.  A group's matrix is
-        measured when it is asked for, after the GAs before it.
+        PROX_TOL; every such pair becomes an edge.  A band pair keeps its
+        edge but is not near.  A group's matrix is measured when it is
+        asked for, after the GAs before it.
         """
         nbr = self._nbr
         for i, j in new_edges:

@@ -28,7 +28,8 @@ from typing import Iterator, Optional, Sequence, Union
 #                 within eps + PROX_TOL are within eps.  Genuine
 #                 approaches are found by root finding, not by this slack.
 #                 checks.GA_DIST_SLACK must exceed it.
-# POS_TOL         distance.  Positions within it are one point.
+# POS_TOL         distance.  Positions within it are one point.  Exceeds
+#                 PROX_TOL: distance noise never parts one point in two.
 # SPEED_TOL       speed.  Speed noise: a direction within it of unit
 #                 length is a unit vector, a speed at or below it is rest,
 #                 and the crossing solvers take a relative velocity with

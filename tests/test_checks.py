@@ -268,9 +268,10 @@ def _hand_trace(ga_times) -> Trace:
     ([2.0, 2.5], [False], "no fresh contact"),
     # Nothing between 7.5 and 8 separates the pair.
     ([2.5, 7.5, 8.0], [True, False], "no fresh contact"),
-    # The flag needs the last GA more than TIME_TOL back.
-    ([2.0, 2.0], [], "no fresh contact"),
-    ([2.0, 2.0 + TIME_TOL / 2], [], "no fresh contact"),
+    # The flag needs the last GA more than TIME_TOL back: the pair is
+    # apart at eps + 5e-9, yet a GA at the same instant is not fresh.
+    ([2.0 - 5e-9, 2.0 - 5e-9], [], "no fresh contact"),
+    ([2.0 - 5e-9, 2.0 - 5e-9 + TIME_TOL / 2], [], "no fresh contact"),
 ])
 def test_freshness_paths(monkeypatch, ga_times, walked, result):
     walks = _Walks(monkeypatch)

@@ -18,6 +18,7 @@ from conftest import pair
 from test_acceptance import _dedicated_horizon
 from gathersim import engine
 from gathersim.algorithms import dedicated_program, gather_n_program
+from gathersim.checks import check_all
 from gathersim.config import Feasibility, InitialConfiguration
 from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
                               InvalidInstruction, Program, ProximityGraph,
@@ -448,6 +449,35 @@ def test_pair_parked_at_epsilon_does_not_meet_again():
                Legs((NORTH, 1.0), (NORTH, 1.0), (NORTH, 1.0))])
     trace = run(cfg, lambda: next(mk), horizon=5.0)
     assert [ev.time for ev in trace.ga_events()] == [0.0]
+
+
+def test_band_pair_is_chained_into_a_ga_but_not_adjacent():
+    # a and b meet at t = 0; b then parks at eps + 3e-9, inside the
+    # separation band but beyond eps + PROX_TOL, so the pair keeps its
+    # edge.  c appears within eps of a at t = 1: the edge chains b into
+    # the GA, and every member sees only the pairs within eps + PROX_TOL
+    # as adjacent.
+    seen = {}
+
+    class Sees(Legs):
+        def on_ga(self, ctx, view):
+            if len(view.participants) == 3:
+                me = view.participants[view.self_index].ref
+                seen[me] = {p.ref: p.adjacent for p in view.others()}
+
+    cfg = InitialConfiguration(
+        0.5, (Point(0, 0), Point(0.2, 0), Point(-0.4, 0)), (0.0, 0.0, 1.0))
+    mk = iter([Sees(), Sees((EAST, 0.3 + 3e-9)), Sees()])
+    trace = run(cfg, lambda: next(mk), horizon=2.0)
+    assert [(ev.time, ev.agents) for ev in trace.ga_events()] == \
+        [(0.0, (0, 1)), (1.0, (0, 1, 2))]
+    gap = trace.trajectories[1].position_at(1.0).x - 0.5
+    assert PROX_TOL < gap < SEPARATION_TOL
+    a, b, c = AgentRef(0), AgentRef(1), AgentRef(2)
+    assert seen == {a: {b: False, c: True},
+                    b: {a: False, c: False},
+                    c: {a: True, b: False}}
+    check_all(cfg, trace)
 
 
 @pytest.mark.parametrize("k", range(12))

@@ -396,6 +396,7 @@ def test_tolerance_orderings():
     # The orderings stated with the tolerance model in geometry.
     assert checks.GA_DIST_SLACK > geometry.PROX_TOL
     assert engine._CERT_MARGIN > geometry.TIME_TOL
+    assert geometry.POS_TOL > geometry.PROX_TOL
     assert geometry.SEPARATION_TOL > geometry.PROX_TOL
     assert geometry.SEPARATION_TOL > 2 * geometry.TIME_TOL
     assert geometry.SEPARATION_TOL < checks.GA_DIST_SLACK
