@@ -4,10 +4,13 @@
 Runs every operation of every workload's corpus (built by
 perfbench/corpus.py, which this script only reads) the way the benchmark
 does: engine.run, checks.check_all, Trace.jsonl_lines and
-render.render_svg.  For each workload and seed it prints the sha256 of all
-JSONL lines and SVG documents in corpus order, and the sha256 of the
-check_all outcomes ("ok" or the failure message).  Two checkouts whose
-lines are equal produce the same traces, pictures and check results on the
+render.render_svg.  For each workload and seed it prints two lines.  The
+first holds the sha256 of all JSONL lines and SVG documents in corpus
+order, and the sha256 of the check_all outcomes ("ok" or the failure
+message).  The second holds the sha256 of every recorded trajectory: each
+breakpoint's time and coordinates as float.hex, so a path moved by less
+than the SVG's rounding still changes it.  Two checkouts whose lines are
+equal produce the same traces, paths, pictures and check results on the
 whole corpus, so a refactor or speed-up can show byte identity with
 
     python3 scripts/corpus_digest.py --seeds 3 17
@@ -27,10 +30,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ("large-n", "no-meet", "sweep-mix")
 
 
-def digest(build_corpus, workload: str, seed: int) -> tuple[int, str, str]:
+def digest(build_corpus, workload: str,
+           seed: int) -> tuple[int, str, str, str]:
     from gathersim import checks, engine, render
     traces = hashlib.sha256()
     outcomes = hashlib.sha256()
+    paths = hashlib.sha256()
     ops = build_corpus(workload, seed)
     for op in ops:
         trace = engine.run(op.cfg, op.factory, op.horizon)
@@ -44,7 +49,12 @@ def digest(build_corpus, workload: str, seed: int) -> tuple[int, str, str]:
             traces.update(b"\n")
         traces.update(render.render_svg(op.cfg, trace).encode())
         outcomes.update(f"{op.label} {outcome}\n".encode())
-    return len(ops), traces.hexdigest(), outcomes.hexdigest()
+        for idx, traj in enumerate(trace.trajectories):
+            paths.update(f"{op.label} agent {idx}\n".encode())
+            for t, p in traj.breakpoints():
+                paths.update(f"{t.hex()} {p.x.hex()} {p.y.hex()}\n".encode())
+    return (len(ops), traces.hexdigest(), outcomes.hexdigest(),
+            paths.hexdigest())
 
 
 def main(argv=None) -> int:
@@ -55,9 +65,12 @@ def main(argv=None) -> int:
     from corpus import build_corpus
     for workload in WORKLOADS:
         for seed in args.seeds:
-            count, traces, outcomes = digest(build_corpus, workload, seed)
+            count, traces, outcomes, paths = digest(build_corpus, workload,
+                                                    seed)
             print(f"{workload} seed {seed}: {count} operations "
                   f"jsonl+svg {traces} check_all {outcomes}", flush=True)
+            print(f"{workload} seed {seed}: trajectories {paths}",
+                  flush=True)
     return 0
 
 
