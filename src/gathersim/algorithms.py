@@ -18,6 +18,7 @@ relative initial positions replaces any global identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -58,10 +59,30 @@ def ray_direction(angle_cw_from_north: float) -> Vec2:
     return Vec2(math.sin(angle_cw_from_north), math.cos(angle_cw_from_north))
 
 
-class StarWalk:
-    """Cursor over the infinite stage/leg stream of the star sweep."""
+# A table's size grows as x^2, so only the recent phases are kept.
+@functools.lru_cache(maxsize=16)
+def _star_legs(x: int) -> tuple:
+    """The 3k instructions of sweep phase x, in order.
 
-    __slots__ = ("phase", "stage", "leg", "last_issued_phase", "_alpha", "_k")
+    Stage s = 0 .. k - 1 walks out x along ray_direction(s * alpha), back
+    x along the opposite direction, and waits x.  Instructions are
+    immutable, so every agent and every replay issues the same objects.
+    """
+    alpha, k = star_phase_params(x)
+    d = float(x)
+    wait = Wait(d)
+    legs = []
+    for s in range(k):
+        ray = ray_direction(s * alpha)
+        legs += (Go(ray, d), Go(-ray, d), wait)
+    return tuple(legs)
+
+
+class StarWalk:
+    """Cursor over the infinite leg stream of the star sweep: phase after
+    phase, each phase's _star_legs in order."""
+
+    __slots__ = ("phase", "last_issued_phase", "_legs", "_next")
 
     def __init__(self, phase: int = 1):
         self.jump_to_phase(phase)
@@ -69,25 +90,20 @@ class StarWalk:
 
     def jump_to_phase(self, phase: int) -> None:
         self.phase = phase
-        self.stage = 1
-        self.leg = 0
-        self._alpha, self._k = star_phase_params(phase)
+        self._legs = _star_legs(phase)
+        self._next = 0
+
+    @property
+    def stage(self) -> int:
+        """The stage, from 1, of the next instruction."""
+        return self._next // 3 + 1
 
     def next_instruction(self):
-        x = float(self.phase)
-        if self.leg == 0:
-            instr = Go(ray_direction((self.stage - 1) * self._alpha), x)
-        elif self.leg == 1:
-            instr = Go(-ray_direction((self.stage - 1) * self._alpha), x)
-        else:
-            instr = Wait(x)
+        instr = self._legs[self._next]
         self.last_issued_phase = self.phase
-        self.leg += 1
-        if self.leg == 3:
-            self.leg = 0
-            self.stage += 1
-            if self.stage > self._k:
-                self.jump_to_phase(self.phase + 1)
+        self._next += 1
+        if self._next == len(self._legs):
+            self.jump_to_phase(self.phase + 1)
         return instr
 
 
@@ -302,10 +318,8 @@ class GatherProgram(Program):
     def _queue_finale_phase(self, ctx) -> None:
         """Return home, then redo every stage of the last executed phase."""
         self._go_home(ctx)
-        x = max(self.star.last_issued_phase, 1)
-        replay = StarWalk(x)
-        while replay.phase == x:
-            ctx.issue(replay.next_instruction())
+        for instr in _star_legs(max(self.star.last_issued_phase, 1)):
+            ctx.issue(instr)
         self.mode = "finale"
 
     def _resume_star(self, ctx) -> None:

@@ -12,7 +12,7 @@ import math
 
 from .config import InitialConfiguration
 from .engine import Trace, connected_components
-from .geometry import POS_TOL, PROX_TOL, TIME_TOL, has_legal_speed
+from .geometry import POS_TOL, PROX_TOL, TIME_TOL, legal_speed
 
 # GA members may sit this far beyond eps in the recorded trajectories:
 # ten times the slack PROX_TOL with which the engine joins a group.
@@ -41,9 +41,14 @@ def check_event_times(trace: Trace) -> None:
 def check_speeds(trace: Trace) -> None:
     """Every trajectory segment moves at unit speed or stands still."""
     for idx, traj in enumerate(trace.trajectories):
-        for seg in traj.segments:
-            if not has_legal_speed(seg):
-                _fail(f"agent {idx} segment at speed {seg.speed}")
+        ts, xs, ys = traj.times, traj.xs, traj.ys
+        for k in range(1, len(ts)):
+            dt = ts[k] - ts[k - 1]
+            dx = xs[k] - xs[k - 1]
+            dy = ys[k] - ys[k - 1]
+            if not legal_speed(dt, dx, dy):
+                _fail(f"agent {idx} segment at speed "
+                      f"{math.hypot(dx, dy) / dt}")
 
 
 def _group_xy(trace: Trace, group: list[int],
@@ -172,13 +177,12 @@ def check_trajectory_starts(cfg: InitialConfiguration,
                             trace: Trace) -> None:
     """Each trajectory begins at the agent's start point and time."""
     for idx, traj in enumerate(trace.trajectories):
-        if not traj.segments:
+        if not traj.times:
             _fail(f"agent {idx} has an empty trajectory")
-        first = traj.segments[0]
-        if abs(first.start_time - cfg.times[idx]) > TIME_TOL:
-            _fail(f"agent {idx} trajectory starts at {first.start_time}, "
+        if abs(traj.start_time - cfg.times[idx]) > TIME_TOL:
+            _fail(f"agent {idx} trajectory starts at {traj.start_time}, "
                   f"appearance is {cfg.times[idx]}")
-        if first.start_point.dist(cfg.starts[idx]) > POS_TOL:
+        if traj.start_point.dist(cfg.starts[idx]) > POS_TOL:
             _fail(f"agent {idx} trajectory starts away from its origin")
 
 

@@ -158,10 +158,11 @@ class Program:
     The engine calls on_appear once at the agent's starting time, on_ga at
     every gathering event the agent participates in, on_order when another
     participant of the current GA directs it somewhere, and on_idle at
-    every event instant of the run, whichever agents it concerns, while
-    the agent is not stopped, has no motion and has an empty queue.  A
-    program that issues nothing waits in place and is polled again at
-    the next instant.
+    each instant of the agent's own events: its appearance, the end of
+    its motion, or a GA it is in, when after them the agent is not
+    stopped, has no motion and has an empty queue.  A program that issues
+    nothing waits in place until its next own event; events of other
+    agents do not poll it.
     """
 
     def on_appear(self, ctx: "AgentContext") -> None:
@@ -680,7 +681,7 @@ class Simulation:
         """
         if self._advances > agent.leg_from:
             m = agent.motion
-            agent.builder.move_to(self._now, Point(agent.x, agent.y),
+            agent.builder.move_to(self._now, agent.x, agent.y,
                                   _STILL if m is None else m)
 
     def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
@@ -864,11 +865,14 @@ class Simulation:
             live.sort(key=_index)
         for ag in appeared_now:
             ag.program.on_appear(ag.ctx)
+        # The agents this instant concerns: the appeared ones, the GA
+        # members and the ones whose motion ends.
+        woken = {ag.idx for ag in appeared_now}
         new_edges = prox.apply(t, pair_hits)
         for ag in appeared_now:
             new_edges.update(prox.touching(ag, live))
         if new_edges:
-            self._run_gas(new_edges)
+            self._run_gas(new_edges, woken)
 
         # A GA callback may clear or stop a motion but never starts one:
         # only the idle pass below does.
@@ -884,25 +888,30 @@ class Simulation:
             self._set_motion(ag, None)
             ag.x = m.x_end
             ag.y = m.y_end
+            woken.add(ag.idx)
             if m.stop_on_arrival:
                 self._request_stop(ag)
 
-        for ag in live:
+        # Only a callback of this instant fills a queue or clears a plan,
+        # so every other agent either moves, is stopped, or has an empty
+        # queue and already issued nothing at an earlier poll.
+        agents = self.agents
+        for i in sorted(woken):
+            ag = agents[i]
             if ag.stopped or ag.motion is not None:
                 continue
-            # Poll every idle agent, not only the ones whose motion ended
-            # now: a GA callback may have cleared the plan without issuing
-            # a replacement, and such an agent must still be driven.
             if not ag.queue:
                 ag.program.on_idle(ag.ctx)
                 if not ag.queue:
                     continue
             self._start_pending(ag)
 
-    def _run_gas(self, new_edges: set[Pair]) -> None:
-        """Run the GA of every component that holds a new edge."""
+    def _run_gas(self, new_edges: set[Pair], woken: set[int]) -> None:
+        """Run the GA of every component that holds a new edge, and add
+        its members to woken."""
         t = self._now
         for group, near in self._prox.ga_groups(new_edges):
+            woken.update(group)
             members = [self.agents[i] for i in group]
             self._gossip(group)
             # Decisions are simultaneous: every view shows pre-GA states,
@@ -951,7 +960,7 @@ class Simulation:
             # Pad with a final rest so every trajectory covers the same
             # closing time regardless of when its agent stopped.
             if end > ag.start_time:
-                ag.builder.move_to(end, last)
+                ag.builder.move_to(end, last.x, last.y)
             trajectories.append(ag.builder.build())
             final_positions.append(last)
         if timed_out:

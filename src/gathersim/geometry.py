@@ -3,7 +3,8 @@
 All motion in this package is piecewise linear with segment speed either 0
 (waiting) or 1 (moving), which keeps closest-approach queries exact: the
 squared distance between two agents on overlapping segments is a quadratic
-in time.
+in time.  A Trajectory stores its breakpoints as three float columns,
+times, xs and ys; its Segment objects are a view built on request.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ class Segment:
         return Point(*self.xy_at(t))
 
 
-def has_legal_speed(seg: Segment) -> bool:
-    """The unit-speed rule: seg stands still or moves at speed 1.
+def legal_speed(dt: float, dx: float, dy: float) -> bool:
+    """The unit-speed rule: a leg of duration dt and displacement (dx, dy)
+    stands still or moves at speed 1.
 
     Sub-tolerance slivers from coalesced events carry no usable speed
     information and always pass.  Slightly longer slivers can still have
@@ -188,88 +190,135 @@ def has_legal_speed(seg: Segment) -> bool:
     accepted when the absolute length/duration drift is below snapping
     scale.
     """
-    dur = seg.duration
-    if dur <= TIME_TOL:
+    if dt <= TIME_TOL:
         return True
-    length = seg.start_point.dist(seg.end_point)
-    sp = length / dur
+    length = math.hypot(dx, dy)
+    sp = length / dt
     return (sp <= SPEED_TOL or abs(sp - 1.0) <= UNIT_SPEED_TOL
-            or abs(length - dur) <= 10.0 * TIME_TOL)
+            or abs(length - dt) <= 10.0 * TIME_TOL)
+
+
+def has_legal_speed(seg: Segment) -> bool:
+    """legal_speed for one segment."""
+    sp, ep = seg.start_point, seg.end_point
+    return legal_speed(seg.duration, ep.x - sp.x, ep.y - sp.y)
 
 
 class Trajectory:
     """Piecewise-linear path of a single agent, defined from its start time on.
 
-    Segments are contiguous in time and space, and their breakpoint times
-    never step back.  A trajectory recorded by the engine has one segment
-    per instruction leg: one Go, Wait or GotoStop, or one stretch without
-    an instruction.  position_at, and xy_at which gives the same
-    coordinates as a tuple, are defined on [start_time, end_time]; queries
-    before the start or after the end raise.
+    The path is stored as breakpoint columns: times[k], xs[k] and ys[k]
+    are the time and coordinates of breakpoint k, and leg k runs at
+    constant velocity from breakpoint k to breakpoint k + 1.  Times never
+    step back and every leg obeys legal_speed.  A trajectory recorded by
+    the engine has one leg per instruction leg: one Go, Wait or GotoStop,
+    or one stretch without an instruction.  segments and breakpoints()
+    are views built from the columns on each call.
+
+    Trajectory(segments) takes hand-made segments that are contiguous in
+    time and space, up to TIME_TOL and POS_TOL; each segment after the
+    first starts where the one before it ends.  from_columns takes the
+    columns themselves.
+
+    position_at, and xy_at which gives the same coordinates as a tuple,
+    are defined on [start_time, end_time]; queries before the start or
+    after the end raise.
     """
 
-    # _times: breakpoint times, and _keys the same plus TIME_TOL, both
-    # built on the first time query.
-    __slots__ = ("segments", "_times", "_keys")
+    # _keys: times plus TIME_TOL, built on the first xy_at.
+    __slots__ = ("times", "xs", "ys", "_keys")
 
-    def __init__(self, segments: list[Segment]):
+    def __init__(self, segments: Sequence[Segment]):
         if not segments:
             raise ValueError("trajectory needs at least one segment")
-        prev = None
-        for seg in segments:
-            if not has_legal_speed(seg):
-                raise ValueError(f"segment speed {seg.speed} is neither "
-                                 "0 nor 1")
-            if seg.end_time < seg.start_time or (
-                    prev is not None and seg.end_time < prev.end_time):
+        for prev, seg in zip(segments, segments[1:]):
+            if abs(seg.start_time - prev.end_time) > TIME_TOL:
+                raise ValueError("segments are not contiguous in time")
+            if prev.end_point.dist(seg.start_point) > POS_TOL:
+                raise ValueError("segments are not contiguous in space")
+        first = segments[0]
+        self._set_columns(
+            [first.start_time] + [seg.end_time for seg in segments],
+            [first.start_point.x] + [seg.end_point.x for seg in segments],
+            [first.start_point.y] + [seg.end_point.y for seg in segments])
+
+    @classmethod
+    def from_columns(cls, times: list[float], xs: list[float],
+                     ys: list[float]) -> "Trajectory":
+        """The trajectory through the given breakpoints; the lists are
+        kept, not copied."""
+        traj = cls.__new__(cls)
+        traj._set_columns(times, xs, ys)
+        return traj
+
+    def _set_columns(self, times: list[float], xs: list[float],
+                     ys: list[float]) -> None:
+        """Check the columns, then keep them."""
+        if not len(times) == len(xs) == len(ys) >= 2:
+            raise ValueError("trajectory needs two breakpoints in each "
+                             "column")
+        t0, x0, y0 = times[0], xs[0], ys[0]
+        for t1, x1, y1 in zip(times, xs, ys):
+            dt = t1 - t0
+            if dt < 0.0:
                 raise ValueError("trajectory time steps back")
-            if prev is not None:
-                if abs(seg.start_time - prev.end_time) > TIME_TOL:
-                    raise ValueError("segments are not contiguous in time")
-                if prev.end_point.dist(seg.start_point) > POS_TOL:
-                    raise ValueError("segments are not contiguous in space")
-            prev = seg
-        self.segments = list(segments)
-        self._times: Optional[Sequence[float]] = None
-        self._keys: Optional[Sequence[float]] = None
+            if not legal_speed(dt, x1 - x0, y1 - y0):
+                raise ValueError(
+                    f"segment speed {math.hypot(x1 - x0, y1 - y0) / dt} "
+                    "is neither 0 nor 1")
+            t0, x0, y0 = t1, x1, y1
+        self.times = times
+        self.xs = xs
+        self.ys = ys
+        self._keys: Optional[list[float]] = None
+
+    @property
+    def segments(self) -> list[Segment]:
+        """The legs as Segments, built on each read."""
+        ts = self.times
+        pts = [Point(x, y) for x, y in zip(self.xs, self.ys)]
+        return [Segment(ts[k], ts[k + 1], pts[k], pts[k + 1])
+                for k in range(len(ts) - 1)]
 
     @property
     def start_time(self) -> float:
-        return self.segments[0].start_time
+        return self.times[0]
 
     @property
     def end_time(self) -> float:
-        return self.segments[-1].end_time
+        return self.times[-1]
 
     @property
     def start_point(self) -> Point:
-        return self.segments[0].start_point
+        return Point(self.xs[0], self.ys[0])
 
     @property
     def end_point(self) -> Point:
-        return self.segments[-1].end_point
-
-    def _breakpoint_times(self) -> Sequence[float]:
-        times = self._times
-        if times is None:
-            times = self._times = array("d", [self.segments[0].start_time])
-            times.extend([seg.end_time for seg in self.segments])
-            self._keys = array("d", [t + TIME_TOL for t in times])
-        return times
+        return Point(self.xs[-1], self.ys[-1])
 
     def xy_at(self, t: float) -> tuple[float, float]:
         """Coordinates of position_at(t), without building a Point."""
-        times = self._breakpoint_times()
+        times = self.times
         start, end = times[0], times[-1]
         if t < start - TIME_TOL or t > end + TIME_TOL:
             raise ValueError(f"time {t} outside trajectory span "
                              f"[{start}, {end}]")
         t = min(max(t, start), end)
-        # The first segment with t <= end_time + TIME_TOL; _keys[k] is the
-        # end of segment k - 1 plus TIME_TOL, and t <= end_time bounds the
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = [u + TIME_TOL for u in times]
+        # Leg k - 1 is the first leg with t <= its end time + TIME_TOL;
+        # keys[k] is that end plus TIME_TOL, and t <= end bounds the
         # search.
-        k = bisect_left(self._keys, t, 1)
-        return self.segments[k - 1].xy_at(t)
+        k = bisect_left(keys, t, 1)
+        t0 = times[k - 1]
+        x0 = self.xs[k - 1]
+        y0 = self.ys[k - 1]
+        dur = times[k] - t0
+        if dur <= 0.0:
+            return (x0, y0)
+        u = (t - t0) / dur
+        return (x0 + (self.xs[k] - x0) * u, y0 + (self.ys[k] - y0) * u)
 
     def position_at(self, t: float) -> Point:
         return Point(*self.xy_at(t))
@@ -277,13 +326,12 @@ class Trajectory:
     def breakpoint_times_between(self, t0: float,
                                  t1: float) -> Sequence[float]:
         """Breakpoint times t with t0 < t < t1, in trajectory order."""
-        times = self._breakpoint_times()
+        times = self.times
         return times[bisect_right(times, t0):bisect_left(times, t1)]
 
     def breakpoints(self) -> Iterator[tuple[float, Point]]:
-        yield self.segments[0].start_time, self.segments[0].start_point
-        for seg in self.segments:
-            yield seg.end_time, seg.end_point
+        for t, x, y in zip(self.times, self.xs, self.ys):
+            yield t, Point(x, y)
 
 
 class TrajectoryBuilder:
@@ -293,48 +341,63 @@ class TrajectoryBuilder:
     stretch without one, that moved the agent since the previous record.
     Every record names that leg.  Records of one leg lie on one straight
     constant-velocity line, so a record that continues the previous
-    record's leg replaces it, and each segment of the built trajectory is
-    one leg.
+    record's leg replaces it, and each leg of the built trajectory is one
+    instruction leg.  Records are kept as float columns, the ones the
+    built Trajectory holds.
     """
 
     # _leg: the token of the last record; None never matches.
-    __slots__ = ("_times", "_points", "_leg")
+    __slots__ = ("_times", "_xs", "_ys", "_leg")
 
     def __init__(self, start_time: float, start_point: Point):
         self._times = [start_time]
-        self._points = [start_point]
+        self._xs = [start_point.x]
+        self._ys = [start_point.y]
         self._leg = None
 
-    def move_to(self, t: float, p: Point, leg: object = None) -> None:
-        """Record that the agent is at p at time t, at the end of leg.
+    def move_to(self, t: float, x: float, y: float,
+                leg: object = None) -> None:
+        """Record that the agent is at (x, y) at time t, at the end of leg.
 
-        leg is any token, compared by identity; None starts a new segment
-        on every call.
+        leg is any token, compared by identity; None starts a new leg on
+        every call.
         """
         times = self._times
-        if t < times[-1] - TIME_TOL:
+        last = times[-1]
+        if t < last - TIME_TOL:
             raise ValueError("trajectory time went backwards")
-        t = max(t, times[-1])
+        if t < last:
+            t = last
         if leg is not None and leg is self._leg:
             times[-1] = t
-            self._points[-1] = p
+            self._xs[-1] = x
+            self._ys[-1] = y
         else:
             times.append(t)
-            self._points.append(p)
+            self._xs.append(x)
+            self._ys.append(y)
             self._leg = leg
 
     def build(self) -> Trajectory:
-        segs = []
-        for i in range(len(self._times) - 1):
-            if self._times[i + 1] - self._times[i] <= 0.0 \
-                    and self._points[i].dist(self._points[i + 1]) <= POS_TOL:
-                continue
-            segs.append(Segment(self._times[i], self._times[i + 1],
-                                self._points[i], self._points[i + 1]))
-        if not segs:
-            segs = [Segment(self._times[0], self._times[-1],
-                            self._points[0], self._points[-1])]
-        return Trajectory(segs)
+        """The recorded trajectory, on copies of the record columns.
+
+        A record at the time of the one before it and within POS_TOL of
+        it adds no leg and is left out.
+        """
+        ts, xs, ys = self._times, self._xs, self._ys
+        hypot = math.hypot
+        idle = {k for k in range(1, len(ts))
+                if ts[k] - ts[k - 1] <= 0.0
+                and hypot(xs[k] - xs[k - 1], ys[k] - ys[k - 1]) <= POS_TOL}
+        if not idle and len(ts) > 1:
+            return Trajectory.from_columns(ts[:], xs[:], ys[:])
+        keep = [k for k in range(len(ts)) if k not in idle]
+        if len(keep) == 1:
+            # No record adds a leg: one leg from the first to the last.
+            keep.append(len(ts) - 1)
+        return Trajectory.from_columns([ts[k] for k in keep],
+                                       [xs[k] for k in keep],
+                                       [ys[k] for k in keep])
 
 
 def solve_crossing_in(rx: float, ry: float, vx: float, vy: float,

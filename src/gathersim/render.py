@@ -26,9 +26,8 @@ def render_svg(cfg: InitialConfiguration, trace: Trace) -> str:
     xs: list[float] = []
     ys: list[float] = []
     for traj in trace.trajectories:
-        for _, p in traj.breakpoints():
-            xs.append(p.x)
-            ys.append(p.y)
+        xs.extend(traj.xs)
+        ys.extend(traj.ys)
     for p in cfg.starts:
         xs.append(p.x)
         ys.append(p.y)
@@ -67,8 +66,8 @@ def render_svg(cfg: InitialConfiguration, trace: Trace) -> str:
                      f'stroke-width="1"/>')
 
     for idx, traj in enumerate(trace.trajectories):
-        pts = " ".join(f"{sx(p.x):.2f},{sy(p.y):.2f}"
-                       for _, p in traj.breakpoints())
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}"
+                       for x, y in zip(traj.xs, traj.ys))
         color = _hue(idx, n)
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5" '

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import pair
-from gathersim.algorithms import (StarWalk, _dedicated_walk,
+from gathersim.algorithms import (StarWalk, _dedicated_walk, _star_legs,
                                   dedicated_program, gather_a_program,
                                   gather_n_program, ray_direction,
                                   star_phase_params, star_time_through_phase)
@@ -77,6 +77,20 @@ def test_star_walk_stream_advances_phases():
     assert w.phase == 2 and w.stage == 1
     nxt = w.next_instruction()
     assert isinstance(nxt, Go) and nxt.distance == 2
+
+
+@pytest.mark.parametrize("x", range(1, 7))
+def test_star_legs_table_matches_stage_loop(x):
+    # The reference: stage by stage from 1, each ray at (stage - 1) * alpha.
+    alpha, k = star_phase_params(x)
+    want = []
+    for stage in range(1, k + 1):
+        ray = ray_direction((stage - 1) * alpha)
+        want += [Go(ray, float(x)), Go(-ray, float(x)), Wait(float(x))]
+    assert list(_star_legs(x)) == want
+    walk = StarWalk(x)
+    assert [walk.next_instruction() for _ in range(3 * k)] == want
+    assert (walk.phase, walk.stage) == (x + 1, 1)
 
 
 def test_star_time_through_phase():

@@ -220,14 +220,15 @@ def test_ga_naming_an_unknown_agent_is_a_check_failure(real_runs):
 
 
 def test_segment_at_speed_two_is_a_check_failure():
-    # Trajectory refuses such a segment, so it is put in after the run.
+    # Trajectory refuses such a leg, so it is put in after the run: one
+    # more breakpoint in agent 1's columns, 2 away after 1 time unit.
     cfg = good_config(0, 3)
     trace = run(cfg, gather_n_program(3))
     k = 1
-    segs = trace.trajectories[k].segments
-    last = segs[-1]
-    segs.append(Segment(last.end_time, last.end_time + 1.0, last.end_point,
-                        last.end_point + Vec2(2.0, 0.0)))
+    traj = trace.trajectories[k]
+    traj.times.append(traj.times[-1] + 1.0)
+    traj.xs.append(traj.xs[-1] + 2.0)
+    traj.ys.append(traj.ys[-1])
     for check in (check_speeds, lambda t: check_all(cfg, t)):
         with pytest.raises(CheckFailure) as err:
             check(trace)

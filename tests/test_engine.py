@@ -187,9 +187,9 @@ def test_connected_components_matches_closure(graph, data):
         _closure_components(nodes, edges))
 
 
-def test_idle_agent_is_polled_at_every_instant():
+def test_idle_agent_is_polled_only_at_its_own_events():
     # The silent agent issues nothing, and is 100 away from the walker;
-    # its on_idle still runs at each end of the walker's five legs.
+    # the ends of the walker's five legs do not poll it again.
     polls = []
 
     class Silent(Program):
@@ -205,7 +205,41 @@ def test_idle_agent_is_polled_at_every_instant():
     mk = iter([Silent(), FiveLegs()])
     trace = run(cfg, lambda: next(mk), horizon=50.0)
     assert trace.ga_events() == []
-    assert polls == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert polls == [0.0]
+
+
+def test_far_agent_does_not_change_idle_polls():
+    # Agent 0 waits three times and then issues nothing.  A walker 100
+    # away, whose legs end at other instants, leaves its polls as they
+    # are.
+    class ThreeWaits(Program):
+        def __init__(self, polls):
+            self.polls = polls
+
+        def on_idle(self, ctx):
+            self.polls.append(ctx.now)
+            if len(self.polls) <= 3:
+                ctx.issue(Wait(1.0))
+
+    class Steps(Program):
+        def on_appear(self, ctx):
+            for _ in range(20):
+                ctx.issue(Go(Vec2(0.0, 1.0), 0.35))
+
+    def polls_of_agent_0(starts, factories):
+        polls = []
+        mk = iter([ThreeWaits(polls)] + factories)
+        cfg = InitialConfiguration(0.5, tuple(Point(*p) for p in starts),
+                                   (0.0,) * len(starts))
+        trace = run(cfg, lambda: next(mk), horizon=20.0)
+        assert trace.ga_events() == []
+        return polls
+
+    alone = polls_of_agent_0([(0, 0), (-100, 0)], [Still()])
+    crowded = polls_of_agent_0([(0, 0), (-100, 0), (100, 0)],
+                               [Still(), Steps()])
+    assert alone == [0.0, 1.0, 2.0, 3.0]
+    assert crowded == alone
 
 
 def test_no_repeat_ga_while_adjacent():
@@ -900,7 +934,7 @@ class _EveryEventRecorder(Simulation):
         super()._advance_to(t)
         for ag in self._live:
             m = ag.motion
-            ag.builder.move_to(t, Point(ag.x, ag.y),
+            ag.builder.move_to(t, ag.x, ag.y,
                                _STILL_LEG if m is None else m)
 
 

@@ -72,8 +72,8 @@ def test_position_at_waiting():
 
 def test_position_at_out_and_back_north():
     b = TrajectoryBuilder(0.0, Point(0, 0))
-    b.move_to(3.0, Point(0, 3))
-    b.move_to(6.0, Point(0, 0))
+    b.move_to(3.0, 0.0, 3.0)
+    b.move_to(6.0, 0.0, 0.0)
     traj = b.build()
     assert traj.position_at(4.0).dist(Point(0, 2)) < 1e-12
 
@@ -113,8 +113,8 @@ def test_head_on_approach_time():
     # B closes in from distance 2 at speed 1; gap hits 0.5 at t = 1.5.
     a = Trajectory([Segment(0.0, 5.0, Point(0, 0), Point(0, 0))])
     b = TrajectoryBuilder(0.0, Point(2, 0))
-    b.move_to(2.0, Point(0, 0))
-    b.move_to(5.0, Point(0, 0))
+    b.move_to(2.0, 0.0, 0.0)
+    b.move_to(5.0, 0.0, 0.0)
     t = earliest_approach(a, b.build(), 0.5, 0.0)
     assert t is not None and abs(t - 1.5) < 1e-9
 
@@ -135,7 +135,7 @@ def test_tangent_contact_detected():
     # Perpendicular flyby grazing the eps circle exactly.
     a = Trajectory([Segment(0.0, 4.0, Point(0, 0), Point(0, 0))])
     b = TrajectoryBuilder(0.0, Point(-2.0, 0.5))
-    b.move_to(4.0, Point(2.0, 0.5))
+    b.move_to(4.0, 2.0, 0.5)
     t = earliest_approach(a, b.build(), 0.5, 0.0)
     assert t is not None and abs(t - 2.0) < 1e-6
 
@@ -159,15 +159,15 @@ def _random_walk(rng, t0, p0, legs, horizon):
         if rng.random() < 0.3:
             dt = rng.uniform(0.1, 1.0)
             t += dt
-            b.move_to(t, p)
+            b.move_to(t, p.x, p.y)
         else:
             ang = rng.uniform(0, 2 * math.pi)
             d = rng.uniform(0.1, 1.5)
             p = Point(p.x + d * math.cos(ang), p.y + d * math.sin(ang))
             t += d
-            b.move_to(t, p)
+            b.move_to(t, p.x, p.y)
     if t < horizon:
-        b.move_to(horizon, p)
+        b.move_to(horizon, p.x, p.y)
     return b.build()
 
 
@@ -320,13 +320,13 @@ def test_builder_merges_records_of_one_leg():
     leg, other = object(), object()
     b = TrajectoryBuilder(0.0, Point(0, 0))
     for k in range(1, 6):
-        b.move_to(float(k), Point(float(k), 0.0), leg)
+        b.move_to(float(k), float(k), 0.0, leg)
     # Up to TIME_TOL early is clamped to the last time, also on replacing.
-    b.move_to(5.0 - TIME_TOL / 2, Point(5.0, 0.0), leg)
-    b.move_to(7.0, Point(5.0, 2.0), other)
+    b.move_to(5.0 - TIME_TOL / 2, 5.0, 0.0, leg)
+    b.move_to(7.0, 5.0, 2.0, other)
     # None is no leg: every such record ends a segment of its own.
-    b.move_to(8.0, Point(5.0, 2.0))
-    b.move_to(9.0, Point(5.0, 2.0))
+    b.move_to(8.0, 5.0, 2.0)
+    b.move_to(9.0, 5.0, 2.0)
     segs = b.build().segments
     assert [(s.start_time, s.end_time) for s in segs] \
         == [(0.0, 5.0), (5.0, 7.0), (7.0, 8.0), (8.0, 9.0)]
@@ -356,8 +356,8 @@ def test_leg_merging_keeps_the_path(t0, p0, legs_drawn):
             t += dt
             x += vx * dt
             y += vy * dt
-            merged.move_to(t, Point(x, y), leg)
-            plain.move_to(t, Point(x, y))
+            merged.move_to(t, x, y, leg)
+            plain.move_to(t, x, y)
             recorded.append(t)
     a, b = merged.build(), plain.build()
     for t in recorded:
