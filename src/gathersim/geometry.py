@@ -10,7 +10,6 @@ times, xs and ys; its Segment objects are a view built on request.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union

@@ -14,7 +14,7 @@ from gathersim.engine import (Event, Trace, Verdict, connected_components,
                               run)
 from gathersim.generate import good_config
 from gathersim.geometry import (PROX_TOL, TIME_TOL, Point, Segment,
-                               Trajectory, Vec2)
+                               Trajectory)
 
 
 # -- Reference: check_ga_events as it was before it kept per-pair state --
