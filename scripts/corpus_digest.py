@@ -51,8 +51,8 @@ def digest(build_corpus, workload: str,
         outcomes.update(f"{op.label} {outcome}\n".encode())
         for idx, traj in enumerate(trace.trajectories):
             paths.update(f"{op.label} agent {idx}\n".encode())
-            for t, p in traj.breakpoints():
-                paths.update(f"{t.hex()} {p.x.hex()} {p.y.hex()}\n".encode())
+            for t, x, y in zip(traj.times, traj.xs, traj.ys):
+                paths.update(f"{t.hex()} {x.hex()} {y.hex()}\n".encode())
     return (len(ops), traces.hexdigest(), outcomes.hexdigest(),
             paths.hexdigest())
 

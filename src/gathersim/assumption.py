@@ -143,8 +143,8 @@ def build_dependent_counterexample(a: AssumptionSet,
                 f"(verdict {trace.verdict.kind}); this indicates a bug")
         r = 0.0
         for traj in trace.trajectories:
-            for _, p in traj.breakpoints():
-                r = max(r, math.hypot(p.x, p.y))
+            for x, y in zip(traj.xs, traj.ys):
+                r = max(r, math.hypot(x, y))
         radii.append(r)
 
     starts: list[Point] = []

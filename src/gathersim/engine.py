@@ -299,10 +299,6 @@ class _Motion:
     stop_on_arrival: bool
 
 
-# The trajectory leg of an agent that executes no instruction.
-_STILL = object()
-
-
 _index = operator.attrgetter("idx")
 
 
@@ -680,9 +676,7 @@ class Simulation:
         last advance had no such record and gets none.
         """
         if self._advances > agent.leg_from:
-            m = agent.motion
-            agent.builder.move_to(self._now, agent.x, agent.y,
-                                  _STILL if m is None else m)
+            agent.builder.move_to(self._now, agent.x, agent.y)
 
     def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
         """Every change of an agent's leg goes through here."""

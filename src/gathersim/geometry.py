@@ -1,7 +1,7 @@
 """Planar points, vectors, piecewise-linear trajectories and epsilon-approach queries.
 
 All motion in this package is piecewise linear with segment speed either 0
-(waiting) or 1 (moving), which keeps closest-approach queries exact: the
+(waiting) or 1 (moving), which keeps eps-crossing queries exact: the
 squared distance between two agents on overlapping segments is a quadratic
 in time.  A Trajectory stores its breakpoints as three float columns,
 times, xs and ys; its Segment objects are a view built on request.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 # The tolerance model.  Every float slack of gathersim is defined here,
 # once, and every other slack is written from these names.  All are
@@ -87,12 +87,6 @@ class Vec2:
     dx: float
     dy: float
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.dx + other.dx, self.dy + other.dy)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.dx - other.dx, self.dy - other.dy)
-
     def __neg__(self) -> "Vec2":
         return Vec2(-self.dx, -self.dy)
 
@@ -131,20 +125,13 @@ def is_finite_point(p: Point) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Segment:
-    """One constant-velocity piece of a trajectory.
-
-    Trajectory enforces the unit-speed rule on its segments; see
-    has_legal_speed.
-    """
+    """One constant-velocity piece of a trajectory: a view of one leg of
+    a Trajectory's columns."""
 
     start_time: float
     end_time: float
     start_point: Point
     end_point: Point
-
-    def __post_init__(self):
-        if self.end_time < self.start_time - TIME_TOL:
-            raise ValueError("segment end precedes its start")
 
     @property
     def duration(self) -> float:
@@ -157,26 +144,6 @@ class Segment:
             return Vec2(0.0, 0.0)
         d = self.end_point - self.start_point
         return Vec2(d.dx / dur, d.dy / dur)
-
-    @property
-    def speed(self) -> float:
-        dur = self.duration
-        if dur <= 0.0:
-            return 0.0
-        return self.start_point.dist(self.end_point) / dur
-
-    def xy_at(self, t: float) -> tuple[float, float]:
-        """Coordinates of point_at(t), without building a Point."""
-        sp = self.start_point
-        dur = self.duration
-        if dur <= 0.0:
-            return (sp.x, sp.y)
-        ep = self.end_point
-        u = (t - self.start_time) / dur
-        return (sp.x + (ep.x - sp.x) * u, sp.y + (ep.y - sp.y) * u)
-
-    def point_at(self, t: float) -> Point:
-        return Point(*self.xy_at(t))
 
 
 def legal_speed(dt: float, dx: float, dy: float) -> bool:
@@ -197,12 +164,6 @@ def legal_speed(dt: float, dx: float, dy: float) -> bool:
             or abs(length - dt) <= 10.0 * TIME_TOL)
 
 
-def has_legal_speed(seg: Segment) -> bool:
-    """legal_speed for one segment."""
-    sp, ep = seg.start_point, seg.end_point
-    return legal_speed(seg.duration, ep.x - sp.x, ep.y - sp.y)
-
-
 class Trajectory:
     """Piecewise-linear path of a single agent, defined from its start time on.
 
@@ -211,13 +172,9 @@ class Trajectory:
     constant velocity from breakpoint k to breakpoint k + 1.  Times never
     step back and every leg obeys legal_speed.  A trajectory recorded by
     the engine has one leg per instruction leg: one Go, Wait or GotoStop,
-    or one stretch without an instruction.  segments and breakpoints()
-    are views built from the columns on each call.
-
-    Trajectory(segments) takes hand-made segments that are contiguous in
-    time and space, up to TIME_TOL and POS_TOL; each segment after the
-    first starts where the one before it ends.  from_columns takes the
-    columns themselves.
+    or one stretch without an instruction.  segments is a view built
+    from the columns on each read.  Trajectory(times, xs, ys) keeps the
+    given lists, not copies.
 
     position_at, and xy_at which gives the same coordinates as a tuple,
     are defined on [start_time, end_time]; queries before the start or
@@ -227,32 +184,8 @@ class Trajectory:
     # _keys: times plus TIME_TOL, built on the first xy_at.
     __slots__ = ("times", "xs", "ys", "_keys")
 
-    def __init__(self, segments: Sequence[Segment]):
-        if not segments:
-            raise ValueError("trajectory needs at least one segment")
-        for prev, seg in zip(segments, segments[1:]):
-            if abs(seg.start_time - prev.end_time) > TIME_TOL:
-                raise ValueError("segments are not contiguous in time")
-            if prev.end_point.dist(seg.start_point) > POS_TOL:
-                raise ValueError("segments are not contiguous in space")
-        first = segments[0]
-        self._set_columns(
-            [first.start_time] + [seg.end_time for seg in segments],
-            [first.start_point.x] + [seg.end_point.x for seg in segments],
-            [first.start_point.y] + [seg.end_point.y for seg in segments])
-
-    @classmethod
-    def from_columns(cls, times: list[float], xs: list[float],
-                     ys: list[float]) -> "Trajectory":
-        """The trajectory through the given breakpoints; the lists are
-        kept, not copied."""
-        traj = cls.__new__(cls)
-        traj._set_columns(times, xs, ys)
-        return traj
-
-    def _set_columns(self, times: list[float], xs: list[float],
-                     ys: list[float]) -> None:
-        """Check the columns, then keep them."""
+    def __init__(self, times: list[float], xs: list[float],
+                 ys: list[float]):
         if not len(times) == len(xs) == len(ys) >= 2:
             raise ValueError("trajectory needs two breakpoints in each "
                              "column")
@@ -328,54 +261,34 @@ class Trajectory:
         times = self.times
         return times[bisect_right(times, t0):bisect_left(times, t1)]
 
-    def breakpoints(self) -> Iterator[tuple[float, Point]]:
-        for t, x, y in zip(self.times, self.xs, self.ys):
-            yield t, Point(x, y)
-
 
 class TrajectoryBuilder:
     """Incrementally records an agent's motion, one record per leg.
 
     The engine makes a record when a leg ends: the instruction, or
     stretch without one, that moved the agent since the previous record.
-    Every record names that leg.  Records of one leg lie on one straight
-    constant-velocity line, so a record that continues the previous
-    record's leg replaces it, and each leg of the built trajectory is one
-    instruction leg.  Records are kept as float columns, the ones the
-    built Trajectory holds.
+    Each record ends one leg of the built trajectory.  Records are kept as
+    float columns, the ones the built Trajectory holds.
     """
 
-    # _leg: the token of the last record; None never matches.
-    __slots__ = ("_times", "_xs", "_ys", "_leg")
+    __slots__ = ("_times", "_xs", "_ys")
 
     def __init__(self, start_time: float, start_point: Point):
         self._times = [start_time]
         self._xs = [start_point.x]
         self._ys = [start_point.y]
-        self._leg = None
 
-    def move_to(self, t: float, x: float, y: float,
-                leg: object = None) -> None:
-        """Record that the agent is at (x, y) at time t, at the end of leg.
-
-        leg is any token, compared by identity; None starts a new leg on
-        every call.
-        """
+    def move_to(self, t: float, x: float, y: float) -> None:
+        """Record that the agent is at (x, y) at time t."""
         times = self._times
         last = times[-1]
         if t < last - TIME_TOL:
             raise ValueError("trajectory time went backwards")
         if t < last:
             t = last
-        if leg is not None and leg is self._leg:
-            times[-1] = t
-            self._xs[-1] = x
-            self._ys[-1] = y
-        else:
-            times.append(t)
-            self._xs.append(x)
-            self._ys.append(y)
-            self._leg = leg
+        times.append(t)
+        self._xs.append(x)
+        self._ys.append(y)
 
     def build(self) -> Trajectory:
         """The recorded trajectory, on copies of the record columns.
@@ -389,14 +302,14 @@ class TrajectoryBuilder:
                 if ts[k] - ts[k - 1] <= 0.0
                 and hypot(xs[k] - xs[k - 1], ys[k] - ys[k - 1]) <= POS_TOL}
         if not idle and len(ts) > 1:
-            return Trajectory.from_columns(ts[:], xs[:], ys[:])
+            return Trajectory(ts[:], xs[:], ys[:])
         keep = [k for k in range(len(ts)) if k not in idle]
         if len(keep) == 1:
             # No record adds a leg: one leg from the first to the last.
             keep.append(len(ts) - 1)
-        return Trajectory.from_columns([ts[k] for k in keep],
-                                       [xs[k] for k in keep],
-                                       [ys[k] for k in keep])
+        return Trajectory([ts[k] for k in keep],
+                          [xs[k] for k in keep],
+                          [ys[k] for k in keep])
 
 
 def solve_crossing_in(rx: float, ry: float, vx: float, vy: float,
@@ -460,45 +373,3 @@ def solve_crossing_out(rx: float, ry: float, vx: float, vy: float,
     if root < 0.0 or root > length + TIME_TOL:
         return None
     return min(root, length)
-
-
-def earliest_approach(traj_a: Trajectory, traj_b: Trajectory,
-                      eps: float, t_from: float) -> Optional[float]:
-    """Earliest t >= t_from with dist(a(t), b(t)) <= eps, or None.
-
-    Both trajectories must cover a common time span containing t_from.
-    Segment boundaries within TIME_TOL of a root are treated as the root.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    lo = max(traj_a.start_time, traj_b.start_time, t_from)
-    hi = min(traj_a.end_time, traj_b.end_time)
-    if hi < lo - TIME_TOL:
-        raise ValueError("trajectories have no overlapping time coverage "
-                         f"at or after t={t_from}")
-    ia = [s for s in traj_a.segments if s.end_time >= lo - TIME_TOL]
-    ib = [s for s in traj_b.segments if s.end_time >= lo - TIME_TOL]
-    i = j = 0
-    t = lo
-    while i < len(ia) and j < len(ib):
-        sa, sb = ia[i], ib[j]
-        w_lo = max(sa.start_time, sb.start_time, t)
-        w_hi = min(sa.end_time, sb.end_time, hi)
-        if w_hi >= w_lo - TIME_TOL:
-            pa = sa.point_at(w_lo)
-            pb = sb.point_at(w_lo)
-            va = sa.velocity
-            vb = sb.velocity
-            s = solve_crossing_in(pb.x - pa.x, pb.y - pa.y,
-                                  vb.dx - va.dx, vb.dy - va.dy,
-                                  eps, max(w_hi - w_lo, 0.0))
-            if s is not None:
-                return w_lo + s
-            t = w_hi
-        if sa.end_time <= sb.end_time + TIME_TOL:
-            i += 1
-        if sb.end_time <= sa.end_time + TIME_TOL:
-            j += 1
-        if w_hi >= hi - TIME_TOL and w_hi >= w_lo - TIME_TOL:
-            break
-    return None

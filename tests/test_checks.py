@@ -13,8 +13,7 @@ from gathersim.config import InitialConfiguration
 from gathersim.engine import (Event, Trace, Verdict, connected_components,
                               run)
 from gathersim.generate import good_config
-from gathersim.geometry import (PROX_TOL, TIME_TOL, Point, Segment,
-                               Trajectory)
+from gathersim.geometry import PROX_TOL, TIME_TOL, Point, Trajectory
 
 
 # -- Reference: check_ga_events as it was before it kept per-pair state --
@@ -245,11 +244,9 @@ HAND_CFG = InitialConfiguration(EPS, (Point(0, 0), Point(3, 0)), (0.0, 0.0))
 
 
 def _hand_trace(ga_times) -> Trace:
-    waits = Trajectory([Segment(0.0, 10.0, Point(0, 0), Point(0, 0))])
-    legs = [(0.0, 3.0), (2.0, 1.0), (2.5, 0.5), (5.0, 3.0), (7.5, 0.5),
-            (10.0, 0.5)]
-    walks = Trajectory([Segment(t0, t1, Point(x0, 0), Point(x1, 0))
-                        for (t0, x0), (t1, x1) in zip(legs, legs[1:])])
+    waits = Trajectory([0.0, 10.0], [0.0, 0.0], [0.0, 0.0])
+    walks = Trajectory([0.0, 2.0, 2.5, 5.0, 7.5, 10.0],
+                       [3.0, 1.0, 0.5, 3.0, 0.5, 0.5], [0.0] * 6)
     gas = [Event(t, "ga", (0, 1)) for t in ga_times]
     return Trace(events=gas, final_positions=(Point(0, 0), Point(0.5, 0)),
                  final_tags=("", ""), trajectories=(waits, walks),

@@ -896,8 +896,8 @@ def test_horizon_must_be_finite_and_positive(horizon):
 
 
 def test_trajectory_has_one_segment_per_leg():
-    # The stepper ends a leg every 0.5 time units, so the engine records
-    # the walker ten times during its single 5-unit leg; they merge.
+    # The stepper ends a leg every 0.5 time units, but the engine records
+    # the walker once, at the end of its single 5-unit leg.
     class Walker(Program):
         def on_appear(self, ctx):
             ctx.issue(Go(Vec2(0.0, 1.0), 5.0))
@@ -922,10 +922,35 @@ def test_trajectory_has_one_segment_per_leg():
 _STILL_LEG = object()
 
 
+class _LastRecordOfEachLeg:
+    """Wraps a builder and passes on, of consecutive records of one leg,
+    only the last.  The leg is a token compared by identity."""
+
+    def __init__(self, builder):
+        self.builder = builder
+        self.pending = None
+
+    def record(self, t, x, y, leg):
+        held = self.pending
+        if held is not None and leg is not held[3]:
+            self.builder.move_to(*held[:3])
+        self.pending = (t, x, y, leg)
+
+    def move_to(self, t, x, y):
+        """A record that is a leg of its own: the closing pad."""
+        self.record(t, x, y, object())
+
+    def build(self):
+        if self.pending is not None:
+            self.builder.move_to(*self.pending[:3])
+            self.pending = None
+        return self.builder.build()
+
+
 class _EveryEventRecorder(Simulation):
     """The reference recorder: every advance records every live agent at
-    the end of its current leg, and leg changes record nothing.  The
-    builder keeps the last record of each leg."""
+    the end of its current leg, and leg changes record nothing.  Only the
+    last record of each leg reaches the builder."""
 
     def _record_leg(self, agent):
         pass
@@ -933,9 +958,10 @@ class _EveryEventRecorder(Simulation):
     def _advance_to(self, t):
         super()._advance_to(t)
         for ag in self._live:
+            if not isinstance(ag.builder, _LastRecordOfEachLeg):
+                ag.builder = _LastRecordOfEachLeg(ag.builder)
             m = ag.motion
-            ag.builder.move_to(t, ag.x, ag.y,
-                               _STILL_LEG if m is None else m)
+            ag.builder.record(t, ag.x, ag.y, _STILL_LEG if m is None else m)
 
 
 def _segment_bits(trace):

@@ -1,4 +1,4 @@
-"""Plane primitives: ordering, trajectories, closest-approach roots."""
+"""Plane primitives: ordering, trajectories, eps-crossing roots."""
 
 import ast
 import math
@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 
 import gathersim
 from gathersim import checks, engine, geometry
-from gathersim.geometry import (POS_TOL, TIME_TOL, Point, Segment,
-                                Trajectory, TrajectoryBuilder, Vec2,
-                                earliest_approach, has_legal_speed,
-                                lex_less, solve_crossing_in,
-                                solve_crossing_out)
+from gathersim.geometry import (GRAZE_TOL, TIME_TOL, Point, Trajectory,
+                                TrajectoryBuilder, Vec2, lex_less,
+                                solve_crossing_in, solve_crossing_out)
 
 coord = st.floats(-50.0, 50.0)
 points = st.builds(Point, coord, coord)
@@ -54,19 +52,21 @@ def test_point_vector_arithmetic():
 
 
 def test_segment_velocity():
-    seg = Segment(0.0, 2.0, Point(0, 0), Point(2, 0))
-    assert seg.velocity == Vec2(1.0, 0.0)
-    assert abs(seg.speed - 1.0) < 1e-12
-    assert seg.point_at(1.0) == Point(1, 0)
+    traj = Trajectory([0.0, 2.0, 3.0], [0.0, 2.0, 2.0], [0.0, 0.0, 0.0])
+    walk, rest = traj.segments
+    assert (walk.start_time, walk.duration) == (0.0, 2.0)
+    assert (walk.start_point, walk.end_point) == (Point(0, 0), Point(2, 0))
+    assert walk.velocity == Vec2(1.0, 0.0)
+    assert rest.velocity == Vec2(0.0, 0.0)
 
 
 def test_position_at_unit_move_midpoint():
-    traj = Trajectory([Segment(0.0, 2.0, Point(0, 0), Point(2, 0))])
+    traj = Trajectory([0.0, 2.0], [0.0, 2.0], [0.0, 0.0])
     assert traj.position_at(1.0) == Point(1, 0)
 
 
 def test_position_at_waiting():
-    traj = Trajectory([Segment(0.0, 10.0, Point(5, 5), Point(5, 5))])
+    traj = Trajectory([0.0, 10.0], [5.0, 5.0], [5.0, 5.0])
     assert traj.position_at(7.0) == Point(5, 5)
 
 
@@ -79,7 +79,7 @@ def test_position_at_out_and_back_north():
 
 
 def test_position_at_outside_span_raises():
-    traj = Trajectory([Segment(1.0, 2.0, Point(0, 0), Point(1, 0))])
+    traj = Trajectory([1.0, 2.0], [0.0, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         traj.position_at(0.5)
     with pytest.raises(ValueError):
@@ -88,56 +88,63 @@ def test_position_at_outside_span_raises():
 
 def test_trajectory_rejects_illegal_speed():
     with pytest.raises(ValueError):
-        Trajectory([Segment(0.0, 1.0, Point(0, 0), Point(2, 0))])
+        Trajectory([0.0, 1.0], [0.0, 2.0], [0.0, 0.0])
 
 
-def test_trajectory_rejects_gap():
-    with pytest.raises(ValueError):
-        Trajectory([Segment(0.0, 1.0, Point(0, 0), Point(1, 0)),
-                    Segment(1.0, 2.0, Point(5, 0), Point(6, 0))])
+def test_trajectory_needs_two_breakpoints_in_each_column():
+    for columns in (([0.0], [0.0], [0.0]),
+                    ([0.0, 1.0], [0.0, 1.0], [0.0]),
+                    ([0.0, 1.0], [0.0], [0.0, 0.0]),
+                    ([0.0], [0.0, 1.0], [0.0, 0.0])):
+        with pytest.raises(ValueError, match="two breakpoints"):
+            Trajectory(*columns)
 
 
 def test_trajectory_rejects_time_stepping_back():
-    # Each step back lies within the TIME_TOL that Segment and the
-    # contiguity check allow, so only the monotonicity check catches it.
+    # Each step back lies within TIME_TOL, which xy_at treats as one
+    # instant; only the monotonicity check catches it.
     with pytest.raises(ValueError, match="steps back"):
-        Trajectory([Segment(1.0, 1.0 - TIME_TOL / 2, Point(0, 0),
-                            Point(0, 0))])
+        Trajectory([1.0, 1.0 - TIME_TOL / 2], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="steps back"):
-        Trajectory([Segment(0.0, 1.0, Point(0, 0), Point(1, 0)),
-                    Segment(1.0 - TIME_TOL / 2, 1.0 - TIME_TOL / 4,
-                            Point(1, 0), Point(1, 0))])
+        Trajectory([0.0, 1.0, 1.0 - TIME_TOL / 2], [0.0, 1.0, 1.0],
+                   [0.0, 0.0, 0.0])
 
 
 def test_head_on_approach_time():
-    # B closes in from distance 2 at speed 1; gap hits 0.5 at t = 1.5.
-    a = Trajectory([Segment(0.0, 5.0, Point(0, 0), Point(0, 0))])
-    b = TrajectoryBuilder(0.0, Point(2, 0))
-    b.move_to(2.0, 0.0, 0.0)
-    b.move_to(5.0, 0.0, 0.0)
-    t = earliest_approach(a, b.build(), 0.5, 0.0)
-    assert t is not None and abs(t - 1.5) < 1e-9
+    # The partner closes in from distance 2 at speed 1; the gap hits 0.5
+    # at s = 1.5.
+    s = solve_crossing_in(2.0, 0.0, -1.0, 0.0, 0.5, 5.0)
+    assert s is not None and abs(s - 1.5) < 1e-9
 
 
 def test_already_within_eps():
-    a = Trajectory([Segment(0.0, 5.0, Point(0, 0), Point(0, 0))])
-    b = Trajectory([Segment(0.0, 5.0, Point(0, 0.4), Point(0, 0.4))])
-    assert earliest_approach(a, b, 0.5, 0.0) == 0.0
+    assert solve_crossing_in(0.0, 0.4, 0.0, 0.0, 0.5, 5.0) == 0.0
 
 
 def test_parallel_motion_never_approaches():
-    a = Trajectory([Segment(0.0, 5.0, Point(0, 0), Point(5, 0))])
-    b = Trajectory([Segment(0.0, 5.0, Point(0, 1), Point(5, 1))])
-    assert earliest_approach(a, b, 0.5, 0.0) is None
+    # Both walk east at unit speed, 1 apart: no relative velocity.
+    assert solve_crossing_in(0.0, 1.0, 0.0, 0.0, 0.5, 5.0) is None
 
 
 def test_tangent_contact_detected():
-    # Perpendicular flyby grazing the eps circle exactly.
-    a = Trajectory([Segment(0.0, 4.0, Point(0, 0), Point(0, 0))])
-    b = TrajectoryBuilder(0.0, Point(-2.0, 0.5))
-    b.move_to(4.0, 2.0, 0.5)
-    t = earliest_approach(a, b.build(), 0.5, 0.0)
-    assert t is not None and abs(t - 2.0) < 1e-6
+    # Flybys at miss distance exactly eps touch the circle at s = 2.
+    # Along an axis the discriminant is exactly 0; on the tilted path
+    # rounding makes it slightly negative, and only GRAZE_TOL keeps the
+    # touch.  A miss by more than that slack is no touch.
+    eps = 0.5
+    for angle in (0.0, 0.093):
+        vx, vy = math.cos(angle), math.sin(angle)
+        for miss in (eps, eps * (1 + 1e3 * GRAZE_TOL)):
+            rx, ry = -2.0 * vx - miss * vy, -2.0 * vy + miss * vx
+            s = solve_crossing_in(rx, ry, vx, vy, eps, 4.0)
+            if miss > eps:
+                assert s is None
+                continue
+            a1 = 2.0 * (rx * vx + ry * vy)
+            a0 = rx * rx + ry * ry - eps * eps
+            disc = a1 * a1 - 4.0 * (vx * vx + vy * vy) * a0
+            assert disc == 0.0 if angle == 0.0 else disc < 0.0
+            assert s is not None and abs(s - 2.0) < 1e-6
 
 
 def test_crossing_roots_snap_to_window():
@@ -152,57 +159,34 @@ def test_crossing_out_symmetric():
     assert solve_crossing_out(0.3, 0.0, 0.0, 0.0, 0.5, 10.0) is None
 
 
-def _random_walk(rng, t0, p0, legs, horizon):
-    b = TrajectoryBuilder(t0, p0)
-    t, p = t0, p0
-    for _ in range(legs):
-        if rng.random() < 0.3:
-            dt = rng.uniform(0.1, 1.0)
-            t += dt
-            b.move_to(t, p.x, p.y)
-        else:
-            ang = rng.uniform(0, 2 * math.pi)
-            d = rng.uniform(0.1, 1.5)
-            p = Point(p.x + d * math.cos(ang), p.y + d * math.sin(ang))
-            t += d
-            b.move_to(t, p.x, p.y)
-    if t < horizon:
-        b.move_to(horizon, p.x, p.y)
-    return b.build()
-
-
 @pytest.mark.parametrize("seed", range(12))
-def test_earliest_approach_matches_scanning(seed):
-    """Quadratic-root search vs naive time stepping at 1e-4."""
+def test_crossing_in_matches_scanning(seed):
+    """Quadratic-root search vs naive stepping at 1e-4 along one window."""
     rng = random.Random(seed)
     eps = rng.uniform(0.3, 0.8)
-    horizon = 10.0
-    a = _random_walk(rng, 0.0, Point(0, 0), 8, horizon)
-    b = _random_walk(rng, 0.0, Point(rng.uniform(1.5, 3.0), 0), 8, horizon)
-    exact = earliest_approach(a, b, eps, 0.0)
+    length = 5.0
+    rx, ry = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+    # Roughly towards the origin, so that some pairs meet and some miss.
+    ang = math.atan2(-ry, -rx) + rng.uniform(-0.3, 0.3)
+    # Relative speed of two unit-speed agents: 0 to 2.
+    speed = rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)])
+    vx, vy = speed * math.cos(ang), speed * math.sin(ang)
+    exact = solve_crossing_in(rx, ry, vx, vy, eps, length)
 
     step = 1e-4
     naive = None
-    t = 0.0
-    while t <= horizon:
-        if a.position_at(t).dist(b.position_at(t)) <= eps:
-            naive = t
+    s = 0.0
+    while s <= length:
+        if math.hypot(rx + vx * s, ry + vy * s) <= eps:
+            naive = s
             break
-        t += step
+        s += step
     if exact is None:
         assert naive is None
     else:
         assert naive is not None
         assert abs(exact - naive) < 1e-3
-        assert a.position_at(exact).dist(b.position_at(exact)) \
-            <= eps + 1e-9
-
-
-def test_earliest_approach_requires_overlap():
-    a = Trajectory([Segment(0.0, 1.0, Point(0, 0), Point(0, 0))])
-    b = Trajectory([Segment(5.0, 6.0, Point(0, 0), Point(0, 0))])
-    with pytest.raises(ValueError):
-        earliest_approach(a, b, 0.5, 0.0)
+        assert math.hypot(rx + vx * exact, ry + vy * exact) <= eps + 1e-9
 
 
 @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(0.05, 1.0))
@@ -256,14 +240,17 @@ def _linear_position_at(traj, t):
     if t < traj.start_time - TIME_TOL or t > traj.end_time + TIME_TOL:
         raise ValueError("outside span")
     t = min(max(t, traj.start_time), traj.end_time)
-    for seg in traj.segments:
-        if t <= seg.end_time + TIME_TOL:
-            return seg.point_at(t)
-    return traj.segments[-1].point_at(t)
+    segs = traj.segments
+    seg = next((s for s in segs if t <= s.end_time + TIME_TOL), segs[-1])
+    sp, ep, dur = seg.start_point, seg.end_point, seg.duration
+    if dur <= 0.0:
+        return sp
+    u = (t - seg.start_time) / dur
+    return Point(sp.x + (ep.x - sp.x) * u, sp.y + (ep.y - sp.y) * u)
 
 
 def _linear_times_between(traj, t0, t1):
-    return [t for t, _ in traj.breakpoints() if t0 < t < t1]
+    return [t for t in traj.times if t0 < t < t1]
 
 
 # Sub-tolerance durations sit on the lookup's edges.
@@ -275,22 +262,19 @@ legs = st.tuples(durations, st.booleans(), st.floats(0.0, 2 * math.pi))
 
 @st.composite
 def contiguous_trajectories(draw):
-    t = draw(st.floats(-5.0, 5.0))
-    p = Point(draw(coord), draw(coord))
-    segs = []
+    times, xs, ys = [draw(st.floats(-5.0, 5.0))], [draw(coord)], [draw(coord)]
     for dur, moving, ang in draw(st.lists(legs, min_size=1, max_size=10)):
         step = dur if moving else 0.0
-        q = Point(p.x + step * math.cos(ang), p.y + step * math.sin(ang))
-        segs.append(Segment(t, t + dur, p, q))
-        t, p = t + dur, q
-    return Trajectory(segs)
+        times.append(times[-1] + dur)
+        xs.append(xs[-1] + step * math.cos(ang))
+        ys.append(ys[-1] + step * math.sin(ang))
+    return Trajectory(times, xs, ys)
 
 
 @given(contiguous_trajectories(), st.lists(st.floats(0.0, 1.0), max_size=4))
 @settings(max_examples=150)
 def test_position_at_bisect_matches_linear_scan(traj, fractions):
-    times = [t for t, _ in traj.breakpoints()]
-    queries = [b + d for b in times
+    queries = [b + d for b in traj.times
                for d in (0.0, -TIME_TOL / 2, TIME_TOL / 2)]
     queries += [seg.start_time + f * seg.duration
                 for seg in traj.segments for f in fractions]
@@ -316,55 +300,54 @@ def test_position_at_bisect_matches_linear_scan(traj, fractions):
                 == _linear_times_between(traj, t0, t1)
 
 
-def test_builder_merges_records_of_one_leg():
-    leg, other = object(), object()
+def test_builder_keeps_every_record():
     b = TrajectoryBuilder(0.0, Point(0, 0))
     for k in range(1, 6):
-        b.move_to(float(k), float(k), 0.0, leg)
-    # Up to TIME_TOL early is clamped to the last time, also on replacing.
-    b.move_to(5.0 - TIME_TOL / 2, 5.0, 0.0, leg)
-    b.move_to(7.0, 5.0, 2.0, other)
-    # None is no leg: every such record ends a segment of its own.
+        b.move_to(float(k), float(k), 0.0)
+    # Up to TIME_TOL early is clamped to the last time; a record at the
+    # time and place of the one before it adds no leg.
+    b.move_to(5.0 - TIME_TOL / 2, 5.0, 0.0)
+    b.move_to(7.0, 5.0, 2.0)
+    # Records at one velocity still end a leg each.
     b.move_to(8.0, 5.0, 2.0)
     b.move_to(9.0, 5.0, 2.0)
-    segs = b.build().segments
-    assert [(s.start_time, s.end_time) for s in segs] \
-        == [(0.0, 5.0), (5.0, 7.0), (7.0, 8.0), (8.0, 9.0)]
-    assert segs[0].end_point == Point(5, 0)
+    traj = b.build()
+    assert traj.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0, 9.0]
+    assert traj.xs == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 5.0, 5.0]
+    assert traj.ys == [0.0] * 6 + [2.0] * 3
 
 
-# One recorded leg: unit motion or rest, and the steps in which the engine
-# records it, zero-length steps included.
-step_dts = st.one_of(st.just(0.0), st.floats(1e-6, 2.0))
-recorded_legs = st.tuples(st.booleans(), st.floats(0.0, 2 * math.pi),
-                          st.lists(step_dts, min_size=1, max_size=6))
+# -- Dead code --
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@given(st.floats(-5.0, 5.0), points,
-       st.lists(recorded_legs, min_size=1, max_size=8))
-@settings(max_examples=150)
-def test_leg_merging_keeps_the_path(t0, p0, legs_drawn):
-    merged = TrajectoryBuilder(t0, p0)
-    plain = TrajectoryBuilder(t0, p0)
-    t, x, y = t0, p0.x, p0.y
-    recorded = []
-    for moving, ang, dts in legs_drawn:
-        leg = object()
-        vx, vy = (math.cos(ang), math.sin(ang)) if moving else (0.0, 0.0)
-        for dt in dts:
-            # As the engine advances: start + v * sum(dt), step by step.
-            t += dt
-            x += vx * dt
-            y += vy * dt
-            merged.move_to(t, x, y, leg)
-            plain.move_to(t, x, y)
-            recorded.append(t)
-    a, b = merged.build(), plain.build()
-    for t in recorded:
-        assert a.position_at(t).dist(b.position_at(t)) <= 1e-9
-    assert {t for t, _ in a.breakpoints()} <= {t for t, _ in b.breakpoints()}
-    assert len(a.segments) <= len(legs_drawn)
-    assert all(has_legal_speed(seg) for seg in a.segments)
+def _names_read(node):
+    """Every name, attribute and imported name that node mentions."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_geometry_definition_has_a_caller_outside_tests():
+    geo = pathlib.Path(geometry.__file__).resolve()
+    defs = {node.name for node in ast.parse(geo.read_text("utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text("utf-8"))
+            for stmt in tree.body:
+                # A definition's mentions of itself are no caller.
+                own = getattr(stmt, "name", None) if path.resolve() == geo \
+                    else None
+                used.update(name for name in _names_read(stmt)
+                            if name != own)
+    assert sorted(defs - used) == []
 
 
 # -- The tolerance model --
