@@ -31,9 +31,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .config import InitialConfiguration
-from .geometry import (POS_TOL, PROX_TOL, SEPARATION_TOL, SPEED_TOL,
-                       TIME_TOL, Point, Trajectory, TrajectoryBuilder, Vec2,
-                       solve_crossing_in, solve_crossing_out)
+from .geometry import (BOUND_SLACK, POS_TOL, PROX_TOL, SEPARATION_TOL,
+                       SPEED_TOL, TIME_TOL, Point, Trajectory,
+                       TrajectoryBuilder, Vec2, solve_crossing_in,
+                       solve_crossing_out)
 
 # A program may emit at most this many zero-duration instructions in a row.
 MAX_INSTANT_INSTRUCTIONS = 1000
@@ -41,6 +42,10 @@ MAX_INSTANT_INSTRUCTIONS = 1000
 # Slack of the pair certificates over the scan window: larger than the
 # TIME_TOL by which the crossing solvers accept a root past their window.
 _CERT_MARGIN = 2 * TIME_TOL
+
+# Time per unit of distance that a pair can close at most: both agents
+# move at speed at most 1 + SPEED_TOL.
+_CLOSING_TIME = 0.5 / (1.0 + SPEED_TOL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -420,6 +425,12 @@ class ProximityGraph:
         n = self._n = len(agents)
         self._cert: list[float] = [math.inf] * (n * n)
         self._cert_queue: list[tuple[float, int]] = []
+        # Speed bounds by the same key: an apart pair cannot come within
+        # epsilon before _free[key] once both its agents reach their
+        # states at _anchor[key] + _CERT_MARGIN (see next_events); -inf
+        # when the pair has no bound.
+        self._free: list[float] = [-math.inf] * (n * n)
+        self._anchor: list[float] = [math.inf] * (n * n)
         # Pairs the next scan solves whatever their certificate.
         self._dirty: set[Pair] = set()
 
@@ -449,11 +460,25 @@ class ProximityGraph:
         before it, or the lower agent of another dirty pair with the other.
         r and v are taken from the row agent's side; negating all four
         keeps the solvers' results, which use only |r|^2, |v|^2 and r.v.
-        A dirty pair is solved over the window stretched to the end of its
-        first motion; a root inside the window gives the same float as a
-        solve over the window alone, and a later one becomes the
+        A dirty pair is solved over the window stretched to E, the end of
+        its first motion; a root inside the window gives the same float as
+        a solve over the window alone, and a later one becomes the
         certificate.  A pair with a crossing in the window is certified at
         now, so the next scan solves it again.
+
+        A pair outlives its leg end.  An apart pair whose solve finds no
+        approach up to E keeps a speed bound, conservative advancement
+        (Mirtich, PhD thesis, Berkeley 1996): it is |r + v (E - now)|
+        apart at E, and as both agents move at speed at most
+        1 + SPEED_TOL it stays beyond epsilon + BOUND_SLACK until
+        _free[key], whatever legs follow E.  The bound holds for a row at
+        or after _anchor[key] = E - _CERT_MARGIN; a leg cut short by a GA,
+        a stop or an order changes before that, and its row solves the
+        pair again.  A later row skips the pair while _free[key] lies past
+        the new E plus _CERT_MARGIN, where its solve could find no root:
+        the pair gets cert inf with no solve and no heap entry, and the
+        leg change that ends the new span visits it again before the bound
+        expires.  A root, adjacency or a dirty flag drops the bound.
         """
         n = self._n
         cert = self._cert
@@ -466,30 +491,40 @@ class ProximityGraph:
                 dirty.add(divmod(key, n))
         agents = self.agents
         changed = self.changed
+        free = self._free
+        inf = math.inf
         rows = []
         if changed and len(live) > 1:
-            for i in sorted(changed):
+            for i in sorted(changed) if len(changed) > 1 else changed:
                 rows.append((agents[i], live))
-        for lo, hi in dirty:
-            if lo not in changed and hi not in changed:
-                rows.append((agents[lo], (agents[hi],)))
+        if dirty:
+            for lo, hi in dirty:
+                free[lo * n + hi] = -inf
+                if lo not in changed and hi not in changed:
+                    rows.append((agents[lo], (agents[hi],)))
+            self._dirty = again = set()
+        else:
+            again = dirty
         if not rows:  # a dirty pair with a changed end is in its row
             changed.clear()
             return t_bound, []
-        self._dirty = again = set()
+        anchor = self._anchor
         eps = self.eps
         window = t_bound - now
         # Stretched past the window by more than the solvers' TIME_TOL, so
         # a root they clamp onto the stretched end lies beyond the window.
         stretch = window + _CERT_MARGIN
+        # A skip needs free > now + span + _CERT_MARGIN.
+        skip_from = now + _CERT_MARGIN
+        reach = eps + BOUND_SLACK
         horizon = self.horizon
         nbr = self._nbr
         sep = eps + SEPARATION_TOL
-        inf = math.inf
         time_tol = TIME_TOL
         solve_in = solve_crossing_in
         solve_out = solve_crossing_out
         push = heapq.heappush
+        hypot = math.hypot
         t_event = t_bound
         hits = []
         for a, partners in rows:
@@ -508,25 +543,39 @@ class ProximityGraph:
                 j = b.idx
                 if j <= i and j in changed:
                     continue  # itself, or a changed agent's earlier row
+                key = row + j if i < j else j * n + i
                 m = b.motion
+                if m is None or m.t_end >= cap:
+                    span = cap - now
+                else:
+                    span = m.t_end - now
+                if span < stretch:
+                    span = stretch
+                if free[key] > skip_from + span and anchor[key] <= now:
+                    cert[key] = inf
+                    continue
                 if m is None:
                     vx = 0.0 - avx
                     vy = 0.0 - avy
-                    span = cap - now
                 else:
                     vx = m.vx - avx
                     vy = m.vy - avy
-                    span = (m.t_end if m.t_end < cap else cap) - now
-                if span < stretch:
-                    span = stretch
                 rx = b.x - ax
                 ry = b.y - ay
-                key = row + j if i < j else j * n + i
                 if j in near:
                     s = solve_out(rx, ry, vx, vy, sep, span)
                     kind = "separate"
                 else:
                     s = solve_in(rx, ry, vx, vy, eps, span)
+                    if s is None:
+                        cert[key] = inf
+                        end = now + span
+                        free[key] = end + (hypot(rx + vx * span,
+                                                 ry + vy * span)
+                                           - reach) * _CLOSING_TIME
+                        anchor[key] = end - _CERT_MARGIN
+                        continue
+                    free[key] = -inf
                     kind = "approach"
                 if s is None:
                     cert[key] = inf
@@ -694,24 +743,26 @@ class Simulation:
             if agent.stopped or agent.motion is not None or not agent.queue:
                 return
             instr = agent.queue.popleft()
-            if isinstance(instr, Go):
+            kind = type(instr)
+            if kind is Go:
+                dist = instr.distance
+                direction = instr.direction
+                dx = direction.dx
+                dy = direction.dy
                 # Written so that NaN fails each test.
-                if not instr.distance >= 0.0:
+                if not dist >= 0.0:
                     raise InvalidInstruction(
                         f"distance is negative or NaN: {instr!r}")
-                if not abs(instr.direction.norm - 1.0) <= SPEED_TOL:
+                if not abs(math.hypot(dx, dy) - 1.0) <= SPEED_TOL:
                     raise InvalidInstruction(
                         f"direction is not a unit vector: {instr!r}")
-                if instr.distance <= POS_TOL:
+                if dist <= POS_TOL:
                     continue
-                dx = instr.direction.dx
-                dy = instr.direction.dy
                 self._set_motion(agent, _Motion(
-                    self._now + instr.distance,
-                    agent.x + dx * instr.distance,
-                    agent.y + dy * instr.distance, dx, dy, False))
+                    self._now + dist, agent.x + dx * dist,
+                    agent.y + dy * dist, dx, dy, False))
                 return
-            if isinstance(instr, Wait):
+            if kind is Wait:
                 if not instr.duration >= 0.0:
                     raise InvalidInstruction(
                         f"wait is negative or NaN: {instr!r}")
@@ -721,7 +772,7 @@ class Simulation:
                     self._now + instr.duration, agent.x, agent.y,
                     0.0, 0.0, False))
                 return
-            if isinstance(instr, GotoStop):
+            if kind is GotoStop:
                 if not (math.isfinite(instr.target.x)
                         and math.isfinite(instr.target.y)):
                     raise InvalidInstruction(
@@ -839,30 +890,34 @@ class Simulation:
 
     def _process_instant(self, pair_hits: list) -> None:
         t = self._now
+        lim = t + TIME_TOL
         prox = self._prox
-
-        # Appearances first: they may create proximity immediately.
         live = self._live
-        arrivals = self._arrivals
-        appeared_now = []
-        while arrivals and arrivals[0].start_time <= t + TIME_TOL:
-            appeared_now.append(arrivals.popleft())
-        appeared_now.sort(key=_index)
-        for ag in appeared_now:
-            ag.leg_from = self._advances
-            ag.builder = TrajectoryBuilder(t, ag.origin)
-            ag.knowledge[ag.ref] = Point(0.0, 0.0)
-            self.events.append(Event(t, "appear", (ag.idx,), (ag.origin,)))
-            prox.changed.add(ag.idx)
-        if appeared_now:
-            live.extend(appeared_now)
-            live.sort(key=_index)
-        for ag in appeared_now:
-            ag.program.on_appear(ag.ctx)
         # The agents this instant concerns: the appeared ones, the GA
         # members and the ones whose motion ends.
-        woken = {ag.idx for ag in appeared_now}
-        new_edges = prox.apply(t, pair_hits)
+        woken = set()
+
+        # Appearances first: they may create proximity immediately.
+        arrivals = self._arrivals
+        appeared_now = []
+        if arrivals and arrivals[0].start_time <= lim:
+            while arrivals and arrivals[0].start_time <= lim:
+                appeared_now.append(arrivals.popleft())
+            if len(appeared_now) > 1:
+                appeared_now.sort(key=_index)
+            for ag in appeared_now:
+                ag.leg_from = self._advances
+                ag.builder = TrajectoryBuilder(t, ag.origin)
+                ag.knowledge[ag.ref] = Point(0.0, 0.0)
+                self.events.append(Event(t, "appear", (ag.idx,),
+                                         (ag.origin,)))
+                prox.changed.add(ag.idx)
+                woken.add(ag.idx)
+            live.extend(appeared_now)
+            live.sort(key=_index)
+            for ag in appeared_now:
+                ag.program.on_appear(ag.ctx)
+        new_edges = prox.apply(t, pair_hits) if pair_hits else set()
         for ag in appeared_now:
             new_edges.update(prox.touching(ag, live))
         if new_edges:
@@ -871,26 +926,28 @@ class Simulation:
         # A GA callback may clear or stop a motion but never starts one:
         # only the idle pass below does.
         ends = self._ends
-        arrived = []
-        while ends and ends[0][0] <= t + TIME_TOL:
-            _, _, ag, m = heapq.heappop(ends)
-            if ag.motion is m:
-                arrived.append(ag)
-        arrived.sort(key=_index)
-        for ag in arrived:
-            m = ag.motion
-            self._set_motion(ag, None)
-            ag.x = m.x_end
-            ag.y = m.y_end
-            woken.add(ag.idx)
-            if m.stop_on_arrival:
-                self._request_stop(ag)
+        if ends and ends[0][0] <= lim:
+            arrived = []
+            while ends and ends[0][0] <= lim:
+                _, _, ag, m = heapq.heappop(ends)
+                if ag.motion is m:
+                    arrived.append(ag)
+            if len(arrived) > 1:
+                arrived.sort(key=_index)
+            for ag in arrived:
+                m = ag.motion
+                self._set_motion(ag, None)
+                ag.x = m.x_end
+                ag.y = m.y_end
+                woken.add(ag.idx)
+                if m.stop_on_arrival:
+                    self._request_stop(ag)
 
         # Only a callback of this instant fills a queue or clears a plan,
         # so every other agent either moves, is stopped, or has an empty
         # queue and already issued nothing at an earlier poll.
         agents = self.agents
-        for i in sorted(woken):
+        for i in sorted(woken) if len(woken) > 1 else woken:
             ag = agents[i]
             if ag.stopped or ag.motion is not None:
                 continue

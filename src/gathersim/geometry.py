@@ -52,6 +52,19 @@ from typing import Optional, Sequence, Union
 #                 it, and at relative speed at most 2 the pair is then up
 #                 to 2 * TIME_TOL outside eps.  Below checks.GA_DIST_SLACK,
 #                 so every chain of adjacent agents passes the checker.
+# BOUND_SLACK     distance.  Margin of the speed bound (engine.next_events):
+#                 agents move at speed at most 1 + SPEED_TOL, so a pair
+#                 farther than eps + BOUND_SLACK + 2 (1 + SPEED_TOL) s
+#                 apart now has no crossing into eps within s.  Exceeds
+#                 2 * TIME_TOL, the distance a pair covers over a root
+#                 snapped TIME_TOL onto a window or a motion extended by
+#                 engine._CERT_MARGIN.  Exceeds checks.GA_DIST_SLACK: a
+#                 grazing pass the solvers accept stays GRAZE_TOL R^2 /
+#                 (2 eps) outside eps, R the pair's distance at the solve,
+#                 which is below BOUND_SLACK while R^2 < 2e6 eps, and a GA
+#                 beyond GA_DIST_SLACK fails the checker.  Far above the
+#                 float spacing at coordinates up to 1e7 (1.9e-9), by which
+#                 positions advanced in steps drift from a leg's line.
 TIME_TOL = 1e-9
 PROX_TOL = 1e-9
 POS_TOL = 1e-6
@@ -60,6 +73,7 @@ UNIT_SPEED_TOL = 1e-6
 GRAZE_TOL = 1e-12
 DISC_FLOOR = 1e-30
 SEPARATION_TOL = 5 * PROX_TOL
+BOUND_SLACK = POS_TOL
 SPEED_TOL2 = SPEED_TOL * SPEED_TOL
 
 

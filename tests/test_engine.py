@@ -11,13 +11,14 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pair
 from test_acceptance import _dedicated_horizon
 from gathersim import engine
-from gathersim.algorithms import dedicated_program, gather_n_program
+from gathersim.algorithms import (dedicated_program, gather_a_program,
+                                  gather_n_program)
 from gathersim.checks import check_all
 from gathersim.config import Feasibility, InitialConfiguration
 from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
@@ -613,6 +614,124 @@ def test_scan_solves_each_dirty_pair_once(monkeypatch):
     assert [(kind, pair) for _, kind, pair in hits] == [
         ("approach", (0, 2)), ("approach", (1, 3)), ("separate", (4, 5))]
 
+
+
+def test_skipped_pair_calls_no_solver(monkeypatch):
+    # Agent 0 ends a leg at now = 1 with agent 1 far away.  The pair's
+    # speed bound, set at an earlier solve, holds from its anchor on and
+    # lies past the new span's end (5), so the row skips the pair: no
+    # solve, no heap entry, cert inf.  Anchored after now, as after a leg
+    # cut short, or flagged dirty, the pair is solved again.
+    def agent(idx, x, t_end):
+        motion = SimpleNamespace(vx=1.0, vy=0.0, t_end=t_end)
+        return SimpleNamespace(idx=idx, x=x, y=0.0, motion=motion)
+
+    calls = []
+    real = engine.solve_crossing_in
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "solve_crossing_in", counted)
+
+    def scan(anchor, dirty=False):
+        agents = [agent(0, 0.0, 5.0), agent(1, 40.0, 9.0)]
+        graph = ProximityGraph(agents, 0.5, 100.0)
+        graph._free[1] = 20.0
+        graph._anchor[1] = anchor
+        graph._cert[1] = 3.0
+        graph.changed.add(0)
+        if dirty:
+            graph._dirty.add((0, 1))
+        del calls[:]
+        assert graph.next_events(agents, 1.0, 2.0) == (2.0, [])
+        return graph
+
+    graph = scan(anchor=1.0)
+    assert calls == []
+    assert graph._cert[1] == math.inf and graph._cert_queue == []
+    assert graph._free[1] == 20.0
+    for graph in (scan(anchor=1.5), scan(anchor=1.0, dirty=True)):
+        assert len(calls) == 1
+        # Solved afresh: 40 apart at now, the bound restarts at E = 5.
+        assert graph._anchor[1] == 5.0 - engine._CERT_MARGIN
+        assert 5.0 + 19.0 < graph._free[1] < 5.0 + 19.75
+
+
+def test_leg_cut_short_before_its_anchor_is_solved_again(monkeypatch):
+    # a walks east on a leg that would end at t = 20, away from the still
+    # c, which bounds the pair till about t = 31.  b appears next to a at
+    # t = 1; in that GA a drops its plan and turns west towards c.  Its
+    # new leg ends at 11, before the bound, but the leg change comes
+    # before the anchor, so the pair is solved again and meets at 4.5.
+    bounds = []
+
+    class Turns(Program):
+        def on_appear(self, ctx):
+            ctx.issue(Go(EAST, 20.0))
+
+        def on_ga(self, ctx, view):
+            prox = ctx._sim._prox
+            bounds.append((prox._anchor[2], prox._free[2]))
+            ctx.clear_plan()
+            ctx.issue(Go(WEST, 10.0))
+
+    cfg = InitialConfiguration(
+        0.5, (Point(0, 0), Point(1.2, 0), Point(-3, 0)), (0.0, 1.0, 0.0))
+    mk = iter([Turns(), Still(), Still()])
+    scans = _check_pair_events_against_full_scan(monkeypatch)
+    trace = run(cfg, lambda: next(mk), horizon=12.0)
+    anchor, free = bounds[0]  # at the GA with b
+    assert anchor > 1.0 and free > 11.0 + engine._CERT_MARGIN
+    assert [(ev.time, ev.agents) for ev in trace.ga_events()] \
+        == [(1.0, (0, 1)), (4.5, (0, 2))]
+    assert len(scans) > 3
+
+
+def test_leg_aimed_at_partner_after_a_natural_end_meets_on_time(
+        monkeypatch):
+    # a walks west for a unit, then east, straight at c; c walks west,
+    # straight at a, in unit legs and then one that ends at 5.76.  The
+    # pair's bound from t = 0 lies 5e-7 before the crossing at 5.75.  It
+    # lets the leg ends at t = 1 to 4 skip the pair, not the one at 5,
+    # whose solve finds the crossing, the float the full scan gives.
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    mk = iter([Legs((WEST, 1.0), (EAST, 20.0)),
+               Legs(*[(WEST, 1.0)] * 5, (WEST, 0.76), (WEST, 5.0))])
+    solves_at = []
+    real = engine.solve_crossing_in
+
+    def counted(*args):
+        solves_at.append(sim._now)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "solve_crossing_in", counted)
+    scans = _check_pair_events_against_full_scan(monkeypatch)
+    sim = Simulation(cfg, lambda: next(mk), horizon=6.0)
+    trace = sim.run()
+    assert [(ev.time, ev.agents) for ev in trace.ga_events()] \
+        == [(5.75, (0, 1))]
+    assert [t for t in solves_at if t < 5.75] == [0.0, 5.0]
+    assert (5.75, [(5.75, "approach", (0, 1))]) in scans
+
+
+@settings(deadline=None, max_examples=60)
+@given(good=st.booleans(), n=st.integers(3, 8),
+       seed=st.integers(0, 2 ** 16),
+       sizes=st.none() | st.sets(st.integers(2, 9), min_size=1,
+                                 max_size=3))
+def test_speed_bounds_keep_every_scan_equal_to_the_full_scan(
+        good, n, seed, sizes):
+    # gather-n when sizes is None, else gather-a with candidate sizes.
+    cfg = (good_config if good else ungatherable_config)(seed, n)
+    factory = gather_n_program(n) if sizes is None \
+        else gather_a_program(sorted(sizes))
+    for moved in (cfg, cfg.translated(Vec2(1e5, -1e5))):
+        with pytest.MonkeyPatch.context() as mp:
+            scans = _check_pair_events_against_full_scan(mp)
+            run(moved, factory)
+        assert len(scans) > n
 
 def _view_for(sim, observer, group):
     """The _view_bits of observer's view, built per observer from the live

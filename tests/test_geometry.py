@@ -383,6 +383,8 @@ def test_tolerance_orderings():
     assert geometry.SEPARATION_TOL > geometry.PROX_TOL
     assert geometry.SEPARATION_TOL > 2 * geometry.TIME_TOL
     assert geometry.SEPARATION_TOL < checks.GA_DIST_SLACK
+    assert geometry.BOUND_SLACK > 2 * geometry.TIME_TOL
+    assert geometry.BOUND_SLACK > checks.GA_DIST_SLACK
     assert geometry.UNIT_SPEED_TOL > geometry.SPEED_TOL
     assert geometry.GRAZE_TOL > sys.float_info.epsilon
     assert geometry.DISC_FLOOR > 0.0
