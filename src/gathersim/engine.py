@@ -28,6 +28,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from .config import InitialConfiguration
@@ -106,16 +107,17 @@ class GAView:
     time is the observer's local clock.  participants lists every member,
     the observer included at self_index, with the tag it held before any
     callback of this GA and its position relative to the observer's
-    origin at the GA instant.  The list is built on the first read of
-    participants, self_index or others(); a view that is never read costs
-    nothing, and one read later, even after the agents moved or changed
-    tags, shows the same GA-start state.  Views are made by the engine.
+    origin at the GA instant.  The list, and the observer's adjacency
+    row, are built from the snapshot on the first read of participants,
+    self_index or others(); a view that is never read costs nothing, and
+    one read later, even after the agents moved or changed tags, shows
+    the same GA-start state.  Views are made by the engine.
     """
 
     __slots__ = ("time", "_snap", "_k", "_participants", "_self_index")
 
     def __init__(self, time: float, snapshot: tuple, k: int):
-        # snapshot is _views' (refs, tags, coords, near) of the group, and
+        # snapshot is _views' (refs, tags, coords, lim) of the group, and
         # k the observer's place in it.
         self.time = time
         self._snap = snapshot
@@ -142,18 +144,24 @@ class GAView:
 
     def _build(self) -> None:
         # Members ordered by current position, then by starting point, both
-        # relative to the observer's origin; ties keep group order.
-        refs, tags, coords, near = self._snap
+        # relative to the observer's origin; ties keep group order.  A
+        # member is adjacent when its distance from the observer is within
+        # lim; hypot ignores signs, so the row is the same whichever end
+        # of a pair it is measured from.
+        refs, tags, coords, lim = self._snap
         k = self._k
-        cx = coords[k][2]
-        cy = coords[k][3]
+        ax, ay, cx, cy = coords[k]
         keys = [(x - cx, y - cy, ox - cx, oy - cy)
                 for x, y, ox, oy in coords]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        row = near[k]
-        self._participants = tuple([
-            Participant(refs[b], Point(keys[b][0], keys[b][1]), tags[b],
-                        row[b]) for b in order])
+        hypot = math.hypot
+        parts = []
+        for b in order:
+            x, y, _, _ = coords[b]
+            key = keys[b]
+            parts.append(Participant(refs[b], Point(key[0], key[1]),
+                                     tags[b], hypot(x - ax, y - ay) <= lim))
+        self._participants = tuple(parts)
         self._self_index = order.index(k)
 
 
@@ -195,27 +203,6 @@ class Event:
     issuer: Optional[int] = None
     target: Optional[Point] = None
 
-    def to_json_obj(self) -> dict:
-        if self.kind == "appear":
-            return {"t": self.time, "kind": "appear",
-                    "agent": self.agents[0],
-                    "position": list(self.positions[0].coords)}
-        if self.kind == "ga":
-            return {"t": self.time, "kind": "ga",
-                    "agents": list(self.agents),
-                    "positions": [list(p.coords) for p in self.positions],
-                    "tags": list(self.tags)}
-        if self.kind == "order":
-            return {"t": self.time, "kind": "order", "issuer": self.issuer,
-                    "recipients": list(self.agents),
-                    "target": list(self.target.coords)}
-        if self.kind == "stop":
-            return {"t": self.time, "kind": "stop", "agent": self.agents[0],
-                    "position": list(self.positions[0].coords)}
-        if self.kind == "horizon":
-            return {"t": self.time, "kind": "horizon"}
-        raise ValueError(f"unknown event kind {self.kind}")
-
 
 @dataclass
 class Verdict:
@@ -223,16 +210,6 @@ class Verdict:
     time: float
     point: Optional[Point] = None
     groups: tuple[Point, ...] = ()
-
-    def to_json_obj(self) -> dict:
-        if self.kind == "gathered":
-            return {"kind": "verdict", "verdict": "gathered",
-                    "point": list(self.point.coords)}
-        if self.kind == "split":
-            return {"kind": "verdict", "verdict": "split",
-                    "groups": len(self.groups),
-                    "points": [list(p.coords) for p in self.groups]}
-        return {"kind": "verdict", "verdict": "timeout", "time": self.time}
 
 
 @dataclass
@@ -244,8 +221,76 @@ class Trace:
     verdict: Verdict
 
     def jsonl_lines(self) -> list[str]:
-        lines = [json.dumps(ev.to_json_obj()) for ev in self.events]
-        lines.append(json.dumps(self.verdict.to_json_obj()))
+        """One line per event, then the verdict line: each is byte for
+        byte json.dumps of the object README documents for its kind.
+
+        Lines are written from one fixed template per kind.  A trace
+        repeats its times, its coordinates and the Points of agents that
+        stayed put, so each distinct finite non-zero float is formatted
+        once, and each distinct Point object once.
+        """
+        dumps = json.dumps
+        float_repr = float.__repr__
+        floats: dict[float, str] = {}
+        points: dict[int, str] = {}
+
+        def num(v) -> str:
+            # json.dumps writes a finite float as its repr.  An equal key
+            # would merge -0.0 with 0.0 and 1 with 1.0, so signed zeros,
+            # non-finite floats and ints go through json.dumps itself.
+            if type(v) is float and v and v - v == 0.0:
+                text = floats.get(v)
+                if text is None:
+                    text = floats[v] = float_repr(v)
+                return text
+            return dumps(v)
+
+        def point(p: Point) -> str:
+            # Keyed by identity: Points compare equal across signed zeros.
+            # The text is never empty, so a caller may test a get with or.
+            text = points.get(id(p))
+            if text is None:
+                text = points[id(p)] = f"[{num(p.x)}, {num(p.y)}]"
+            return text
+
+        ints = int.__repr__
+        string = encode_basestring_ascii
+        lines = []
+        for ev in self.events:
+            kind = ev.kind
+            head = '{"t": ' + num(ev.time) + ', "kind": "' + kind + '", '
+            if kind == "ga":
+                lines.append(
+                    head + '"agents": [' + ", ".join(map(ints, ev.agents))
+                    + '], "positions": ['
+                    + ", ".join([points.get(id(p)) or point(p)
+                                 for p in ev.positions])
+                    + '], "tags": [' + ", ".join(map(string, ev.tags))
+                    + "]}")
+            elif kind == "order":
+                lines.append(
+                    head + '"issuer": ' + ints(ev.issuer)
+                    + ', "recipients": [' + ", ".join(map(ints, ev.agents))
+                    + '], "target": ' + point(ev.target) + "}")
+            elif kind == "appear" or kind == "stop":
+                lines.append(head + '"agent": ' + ints(ev.agents[0])
+                             + ', "position": ' + point(ev.positions[0])
+                             + "}")
+            elif kind == "horizon":
+                lines.append(head[:-2] + "}")  # head without its ", "
+            else:
+                raise ValueError(f"unknown event kind {kind}")
+        v = self.verdict
+        head = '{"kind": "verdict", "verdict": "'
+        if v.kind == "gathered":
+            lines.append(head + 'gathered", "point": ' + point(v.point)
+                         + "}")
+        elif v.kind == "split":
+            lines.append(head + 'split", "groups": ' + ints(len(v.groups))
+                         + ', "points": ['
+                         + ", ".join(map(point, v.groups)) + "]}")
+        else:
+            lines.append(head + 'timeout", "time": ' + num(v.time) + "}")
         return lines
 
     def write_jsonl(self, path) -> None:
@@ -310,7 +355,7 @@ _index = operator.attrgetter("idx")
 class _Agent:
     __slots__ = ("idx", "ref", "origin", "start_time", "stopped",
                  "tag", "knowledge", "program", "queue", "motion", "x", "y",
-                 "leg_from", "builder", "ctx")
+                 "point", "leg_from", "builder", "ctx")
 
     def __init__(self, idx: int, ref: AgentRef, origin: Point,
                  start_time: float, program: Program):
@@ -329,12 +374,24 @@ class _Agent:
         self.motion: Optional[_Motion] = None
         self.x = origin.x
         self.y = origin.y
+        # The last Point made of (x, y); see here().
+        self.point = origin
         # Simulation._advances when the current leg began.  The builder
         # gets one record per leg, made when the leg ends, and only for a
         # leg that lasted over at least one advance (see _record_leg).
         self.leg_from = 0
         self.builder: Optional[TrajectoryBuilder] = None
         self.ctx: Optional[AgentContext] = None
+
+    def here(self) -> Point:
+        """The current position as a Point, the same object while the agent
+        stays put.  The cached Point is reused only while it holds the very
+        float objects x and y hold: an equality test would take -0.0 for
+        0.0, and the trace writes them apart."""
+        p = self.point
+        if p.x is not self.x or p.y is not self.y:
+            p = self.point = Point(self.x, self.y)
+        return p
 
 
 class AgentContext:
@@ -457,7 +514,8 @@ class ProximityGraph:
         A clean pair has no crossing in this window and is not visited.
         Dirty pairs are solved in rows, each once: a changed agent, in
         index order, with the live agents but itself and the changed ones
-        before it, or the lower agent of another dirty pair with the other.
+        before it, or the lower agent of other dirty pairs with their upper
+        agents.
         r and v are taken from the row agent's side; negating all four
         keeps the solvers' results, which use only |r|^2, |v|^2 and r.v.
         A dirty pair is solved over the window stretched to E, the end of
@@ -498,10 +556,13 @@ class ProximityGraph:
             for i in sorted(changed) if len(changed) > 1 else changed:
                 rows.append((agents[i], live))
         if dirty:
+            partners_of: dict[int, list[_Agent]] = {}
             for lo, hi in dirty:
                 free[lo * n + hi] = -inf
                 if lo not in changed and hi not in changed:
-                    rows.append((agents[lo], (agents[hi],)))
+                    partners_of.setdefault(lo, []).append(agents[hi])
+            rows.extend((agents[lo], partners)
+                        for lo, partners in partners_of.items())
             self._dirty = again = set()
         else:
             again = dirty
@@ -627,14 +688,14 @@ class ProximityGraph:
         return approaches
 
     def ga_groups(self, new_edges: set[Pair]):
-        """Add new_edges; yield (group, near) for each component that
-        holds one, by smallest member.  Components without one had their
-        GA earlier and stay silent.  Both ends of an edge lie in one
-        component, so searching from one end of each finds every group.
-        near[x][y] tells whether members x and y are within epsilon, up to
-        PROX_TOL; every such pair becomes an edge.  A band pair keeps its
-        edge but is not near.  A group's matrix is measured when it is
-        asked for, after the GAs before it.
+        """Add new_edges; yield each component that holds one, by smallest
+        member.  Components without one had their GA earlier and stay
+        silent.  Both ends of an edge lie in one component, so searching
+        from one end of each finds every group.  Every member pair within
+        epsilon, up to PROX_TOL, becomes an edge; only pairs without an
+        edge are measured, when the group is asked for, after the GAs
+        before it.  There is no epsilon matrix: a GAView measures its own
+        observer's row when it is read.
         """
         nbr = self._nbr
         for i, j in new_edges:
@@ -644,26 +705,22 @@ class ProximityGraph:
         hypot = math.hypot
         agents = self.agents
         for group in connected_components(nbr, [i for i, _ in new_edges]):
-            m = len(group)
-            xs = [agents[i].x for i in group]
-            ys = [agents[i].y for i in group]
-            near = [[True] * m for _ in group]
-            for x in range(m):
-                i = group[x]
-                xi = xs[x]
-                yi = ys[x]
+            last = len(group) - 1
+            for x, i in enumerate(group):
                 nbr_i = nbr[i]
-                row = near[x]
-                for y in range(x + 1, m):
-                    if hypot(xi - xs[y], yi - ys[y]) <= lim:
-                        j = group[y]
-                        if j not in nbr_i:
+                if len(nbr_i) == last:  # adjacent to every other member
+                    continue
+                a = agents[i]
+                xi = a.x
+                yi = a.y
+                for j in group[x + 1:]:
+                    if j not in nbr_i:
+                        b = agents[j]
+                        if hypot(xi - b.x, yi - b.y) <= lim:
                             nbr_i.add(j)
                             nbr[j].add(i)
                             self._dirty.add((i, j))
-                    else:
-                        row[y] = near[y][x] = False
-            yield group, near
+            yield group
 
 
 class Simulation:
@@ -706,7 +763,7 @@ class Simulation:
         if agent.motion is not None:
             self._set_motion(agent, None)
         self.events.append(Event(self._now, "stop", (agent.idx,),
-                                 (Point(agent.x, agent.y),)))
+                                 (agent.here(),)))
 
     def _queue_order(self, issuer: _Agent, target: Point,
                      group: tuple[int, ...]) -> None:
@@ -813,17 +870,17 @@ class Simulation:
 
     # -- knowledge -----------------------------------------------------------
 
-    def _gossip(self, group: tuple[int, ...]) -> None:
+    def _gossip(self, members: list[_Agent]) -> None:
         """Give every member the union of the group's knowledge.
 
-        A ref a member lacks is copied from its first holder in group
-        order, as held before this GA, and shifted by the offset between
-        the two members' origins.  Each member receives the refs it lacks
+        members are the group's agents in group order.  A ref a member
+        lacks is copied from its first holder in group order, as held
+        before this GA, and shifted by the offset between the two
+        members' origins.  Each member receives the refs it lacks
         in the order of that first holding: holders in group order, each
         holder's refs in insertion order.  When every member already knows
         every agent of the run there is nothing to copy.
         """
-        members = [self.agents[i] for i in group]
         n = len(self.agents)
         if all(len(ag.knowledge) == n for ag in members):
             return
@@ -839,18 +896,17 @@ class Simulation:
                     known[ref] = Point(p.x + (send.origin.x - recv.origin.x),
                                        p.y + (send.origin.y - recv.origin.y))
 
-    def _views(self, group: tuple[int, ...],
-               near: list[list[bool]]) -> dict[int, GAView]:
+    def _views(self, members: list[_Agent]) -> dict[int, GAView]:
         """The GA view of every member not stopped, by agent index.
 
-        near is the group's epsilon matrix.  All views share one snapshot
-        of the group's refs, tags, positions and origins, taken now; each
-        view sorts it for its observer on first read.
+        members are the group's agents in group order.  All views share
+        one snapshot of their refs, tags, positions and origins, taken
+        now, and of the adjacency limit; each view sorts it and measures
+        its observer's adjacency row on first read.
         """
-        members = [self.agents[i] for i in group]
         snap = ([ag.ref for ag in members], [ag.tag for ag in members],
                 [(ag.x, ag.y, ag.origin.x, ag.origin.y)
-                 for ag in members], near)
+                 for ag in members], self.eps + PROX_TOL)
         # A stopped member gets no view: on_ga is never called for it.
         return {ag.idx: GAView(self._now - ag.start_time, snap, k)
                 for k, ag in enumerate(members) if not ag.stopped}
@@ -961,13 +1017,14 @@ class Simulation:
         """Run the GA of every component that holds a new edge, and add
         its members to woken."""
         t = self._now
-        for group, near in self._prox.ga_groups(new_edges):
+        agents = self.agents
+        for group in self._prox.ga_groups(new_edges):
             woken.update(group)
-            members = [self.agents[i] for i in group]
-            self._gossip(group)
+            members = [agents[i] for i in group]
+            self._gossip(members)
             # Decisions are simultaneous: every view shows pre-GA states,
             # so a callback's tag change is invisible to its peers.
-            views = self._views(group, near)
+            views = self._views(members)
             self._pending_orders = []
             for ag in members:
                 if ag.stopped:
@@ -976,8 +1033,7 @@ class Simulation:
                 ag.program.on_ga(ag.ctx, views[ag.idx])
                 ag.ctx._in_ga_group = None
             self.events.append(Event(
-                t, "ga", tuple(group),
-                tuple([Point(ag.x, ag.y) for ag in members]),
+                t, "ga", group, tuple([ag.here() for ag in members]),
                 tuple([ag.tag for ag in members])))
             orders = self._pending_orders
             self._pending_orders = []
@@ -1004,10 +1060,9 @@ class Simulation:
         for ag in self.agents:
             if ag.builder is None:  # the agent never appeared
                 ag.builder = TrajectoryBuilder(ag.start_time, ag.origin)
-                last = ag.origin
             else:
                 self._record_leg(ag)
-                last = Point(ag.x, ag.y)
+            last = ag.here()
             # Pad with a final rest so every trajectory covers the same
             # closing time regardless of when its agent stopped.
             if end > ag.start_time:

@@ -124,7 +124,7 @@ def _engine_ga_groups(adjacent, new_edges):
     for i, j in adjacent:
         graph._nbr[i].add(j)
         graph._nbr[j].add(i)
-    groups = [group for group, _ in graph.ga_groups(new_edges)]
+    groups = list(graph.ga_groups(new_edges))
     assert _adjacent_pairs(graph._nbr) == adjacent | new_edges
     return groups
 
@@ -281,10 +281,9 @@ def test_gossip_round_trip_frames():
     assert kb[AgentRef(0)].dist(Point(-0.8, -0.6)) < 1e-9
 
 
-def _all_pairs_gossip(self, group):
+def _all_pairs_gossip(self, members):
     """The original O(m^2 K) merge: every receiver scans every sender's
     snapshot, in group order, and keeps the first copy of each ref."""
-    members = [self.agents[i] for i in group]
     snapshots = {ag.idx: dict(ag.knowledge) for ag in members}
     for recv in members:
         for send in members:
@@ -332,10 +331,10 @@ def test_gossip_matches_all_pairs_merge(seed, n, monkeypatch):
     real = Simulation._gossip
     saturated = []  # per GA: share of members that know all n agents
 
-    def counted(self, group):
-        saturated.append(sum(len(self.agents[i].knowledge) == n
-                             for i in group) / len(group))
-        real(self, group)
+    def counted(self, members):
+        saturated.append(sum(len(ag.knowledge) == n
+                             for ag in members) / len(members))
+        real(self, members)
 
     monkeypatch.setattr(Simulation, "_gossip", counted)
     log, lines = _knowledge_at_every_ga(cfg)
@@ -436,9 +435,9 @@ def _check_ga_groups_against_reference(monkeypatch):
     def checked(self, new_edges):
         expect = form_ga_groups(_adjacent_pairs(self._nbr), new_edges)
         got = []
-        for group, near in real(self, new_edges):
+        for group in real(self, new_edges):
             got.append(group)
-            yield group, near
+            yield group
         assert got == expect
         _adjacent_pairs(self._nbr)
         groups.extend(got)
@@ -735,7 +734,8 @@ def test_speed_bounds_keep_every_scan_equal_to_the_full_scan(
 
 def _view_for(sim, observer, group):
     """The _view_bits of observer's view, built per observer from the live
-    agents, without the shared snapshot or epsilon matrix."""
+    agents, without the shared snapshot; adjacency is measured from the
+    observer."""
     entries = []
     for i in group:
         ag = sim.agents[i]
@@ -767,8 +767,9 @@ def test_views_match_per_observer_build(seed, n, monkeypatch):
     made = []  # (view, bits expected at GA start) of every view handed out
     skipped = []
 
-    def checked(self, group, near):
-        views = real(self, group, near)
+    def checked(self, members):
+        views = real(self, members)
+        group = [ag.idx for ag in members]
         awake = [i for i in group if not self.agents[i].stopped]
         assert sorted(views) == awake
         made.extend((views[i], _view_for(self, self.agents[i], group))
@@ -1163,6 +1164,112 @@ def test_trace_jsonl_schema():
     timeout = run(far, lambda: WalkEast(100.0), horizon=2.0)
     assert json.loads(timeout.jsonl_lines()[-1]) == {
         "kind": "verdict", "verdict": "timeout", "time": 2.0}
+
+
+def _event_obj(ev):
+    """Reference: the JSON object README documents for an event."""
+    if ev.kind == "appear":
+        return {"t": ev.time, "kind": "appear", "agent": ev.agents[0],
+                "position": list(ev.positions[0].coords)}
+    if ev.kind == "ga":
+        return {"t": ev.time, "kind": "ga", "agents": list(ev.agents),
+                "positions": [list(p.coords) for p in ev.positions],
+                "tags": list(ev.tags)}
+    if ev.kind == "order":
+        return {"t": ev.time, "kind": "order", "issuer": ev.issuer,
+                "recipients": list(ev.agents),
+                "target": list(ev.target.coords)}
+    if ev.kind == "stop":
+        return {"t": ev.time, "kind": "stop", "agent": ev.agents[0],
+                "position": list(ev.positions[0].coords)}
+    if ev.kind == "horizon":
+        return {"t": ev.time, "kind": "horizon"}
+    raise ValueError(f"unknown event kind {ev.kind}")
+
+
+def _verdict_obj(v):
+    """Reference: the JSON object README documents for a verdict."""
+    if v.kind == "gathered":
+        return {"kind": "verdict", "verdict": "gathered",
+                "point": list(v.point.coords)}
+    if v.kind == "split":
+        return {"kind": "verdict", "verdict": "split",
+                "groups": len(v.groups),
+                "points": [list(p.coords) for p in v.groups]}
+    return {"kind": "verdict", "verdict": "timeout", "time": v.time}
+
+
+def _assert_lines_are_json_dumps(trace):
+    import json
+    expect = [json.dumps(_event_obj(ev)) for ev in trace.events]
+    expect.append(json.dumps(_verdict_obj(trace.verdict)))
+    assert trace.jsonl_lines() == expect
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jsonl_lines_are_json_dumps_of_gather_n_traces(seed):
+    kinds = set()
+    for n in range(2, 9):
+        trace = run(good_config(seed, n), gather_n_program(n))
+        _assert_lines_are_json_dumps(trace)
+        kinds.update(ev.kind for ev in trace.events)
+    assert {"appear", "ga", "order", "stop"} <= kinds
+
+
+def test_jsonl_lines_are_json_dumps_of_hand_made_events():
+    from gathersim.engine import Event, Trace, Verdict
+    shared = Point(0.1 + 0.2, 1e-7)
+    odd = [Point(-0.0, 0.0), Point(0.0, -0.0), Point(5e-324, -5e-324),
+           Point(1e16, -1e16), Point(1, 1.0), Point(1.0, 1),
+           Point(math.inf, -math.inf), Point(math.nan, 2), shared]
+    tags = ['"', "\\", "\n", "é", "☃", "", 'a"b\\c\nd é☃']
+    events = [
+        Event(0, "appear", (0,), (Point(0, 0),)),
+        Event(0.0, "appear", (1,), (Point(0.0, -0.0),)),
+        Event(1, "ga", tuple(range(len(odd))), tuple(odd),
+              tuple(tags[k % len(tags)] for k in range(len(odd)))),
+        Event(1.0, "ga", (0, 1), (shared, shared), ("", "")),
+        Event(-0.0, "ga", (2,), (Point(-0.0, -0.0),), ("☃",)),
+        Event(1.0, "ga", (3, 4), (Point(0.0, 0.0), Point(-0.0, 0.0)),
+              tuple(tags[:2])),
+        Event(2, "order", (1, 2), issuer=0, target=Point(3, -4)),
+        Event(0.1 + 0.2, "order", (), issuer=5, target=shared),
+        Event(5e-324, "stop", (1,), (Point(1e-7, 1),)),
+        Event(1e16, "horizon"),
+        Event(7, "horizon")]
+    points = (Point(1.5, -0.0), Point(1, 2), shared)
+    for verdict in (Verdict("gathered", 3.0, point=Point(-0.0, 1)),
+                    Verdict("gathered", 3, point=shared),
+                    Verdict("split", 4.0, groups=points),
+                    Verdict("split", 4.0),
+                    Verdict("timeout", 1e16),
+                    Verdict("timeout", 9),
+                    Verdict("timeout", -0.0)):
+        for evs in (events, []):
+            _assert_lines_are_json_dumps(Trace(evs, (), (), (), verdict))
+    with pytest.raises(ValueError, match="unknown event kind"):
+        Trace([Event(0.0, "wave")], (), (), (),
+              Verdict("timeout", 1.0)).jsonl_lines()
+
+
+def test_signed_zero_start_is_written_as_the_run_moved_it():
+    """A waiting agent that starts at (-0.0, 0.0) is at (0.0, 0.0) after
+    its first advance (-0.0 + 0.0 is 0.0), and its GA line says so, while
+    its appearance line keeps -0.0."""
+    class Waiter(Program):
+        def on_appear(self, ctx):
+            ctx.issue(Wait(5.0))
+
+    cfg = InitialConfiguration(0.5, (Point(-0.0, 0.0), Point(0.3, 0.0)),
+                               (0.0, 2.0))
+    made = iter([Waiter(), Still()])
+    trace = run(cfg, lambda: next(made), horizon=10.0)
+    lines = trace.jsonl_lines()
+    assert lines[0] == ('{"t": 0.0, "kind": "appear", "agent": 0, '
+                        '"position": [-0.0, 0.0]}')
+    (ga,) = [line for line in lines if '"kind": "ga"' in line]
+    assert ga == ('{"t": 2.0, "kind": "ga", "agents": [0, 1], '
+                  '"positions": [[0.0, 0.0], [0.3, 0.0]], "tags": ["", ""]}')
 
 
 def test_deterministic_rerun():
