@@ -514,8 +514,7 @@ class ProximityGraph:
         A clean pair has no crossing in this window and is not visited.
         Dirty pairs are solved in rows, each once: a changed agent, in
         index order, with the live agents but itself and the changed ones
-        before it, or the lower agent of other dirty pairs with their upper
-        agents.
+        before it, or the lower agent of another dirty pair with the other.
         r and v are taken from the row agent's side; negating all four
         keeps the solvers' results, which use only |r|^2, |v|^2 and r.v.
         A dirty pair is solved over the window stretched to E, the end of
@@ -556,13 +555,10 @@ class ProximityGraph:
             for i in sorted(changed) if len(changed) > 1 else changed:
                 rows.append((agents[i], live))
         if dirty:
-            partners_of: dict[int, list[_Agent]] = {}
             for lo, hi in dirty:
                 free[lo * n + hi] = -inf
                 if lo not in changed and hi not in changed:
-                    partners_of.setdefault(lo, []).append(agents[hi])
-            rows.extend((agents[lo], partners)
-                        for lo, partners in partners_of.items())
+                    rows.append((agents[lo], (agents[hi],)))
             self._dirty = again = set()
         else:
             again = dirty
@@ -705,11 +701,8 @@ class ProximityGraph:
         hypot = math.hypot
         agents = self.agents
         for group in connected_components(nbr, [i for i, _ in new_edges]):
-            last = len(group) - 1
             for x, i in enumerate(group):
                 nbr_i = nbr[i]
-                if len(nbr_i) == last:  # adjacent to every other member
-                    continue
                 a = agents[i]
                 xi = a.x
                 yi = a.y
