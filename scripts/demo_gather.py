@@ -54,7 +54,7 @@ def main() -> None:
 
     trace_path = outdir / f"gather_seed{args.seed}_n{args.n}.jsonl"
     svg_path = outdir / f"gather_seed{args.seed}_n{args.n}.svg"
-    trace_path.write_text("\n".join(trace.jsonl_lines()) + "\n")
+    trace.write_jsonl(trace_path)
     write_svg(cfg, trace, svg_path)
     print(f"wrote {trace_path} and {svg_path}")
 

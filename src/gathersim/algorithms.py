@@ -151,7 +151,8 @@ class DedicatedProgram(Program):
     still holding its own wait (or has fallen at most eps behind).  Whoever
     is the largest participant of its first meeting keeps travelling along
     all pairwise difference vectors to find and inform the others; all
-    agents finally walk to the largest initial position and stop.
+    agents finally walk to the largest initial position and stop.  The tag
+    is the role: beginner until the first walk ends, then active or passive.
     """
 
     def __init__(self, v: Vec2, delay: float, vseq: list[Vec2], n: int):
@@ -159,7 +160,6 @@ class DedicatedProgram(Program):
         self.delay = delay
         self.vseq = vseq
         self.n = n
-        self.mode = "beginner"
         self.elected: Optional[str] = None
         self.cycle_index = 0
         self.final_round: Optional[list[Vec2]] = None
@@ -180,7 +180,7 @@ class DedicatedProgram(Program):
         self._issue_out_and_back(ctx, self.v)
 
     def on_ga(self, ctx, view: GAView) -> None:
-        if self.mode == "beginner":
+        if ctx.tag == "beginner":
             if self.elected is None:
                 winner = _largest_ref(ctx, (p.ref for p in view.participants))
                 self.elected = "active" if winner == ctx.self_ref \
@@ -188,7 +188,7 @@ class DedicatedProgram(Program):
             return
         if self.finishing:
             return
-        if self.mode == "passive":
+        if ctx.tag == "passive":
             if self._knows_all(ctx):
                 self.finishing = True
                 ctx.clear_plan()
@@ -199,15 +199,14 @@ class DedicatedProgram(Program):
     def on_idle(self, ctx) -> None:
         if self.finishing:
             return
-        if self.mode == "beginner":
-            self.mode = self.elected or "passive"
-            ctx.tag = self.mode
-            if self.mode == "passive":
+        if ctx.tag == "beginner":
+            ctx.tag = self.elected or "passive"
+            if ctx.tag == "passive":
                 if self._knows_all(ctx):
                     self.finishing = True
                     ctx.issue(GotoStop(_gather_point(ctx)))
                 return
-        if self.mode == "active":
+        if ctx.tag == "active":
             if self.final_round is None and self._knows_all(ctx):
                 self.final_round = list(self.vseq)
             if self.final_round is not None:
@@ -280,6 +279,8 @@ class GatherProgram(Program):
     a surviving sweeper (explorer) counts frozen agents it encounters, and
     once it has seen n - 1 it re-runs its current sweep phase ordering
     everyone to the largest initial position, then walks there itself.
+    The tag is the role (cruiser, explorer, token or shadow), which every
+    other member of a GA sees.
 
     With several candidates the explorer starts from the smallest one and,
     whenever its knowledge proves the team is bigger than its assumption,
@@ -294,7 +295,6 @@ class GatherProgram(Program):
             raise ValueError("need at least one candidate size")
         self.final_stop = len(self.assumptions) == 1
         self.ai = 0
-        self.role = "cruiser"
         self.star = StarWalk()
         self.mode = "star"  # explorer: star | finale | finale_goto | settled
         self.tokens: set = set()
@@ -351,16 +351,15 @@ class GatherProgram(Program):
         ctx.issue(self.star.next_instruction())
 
     def on_ga(self, ctx, view: GAView) -> None:
-        if self.role == "cruiser":
+        if ctx.tag == "cruiser":
             self._cruiser_ga(ctx, view, view.others())
-        elif self.role == "explorer":
+        elif ctx.tag == "explorer":
             self._explorer_ga(ctx, view, view.others())
         # Tokens and shadows only gossip, and never read their view; they
         # move on explicit orders.
 
     def _cruiser_ga(self, ctx, view, others) -> None:
         if any(p.tag == "token" for p in others):
-            self.role = "shadow"
             ctx.tag = "shadow"
             ctx.clear_plan()
             return
@@ -369,7 +368,6 @@ class GatherProgram(Program):
             return  # nobody to pair up with; ignore
         winner = _largest_ref(ctx, (p.ref for p in cruisers))
         if winner == ctx.self_ref:
-            self.role = "explorer"
             ctx.tag = "explorer"
             self.tokens = {p.ref for p in cruisers
                            if p.ref != ctx.self_ref}
@@ -384,7 +382,6 @@ class GatherProgram(Program):
             self._advance_assumption(ctx)
             # Star execution continues through the promotion.
         else:
-            self.role = "token"
             ctx.tag = "token"
             ctx.clear_plan()
 
@@ -430,29 +427,29 @@ class GatherProgram(Program):
             own_best = _largest_initial(ctx, self.tokens)
             met_best = _largest_initial(ctx, (p.ref for p in pre_tokens))
             if lex_less(own_best, met_best):
-                self.role = "shadow"
                 ctx.tag = "shadow"
                 ctx.clear_plan()
 
     def on_order(self, ctx, target: Point, issuer) -> None:
-        if self.role not in ("token", "shadow"):
+        if ctx.tag not in ("token", "shadow"):
             return
         self.orders.append(target)
         if not self.executing_order:
             self._start_next_order(ctx)
 
     def on_idle(self, ctx) -> None:
-        if self.role in ("cruiser", "explorer") and self.mode == "star":
+        role = ctx.tag
+        if role in ("cruiser", "explorer") and self.mode == "star":
             ctx.issue(self.star.next_instruction())
             return
-        if self.role == "explorer" and self.mode == "finale":
+        if role == "explorer" and self.mode == "finale":
             self._head_to(ctx, _gather_point(ctx))
             self.mode = "finale_goto"
             return
-        if self.role == "explorer" and self.mode == "finale_goto":
+        if role == "explorer" and self.mode == "finale_goto":
             self.mode = "settled"
             return
-        if self.role in ("token", "shadow"):
+        if role in ("token", "shadow"):
             self.executing_order = False
             self._start_next_order(ctx)
 

@@ -99,11 +99,12 @@ class InitialConfiguration:
         if not isinstance(data, dict):
             raise ValueError("configuration must be a JSON object")
         try:
-            eps = float(data["epsilon"])
+            eps = _number(data["epsilon"])
             agents = data["agents"]
-            starts = tuple(Point(float(a["x"]), float(a["y"])) for a in agents)
-            times = tuple(float(a["t"]) for a in agents)
-        except (KeyError, TypeError) as exc:
+            starts = tuple(Point(_number(a["x"]), _number(a["y"]))
+                           for a in agents)
+            times = tuple(_number(a["t"]) for a in agents)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed configuration: {exc}") from exc
         return InitialConfiguration(eps, starts, times)
 
@@ -116,6 +117,14 @@ class InitialConfiguration:
     def load(path) -> "InitialConfiguration":
         with open(path, "r", encoding="utf-8") as fh:
             return InitialConfiguration.from_dict(json.load(fh))
+
+
+def _number(value) -> float:
+    """A JSON number as a float.  bool is a subclass of int, and neither
+    it nor a string is a number here."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def pair_margin(cfg: InitialConfiguration, i: int, j: int) -> float:

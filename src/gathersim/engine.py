@@ -355,7 +355,7 @@ _index = operator.attrgetter("idx")
 class _Agent:
     __slots__ = ("idx", "ref", "origin", "start_time", "stopped",
                  "tag", "knowledge", "program", "queue", "motion", "x", "y",
-                 "point", "leg_from", "builder", "ctx")
+                 "point", "builder", "ctx")
 
     def __init__(self, idx: int, ref: AgentRef, origin: Point,
                  start_time: float, program: Program):
@@ -376,10 +376,6 @@ class _Agent:
         self.y = origin.y
         # The last Point made of (x, y); see here().
         self.point = origin
-        # Simulation._advances when the current leg began.  The builder
-        # gets one record per leg, made when the leg ends, and only for a
-        # leg that lasted over at least one advance (see _record_leg).
-        self.leg_from = 0
         self.builder: Optional[TrajectoryBuilder] = None
         self.ctx: Optional[AgentContext] = None
 
@@ -397,12 +393,11 @@ class _Agent:
 class AgentContext:
     """Program-facing handle.  Exposes only frame-relative state."""
 
-    __slots__ = ("_sim", "_agent", "_in_ga_group")
+    __slots__ = ("_sim", "_agent")
 
     def __init__(self, sim: "Simulation", agent: _Agent):
         self._sim = sim
         self._agent = agent
-        self._in_ga_group = None
 
     @property
     def self_ref(self) -> AgentRef:
@@ -449,9 +444,13 @@ class AgentContext:
         self._sim._request_stop(self._agent)
 
     def send_order(self, target: Point) -> None:
-        if self._in_ga_group is None:
+        """Order every other awake member of the running GA to target, a
+        point in this agent's own frame.  Works only inside on_ga; a call
+        from any other callback raises RuntimeError."""
+        orders = self._sim._pending_orders
+        if orders is None:
             raise RuntimeError("orders can only be sent during a GA")
-        self._sim._queue_order(self._agent, target, self._in_ga_group)
+        orders.append((self._agent, target))
 
 
 ProgramFactory = Callable[[], Program]
@@ -732,8 +731,6 @@ class Simulation:
             ag.ctx = AgentContext(self, ag)
             self.agents.append(ag)
         self._now = min(cfg.times)
-        # _advance_to calls so far; see _Agent.leg_from.
-        self._advances = 0
         # Appeared agents in index order, and the rest by starting time.
         self._live: list[_Agent] = []
         self._arrivals = deque(sorted(self.agents,
@@ -744,7 +741,9 @@ class Simulation:
         self._seq = itertools.count()
         self._prox = ProximityGraph(self.agents, self.eps, self.horizon)
         self.events: list[Event] = []
-        self._pending_orders: list[tuple[_Agent, Point, tuple[int, ...]]] = []
+        # The (issuer, target in its frame) orders of the GA whose on_ga
+        # callbacks are running; None outside them.
+        self._pending_orders: Optional[list[tuple[_Agent, Point]]] = None
 
     # -- program-facing hooks ------------------------------------------------
 
@@ -758,29 +757,22 @@ class Simulation:
         self.events.append(Event(self._now, "stop", (agent.idx,),
                                  (agent.here(),)))
 
-    def _queue_order(self, issuer: _Agent, target: Point,
-                     group: tuple[int, ...]) -> None:
-        target_global = Point(issuer.origin.x + target.x,
-                              issuer.origin.y + target.y)
-        self._pending_orders.append((issuer, target_global, group))
-
     # -- motion --------------------------------------------------------------
 
     def _record_leg(self, agent: _Agent) -> None:
-        """Record the end of the agent's current leg, if it has one yet.
+        """Record the end of the agent's current leg: where it is now.
 
-        A leg that lasted over at least one advance ends where the last
-        advance, the one to now, left the agent: the last record a builder
-        fed at every advance would have kept for it.  A leg begun since the
-        last advance had no such record and gets none.
+        Records are keyed on the clock.  A leg begins at the time of the
+        builder's last record, so a leg that began at this instant, and
+        lasted no time, gets no record.
         """
-        if self._advances > agent.leg_from:
-            agent.builder.move_to(self._now, agent.x, agent.y)
+        builder = agent.builder
+        if self._now > builder.last_time:
+            builder.move_to(self._now, agent.x, agent.y)
 
     def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
         """Every change of an agent's leg goes through here."""
         self._record_leg(agent)
-        agent.leg_from = self._advances
         agent.motion = motion
         self._prox.changed.add(agent.idx)
         if motion is not None:
@@ -858,7 +850,6 @@ class Simulation:
                 else:
                     ag.x = ag.x + m.vx * dt
                     ag.y = ag.y + m.vy * dt
-        self._advances += 1
         self._now = t
 
     # -- knowledge -----------------------------------------------------------
@@ -955,7 +946,6 @@ class Simulation:
             if len(appeared_now) > 1:
                 appeared_now.sort(key=_index)
             for ag in appeared_now:
-                ag.leg_from = self._advances
                 ag.builder = TrajectoryBuilder(t, ag.origin)
                 ag.knowledge[ag.ref] = Point(0.0, 0.0)
                 self.events.append(Event(t, "appear", (ag.idx,),
@@ -1018,29 +1008,24 @@ class Simulation:
             # Decisions are simultaneous: every view shows pre-GA states,
             # so a callback's tag change is invisible to its peers.
             views = self._views(members)
-            self._pending_orders = []
+            orders = self._pending_orders = []
             for ag in members:
-                if ag.stopped:
-                    continue
-                ag.ctx._in_ga_group = group
-                ag.program.on_ga(ag.ctx, views[ag.idx])
-                ag.ctx._in_ga_group = None
+                if not ag.stopped:
+                    ag.program.on_ga(ag.ctx, views[ag.idx])
+            self._pending_orders = None
             self.events.append(Event(
                 t, "ga", group, tuple([ag.here() for ag in members]),
                 tuple([ag.tag for ag in members])))
-            orders = self._pending_orders
-            self._pending_orders = []
-            for issuer, target_global, ogroup in orders:
-                recipients = tuple(i for i in ogroup
-                                   if i != issuer.idx
-                                   and not self.agents[i].stopped)
-                self.events.append(Event(t, "order", recipients,
-                                         issuer=issuer.idx,
-                                         target=target_global))
-                for i in recipients:
-                    ag = self.agents[i]
-                    rel = Point(target_global.x - ag.origin.x,
-                                target_global.y - ag.origin.y)
+            for issuer, target in orders:
+                tx = issuer.origin.x + target.x
+                ty = issuer.origin.y + target.y
+                recipients = [ag for ag in members
+                              if ag is not issuer and not ag.stopped]
+                self.events.append(Event(
+                    t, "order", tuple([ag.idx for ag in recipients]),
+                    issuer=issuer.idx, target=Point(tx, ty)))
+                for ag in recipients:
+                    rel = Point(tx - ag.origin.x, ty - ag.origin.y)
                     ag.program.on_order(ag.ctx, rel, issuer.ref)
 
     def _finish(self, timed_out: bool) -> Trace:
@@ -1058,7 +1043,7 @@ class Simulation:
             last = ag.here()
             # Pad with a final rest so every trajectory covers the same
             # closing time regardless of when its agent stopped.
-            if end > ag.start_time:
+            if end > ag.builder.last_time:
                 ag.builder.move_to(end, last.x, last.y)
             trajectories.append(ag.builder.build())
             final_positions.append(last)
@@ -1073,9 +1058,6 @@ class Simulation:
                 reps = sorted((final_positions[g[0]] for g in groups),
                               key=lambda p: p.coords)
                 verdict = Verdict("split", self._now, groups=tuple(reps))
-            for ag in self.agents:
-                # Quiescent agents can never move again; mark them stopped.
-                ag.stopped = True
         for ag in self.agents:
             # No callback follows.  Cutting the agent -> context ->
             # simulation cycle lets reference counting free the run's

@@ -19,6 +19,12 @@ from .geometry import Point
 DEFAULT_SPREAD = 2.5
 DEFAULT_TMAX = 2.0
 EPS_RANGE = (0.4, 1.0)
+# good_pair draws its qualifying margin from this range.
+MARGIN_RANGE = (0.25, 1.5)
+# ungatherable_config: every pair misses by more than this margin, and
+# agents appear within [0, UNGATHERABLE_TMAX].
+UNGATHERABLE_MARGIN = 0.25
+UNGATHERABLE_TMAX = 1.0
 
 Seed = Union[int, random.Random]
 
@@ -35,9 +41,8 @@ def _sample_eps(rng: random.Random) -> float:
 
 
 def good_pair(seed: Seed, eps: float = 0.0, *,
-              min_margin: float = 0.25, max_margin: float = 1.5,
               spread: float = DEFAULT_SPREAD) -> InitialConfiguration:
-    """Two agents with a qualifying margin of at least min_margin.
+    """Two agents with a qualifying margin drawn from MARGIN_RANGE.
 
     The margin z = |dt| - (dist - eps) is sampled directly, then a distance
     and appearance order are drawn around it, so the class is robustly good
@@ -47,7 +52,7 @@ def good_pair(seed: Seed, eps: float = 0.0, *,
     if eps <= 0.0:
         eps = _sample_eps(rng)
     d = rng.uniform(0.2, spread)
-    z = rng.uniform(min_margin, max_margin)
+    z = rng.uniform(*MARGIN_RANGE)
     delta = max(0.0, d - eps) + z
     theta = rng.uniform(0.0, 2.0 * math.pi)
     base = Point(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
@@ -62,48 +67,53 @@ def good_pair(seed: Seed, eps: float = 0.0, *,
     return cfg
 
 
-def good_config(seed: Seed, n: int, eps: float = 0.0, *,
-                spread: float = DEFAULT_SPREAD,
-                tmax: float = DEFAULT_TMAX) -> InitialConfiguration:
-    """n agents containing at least one strictly qualifying pair.
+def good_config(seed: Seed, n: int,
+                eps: float = 0.0) -> InitialConfiguration:
+    """n >= 2 agents containing at least one strictly qualifying pair.
 
-    A qualifying pair is constructed first; the remaining agents land
-    uniformly in the surrounding square with arbitrary appearance times.
-    Extra agents can only add qualifying pairs, never remove one.
+    A qualifying pair is constructed first, at most 2 apart; the remaining
+    agents land uniformly in the surrounding square of side DEFAULT_SPREAD
+    and appear within [0, DEFAULT_TMAX].  Extra agents can only add
+    qualifying pairs, never remove one.
     """
+    if n < 2:
+        raise ValueError("a configuration needs at least two agents")
     rng = _rng(seed)
     if eps <= 0.0:
         eps = _sample_eps(rng)
-    pair = good_pair(rng, eps, spread=min(spread, 2.0))
+    pair = good_pair(rng, eps, spread=2.0)
     starts = list(pair.starts)
     times = list(pair.times)
     cx = sum(p.x for p in starts) / 2.0
     cy = sum(p.y for p in starts) / 2.0
+    half = DEFAULT_SPREAD / 2.0
     while len(starts) < n:
-        p = Point(cx + rng.uniform(-spread / 2.0, spread / 2.0),
-                  cy + rng.uniform(-spread / 2.0, spread / 2.0))
+        p = Point(cx + rng.uniform(-half, half),
+                  cy + rng.uniform(-half, half))
         if any(p.dist(q) < 1e-3 for q in starts):
             continue
         starts.append(p)
-        times.append(rng.uniform(0.0, tmax))
+        times.append(rng.uniform(0.0, DEFAULT_TMAX))
     cfg = InitialConfiguration(eps, tuple(starts), tuple(times))
     assert classify(cfg).kind == Feasibility.GOOD
     return cfg
 
 
-def ungatherable_config(seed: Seed, n: int = 2, eps: float = 0.0, *,
-                        min_margin: float = 0.25,
-                        tmax: float = 1.0) -> InitialConfiguration:
+def ungatherable_config(seed: Seed, n: int = 2,
+                        eps: float = 0.0) -> InitialConfiguration:
     """n agents with every pair strictly beyond reach.
 
-    Each pairwise distance exceeds eps + |dt| by at least min_margin, which
-    is guaranteed by spacing the agents on a circle whose worst-case chord
-    is eps + tmax + min_margin.
+    Each pairwise distance exceeds eps + |dt| by at least
+    UNGATHERABLE_MARGIN, which is guaranteed by spacing the agents on a
+    circle whose worst-case chord is eps + UNGATHERABLE_TMAX +
+    UNGATHERABLE_MARGIN.
     """
+    if n < 2:
+        raise ValueError("a configuration needs at least two agents")
     rng = _rng(seed)
     if eps <= 0.0:
         eps = _sample_eps(rng)
-    need = eps + tmax + min_margin
+    need = eps + UNGATHERABLE_TMAX + UNGATHERABLE_MARGIN
     if n == 2:
         d = need + rng.uniform(0.0, 1.0)
         theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -119,7 +129,7 @@ def ungatherable_config(seed: Seed, n: int = 2, eps: float = 0.0, *,
             pts.append(Point(radius * math.cos(ang),
                              radius * math.sin(ang)))
         starts = tuple(pts)
-    times = tuple(rng.uniform(0.0, tmax) for _ in range(n))
+    times = tuple(rng.uniform(0.0, UNGATHERABLE_TMAX) for _ in range(n))
     cfg = InitialConfiguration(eps, starts, times)
     assert classify(cfg).kind == Feasibility.UNGATHERABLE
     return cfg

@@ -281,8 +281,10 @@ class TrajectoryBuilder:
 
     The engine makes a record when a leg ends: the instruction, or
     stretch without one, that moved the agent since the previous record.
-    Each record ends one leg of the built trajectory.  Records are kept as
-    float columns, the ones the built Trajectory holds.
+    Records are keyed on the clock: a leg that begins and ends within one
+    instant gets none, so each record after the first ends one leg of the
+    built trajectory.  Records are kept as float columns, the ones the
+    built Trajectory holds.
     """
 
     __slots__ = ("_times", "_xs", "_ys")
@@ -292,38 +294,29 @@ class TrajectoryBuilder:
         self._xs = [start_point.x]
         self._ys = [start_point.y]
 
+    @property
+    def last_time(self) -> float:
+        """The time of the last record."""
+        return self._times[-1]
+
     def move_to(self, t: float, x: float, y: float) -> None:
-        """Record that the agent is at (x, y) at time t."""
-        times = self._times
-        last = times[-1]
-        if t < last - TIME_TOL:
-            raise ValueError("trajectory time went backwards")
-        if t < last:
-            t = last
-        times.append(t)
+        """Record that the agent is at (x, y) at time t, after the last
+        record."""
+        self._times.append(t)
         self._xs.append(x)
         self._ys.append(y)
 
     def build(self) -> Trajectory:
-        """The recorded trajectory, on copies of the record columns.
+        """The recorded trajectory, on copies of the record columns; it
+        raises if a record steps back in time or breaks the speed rule.
 
-        A record at the time of the one before it and within POS_TOL of
-        it adds no leg and is left out.
+        A builder holding its first record only builds a rest there that
+        lasts no time.
         """
         ts, xs, ys = self._times, self._xs, self._ys
-        hypot = math.hypot
-        idle = {k for k in range(1, len(ts))
-                if ts[k] - ts[k - 1] <= 0.0
-                and hypot(xs[k] - xs[k - 1], ys[k] - ys[k - 1]) <= POS_TOL}
-        if not idle and len(ts) > 1:
-            return Trajectory(ts[:], xs[:], ys[:])
-        keep = [k for k in range(len(ts)) if k not in idle]
-        if len(keep) == 1:
-            # No record adds a leg: one leg from the first to the last.
-            keep.append(len(ts) - 1)
-        return Trajectory([ts[k] for k in keep],
-                          [xs[k] for k in keep],
-                          [ys[k] for k in keep])
+        if len(ts) == 1:
+            return Trajectory(ts * 2, xs * 2, ys * 2)
+        return Trajectory(ts[:], xs[:], ys[:])
 
 
 def solve_crossing_in(rx: float, ry: float, vx: float, vy: float,

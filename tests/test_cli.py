@@ -85,6 +85,21 @@ def test_infinite_start_time_is_an_input_error(tmp_path, capsys):
     assert captured.err.count("start times must be finite") == 2
 
 
+@pytest.mark.parametrize("field,value", [("x", True), ("t", False),
+                                         ("epsilon", "0.5")])
+def test_config_value_that_is_not_a_number_is_an_input_error(
+        tmp_path, capsys, field, value):
+    data = json.loads(json.dumps(GOOD))
+    if field == "epsilon":
+        data[field] = value
+    else:
+        data["agents"][0][field] = value
+    assert main(["classify", write_cfg(tmp_path, data)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed configuration" in captured.err
+
+
 def test_simulate_gathered(tmp_path, capsys):
     code = main(["simulate", write_cfg(tmp_path, GOOD),
                  "--algorithm", "gather-n"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import pair
 from gathersim.config import (Feasibility, InitialConfiguration, classify,
                               pair_margin, vector_sequence)
+from gathersim.generate import good_config, ungatherable_config
 from gathersim.geometry import Point, Vec2
 
 
@@ -29,6 +30,14 @@ def test_rejects_bad_inputs():
         InitialConfiguration(inf, (Point(0, 0), Point(1, 0)), (0.0, 0.0))
     with pytest.raises(ValueError, match="start times must be finite"):
         InitialConfiguration(0.5, (Point(0, 0), Point(1, 0)), (0.0, inf))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_generators_refuse_fewer_than_two_agents(n):
+    with pytest.raises(ValueError, match="at least two agents"):
+        good_config(0, n)
+    with pytest.raises(ValueError, match="at least two agents"):
+        ungatherable_config(0, n)
 
 
 def test_classify_boundary_pair():
@@ -129,3 +138,18 @@ def test_from_dict_rejects_garbage():
         InitialConfiguration.from_dict([1, 2, 3])
     with pytest.raises(ValueError):
         InitialConfiguration.from_dict({"agents": []})
+    good = {"epsilon": 0.5, "agents": [{"x": 0, "y": 0.0, "t": 0},
+                                       {"x": 1.0, "y": 0, "t": 2.0}]}
+    assert InitialConfiguration.from_dict(good) == InitialConfiguration(
+        0.5, (Point(0, 0), Point(1, 0)), (0.0, 2.0))
+    # Only JSON numbers load; bool is an int in Python.  An int too large
+    # for a float is no coordinate either.
+    for field, value in [("x", True), ("t", False), ("epsilon", "0.5"),
+                         ("y", None), ("t", [1.0]), ("x", 10 ** 400)]:
+        data = json.loads(json.dumps(good))
+        if field == "epsilon":
+            data[field] = value
+        else:
+            data["agents"][1][field] = value
+        with pytest.raises(ValueError, match="malformed configuration"):
+            InitialConfiguration.from_dict(data)

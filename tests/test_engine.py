@@ -864,6 +864,58 @@ def test_view_is_a_ga_start_snapshot():
         Point(-0.7, 0.4)) < 1e-12
 
 
+def test_orders_can_only_be_sent_from_on_ga():
+    """Four agents appear at once, chained within epsilon, 5 from the
+    origin.  Agent 3 stops in on_appear, so the one GA has three awake
+    members.  Agent 0 orders from on_ga; every agent also tries to order
+    from on_appear, on_idle and on_order, and each of those calls raises.
+    """
+    refused = []
+    received = []
+
+    class Probe(Program):
+        def _try(self, ctx, where):
+            try:
+                ctx.send_order(Point(9.0, 9.0))
+            except RuntimeError as exc:
+                refused.append((ctx.self_ref, where, str(exc)))
+
+        def on_appear(self, ctx):
+            self._try(ctx, "appear")
+
+        def on_idle(self, ctx):
+            self._try(ctx, "idle")
+
+        def on_order(self, ctx, target, issuer):
+            received.append((ctx.self_ref, target, issuer))
+            self._try(ctx, "order")
+
+    class Issuer(Probe):
+        def on_ga(self, ctx, view):
+            ctx.send_order(Point(1.0, 2.0))
+
+    class Sleeper(Probe):
+        def on_appear(self, ctx):
+            ctx.stop()
+
+    starts = (Point(5.0, 5.0), Point(5.3, 5.0), Point(5.6, 5.0),
+              Point(5.0, 5.3))
+    cfg = InitialConfiguration(0.5, starts, (0.0,) * 4)
+    mk = iter([Issuer(), Probe(), Probe(), Sleeper()])
+    trace = run(cfg, lambda: next(mk), horizon=10.0)
+    assert [ev.agents for ev in trace.ga_events()] == [(0, 1, 2, 3)]
+    orders = [ev for ev in trace.events if ev.kind == "order"]
+    assert [(ev.issuer, ev.agents, ev.target) for ev in orders] \
+        == [(0, (1, 2), Point(6.0, 7.0))]
+    assert received == [(AgentRef(i), Point(6.0 - starts[i].x, 2.0),
+                         AgentRef(0)) for i in (1, 2)]
+    message = "orders can only be sent during a GA"
+    assert sorted((ref._token, where, msg) for ref, where, msg in refused) \
+        == sorted([(i, "appear", message) for i in range(3)]
+                  + [(i, "order", message) for i in (1, 2)]
+                  + [(i, "idle", message) for i in range(3)])
+
+
 def test_refs_are_unordered():
     a, b = AgentRef(0), AgentRef(1)
     assert a == a and a != b
@@ -1060,6 +1112,11 @@ class _LastRecordOfEachLeg:
         """A record that is a leg of its own: the closing pad."""
         self.record(t, x, y, object())
 
+    @property
+    def last_time(self):
+        held = self.pending
+        return self.builder.last_time if held is None else held[0]
+
     def build(self):
         if self.pending is not None:
             self.builder.move_to(*self.pending[:3])
@@ -1125,8 +1182,8 @@ def test_leg_records_match_every_event_recorder(case, monkeypatch):
     assert trace.jsonl_lines() == ref.jsonl_lines()
     assert _segment_bits(trace) == _segment_bits(ref)
     segments = sum(len(traj.segments) for traj in trace.trajectories)
-    # One record per leg, plus the closing pad of each agent.
-    assert made <= segments + cfg.n
+    # One record per leg: the closing pad is made only where it adds one.
+    assert made == segments
     if case[0] == "gather-n":
         assert trace.ga_events()
     elif case[0] == "timeout":
