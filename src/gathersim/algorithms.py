@@ -110,14 +110,19 @@ class StarWalk:
 # -- shared helpers -----------------------------------------------------------
 
 def _largest_ref(ctx: AgentContext, refs):
-    """Ref whose known initial position is lexicographically largest."""
+    """Ref whose known initial position is lexicographically largest.
+
+    Compares x, then y, as lex_less does, without building coordinate
+    tuples; the first of equal maxima wins.  None when refs is empty.
+    """
+    know = ctx.knowledge
     best_ref = None
-    best = None
+    bx = by = 0.0
     for r in refs:
-        p = ctx.knowledge[r]
-        if best is None or lex_less(best, p):
-            best = p
-            best_ref = r
+        p = know[r]
+        x = p.x
+        if best_ref is None or (bx < x if bx != x else by < p.y):
+            best_ref, bx, by = r, x, p.y
     return best_ref
 
 
@@ -297,8 +302,14 @@ class GatherProgram(Program):
         self.ai = 0
         self.star = StarWalk()
         self.mode = "star"  # explorer: star | finale | finale_goto | settled
-        self.tokens: set = set()
+        # An explorer's largest known start among the tokens it made at
+        # its promotion.  Knowledge entries never change, so neither does
+        # this.
+        self.own_best: Optional[Point] = None
         self.seen: set = set()
+        # _gather_point of knowledge while it holds _target_size refs.
+        self._target: Optional[Point] = None
+        self._target_size = 0
         self.orders: list[Point] = []
         self.executing_order = False
 
@@ -307,6 +318,15 @@ class GatherProgram(Program):
         return self.assumptions[self.ai]
 
     # -- helpers
+
+    def _gather_target(self, ctx) -> Point:
+        """_gather_point(ctx), worked out again only when knowledge grew:
+        knowledge only gains refs, so its size tells whether it changed."""
+        known = len(ctx.knowledge)
+        if known != self._target_size:
+            self._target = _gather_point(ctx)
+            self._target_size = known
+        return self._target
 
     def _go_home(self, ctx) -> None:
         """Drop the plan and head back to the origin."""
@@ -351,12 +371,23 @@ class GatherProgram(Program):
         ctx.issue(self.star.next_instruction())
 
     def on_ga(self, ctx, view: GAView) -> None:
-        if ctx.tag == "cruiser":
+        """Cruisers and explorers in star mode read the view.
+
+        An explorer past its finale at its last candidate size reads
+        none: what a view feeds it, the seen set, is read only in star
+        mode, and only an assumption upgrade, impossible at the last
+        candidate, brings star mode back.  It repeats its order, or in
+        settled mode does nothing.  Tokens and shadows only gossip, and
+        never read their view; they move on explicit orders.
+        """
+        tag = ctx.tag
+        if tag == "cruiser":
             self._cruiser_ga(ctx, view, view.others())
-        elif ctx.tag == "explorer":
-            self._explorer_ga(ctx, view, view.others())
-        # Tokens and shadows only gossip, and never read their view; they
-        # move on explicit orders.
+        elif tag == "explorer":
+            if self.mode == "star" or self.ai + 1 < len(self.assumptions):
+                self._explorer_ga(ctx, view.others())
+            elif self.mode != "settled":
+                ctx.send_order(self._gather_target(ctx))
 
     def _cruiser_ga(self, ctx, view, others) -> None:
         if any(p.tag == "token" for p in others):
@@ -369,8 +400,8 @@ class GatherProgram(Program):
         winner = _largest_ref(ctx, (p.ref for p in cruisers))
         if winner == ctx.self_ref:
             ctx.tag = "explorer"
-            self.tokens = {p.ref for p in cruisers
-                           if p.ref != ctx.self_ref}
+            self.own_best = _largest_initial(
+                ctx, (p.ref for p in cruisers if p.ref != ctx.self_ref))
             # Only directly visible agents are "seen": the finale re-runs
             # the current sweep phase, which revisits exactly the places
             # where direct meetings happened.  Chain-connected agents must
@@ -393,20 +424,29 @@ class GatherProgram(Program):
             advanced = True
         return advanced
 
-    def _explorer_ga(self, ctx, view, others) -> None:
-        pre_tokens = [p for p in others if p.tag == "token"]
-        pre_shadows = [p for p in others if p.tag == "shadow"]
-        cruisers = [p for p in others if p.tag == "cruiser"]
-        # Direct sightings only; see _cruiser_ga for why.
-        self.seen |= {p.ref for p in pre_tokens if p.adjacent}
-        self.seen |= {p.ref for p in pre_shadows if p.adjacent}
+    def _explorer_ga(self, ctx, others) -> None:
+        pre_tokens = []
+        cruisers = []
+        seen = self.seen
+        for p in others:
+            tag = p.tag
+            if tag == "cruiser":
+                cruisers.append(p)
+                continue
+            if tag == "token":
+                pre_tokens.append(p)
+            elif tag != "shadow":
+                continue
+            # Direct sightings only; see _cruiser_ga for why.
+            if p.adjacent:
+                seen.add(p.ref)
         if pre_tokens:
             # Public rule: every cruiser in this GA freezes into a shadow.
-            self.seen |= {p.ref for p in cruisers if p.adjacent}
+            seen.update(p.ref for p in cruisers if p.adjacent)
         elif len(cruisers) >= 2:
             winner = _largest_ref(ctx, (p.ref for p in cruisers))
-            self.seen |= {p.ref for p in cruisers
-                          if p.ref != winner and p.adjacent}
+            seen.update(p.ref for p in cruisers
+                        if p.ref != winner and p.adjacent)
 
         if self._advance_assumption(ctx):
             if self.mode != "star":
@@ -414,19 +454,18 @@ class GatherProgram(Program):
             return
 
         if self.mode in ("finale", "finale_goto"):
-            ctx.send_order(_gather_point(ctx))
+            ctx.send_order(self._gather_target(ctx))
             return
         if self.mode != "star":
             return  # settled group; only an upgrade wakes us
 
-        if len(self.seen) >= self.assumption - 1:
-            ctx.send_order(_gather_point(ctx))
+        if len(seen) >= self.assumption - 1:
+            ctx.send_order(self._gather_target(ctx))
             self._queue_finale_phase(ctx)
             return
-        if pre_tokens and self.tokens:
-            own_best = _largest_initial(ctx, self.tokens)
+        if pre_tokens:
             met_best = _largest_initial(ctx, (p.ref for p in pre_tokens))
-            if lex_less(own_best, met_best):
+            if lex_less(self.own_best, met_best):
                 ctx.tag = "shadow"
                 ctx.clear_plan()
 
@@ -443,7 +482,7 @@ class GatherProgram(Program):
             ctx.issue(self.star.next_instruction())
             return
         if role == "explorer" and self.mode == "finale":
-            self._head_to(ctx, _gather_point(ctx))
+            self._head_to(ctx, self._gather_target(ctx))
             self.mode = "finale_goto"
             return
         if role == "explorer" and self.mode == "finale_goto":

@@ -51,19 +51,36 @@ def check_speeds(trace: Trace) -> None:
                       f"{math.hypot(dx, dy) / dt}")
 
 
-def _group_xy(trace: Trace, group: list[int],
-              t: float) -> list[tuple[float, float]]:
+def _event_xy(trace: Trace, ev) -> tuple[list[int], list[tuple[float, float]]]:
+    """ev's agents, sorted, and their trajectory positions at ev.time in
+    that order, once ev is shown to record each one within POS_TOL."""
+    t = ev.time
+    what = "GA" if ev.kind == "ga" else ev.kind
+    group = sorted(ev.agents)
     n = len(trace.trajectories)
     xy = []
     for i in group:
         if not 0 <= i < n:
-            _fail(f"GA at {t} names agent {i}, not one of the {n} agents")
+            _fail(f"{what} at {t} names agent {i}, not one of the {n} agents")
         try:
             xy.append(trace.trajectories[i].xy_at(t))
         except ValueError:
-            _fail(f"GA at {t}: agent {i} has no position, the time lies "
+            _fail(f"{what} at {t}: agent {i} has no position, the time lies "
                   "outside its trajectory span")
-    return xy
+    if len(ev.positions) != len(xy):
+        _fail(f"{what} at {t} records {len(ev.positions)} positions for "
+              f"{len(xy)} agents")
+    # Positions are recorded in ev.agents order, which the engine sorts.
+    listed = xy
+    if list(ev.agents) != group:
+        where = dict(zip(group, xy))
+        listed = [where[i] for i in ev.agents]
+    for i, (x, y), p in zip(ev.agents, listed, ev.positions):
+        d = math.hypot(x - p.x, y - p.y)
+        if not d <= POS_TOL:
+            _fail(f"{what} at {t}: agent {i} recorded at ({p.x}, {p.y}), "
+                  f"{d} from its trajectory")
+    return group, xy
 
 
 def _pair_separated(trace: Trace, i: int, j: int, t0: float,
@@ -88,8 +105,23 @@ def _pair_separated(trace: Trace, i: int, j: int, t0: float,
     return False
 
 
+def check_event_positions(trace: Trace) -> None:
+    """Each appear and stop event names one agent and records its
+    trajectory position to within POS_TOL."""
+    for ev in trace.events:
+        if ev.kind == "appear" or ev.kind == "stop":
+            if len(ev.agents) != 1:
+                _fail(f"{ev.kind} at {ev.time} names {len(ev.agents)} "
+                      "agents, not one")
+            _event_xy(trace, ev)
+
+
 def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
-    """GA groups are proximity-connected and contain a fresh contact.
+    """GA groups are well formed, proximity-connected and contain a fresh
+    contact.
+
+    Well formed: a GA names each member once, with one recorded
+    position, within POS_TOL of its trajectory, and one tag.
 
     Connectivity: at the event time the participants form one connected
     component of the within-eps graph.  Freshness: every GA has at least
@@ -118,8 +150,12 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     apart = [[False] * n for _ in range(n)]
     for ev in trace.ga_events():
         t = ev.time
-        group = sorted(ev.agents)
-        xy = _group_xy(trace, group, t)
+        group, xy = _event_xy(trace, ev)
+        if len(set(group)) != len(group):
+            _fail(f"GA at {t} names an agent twice: {ev.agents}")
+        if len(ev.tags) != len(group):
+            _fail(f"GA at {t} records {len(ev.tags)} tags for {len(group)} "
+                  "agents")
         if len(group) < 2:
             _fail(f"GA at {t} with fewer than two agents")
         # The within-eps graph of the group, as neighbour lists.
@@ -190,5 +226,6 @@ def check_all(cfg: InitialConfiguration, trace: Trace) -> None:
     check_event_times(trace)
     check_speeds(trace)
     check_trajectory_starts(cfg, trace)
+    check_event_positions(trace)
     check_ga_events(cfg, trace)
     check_verdict(cfg, trace)

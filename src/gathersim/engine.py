@@ -139,8 +139,8 @@ class GAView:
 
     def others(self) -> tuple[Participant, ...]:
         parts = self.participants
-        return tuple(p for k, p in enumerate(parts)
-                     if k != self._self_index)
+        k = self._self_index
+        return parts[:k] + parts[k + 1:]
 
     def _build(self) -> None:
         # Members ordered by current position, then by starting point, both
@@ -155,12 +155,15 @@ class GAView:
                 for x, y, ox, oy in coords]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         hypot = math.hypot
+        # What Participant(...) does, without the frame of its __new__.
+        make = tuple.__new__
         parts = []
         for b in order:
             x, y, _, _ = coords[b]
             key = keys[b]
-            parts.append(Participant(refs[b], Point(key[0], key[1]),
-                                     tags[b], hypot(x - ax, y - ay) <= lim))
+            parts.append(make(Participant, (
+                refs[b], Point(key[0], key[1]), tags[b],
+                hypot(x - ax, y - ay) <= lim)))
         self._participants = tuple(parts)
         self._self_index = order.index(k)
 
@@ -227,12 +230,17 @@ class Trace:
         Lines are written from one fixed template per kind.  A trace
         repeats its times, its coordinates and the Points of agents that
         stayed put, so each distinct finite non-zero float is formatted
-        once, and each distinct Point object once.
+        once, and each distinct Point object once.  GAs of one team
+        repeat its index tuple and its role tuples, so each distinct
+        agents tuple and tags tuple of a GA line is formatted once too.
         """
         dumps = json.dumps
         float_repr = float.__repr__
         floats: dict[float, str] = {}
         points: dict[int, str] = {}
+        # Keyed by value: equal tuples of ints, or of strs, read the same.
+        ga_agents: dict[tuple, str] = {}
+        ga_tags: dict[tuple, str] = {}
 
         def num(v) -> str:
             # json.dumps writes a finite float as its repr.  An equal key
@@ -260,13 +268,18 @@ class Trace:
             kind = ev.kind
             head = '{"t": ' + num(ev.time) + ', "kind": "' + kind + '", '
             if kind == "ga":
+                agents = ga_agents.get(ev.agents)
+                if agents is None:
+                    agents = ga_agents[ev.agents] = ", ".join(
+                        map(ints, ev.agents))
+                tags = ga_tags.get(ev.tags)
+                if tags is None:
+                    tags = ga_tags[ev.tags] = ", ".join(map(string, ev.tags))
                 lines.append(
-                    head + '"agents": [' + ", ".join(map(ints, ev.agents))
-                    + '], "positions": ['
+                    head + '"agents": [' + agents + '], "positions": ['
                     + ", ".join([points.get(id(p)) or point(p)
                                  for p in ev.positions])
-                    + '], "tags": [' + ", ".join(map(string, ev.tags))
-                    + "]}")
+                    + '], "tags": [' + tags + "]}")
             elif kind == "order":
                 lines.append(
                     head + '"issuer": ' + ints(ev.issuer)

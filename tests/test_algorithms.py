@@ -3,20 +3,23 @@
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import pair
-from gathersim.algorithms import (StarWalk, _dedicated_walk, _star_legs,
-                                  dedicated_program, gather_a_program,
-                                  gather_n_program, ray_direction,
-                                  star_phase_params, star_time_through_phase)
+from gathersim.algorithms import (GatherProgram, StarWalk, _dedicated_walk,
+                                  _largest_ref, _star_legs, dedicated_program,
+                                  gather_a_program, gather_n_program,
+                                  ray_direction, star_phase_params,
+                                  star_time_through_phase)
 from gathersim.checks import check_all
 from gathersim.config import (Feasibility, InitialConfiguration,
                               NoQualifyingPair, classify, pair_margin,
                               vector_sequence)
-from gathersim.engine import Go, Wait, run
-from gathersim.geometry import TIME_TOL, Point, Vec2
+from gathersim.engine import AgentRef, Go, Wait, run
+from gathersim.generate import good_config
+from gathersim.geometry import TIME_TOL, Point, Vec2, lex_less
 
 
 def test_star_params_phase_one():
@@ -282,3 +285,138 @@ def test_programs_time_shift_invariant():
     b = run(shifted, gather_n_program(2))
     assert a.verdict.kind == b.verdict.kind == "gathered"
     assert abs((b.verdict.time - 5.5) - a.verdict.time) < 1e-6
+
+
+# -- Reference: the explorer as it was before its finale shortcut --
+
+def _ref_largest_ref(ctx, refs):
+    """Ref whose known initial position is lexicographically largest."""
+    best_ref = None
+    best = None
+    for r in refs:
+        p = ctx.knowledge[r]
+        if best is None or lex_less(best, p):
+            best = p
+            best_ref = r
+    return best_ref
+
+
+def _ref_largest_initial(ctx, refs) -> Point:
+    return ctx.knowledge[_ref_largest_ref(ctx, refs)]
+
+
+def _ref_gather_point(ctx) -> Point:
+    return _ref_largest_initial(ctx, ctx.knowledge.keys())
+
+
+class _ReferenceGather(GatherProgram):
+    """GatherProgram whose explorer reads every view it is given, works
+    out every largest start anew from its tokens and compares through
+    lex_less."""
+
+    def _gather_target(self, ctx) -> Point:
+        return _ref_gather_point(ctx)
+
+    def _cruiser_ga(self, ctx, view, others) -> None:
+        super()._cruiser_ga(ctx, view, others)
+        if ctx.tag == "explorer":  # promoted: keep the tokens it made
+            self.tokens = {p.ref for p in view.participants
+                           if p.tag == "cruiser" and p.ref != ctx.self_ref}
+
+    def on_ga(self, ctx, view) -> None:
+        if ctx.tag == "cruiser":
+            self._cruiser_ga(ctx, view, view.others())
+        elif ctx.tag == "explorer":
+            self._ref_explorer_ga(ctx, view, view.others())
+
+    def _ref_explorer_ga(self, ctx, view, others) -> None:
+        pre_tokens = [p for p in others if p.tag == "token"]
+        pre_shadows = [p for p in others if p.tag == "shadow"]
+        cruisers = [p for p in others if p.tag == "cruiser"]
+        self.seen |= {p.ref for p in pre_tokens if p.adjacent}
+        self.seen |= {p.ref for p in pre_shadows if p.adjacent}
+        if pre_tokens:
+            self.seen |= {p.ref for p in cruisers if p.adjacent}
+        elif len(cruisers) >= 2:
+            winner = _ref_largest_ref(ctx, (p.ref for p in cruisers))
+            self.seen |= {p.ref for p in cruisers
+                          if p.ref != winner and p.adjacent}
+
+        if self._advance_assumption(ctx):
+            if self.mode != "star":
+                self._resume_star(ctx)
+            return
+
+        if self.mode in ("finale", "finale_goto"):
+            ctx.send_order(_ref_gather_point(ctx))
+            return
+        if self.mode != "star":
+            return
+
+        if len(self.seen) >= self.assumption - 1:
+            ctx.send_order(_ref_gather_point(ctx))
+            self._queue_finale_phase(ctx)
+            return
+        if pre_tokens and self.tokens:
+            own_best = _ref_largest_initial(ctx, self.tokens)
+            met_best = _ref_largest_initial(ctx, (p.ref for p in pre_tokens))
+            if lex_less(own_best, met_best):
+                ctx.tag = "shadow"
+                ctx.clear_plan()
+
+
+class _CountedGather(GatherProgram):
+    """GatherProgram that counts in shortcuts, by candidate-set size, the
+    explorer GAs it answers without calling _explorer_ga."""
+
+    def __init__(self, assumptions, shortcuts: Counter):
+        super().__init__(assumptions)
+        self.shortcuts = shortcuts
+        self.read = False
+
+    def on_ga(self, ctx, view) -> None:
+        explorer = ctx.tag == "explorer"
+        self.read = False
+        super().on_ga(ctx, view)
+        if explorer and not self.read:
+            self.shortcuts[len(self.assumptions)] += 1
+
+    def _explorer_ga(self, ctx, others) -> None:
+        self.read = True
+        super()._explorer_ga(ctx, others)
+
+
+def _shortcut_cases():
+    for n in range(2, 9):
+        for seed in range(6):
+            yield (n,), good_config(seed, n)
+    for a in ((2, 3), (2, 3, 5), (3, 5)):
+        for n in a + (a[-1] + 1,):
+            for seed in range(4):
+                yield a, good_config(100 + seed, n)
+
+
+def test_finale_shortcut_keeps_every_trace():
+    shortcuts = Counter()
+    cases = list(_shortcut_cases())
+    assert len(cases) == 82
+    for a, cfg in cases:
+        want = run(cfg, lambda: _ReferenceGather(a), horizon=3000.0)
+        got = run(cfg, lambda: _CountedGather(a, shortcuts), horizon=3000.0)
+        assert got.jsonl_lines() == want.jsonl_lines(), (a, cfg)
+    # Explorers took the shortcut under gather-n and, at their last
+    # candidate, under gather-a: the traces above compare both paths.
+    assert shortcuts[1] > 0
+    assert shortcuts[2] + shortcuts[3] > 0
+
+
+def test_largest_ref_matches_lex_less():
+    rng = random.Random(5)
+    for _ in range(300):
+        refs = [AgentRef(k) for k in range(rng.randint(1, 8))]
+        coords = [-1.0, -0.0, 0.0, 0.5, 2.0]
+        ctx = SimpleNamespace(knowledge={
+            r: Point(rng.choice(coords), rng.choice(coords)) for r in refs})
+        rng.shuffle(refs)
+        assert _largest_ref(ctx, refs) is _ref_largest_ref(ctx, refs)
+    assert _largest_ref(ctx, []) is None

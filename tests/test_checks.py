@@ -1,6 +1,7 @@
 """The trace checker's GA audit on real and doctored traces."""
 
 import dataclasses
+import math
 from itertools import combinations
 
 import pytest
@@ -107,20 +108,37 @@ def _with_gas(trace: Trace, gas: list[Event]) -> Trace:
     return dataclasses.replace(trace, events=events)
 
 
+def _positions_at(trace: Trace, agents, t: float) -> tuple[Point, ...]:
+    return tuple(Point(*trace.trajectories[i].xy_at(t)) for i in agents)
+
+
 def _doctored(trace: Trace):
-    """(label, trace) for one-GA edits at the first, middle and last GA."""
+    """(label, trace) for one-GA edits at the first, middle and last GA.
+
+    Each edited GA stays well formed: a shifted GA records its members
+    where they are at the new time, and a dropped member takes its
+    position and tag along.  The reference reads neither, so only the
+    GA rules, not the format checks, tell the two checkers apart.
+    """
     gas = trace.ga_events()
     for k in sorted({0, len(gas) // 2, len(gas) - 1}):
         ev = gas[k]
         yield f"delete {k}", _with_gas(trace, gas[:k] + gas[k + 1:])
         yield f"duplicate {k}", _with_gas(trace, gas[:k + 1] + gas[k:])
         for dt in (-1e-3, 1e-3):
-            moved = dataclasses.replace(ev, time=ev.time + dt)
+            t = ev.time + dt
+            try:
+                positions = _positions_at(trace, ev.agents, t)
+            except ValueError:  # t lies outside a trajectory
+                positions = ev.positions
+            moved = dataclasses.replace(ev, time=t, positions=positions)
             yield (f"shift {k} by {dt}",
                    _with_gas(trace, gas[:k] + [moved] + gas[k + 1:]))
         for m in sorted({0, len(ev.agents) - 1}):
             fewer = dataclasses.replace(
-                ev, agents=ev.agents[:m] + ev.agents[m + 1:])
+                ev, agents=ev.agents[:m] + ev.agents[m + 1:],
+                positions=ev.positions[:m] + ev.positions[m + 1:],
+                tags=ev.tags[:m] + ev.tags[m + 1:])
             yield (f"drop member {m} of {k}",
                    _with_gas(trace, gas[:k] + [fewer] + gas[k + 1:]))
 
@@ -207,15 +225,92 @@ def test_ga_past_trajectory_end_is_a_check_failure(real_runs):
                               "the time lies outside its trajectory span")
 
 
-def test_ga_naming_an_unknown_agent_is_a_check_failure(real_runs):
+def _malformed(case: str, cfg, trace) -> tuple[list[Event], str]:
+    """trace's GAs with one made malformed, and the failure check_all
+    must give.  Unless the case says otherwise, the first GA is edited."""
+    gas = trace.ga_events()
+    ev = gas[0]
+    t, m = ev.time, len(ev.agents)
+    if case == "self pair":
+        # A GA of agent 0 with itself, recorded where agent 0 is.
+        t += 0.5
+        odd = Event(t, "ga", (0, 0), _positions_at(trace, (0, 0), t),
+                    ("x", "x"))
+        return gas + [odd], f"GA at {t} names an agent twice: (0, 0)"
+    if case == "repeated member of the last GA":
+        ev = gas[-1]
+        odd = dataclasses.replace(ev, agents=ev.agents + ev.agents[-1:],
+                                  positions=ev.positions + ev.positions[-1:],
+                                  tags=ev.tags + ev.tags[-1:])
+        return gas[:-1] + [odd], (f"GA at {ev.time} names an agent twice: "
+                                  f"{odd.agents}")
+    if case.startswith("unknown agent"):
+        bad = cfg.n if case.endswith("n") else -1
+        odd = dataclasses.replace(ev, agents=ev.agents + (bad,),
+                                  positions=ev.positions + ev.positions[:1],
+                                  tags=ev.tags + ev.tags[:1])
+        message = f"GA at {t} names agent {bad}, not one of the {cfg.n} agents"
+    elif case == "one position short":
+        odd = dataclasses.replace(ev, positions=ev.positions[:-1])
+        message = f"GA at {t} records {m - 1} positions for {m} agents"
+    elif case == "one tag short":
+        odd = dataclasses.replace(ev, tags=ev.tags[:-1])
+        message = f"GA at {t} records {m - 1} tags for {m} agents"
+    else:
+        assert case == "one tag too many"
+        odd = dataclasses.replace(ev, tags=ev.tags + ("x",))
+        message = f"GA at {t} records {m + 1} tags for {m} agents"
+    return [odd] + gas[1:], message
+
+
+@pytest.mark.parametrize("case", [
+    "unknown agent n", "unknown agent -1", "self pair",
+    "repeated member of the last GA", "one position short", "one tag short",
+    "one tag too many"])
+def test_malformed_ga_is_a_check_failure(real_runs, case):
     cfg, trace = real_runs[0]
-    ev = trace.ga_events()[0]
-    for bad in (cfg.n, -1):
-        odd = dataclasses.replace(ev, agents=ev.agents + (bad,))
-        with pytest.raises(CheckFailure) as err:
-            check_ga_events(cfg, _with_gas(trace, [odd]))
-        assert str(err.value) == (f"GA at {ev.time} names agent {bad}, "
-                                  f"not one of the {cfg.n} agents")
+    gas, message = _malformed(case, cfg, trace)
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, _with_gas(trace, gas))
+    assert str(err.value) == message
+
+
+def test_ga_positions_pair_with_agents_in_listed_order(real_runs):
+    # A GA may list its members in any order; its k-th position and tag
+    # belong to its k-th agent, not to the k-th smallest.
+    cfg, trace = real_runs[1]
+    gas = trace.ga_events()
+    ev = next(ev for ev in gas
+              if ev.positions[0].dist(ev.positions[-1]) > 0.1)
+    k = gas.index(ev)
+    flipped = dataclasses.replace(ev, agents=ev.agents[::-1],
+                                  positions=ev.positions[::-1],
+                                  tags=ev.tags[::-1])
+    check_all(cfg, _with_gas(trace, gas[:k] + [flipped] + gas[k + 1:]))
+    crossed = dataclasses.replace(flipped, positions=ev.positions)
+    with pytest.raises(CheckFailure, match="from its trajectory"):
+        check_all(cfg, _with_gas(trace, gas[:k] + [crossed] + gas[k + 1:]))
+
+
+@pytest.mark.parametrize("kind", ["ga", "appear", "stop"])
+def test_moved_event_position_is_a_check_failure(real_runs, kind):
+    cfg, trace = real_runs[0]
+    check_all(cfg, trace)
+    k = next(k for k, ev in enumerate(trace.events) if ev.kind == kind)
+    ev = trace.events[k]
+    p = ev.positions[-1]
+    moved = Point(p.x + 1e-3, p.y)
+    events = list(trace.events)
+    events[k] = dataclasses.replace(
+        ev, positions=ev.positions[:-1] + (moved,))
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, dataclasses.replace(trace, events=events))
+    x, y = trace.trajectories[ev.agents[-1]].xy_at(ev.time)
+    label = "GA" if kind == "ga" else kind
+    assert str(err.value) == (
+        f"{label} at {ev.time}: agent {ev.agents[-1]} recorded at "
+        f"({moved.x}, {moved.y}), {math.hypot(x - moved.x, y - moved.y)} "
+        "from its trajectory")
 
 
 def test_segment_at_speed_two_is_a_check_failure():
@@ -247,10 +342,12 @@ def _hand_trace(ga_times) -> Trace:
     waits = Trajectory([0.0, 10.0], [0.0, 0.0], [0.0, 0.0])
     walks = Trajectory([0.0, 2.0, 2.5, 5.0, 7.5, 10.0],
                        [3.0, 1.0, 0.5, 3.0, 0.5, 0.5], [0.0] * 6)
-    gas = [Event(t, "ga", (0, 1)) for t in ga_times]
-    return Trace(events=gas, final_positions=(Point(0, 0), Point(0.5, 0)),
-                 final_tags=("", ""), trajectories=(waits, walks),
-                 verdict=Verdict("timeout", 10.0))
+    trace = Trace(events=[], final_positions=(Point(0, 0), Point(0.5, 0)),
+                  final_tags=("", ""), trajectories=(waits, walks),
+                  verdict=Verdict("timeout", 10.0))
+    trace.events = [Event(t, "ga", (0, 1), _positions_at(trace, (0, 1), t),
+                          ("", "")) for t in ga_times]
+    return trace
 
 
 @pytest.mark.parametrize("ga_times, walked, result", [

@@ -1280,6 +1280,19 @@ def test_jsonl_lines_are_json_dumps_of_hand_made_events():
            Point(1e16, -1e16), Point(1, 1.0), Point(1.0, 1),
            Point(math.inf, -math.inf), Point(math.nan, 2), shared]
     tags = ['"', "\\", "\n", "é", "☃", "", 'a"b\\c\nd é☃']
+    # GA lines format each distinct agents and tags tuple once: equal
+    # tuples that are distinct objects, and tags that need escapes, each
+    # repeated over several lines.
+    escaped = ['a"b\\c\nd é☃', "☃", '"']
+    team_gas = [Event(1.5 + k, "ga", tuple(range(3)), (shared,) * 3,
+                      tuple(escaped if k % 2 else escaped[::-1]))
+                for k in range(4)]
+    team_gas.append(Event(6, "ga", tuple([0, 1, 2]), (shared,) * 3,
+                          tuple(list(escaped))))
+    team_gas.append(Event(6, "ga", (0, 1), (shared,) * 2, ("☃", "☃")))
+    assert team_gas[0].agents is not team_gas[1].agents
+    assert team_gas[1].tags == team_gas[3].tags == team_gas[4].tags
+    assert team_gas[1].tags is not team_gas[3].tags
     events = [
         Event(0, "appear", (0,), (Point(0, 0),)),
         Event(0.0, "appear", (1,), (Point(0.0, -0.0),)),
@@ -1291,6 +1304,7 @@ def test_jsonl_lines_are_json_dumps_of_hand_made_events():
               tuple(tags[:2])),
         Event(2, "order", (1, 2), issuer=0, target=Point(3, -4)),
         Event(0.1 + 0.2, "order", (), issuer=5, target=shared),
+        *team_gas,
         Event(5e-324, "stop", (1,), (Point(1e-7, 1),)),
         Event(1e16, "horizon"),
         Event(7, "horizon")]
