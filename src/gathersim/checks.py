@@ -12,7 +12,7 @@ import math
 
 from .config import InitialConfiguration
 from .engine import Trace, connected_components
-from .geometry import POS_TOL, PROX_TOL, TIME_TOL, legal_speed
+from .geometry import POS_TOL, PROX_TOL, TIME_TOL, first_illegal_leg
 
 # GA members may sit this far beyond eps in the recorded trajectories:
 # ten times the slack PROX_TOL with which the engine joins a group.
@@ -42,13 +42,11 @@ def check_speeds(trace: Trace) -> None:
     """Every trajectory segment moves at unit speed or stands still."""
     for idx, traj in enumerate(trace.trajectories):
         ts, xs, ys = traj.times, traj.xs, traj.ys
-        for k in range(1, len(ts)):
-            dt = ts[k] - ts[k - 1]
-            dx = xs[k] - xs[k - 1]
-            dy = ys[k] - ys[k - 1]
-            if not legal_speed(dt, dx, dy):
-                _fail(f"agent {idx} segment at speed "
-                      f"{math.hypot(dx, dy) / dt}")
+        k = first_illegal_leg(ts, xs, ys, steps_back=False)
+        if k is not None:
+            dt = ts[k + 1] - ts[k]
+            _fail(f"agent {idx} segment at speed "
+                  f"{math.hypot(xs[k + 1] - xs[k], ys[k + 1] - ys[k]) / dt}")
 
 
 def _event_xy(trace: Trace, ev) -> tuple[list[int], list[tuple[float, float]]]:

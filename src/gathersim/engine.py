@@ -547,7 +547,8 @@ class ProximityGraph:
         the new E plus _CERT_MARGIN, where its solve could find no root:
         the pair gets cert inf with no solve and no heap entry, and the
         leg change that ends the new span visits it again before the bound
-        expires.  A root, adjacency or a dirty flag drops the bound.
+        expires.  A root, adjacency or a dirty flag drops the bound.  A pair
+        in lockstep (relative velocity 0) beyond epsilon needs no solve.
         """
         n = self._n
         cert = self._cert
@@ -579,6 +580,7 @@ class ProximityGraph:
             return t_bound, []
         anchor = self._anchor
         eps = self.eps
+        eps2 = eps * eps
         window = t_bound - now
         # Stretched past the window by more than the solvers' TIME_TOL, so
         # a root they clamp onto the stretched end lies beyond the window.
@@ -635,7 +637,10 @@ class ProximityGraph:
                     s = solve_out(rx, ry, vx, vy, sep, span)
                     kind = "separate"
                 else:
-                    s = solve_in(rx, ry, vx, vy, eps, span)
+                    # Lockstep beyond eps (v = 0, |r| > eps): solve_in
+                    # would return None, and r + v span is r.
+                    s = (solve_in(rx, ry, vx, vy, eps, span)
+                         if vx or vy or rx * rx + ry * ry <= eps2 else None)
                     if s is None:
                         cert[key] = inf
                         end = now + span
@@ -784,8 +789,9 @@ class Simulation:
             builder.move_to(self._now, agent.x, agent.y)
 
     def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
-        """Every change of an agent's leg goes through here."""
-        self._record_leg(agent)
+        """Every change of a leg but a motion's end goes through here."""
+        if self._now > agent.builder.last_time:
+            self._record_leg(agent)
         agent.motion = motion
         self._prox.changed.add(agent.idx)
         if motion is not None:
@@ -969,11 +975,12 @@ class Simulation:
             live.sort(key=_index)
             for ag in appeared_now:
                 ag.program.on_appear(ag.ctx)
-        new_edges = prox.apply(t, pair_hits) if pair_hits else set()
-        for ag in appeared_now:
-            new_edges.update(prox.touching(ag, live))
-        if new_edges:
-            self._run_gas(new_edges, woken)
+        if pair_hits or appeared_now:  # else no edge can be new
+            new_edges = prox.apply(t, pair_hits) if pair_hits else set()
+            for ag in appeared_now:
+                new_edges.update(prox.touching(ag, live))
+            if new_edges:
+                self._run_gas(new_edges, woken)
 
         # A GA callback may clear or stop a motion but never starts one:
         # only the idle pass below does.
@@ -987,8 +994,11 @@ class Simulation:
             if len(arrived) > 1:
                 arrived.sort(key=_index)
             for ag in arrived:
+                # What _set_motion(ag, None) does, inline.
                 m = ag.motion
-                self._set_motion(ag, None)
+                self._record_leg(ag)
+                ag.motion = None
+                prox.changed.add(ag.idx)
                 ag.x = m.x_end
                 ag.y = m.y_end
                 woken.add(ag.idx)

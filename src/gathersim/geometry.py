@@ -160,22 +160,29 @@ class Segment:
         return Vec2(d.dx / dur, d.dy / dur)
 
 
-def legal_speed(dt: float, dx: float, dy: float) -> bool:
-    """The unit-speed rule: a leg of duration dt and displacement (dx, dy)
-    stands still or moves at speed 1.
-
-    Sub-tolerance slivers from coalesced events carry no usable speed
-    information and always pass.  Slightly longer slivers can still have
-    their ratio distorted by event-time snapping, so unit speed is also
-    accepted when the absolute length/duration drift is below snapping
-    scale.
-    """
-    if dt <= TIME_TOL:
-        return True
-    length = math.hypot(dx, dy)
-    sp = length / dt
-    return (sp <= SPEED_TOL or abs(sp - 1.0) <= UNIT_SPEED_TOL
-            or abs(length - dt) <= 10.0 * TIME_TOL)
+def first_illegal_leg(times: Sequence[float], xs: Sequence[float],
+                      ys: Sequence[float], steps_back: bool = True
+                      ) -> Optional[int]:
+    """The index k of the first illegal leg, from breakpoint k to k + 1, or
+    None.  The unit-speed rule: a leg stands still or moves at speed 1.
+    Slivers of at most TIME_TOL, left by coalesced events, carry no usable
+    speed and pass; event-time snapping distorts the speed of slightly
+    longer ones, so a leg whose length and duration differ below snapping
+    scale moves at unit speed too.  A leg that steps back in time is
+    illegal, unless steps_back is False."""
+    legs = zip(times, times[1:], xs, xs[1:], ys, ys[1:])
+    for k, (t0, t1, x0, x1, y0, y1) in enumerate(legs):
+        dt = t1 - t0
+        if dt < 0.0 and steps_back:
+            return k
+        # Written so that NaN breaks the rule.
+        if not dt <= TIME_TOL:
+            length = math.hypot(x1 - x0, y1 - y0)
+            sp = length / dt
+            if not (sp <= SPEED_TOL or abs(sp - 1.0) <= UNIT_SPEED_TOL
+                    or abs(length - dt) <= 10.0 * TIME_TOL):
+                return k
+    return None
 
 
 class Trajectory:
@@ -184,11 +191,11 @@ class Trajectory:
     The path is stored as breakpoint columns: times[k], xs[k] and ys[k]
     are the time and coordinates of breakpoint k, and leg k runs at
     constant velocity from breakpoint k to breakpoint k + 1.  Times never
-    step back and every leg obeys legal_speed.  A trajectory recorded by
-    the engine has one leg per instruction leg: one Go, Wait or GotoStop,
-    or one stretch without an instruction.  segments is a view built
-    from the columns on each read.  Trajectory(times, xs, ys) keeps the
-    given lists, not copies.
+    step back and every leg obeys the speed rule of first_illegal_leg.  A
+    trajectory recorded by the engine has one leg per instruction leg: one
+    Go, Wait or GotoStop, or one stretch without an instruction.  segments
+    is a view built from the columns on each read.  Trajectory(times, xs,
+    ys) keeps the given lists, not copies.
 
     position_at, and xy_at which gives the same coordinates as a tuple,
     are defined on [start_time, end_time]; queries before the start or
@@ -203,16 +210,15 @@ class Trajectory:
         if not len(times) == len(xs) == len(ys) >= 2:
             raise ValueError("trajectory needs two breakpoints in each "
                              "column")
-        t0, x0, y0 = times[0], xs[0], ys[0]
-        for t1, x1, y1 in zip(times, xs, ys):
-            dt = t1 - t0
+        k = first_illegal_leg(times, xs, ys)
+        if k is not None:
+            dt = times[k + 1] - times[k]
             if dt < 0.0:
                 raise ValueError("trajectory time steps back")
-            if not legal_speed(dt, x1 - x0, y1 - y0):
-                raise ValueError(
-                    f"segment speed {math.hypot(x1 - x0, y1 - y0) / dt} "
-                    "is neither 0 nor 1")
-            t0, x0, y0 = t1, x1, y1
+            raise ValueError(
+                "segment speed "
+                f"{math.hypot(xs[k + 1] - xs[k], ys[k + 1] - ys[k]) / dt} "
+                "is neither 0 nor 1")
         self.times = times
         self.xs = xs
         self.ys = ys
@@ -284,24 +290,21 @@ class TrajectoryBuilder:
     Records are keyed on the clock: a leg that begins and ends within one
     instant gets none, so each record after the first ends one leg of the
     built trajectory.  Records are kept as float columns, the ones the
-    built Trajectory holds.
+    built Trajectory holds; last_time is the time of the last record.
     """
 
-    __slots__ = ("_times", "_xs", "_ys")
+    __slots__ = ("_times", "_xs", "_ys", "last_time")
 
     def __init__(self, start_time: float, start_point: Point):
         self._times = [start_time]
         self._xs = [start_point.x]
         self._ys = [start_point.y]
-
-    @property
-    def last_time(self) -> float:
-        """The time of the last record."""
-        return self._times[-1]
+        self.last_time = start_time
 
     def move_to(self, t: float, x: float, y: float) -> None:
         """Record that the agent is at (x, y) at time t, after the last
         record."""
+        self.last_time = t
         self._times.append(t)
         self._xs.append(x)
         self._ys.append(y)

@@ -22,6 +22,15 @@ def _hue(idx: int, n: int) -> str:
     return f"hsl({h},70%,42%)"
 
 
+def _points(xs: list[float], ys: list[float]) -> str:
+    """The text of " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)),
+    made by one % format: "%.2f" writes a float as f"{v:.2f}" does."""
+    flat = [0.0] * (2 * len(xs))
+    flat[::2] = xs
+    flat[1::2] = ys
+    return ("%.2f,%.2f " * len(xs))[:-1] % tuple(flat)
+
+
 def render_svg(cfg: InitialConfiguration, trace: Trace) -> str:
     xs: list[float] = []
     ys: list[float] = []
@@ -66,8 +75,8 @@ def render_svg(cfg: InitialConfiguration, trace: Trace) -> str:
                      f'stroke-width="1"/>')
 
     for idx, traj in enumerate(trace.trajectories):
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}"
-                       for x, y in zip(traj.xs, traj.ys))
+        pts = _points([(x - min_x) * scale for x in traj.xs],
+                      [(max_y - y) * scale for y in traj.ys])
         color = _hue(idx, n)
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5" '

@@ -329,6 +329,22 @@ def test_segment_at_speed_two_is_a_check_failure():
         assert str(err.value) == f"agent {k} segment at speed 2.0"
 
 
+def test_check_speeds_names_the_first_illegal_leg_past_a_step_back():
+    # After a step back in time, which check_speeds lets pass, agent 1
+    # gets a leg at speed 2 and then one at speed 3: the first is named.
+    cfg = good_config(0, 3)
+    trace = run(cfg, gather_n_program(3))
+    k = 1
+    traj = trace.trajectories[k]
+    t, x = traj.times[-1], traj.xs[-1]
+    traj.times.extend([t - 0.5, t + 0.5, t + 1.5])
+    traj.xs.extend([x, x + 2.0, x + 5.0])
+    traj.ys.extend([traj.ys[-1]] * 3)
+    with pytest.raises(CheckFailure) as err:
+        check_speeds(trace)
+    assert str(err.value) == f"agent {k} segment at speed 2.0"
+
+
 # -- Hand-made traces, one per freshness path --
 
 # eps = 1.  Agent 0 waits at the origin.  Agent 1 walks in from (3, 0),

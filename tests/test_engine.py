@@ -27,9 +27,9 @@ from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
                               default_horizon, run)
 from gathersim.generate import (config_of_class, good_config, good_pair,
                                 ungatherable_config)
-from gathersim.geometry import (POS_TOL, SEPARATION_TOL, TIME_TOL, Point,
-                                TrajectoryBuilder, Vec2, solve_crossing_in,
-                                solve_crossing_out)
+from gathersim.geometry import (BOUND_SLACK, POS_TOL, SEPARATION_TOL,
+                                TIME_TOL, Point, TrajectoryBuilder, Vec2,
+                                solve_crossing_in, solve_crossing_out)
 
 
 class Still(Program):
@@ -580,8 +580,10 @@ def test_crossing_past_the_window_stays_a_certificate(monkeypatch):
 def test_scan_solves_each_dirty_pair_once(monkeypatch):
     # Changed agents 1 and 3 share the pair (1, 3), which is also due in
     # the certificate heap and flipped; (0, 2) is due and (4, 5) flipped
-    # with no changed end.  The scan has to solve eleven pairs once each:
+    # with no changed end.  The scan has to visit eleven pairs once each:
     # 1 and 3 with each of the four other agents, (1, 3), (0, 2), (4, 5).
+    # Three of them, (0, 3) and (3, 4) at rest and (1, 5) both moving
+    # east, are in lockstep beyond eps and take no solve; eight do.
     def agent(idx, x, vx=None):
         motion = None if vx is None else SimpleNamespace(
             vx=vx, vy=0.0, t_end=5.0)
@@ -608,11 +610,57 @@ def test_scan_solves_each_dirty_pair_once(monkeypatch):
         monkeypatch.setattr(engine, name, counted)
     expect = _full_scan_pair_events(graph, agents, 0.0, 1.0)
     t_event, hits = graph.next_events(agents, 0.0, 1.0)
-    assert len(calls) == 11
+    assert len(calls) == 8
     assert (t_event, hits) == expect
     assert [(kind, pair) for _, kind, pair in hits] == [
         ("approach", (0, 2)), ("approach", (1, 3)), ("separate", (4, 5))]
 
+
+
+def test_lockstep_pair_calls_no_solver(monkeypatch):
+    # Agents 0 and 1 walk on identical motions, so their relative
+    # velocity is exactly 0.  Farther apart than eps, the pair cannot
+    # approach: it gets cert inf and the speed bound of the solver path,
+    # with no solve.  Within eps and not adjacent, the same pair is
+    # solved and meets at now.
+    def agent(idx, x, y):
+        motion = SimpleNamespace(vx=0.6, vy=-0.8, t_end=5.0)
+        return SimpleNamespace(idx=idx, x=x, y=y, motion=motion)
+
+    calls = []
+    real = engine.solve_crossing_in
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "solve_crossing_in", counted)
+
+    def scan(rx, ry):
+        agents = [agent(0, 1.5, -2.0), agent(1, 1.5 + rx, -2.0 + ry)]
+        graph = ProximityGraph(agents, 0.5, 100.0)
+        graph.changed.add(0)
+        del calls[:]
+        return graph, graph.next_events(agents, 1.0, 2.0)
+
+    graph, found = scan(3.0, -4.0)
+    assert found == (2.0, [])
+    assert calls == []
+    assert graph._cert[1] == math.inf and graph._cert_queue == []
+    # What the solver path gives: no root over the span up to E = 5, and
+    # the bound from the distance at E.
+    rx, ry, span = 3.0, -4.0, 4.0
+    assert solve_crossing_in(rx, ry, 0.0, 0.0, 0.5, span) is None
+    end = 1.0 + span
+    assert graph._free[1] == end + (
+        math.hypot(rx + 0.0 * span, ry + 0.0 * span)
+        - (0.5 + BOUND_SLACK)) * engine._CLOSING_TIME
+    assert graph._anchor[1] == end - engine._CERT_MARGIN
+
+    graph, found = scan(0.18, -0.24)
+    assert found == (1.0, [(1.0, "approach", (0, 1))])
+    assert len(calls) == 1
+    assert graph._cert[1] == 1.0 and graph._free[1] == -math.inf
 
 
 def test_skipped_pair_calls_no_solver(monkeypatch):
@@ -620,9 +668,10 @@ def test_skipped_pair_calls_no_solver(monkeypatch):
     # speed bound, set at an earlier solve, holds from its anchor on and
     # lies past the new span's end (5), so the row skips the pair: no
     # solve, no heap entry, cert inf.  Anchored after now, as after a leg
-    # cut short, or flagged dirty, the pair is solved again.
-    def agent(idx, x, t_end):
-        motion = SimpleNamespace(vx=1.0, vy=0.0, t_end=t_end)
+    # cut short, or flagged dirty, the pair is solved again.  Agent 1
+    # waits, so the pair is not in lockstep, which needs no solve.
+    def agent(idx, x, vx, t_end):
+        motion = SimpleNamespace(vx=vx, vy=0.0, t_end=t_end)
         return SimpleNamespace(idx=idx, x=x, y=0.0, motion=motion)
 
     calls = []
@@ -635,7 +684,7 @@ def test_skipped_pair_calls_no_solver(monkeypatch):
     monkeypatch.setattr(engine, "solve_crossing_in", counted)
 
     def scan(anchor, dirty=False):
-        agents = [agent(0, 0.0, 5.0), agent(1, 40.0, 9.0)]
+        agents = [agent(0, 0.0, 1.0, 5.0), agent(1, 40.0, 0.0, 9.0)]
         graph = ProximityGraph(agents, 0.5, 100.0)
         graph._free[1] = 20.0
         graph._anchor[1] = anchor
@@ -653,9 +702,9 @@ def test_skipped_pair_calls_no_solver(monkeypatch):
     assert graph._free[1] == 20.0
     for graph in (scan(anchor=1.5), scan(anchor=1.0, dirty=True)):
         assert len(calls) == 1
-        # Solved afresh: 40 apart at now, the bound restarts at E = 5.
+        # Solved afresh: 36 apart at E = 5, where the bound restarts.
         assert graph._anchor[1] == 5.0 - engine._CERT_MARGIN
-        assert 5.0 + 19.0 < graph._free[1] < 5.0 + 19.75
+        assert 5.0 + 17.0 < graph._free[1] < 5.0 + 17.75
 
 
 def test_leg_cut_short_before_its_anchor_is_solved_again(monkeypatch):
@@ -692,7 +741,8 @@ def test_leg_aimed_at_partner_after_a_natural_end_meets_on_time(
         monkeypatch):
     # a walks west for a unit, then east, straight at c; c walks west,
     # straight at a, in unit legs and then one that ends at 5.76.  The
-    # pair's bound from t = 0 lies 5e-7 before the crossing at 5.75.  It
+    # pair's bound from t = 0 lies 5e-7 before the crossing at 5.75; the
+    # pair is in lockstep then, so the bound comes with no solve.  It
     # lets the leg ends at t = 1 to 4 skip the pair, not the one at 5,
     # whose solve finds the crossing, the float the full scan gives.
     cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
@@ -711,7 +761,7 @@ def test_leg_aimed_at_partner_after_a_natural_end_meets_on_time(
     trace = sim.run()
     assert [(ev.time, ev.agents) for ev in trace.ga_events()] \
         == [(5.75, (0, 1))]
-    assert [t for t in solves_at if t < 5.75] == [0.0, 5.0]
+    assert [t for t in solves_at if t < 5.75] == [5.0]
     assert (5.75, [(5.75, "approach", (0, 1))]) in scans
 
 
@@ -1221,6 +1271,39 @@ def test_trace_jsonl_schema():
     timeout = run(far, lambda: WalkEast(100.0), horizon=2.0)
     assert json.loads(timeout.jsonl_lines()[-1]) == {
         "kind": "verdict", "verdict": "timeout", "time": 2.0}
+
+
+def test_ga_line_tags_are_the_roles_after_the_meeting():
+    # The first GA of this run meets two cruisers; their callbacks make
+    # them explorer and token, and the GA line records those roles, while
+    # the views show the roles of the meeting's start.
+    seen = []
+    make = gather_n_program(3)
+
+    class Recorded(Program):
+        def __init__(self):
+            self.inner = make()
+
+        def on_appear(self, ctx):
+            self.inner.on_appear(ctx)
+
+        def on_ga(self, ctx, view):
+            seen.append(tuple(p.tag for p in view.participants))
+            self.inner.on_ga(ctx, view)
+
+        def on_order(self, ctx, target, issuer):
+            self.inner.on_order(ctx, target, issuer)
+
+        def on_idle(self, ctx):
+            self.inner.on_idle(ctx)
+
+    trace = run(good_config(0, 3), Recorded)
+    first = trace.ga_events()[0]
+    assert first.agents == (0, 2)
+    assert seen[:2] == [("cruiser", "cruiser")] * 2
+    assert first.tags == ("explorer", "token")
+    line = next(s for s in trace.jsonl_lines() if '"kind": "ga"' in s)
+    assert line.endswith('"tags": ["explorer", "token"]}')
 
 
 def _event_obj(ev):

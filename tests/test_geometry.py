@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 import gathersim
 from gathersim import checks, engine, geometry
-from gathersim.geometry import (GRAZE_TOL, TIME_TOL, Point, Trajectory,
-                                TrajectoryBuilder, Vec2, lex_less,
-                                solve_crossing_in, solve_crossing_out)
+from gathersim.geometry import (GRAZE_TOL, SPEED_TOL, TIME_TOL,
+                                UNIT_SPEED_TOL, Point, Trajectory,
+                                TrajectoryBuilder, Vec2, first_illegal_leg,
+                                lex_less, solve_crossing_in,
+                                solve_crossing_out)
 
 coord = st.floats(-50.0, 50.0)
 points = st.builds(Point, coord, coord)
@@ -89,6 +91,54 @@ def test_position_at_outside_span_raises():
 def test_trajectory_rejects_illegal_speed():
     with pytest.raises(ValueError):
         Trajectory([0.0, 1.0], [0.0, 2.0], [0.0, 0.0])
+
+
+def test_first_fault_of_a_trajectory_wins():
+    # A speed-2 leg before a step back raises the speed error; the step
+    # back first raises its own.
+    with pytest.raises(ValueError,
+                       match=r"^segment speed 2\.0 is neither 0 nor 1$"):
+        Trajectory([0.0, 1.0, 0.5], [0.0, 2.0, 2.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^trajectory time steps back$"):
+        Trajectory([0.0, 1.0, 0.5, 1.5], [0.0, 0.0, 0.0, 2.0],
+                   [0.0, 0.0, 0.0, 0.0])
+
+
+def _legal_speed(dt, dx, dy):
+    """Reference: the unit-speed rule, one leg per call."""
+    if dt <= TIME_TOL:
+        return True
+    length = math.hypot(dx, dy)
+    sp = length / dt
+    return (sp <= SPEED_TOL or abs(sp - 1.0) <= UNIT_SPEED_TOL
+            or abs(length - dt) <= 10.0 * TIME_TOL)
+
+
+# Leg durations and speeds around each edge of the rule.
+_durations = st.sampled_from([0.0, TIME_TOL / 2, TIME_TOL, 2 * TIME_TOL,
+                              1e-6, 0.5, 1.0, 3.0, -TIME_TOL, -0.5])
+_speeds = st.sampled_from([0.0, SPEED_TOL / 2, 2 * SPEED_TOL, 0.5,
+                           1.0 - 2 * UNIT_SPEED_TOL, 1.0 - UNIT_SPEED_TOL / 2,
+                           1.0, 1.0 + UNIT_SPEED_TOL / 2, 2.0,
+                           math.nan]) | st.floats(0.0, 3.0)
+
+
+@given(st.lists(st.tuples(_durations, _speeds, st.floats(0.0, 6.3)),
+                max_size=8), st.booleans())
+def test_first_illegal_leg_matches_the_rule_leg_by_leg(legs, steps_back):
+    times, xs, ys = [0.0], [1.0], [-2.0]
+    for dt, sp, ang in legs:
+        times.append(times[-1] + dt)
+        xs.append(xs[-1] + abs(dt) * sp * math.cos(ang))
+        ys.append(ys[-1] + abs(dt) * sp * math.sin(ang))
+    expect = None
+    for k in range(len(legs)):
+        dt = times[k + 1] - times[k]
+        if (dt < 0.0 and steps_back) or not _legal_speed(
+                dt, xs[k + 1] - xs[k], ys[k + 1] - ys[k]):
+            expect = k
+            break
+    assert first_illegal_leg(times, xs, ys, steps_back) == expect
 
 
 def test_trajectory_needs_two_breakpoints_in_each_column():
