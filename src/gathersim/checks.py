@@ -39,12 +39,16 @@ def check_event_times(trace: Trace) -> None:
 
 
 def check_speeds(trace: Trace) -> None:
-    """Every trajectory segment moves at unit speed or stands still."""
+    """Every trajectory segment moves at unit speed or stands still, and
+    trajectory times never step back."""
     for idx, traj in enumerate(trace.trajectories):
         ts, xs, ys = traj.times, traj.xs, traj.ys
-        k = first_illegal_leg(ts, xs, ys, steps_back=False)
+        k = first_illegal_leg(ts, xs, ys)
         if k is not None:
             dt = ts[k + 1] - ts[k]
+            if dt < 0.0:
+                _fail(f"agent {idx} trajectory time steps back from {ts[k]} "
+                      f"to {ts[k + 1]}")
             _fail(f"agent {idx} segment at speed "
                   f"{math.hypot(xs[k + 1] - xs[k], ys[k + 1] - ys[k]) / dt}")
 
@@ -189,11 +193,11 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
 
 def check_verdict(cfg: InitialConfiguration, trace: Trace) -> None:
     v = trace.verdict
-    n = cfg.n
-    if len(trace.final_positions) != n:
+    finals = trace.final_positions
+    if len(finals) != cfg.n:
         _fail("final position count does not match agent count")
     if v.kind == "gathered":
-        for idx, p in enumerate(trace.final_positions):
+        for idx, p in enumerate(finals):
             if p.dist(v.point) > POS_TOL * 10.0:
                 _fail(f"gathered verdict but agent {idx} ended at {p}, "
                       f"{p.dist(v.point)} from {v.point}")

@@ -44,9 +44,9 @@ MAX_INSTANT_INSTRUCTIONS = 1000
 # TIME_TOL by which the crossing solvers accept a root past their window.
 _CERT_MARGIN = 2 * TIME_TOL
 
-# Time per unit of distance that a pair can close at most: both agents
-# move at speed at most 1 + SPEED_TOL.
-_CLOSING_TIME = 0.5 / (1.0 + SPEED_TOL)
+# The fastest a pair can close: both agents move at speed at most
+# 1 + SPEED_TOL.
+_CLOSING_SPEED = 2.0 * (1.0 + SPEED_TOL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,10 +218,14 @@ class Verdict:
 @dataclass
 class Trace:
     events: list[Event]
-    final_positions: tuple[Point, ...]
     final_tags: tuple[str, ...]
     trajectories: tuple[Trajectory, ...]
     verdict: Verdict
+
+    @property
+    def final_positions(self) -> tuple[Point, ...]:
+        """Where each agent's trajectory ends."""
+        return tuple([traj.end_point for traj in self.trajectories])
 
     def jsonl_lines(self) -> list[str]:
         """One line per event, then the verdict line: each is byte for
@@ -494,12 +498,6 @@ class ProximityGraph:
         n = self._n = len(agents)
         self._cert: list[float] = [math.inf] * (n * n)
         self._cert_queue: list[tuple[float, int]] = []
-        # Speed bounds by the same key: an apart pair cannot come within
-        # epsilon before _free[key] once both its agents reach their
-        # states at _anchor[key] + _CERT_MARGIN (see next_events); -inf
-        # when the pair has no bound.
-        self._free: list[float] = [-math.inf] * (n * n)
-        self._anchor: list[float] = [math.inf] * (n * n)
         # Pairs the next scan solves whatever their certificate.
         self._dirty: set[Pair] = set()
 
@@ -535,20 +533,14 @@ class ProximityGraph:
         certificate.  A pair with a crossing in the window is certified at
         now, so the next scan solves it again.
 
-        A pair outlives its leg end.  An apart pair whose solve finds no
-        approach up to E keeps a speed bound, conservative advancement
-        (Mirtich, PhD thesis, Berkeley 1996): it is |r + v (E - now)|
-        apart at E, and as both agents move at speed at most
-        1 + SPEED_TOL it stays beyond epsilon + BOUND_SLACK until
-        _free[key], whatever legs follow E.  The bound holds for a row at
-        or after _anchor[key] = E - _CERT_MARGIN; a leg cut short by a GA,
-        a stop or an order changes before that, and its row solves the
-        pair again.  A later row skips the pair while _free[key] lies past
-        the new E plus _CERT_MARGIN, where its solve could find no root:
-        the pair gets cert inf with no solve and no heap entry, and the
-        leg change that ends the new span visits it again before the bound
-        expires.  A root, adjacency or a dirty flag drops the bound.  A pair
-        in lockstep (relative velocity 0) beyond epsilon needs no solve.
+        An apart pair farther than lim apart gets cert inf and no solve,
+        by conservative advancement (Mirtich, PhD thesis, Berkeley 1996):
+        lim is epsilon + BOUND_SLACK + _CLOSING_SPEED times the span the
+        pair would be solved over, and its agents close at most
+        _CLOSING_SPEED, so over that span it stays beyond
+        epsilon + BOUND_SLACK, where the solver finds no root (see
+        BOUND_SLACK in geometry).  A pair in lockstep (relative velocity
+        exactly 0) keeps its distance, and its lim is epsilon.
         """
         n = self._n
         cert = self._cert
@@ -561,15 +553,12 @@ class ProximityGraph:
                 dirty.add(divmod(key, n))
         agents = self.agents
         changed = self.changed
-        free = self._free
-        inf = math.inf
         rows = []
         if changed and len(live) > 1:
             for i in sorted(changed) if len(changed) > 1 else changed:
                 rows.append((agents[i], live))
         if dirty:
             for lo, hi in dirty:
-                free[lo * n + hi] = -inf
                 if lo not in changed and hi not in changed:
                     rows.append((agents[lo], (agents[hi],)))
             self._dirty = again = set()
@@ -578,16 +567,13 @@ class ProximityGraph:
         if not rows:  # a dirty pair with a changed end is in its row
             changed.clear()
             return t_bound, []
-        anchor = self._anchor
         eps = self.eps
-        eps2 = eps * eps
         window = t_bound - now
         # Stretched past the window by more than the solvers' TIME_TOL, so
         # a root they clamp onto the stretched end lies beyond the window.
         stretch = window + _CERT_MARGIN
-        # A skip needs free > now + span + _CERT_MARGIN.
-        skip_from = now + _CERT_MARGIN
         reach = eps + BOUND_SLACK
+        closing = _CLOSING_SPEED
         horizon = self.horizon
         nbr = self._nbr
         sep = eps + SEPARATION_TOL
@@ -595,7 +581,7 @@ class ProximityGraph:
         solve_in = solve_crossing_in
         solve_out = solve_crossing_out
         push = heapq.heappush
-        hypot = math.hypot
+        inf = math.inf
         t_event = t_bound
         hits = []
         for a, partners in rows:
@@ -622,9 +608,6 @@ class ProximityGraph:
                     span = m.t_end - now
                 if span < stretch:
                     span = stretch
-                if free[key] > skip_from + span and anchor[key] <= now:
-                    cert[key] = inf
-                    continue
                 if m is None:
                     vx = 0.0 - avx
                     vy = 0.0 - avy
@@ -637,19 +620,11 @@ class ProximityGraph:
                     s = solve_out(rx, ry, vx, vy, sep, span)
                     kind = "separate"
                 else:
-                    # Lockstep beyond eps (v = 0, |r| > eps): solve_in
-                    # would return None, and r + v span is r.
-                    s = (solve_in(rx, ry, vx, vy, eps, span)
-                         if vx or vy or rx * rx + ry * ry <= eps2 else None)
-                    if s is None:
+                    lim = reach + closing * span if vx or vy else eps
+                    if rx * rx + ry * ry > lim * lim:
                         cert[key] = inf
-                        end = now + span
-                        free[key] = end + (hypot(rx + vx * span,
-                                                 ry + vy * span)
-                                           - reach) * _CLOSING_TIME
-                        anchor[key] = end - _CERT_MARGIN
                         continue
-                    free[key] = -inf
+                    s = solve_in(rx, ry, vx, vy, eps, span)
                     kind = "approach"
                 if s is None:
                     cert[key] = inf
@@ -1086,8 +1061,7 @@ class Simulation:
             # simulation cycle lets reference counting free the run's
             # state now instead of at the next cyclic garbage collection.
             ag.ctx = None
-        return Trace(self.events, tuple(final_positions),
-                     tuple(ag.tag for ag in self.agents),
+        return Trace(self.events, tuple(ag.tag for ag in self.agents),
                      tuple(trajectories), verdict)
 
 

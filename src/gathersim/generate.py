@@ -18,6 +18,8 @@ from .geometry import Point
 
 DEFAULT_SPREAD = 2.5
 DEFAULT_TMAX = 2.0
+# good_pair and ungatherable_config draw epsilon uniformly from this
+# range, as their first draw.
 EPS_RANGE = (0.4, 1.0)
 # good_pair draws its qualifying margin from this range.
 MARGIN_RANGE = (0.25, 1.5)
@@ -35,12 +37,7 @@ def _rng(seed: Seed) -> random.Random:
     return random.Random(seed)
 
 
-def _sample_eps(rng: random.Random) -> float:
-    lo, hi = EPS_RANGE
-    return rng.uniform(lo, hi)
-
-
-def good_pair(seed: Seed, eps: float = 0.0, *,
+def good_pair(seed: Seed, *,
               spread: float = DEFAULT_SPREAD) -> InitialConfiguration:
     """Two agents with a qualifying margin drawn from MARGIN_RANGE.
 
@@ -49,8 +46,7 @@ def good_pair(seed: Seed, eps: float = 0.0, *,
     regardless of rounding.
     """
     rng = _rng(seed)
-    if eps <= 0.0:
-        eps = _sample_eps(rng)
+    eps = rng.uniform(*EPS_RANGE)
     d = rng.uniform(0.2, spread)
     z = rng.uniform(*MARGIN_RANGE)
     delta = max(0.0, d - eps) + z
@@ -67,8 +63,7 @@ def good_pair(seed: Seed, eps: float = 0.0, *,
     return cfg
 
 
-def good_config(seed: Seed, n: int,
-                eps: float = 0.0) -> InitialConfiguration:
+def good_config(seed: Seed, n: int) -> InitialConfiguration:
     """n >= 2 agents containing at least one strictly qualifying pair.
 
     A qualifying pair is constructed first, at most 2 apart; the remaining
@@ -79,9 +74,7 @@ def good_config(seed: Seed, n: int,
     if n < 2:
         raise ValueError("a configuration needs at least two agents")
     rng = _rng(seed)
-    if eps <= 0.0:
-        eps = _sample_eps(rng)
-    pair = good_pair(rng, eps, spread=2.0)
+    pair = good_pair(rng, spread=2.0)
     starts = list(pair.starts)
     times = list(pair.times)
     cx = sum(p.x for p in starts) / 2.0
@@ -94,13 +87,12 @@ def good_config(seed: Seed, n: int,
             continue
         starts.append(p)
         times.append(rng.uniform(0.0, DEFAULT_TMAX))
-    cfg = InitialConfiguration(eps, tuple(starts), tuple(times))
+    cfg = InitialConfiguration(pair.epsilon, tuple(starts), tuple(times))
     assert classify(cfg).kind == Feasibility.GOOD
     return cfg
 
 
-def ungatherable_config(seed: Seed, n: int = 2,
-                        eps: float = 0.0) -> InitialConfiguration:
+def ungatherable_config(seed: Seed, n: int = 2) -> InitialConfiguration:
     """n agents with every pair strictly beyond reach.
 
     Each pairwise distance exceeds eps + |dt| by at least
@@ -111,8 +103,7 @@ def ungatherable_config(seed: Seed, n: int = 2,
     if n < 2:
         raise ValueError("a configuration needs at least two agents")
     rng = _rng(seed)
-    if eps <= 0.0:
-        eps = _sample_eps(rng)
+    eps = rng.uniform(*EPS_RANGE)
     need = eps + UNGATHERABLE_TMAX + UNGATHERABLE_MARGIN
     if n == 2:
         d = need + rng.uniform(0.0, 1.0)
@@ -135,18 +126,14 @@ def ungatherable_config(seed: Seed, n: int = 2,
     return cfg
 
 
-def boundary_pair(seed: Seed, eps: float = 0.0) -> InitialConfiguration:
+def boundary_pair(seed: Seed) -> InitialConfiguration:
     """Two agents whose single pair margin is exactly zero.
 
     eps, the time gap, and all coordinates are multiples of 1/256 and the
     pair is axis-aligned, so dist - eps == |dt| holds without rounding.
     """
     rng = _rng(seed)
-    if eps <= 0.0:
-        eps = rng.randint(64, 256) / 256.0
-    elif eps != round(eps * 256.0) / 256.0:
-        raise ValueError("boundary construction needs eps to be a "
-                         "multiple of 1/256")
+    eps = rng.randint(64, 256) / 256.0
     delta = rng.randint(32, 512) / 256.0
     d = delta + eps
     ax = rng.randint(-512, 512) / 256.0
@@ -167,12 +154,12 @@ def boundary_pair(seed: Seed, eps: float = 0.0) -> InitialConfiguration:
     return cfg
 
 
-def config_of_class(seed: Seed, kind: Feasibility, n: int = 2,
-                    eps: float = 0.0) -> InitialConfiguration:
+def config_of_class(seed: Seed, kind: Feasibility,
+                    n: int = 2) -> InitialConfiguration:
     if kind is Feasibility.GOOD:
-        return good_config(seed, n, eps)
+        return good_config(seed, n)
     if kind is Feasibility.UNGATHERABLE:
-        return ungatherable_config(seed, n, eps)
+        return ungatherable_config(seed, n)
     if n != 2:
         raise ValueError("exact-boundary generator only supports pairs")
-    return boundary_pair(seed, eps)
+    return boundary_pair(seed)

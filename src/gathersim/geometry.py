@@ -52,13 +52,15 @@ from typing import Optional, Sequence, Union
 #                 it, and at relative speed at most 2 the pair is then up
 #                 to 2 * TIME_TOL outside eps.  Below checks.GA_DIST_SLACK,
 #                 so every chain of adjacent agents passes the checker.
-# BOUND_SLACK     distance.  Margin of the speed bound (engine.next_events):
-#                 agents move at speed at most 1 + SPEED_TOL, so a pair
-#                 farther than eps + BOUND_SLACK + 2 (1 + SPEED_TOL) s
-#                 apart now has no crossing into eps within s.  Exceeds
-#                 2 * TIME_TOL, the distance a pair covers over a root
-#                 snapped TIME_TOL onto a window or a motion extended by
-#                 engine._CERT_MARGIN.  Exceeds checks.GA_DIST_SLACK: a
+# BOUND_SLACK     distance.  Margin of the cannot-cross test of
+#                 engine.next_events, which skips a pair farther than
+#                 eps + BOUND_SLACK + 2 (1 + SPEED_TOL) s apart, s the
+#                 span it would be solved over: agents move at speed at
+#                 most 1 + SPEED_TOL, so such a pair has no crossing into
+#                 eps within s.  Exceeds 2 * TIME_TOL, the distance the
+#                 pair covers over the TIME_TOL past s in which
+#                 solve_crossing_in still accepts a root, so the solver
+#                 would find none either.  Exceeds checks.GA_DIST_SLACK: a
 #                 grazing pass the solvers accept stays GRAZE_TOL R^2 /
 #                 (2 eps) outside eps, R the pair's distance at the solve,
 #                 which is below BOUND_SLACK while R^2 < 2e6 eps, and a GA
@@ -161,19 +163,18 @@ class Segment:
 
 
 def first_illegal_leg(times: Sequence[float], xs: Sequence[float],
-                      ys: Sequence[float], steps_back: bool = True
-                      ) -> Optional[int]:
+                      ys: Sequence[float]) -> Optional[int]:
     """The index k of the first illegal leg, from breakpoint k to k + 1, or
     None.  The unit-speed rule: a leg stands still or moves at speed 1.
     Slivers of at most TIME_TOL, left by coalesced events, carry no usable
     speed and pass; event-time snapping distorts the speed of slightly
     longer ones, so a leg whose length and duration differ below snapping
     scale moves at unit speed too.  A leg that steps back in time is
-    illegal, unless steps_back is False."""
+    illegal."""
     legs = zip(times, times[1:], xs, xs[1:], ys, ys[1:])
     for k, (t0, t1, x0, x1, y0, y1) in enumerate(legs):
         dt = t1 - t0
-        if dt < 0.0 and steps_back:
+        if dt < 0.0:
             return k
         # Written so that NaN breaks the rule.
         if not dt <= TIME_TOL:

@@ -329,20 +329,48 @@ def test_segment_at_speed_two_is_a_check_failure():
         assert str(err.value) == f"agent {k} segment at speed 2.0"
 
 
-def test_check_speeds_names_the_first_illegal_leg_past_a_step_back():
-    # After a step back in time, which check_speeds lets pass, agent 1
-    # gets a leg at speed 2 and then one at speed 3: the first is named.
+@pytest.mark.parametrize("tail", [
+    # Agent 1 stays put, but its trajectory goes back half a time unit
+    # and forward again: no leg is fast, yet time steps back.
+    [(-0.5, 0.0), (0.0, 0.0)],
+    # The step back is followed by legs at speed 2 and 3; it comes first
+    # and is named.
+    [(-0.5, 0.0), (0.5, 2.0), (1.5, 5.0)]],
+    ids=["back-and-forth", "before-fast-legs"])
+def test_step_back_is_a_check_failure(tail):
+    # tail: (time, x) of breakpoints after agent 1's end, relative to it.
     cfg = good_config(0, 3)
     trace = run(cfg, gather_n_program(3))
     k = 1
     traj = trace.trajectories[k]
-    t, x = traj.times[-1], traj.xs[-1]
-    traj.times.extend([t - 0.5, t + 0.5, t + 1.5])
-    traj.xs.extend([x, x + 2.0, x + 5.0])
-    traj.ys.extend([traj.ys[-1]] * 3)
-    with pytest.raises(CheckFailure) as err:
-        check_speeds(trace)
-    assert str(err.value) == f"agent {k} segment at speed 2.0"
+    t, x, y = traj.times[-1], traj.xs[-1], traj.ys[-1]
+    for dt, dx in tail:
+        traj.times.append(t + dt)
+        traj.xs.append(x + dx)
+        traj.ys.append(y)
+    for check in (check_speeds, lambda tr: check_all(cfg, tr)):
+        with pytest.raises(CheckFailure) as err:
+            check(trace)
+        assert str(err.value) \
+            == f"agent {k} trajectory time steps back from {t} to {t - 0.5}"
+
+
+def test_final_positions_are_the_trajectory_ends():
+    # One more unit-speed leg takes agent 1 two units east after the run:
+    # it no longer ends at the gathering point, and the verdict fails.
+    cfg = good_config(0, 3)
+    trace = run(cfg, gather_n_program(3))
+    assert trace.verdict.kind == "gathered"
+    check_all(cfg, trace)
+    k = 1
+    traj = trace.trajectories[k]
+    traj.times.append(traj.times[-1] + 2.0)
+    traj.xs.append(traj.xs[-1] + 2.0)
+    traj.ys.append(traj.ys[-1])
+    assert trace.final_positions[k] == traj.end_point
+    with pytest.raises(CheckFailure,
+                       match=f"^gathered verdict but agent {k} ended at "):
+        check_all(cfg, trace)
 
 
 # -- Hand-made traces, one per freshness path --
@@ -358,8 +386,7 @@ def _hand_trace(ga_times) -> Trace:
     waits = Trajectory([0.0, 10.0], [0.0, 0.0], [0.0, 0.0])
     walks = Trajectory([0.0, 2.0, 2.5, 5.0, 7.5, 10.0],
                        [3.0, 1.0, 0.5, 3.0, 0.5, 0.5], [0.0] * 6)
-    trace = Trace(events=[], final_positions=(Point(0, 0), Point(0.5, 0)),
-                  final_tags=("", ""), trajectories=(waits, walks),
+    trace = Trace(events=[], final_tags=("", ""), trajectories=(waits, walks),
                   verdict=Verdict("timeout", 10.0))
     trace.events = [Event(t, "ga", (0, 1), _positions_at(trace, (0, 1), t),
                           ("", "")) for t in ga_times]

@@ -11,7 +11,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair
@@ -617,16 +617,9 @@ def test_scan_solves_each_dirty_pair_once(monkeypatch):
 
 
 
-def test_lockstep_pair_calls_no_solver(monkeypatch):
-    # Agents 0 and 1 walk on identical motions, so their relative
-    # velocity is exactly 0.  Farther apart than eps, the pair cannot
-    # approach: it gets cert inf and the speed bound of the solver path,
-    # with no solve.  Within eps and not adjacent, the same pair is
-    # solved and meets at now.
-    def agent(idx, x, y):
-        motion = SimpleNamespace(vx=0.6, vy=-0.8, t_end=5.0)
-        return SimpleNamespace(idx=idx, x=x, y=y, motion=motion)
-
+def _counted_solve_in(monkeypatch):
+    """Count engine.solve_crossing_in calls; returns the list of their
+    arguments."""
     calls = []
     real = engine.solve_crossing_in
 
@@ -635,6 +628,20 @@ def test_lockstep_pair_calls_no_solver(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(engine, "solve_crossing_in", counted)
+    return calls
+
+
+def test_lockstep_pair_calls_no_solver(monkeypatch):
+    # Agents 0 and 1 walk on identical motions, so their relative
+    # velocity is exactly 0.  Farther apart than eps, the pair cannot
+    # approach: it gets cert inf and no heap entry, with no solve.
+    # Within eps and not adjacent, the same pair is solved and meets at
+    # now.
+    def agent(idx, x, y):
+        motion = SimpleNamespace(vx=0.6, vy=-0.8, t_end=5.0)
+        return SimpleNamespace(idx=idx, x=x, y=y, motion=motion)
+
+    calls = _counted_solve_in(monkeypatch)
 
     def scan(rx, ry):
         agents = [agent(0, 1.5, -2.0), agent(1, 1.5 + rx, -2.0 + ry)]
@@ -643,51 +650,39 @@ def test_lockstep_pair_calls_no_solver(monkeypatch):
         del calls[:]
         return graph, graph.next_events(agents, 1.0, 2.0)
 
-    graph, found = scan(3.0, -4.0)
-    assert found == (2.0, [])
-    assert calls == []
-    assert graph._cert[1] == math.inf and graph._cert_queue == []
-    # What the solver path gives: no root over the span up to E = 5, and
-    # the bound from the distance at E.
-    rx, ry, span = 3.0, -4.0, 4.0
-    assert solve_crossing_in(rx, ry, 0.0, 0.0, 0.5, span) is None
-    end = 1.0 + span
-    assert graph._free[1] == end + (
-        math.hypot(rx + 0.0 * span, ry + 0.0 * span)
-        - (0.5 + BOUND_SLACK)) * engine._CLOSING_TIME
-    assert graph._anchor[1] == end - engine._CERT_MARGIN
+    # Beyond eps, and also beyond eps by less than the lim of a moving
+    # pair over the span of 4.
+    for rx, ry in ((3.0, -4.0), (0.6, -0.8)):
+        graph, found = scan(rx, ry)
+        assert found == (2.0, [])
+        assert calls == []
+        assert graph._cert[1] == math.inf and graph._cert_queue == []
+        # What the solver gives over the span up to E = 5: no root.
+        assert solve_crossing_in(rx, ry, 0.0, 0.0, 0.5, 4.0) is None
 
     graph, found = scan(0.18, -0.24)
     assert found == (1.0, [(1.0, "approach", (0, 1))])
     assert len(calls) == 1
-    assert graph._cert[1] == 1.0 and graph._free[1] == -math.inf
+    assert graph._cert[1] == 1.0
 
 
 def test_skipped_pair_calls_no_solver(monkeypatch):
-    # Agent 0 ends a leg at now = 1 with agent 1 far away.  The pair's
-    # speed bound, set at an earlier solve, holds from its anchor on and
-    # lies past the new span's end (5), so the row skips the pair: no
-    # solve, no heap entry, cert inf.  Anchored after now, as after a leg
-    # cut short, or flagged dirty, the pair is solved again.  Agent 1
-    # waits, so the pair is not in lockstep, which needs no solve.
+    # Agent 0 walks east from now = 1 to 5 and agent 1 waits till 9, so
+    # the pair would be solved over the span 4, in which it closes by at
+    # most 4 _CLOSING_SPEED.  Beyond lim = eps + BOUND_SLACK + that, it
+    # gets cert inf with no solve and no heap entry, flagged dirty or
+    # not.  Agent 1 waits, so the pair is not in lockstep.  At lim or
+    # nearer the pair is solved: from 8.4 it has no root in the span,
+    # from 4.5 it reaches eps at the span's end, its new certificate.
     def agent(idx, x, vx, t_end):
         motion = SimpleNamespace(vx=vx, vy=0.0, t_end=t_end)
         return SimpleNamespace(idx=idx, x=x, y=0.0, motion=motion)
 
-    calls = []
-    real = engine.solve_crossing_in
+    calls = _counted_solve_in(monkeypatch)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(engine, "solve_crossing_in", counted)
-
-    def scan(anchor, dirty=False):
-        agents = [agent(0, 0.0, 1.0, 5.0), agent(1, 40.0, 0.0, 9.0)]
+    def scan(x, dirty=False):
+        agents = [agent(0, 0.0, 1.0, 5.0), agent(1, x, 0.0, 9.0)]
         graph = ProximityGraph(agents, 0.5, 100.0)
-        graph._free[1] = 20.0
-        graph._anchor[1] = anchor
         graph._cert[1] = 3.0
         graph.changed.add(0)
         if dirty:
@@ -696,32 +691,77 @@ def test_skipped_pair_calls_no_solver(monkeypatch):
         assert graph.next_events(agents, 1.0, 2.0) == (2.0, [])
         return graph
 
-    graph = scan(anchor=1.0)
-    assert calls == []
-    assert graph._cert[1] == math.inf and graph._cert_queue == []
-    assert graph._free[1] == 20.0
-    for graph in (scan(anchor=1.5), scan(anchor=1.0, dirty=True)):
+    lim = 0.5 + BOUND_SLACK + 4.0 * engine._CLOSING_SPEED
+    for x in (40.0, math.nextafter(lim, math.inf)):
+        for dirty in (False, True):
+            graph = scan(x, dirty)
+            assert calls == []
+            assert graph._cert[1] == math.inf and graph._cert_queue == []
+    for x in (lim, 8.4):
+        graph = scan(x)
         assert len(calls) == 1
-        # Solved afresh: 36 apart at E = 5, where the bound restarts.
-        assert graph._anchor[1] == 5.0 - engine._CERT_MARGIN
-        assert 5.0 + 17.0 < graph._free[1] < 5.0 + 17.75
+        assert graph._cert[1] == math.inf and graph._cert_queue == []
+    graph = scan(4.5)
+    assert len(calls) == 1
+    assert graph._cert[1] == 5.0 and graph._cert_queue == [(5.0, 1)]
 
 
-def test_leg_cut_short_before_its_anchor_is_solved_again(monkeypatch):
+@settings(deadline=None, max_examples=300)
+@given(eps=st.floats(1e-3, 10.0), window=st.floats(0.0, 10.0),
+       share=st.floats(0.0, 1.0), speed=st.sampled_from([0.0, 1.0])
+       | st.floats(0.0, 1.0), r_angle=st.floats(0.0, 2.0 * math.pi),
+       v_turn=st.floats(-math.pi, math.pi),
+       rel=st.floats(-1e-12, 1e-12) | st.floats(-1.0, 0.0))
+def test_pair_beyond_lim_has_no_root(eps, window, share, speed, r_angle,
+                                     v_turn, rel):
+    # Agent 0 stands still at the origin until t_end, agent 1 moves at
+    # any speed up to _CLOSING_SPEED, a pair's fastest closing, on a
+    # longer motion, v_turn off straight at agent 0; the pair is solved
+    # from now = 0 over the span max(t_end, window + _CERT_MARGIN).  Its
+    # distance lies within 1e-12 (relative) of lim, or below lim, and its
+    # square below 2e6 eps, where the grazing passes the solver accepts
+    # stay within BOUND_SLACK of eps.  Whenever the scan calls no solver,
+    # the solver finds no root over that span.
+    stretch = window + engine._CERT_MARGIN
+    longest = (math.sqrt(2e6 * eps) / (1.0 + 1e-12) - eps - BOUND_SLACK) \
+        / engine._CLOSING_SPEED
+    t_end = stretch + share * (longest - stretch)
+    v = speed * engine._CLOSING_SPEED
+    v_angle = r_angle + math.pi + v_turn
+    vx, vy = v * math.cos(v_angle), v * math.sin(v_angle)
+    lim = eps + BOUND_SLACK + engine._CLOSING_SPEED * t_end \
+        if vx or vy else eps
+    dist = lim * (1.0 + rel)
+    rx, ry = dist * math.cos(r_angle), dist * math.sin(r_angle)
+    assume(rx * rx + ry * ry < 2e6 * eps)
+    agents = [SimpleNamespace(idx=0, x=0.0, y=0.0, motion=SimpleNamespace(
+                  vx=0.0, vy=0.0, t_end=t_end)),
+              SimpleNamespace(idx=1, x=rx, y=ry, motion=SimpleNamespace(
+                  vx=vx, vy=vy, t_end=2.0 * t_end + 1.0))]
+    graph = ProximityGraph(agents, eps, 1e9)
+    graph.changed.add(0)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_solve_in(mp)
+        graph.next_events(agents, 0.0, window)
+    if not calls:
+        assert graph._cert[1] == math.inf
+        assert solve_crossing_in(rx, ry, vx, vy, eps,
+                                 max(t_end, stretch)) is None
+
+
+def test_leg_cut_short_by_a_ga_is_solved_again(monkeypatch):
     # a walks east on a leg that would end at t = 20, away from the still
-    # c, which bounds the pair till about t = 31.  b appears next to a at
-    # t = 1; in that GA a drops its plan and turns west towards c.  Its
-    # new leg ends at 11, before the bound, but the leg change comes
-    # before the anchor, so the pair is solved again and meets at 4.5.
-    bounds = []
+    # c: the pair has no crossing on it.  b appears next to a at t = 1;
+    # in that GA a drops its plan and turns west towards c.  The leg
+    # change solves the pair again, and it meets at 4.5.
+    certs = []
 
     class Turns(Program):
         def on_appear(self, ctx):
             ctx.issue(Go(EAST, 20.0))
 
         def on_ga(self, ctx, view):
-            prox = ctx._sim._prox
-            bounds.append((prox._anchor[2], prox._free[2]))
+            certs.append(ctx._sim._prox._cert[2])
             ctx.clear_plan()
             ctx.issue(Go(WEST, 10.0))
 
@@ -730,8 +770,7 @@ def test_leg_cut_short_before_its_anchor_is_solved_again(monkeypatch):
     mk = iter([Turns(), Still(), Still()])
     scans = _check_pair_events_against_full_scan(monkeypatch)
     trace = run(cfg, lambda: next(mk), horizon=12.0)
-    anchor, free = bounds[0]  # at the GA with b
-    assert anchor > 1.0 and free > 11.0 + engine._CERT_MARGIN
+    assert certs[0] == math.inf  # at the GA with b
     assert [(ev.time, ev.agents) for ev in trace.ga_events()] \
         == [(1.0, (0, 1)), (4.5, (0, 2))]
     assert len(scans) > 3
@@ -1400,9 +1439,9 @@ def test_jsonl_lines_are_json_dumps_of_hand_made_events():
                     Verdict("timeout", 9),
                     Verdict("timeout", -0.0)):
         for evs in (events, []):
-            _assert_lines_are_json_dumps(Trace(evs, (), (), (), verdict))
+            _assert_lines_are_json_dumps(Trace(evs, (), (), verdict))
     with pytest.raises(ValueError, match="unknown event kind"):
-        Trace([Event(0.0, "wave")], (), (), (),
+        Trace([Event(0.0, "wave")], (), (),
               Verdict("timeout", 1.0)).jsonl_lines()
 
 

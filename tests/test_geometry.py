@@ -124,8 +124,8 @@ _speeds = st.sampled_from([0.0, SPEED_TOL / 2, 2 * SPEED_TOL, 0.5,
 
 
 @given(st.lists(st.tuples(_durations, _speeds, st.floats(0.0, 6.3)),
-                max_size=8), st.booleans())
-def test_first_illegal_leg_matches_the_rule_leg_by_leg(legs, steps_back):
+                max_size=8))
+def test_first_illegal_leg_matches_the_rule_leg_by_leg(legs):
     times, xs, ys = [0.0], [1.0], [-2.0]
     for dt, sp, ang in legs:
         times.append(times[-1] + dt)
@@ -134,11 +134,11 @@ def test_first_illegal_leg_matches_the_rule_leg_by_leg(legs, steps_back):
     expect = None
     for k in range(len(legs)):
         dt = times[k + 1] - times[k]
-        if (dt < 0.0 and steps_back) or not _legal_speed(
+        if dt < 0.0 or not _legal_speed(
                 dt, xs[k + 1] - xs[k], ys[k + 1] - ys[k]):
             expect = k
             break
-    assert first_illegal_leg(times, xs, ys, steps_back) == expect
+    assert first_illegal_leg(times, xs, ys) == expect
 
 
 def test_trajectory_needs_two_breakpoints_in_each_column():
@@ -384,24 +384,37 @@ def _names_read(node):
             yield sub.name
 
 
+def _defined_names(stmt):
+    """The names a module-level statement defines: a function's or a
+    class's name, or the plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) \
+            else [stmt.target]
+        return {sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name)}
+    return set()
+
+
 def test_every_definition_has_a_caller_outside_tests():
+    # Definitions are functions, classes and module-level assignments.
     package = pathlib.Path(gathersim.__file__).resolve().parent
     defs = set()
     for path in package.glob("*.py"):
         if path.stem not in ("__init__", "__main__"):
-            defs.update(
-                f"{path.stem}.{node.name}"
-                for node in ast.parse(path.read_text("utf-8")).body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+            for stmt in ast.parse(path.read_text("utf-8")).body:
+                defs.update(f"{path.stem}.{name}"
+                            for name in _defined_names(stmt))
     used = set()
     for folder in ("src", "scripts", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             tree = ast.parse(path.read_text("utf-8"))
             for stmt in tree.body:
                 # A definition's mentions of itself are no caller.
-                own = getattr(stmt, "name", None)
+                own = _defined_names(stmt)
                 used.update(name for name in _names_read(stmt)
-                            if name != own)
+                            if name not in own)
     dead = {d for d in defs if d.split(".", 1)[1] not in used}
     # Only tests call star_time_through_phase until a horizon taken from
     # the paper's bound uses it (ROADMAP item 3).  This fails when a new
