@@ -9,6 +9,7 @@ double as an independent audit of a run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from .config import InitialConfiguration
 from .engine import Trace, connected_components
@@ -109,13 +110,25 @@ def _pair_separated(trace: Trace, i: int, j: int, t0: float,
 
 def check_event_positions(trace: Trace) -> None:
     """Each appear and stop event names one agent and records its
-    trajectory position to within POS_TOL."""
+    trajectory position to within POS_TOL.  A stopped agent stays put:
+    no later breakpoint of its trajectory, and so no point of its
+    straight legs, lies more than POS_TOL from its stop position."""
     for ev in trace.events:
         if ev.kind == "appear" or ev.kind == "stop":
             if len(ev.agents) != 1:
                 _fail(f"{ev.kind} at {ev.time} names {len(ev.agents)} "
                       "agents, not one")
             _event_xy(trace, ev)
+            if ev.kind == "stop":
+                i, p = ev.agents[0], ev.positions[0]
+                traj = trace.trajectories[i]
+                ts, xs, ys = traj.times, traj.xs, traj.ys
+                for k in range(bisect_right(ts, ev.time), len(ts)):
+                    d = math.hypot(xs[k] - p.x, ys[k] - p.y)
+                    if not d <= POS_TOL:
+                        _fail(f"agent {i} moves after its stop at "
+                              f"{ev.time}: at {ts[k]} it is {d} from its "
+                              "stop position")
 
 
 def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
@@ -192,6 +205,15 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
 
 
 def check_verdict(cfg: InitialConfiguration, trace: Trace) -> None:
+    """The verdict matches where and when the run ended.
+
+    A gathered or split verdict comes at the time the trajectories end.
+    Every agent ends within 10 POS_TOL of a gathered verdict's point.
+    The ends of a split run, chained by gaps of at most POS_TOL, form one
+    cluster per group, at least two, and each group point lies within
+    POS_TOL of a cluster no other group point is nearest to.  A timeout
+    verdict comes at the time of the horizon event.
+    """
     v = trace.verdict
     finals = trace.final_positions
     if len(finals) != cfg.n:
@@ -204,11 +226,35 @@ def check_verdict(cfg: InitialConfiguration, trace: Trace) -> None:
     elif v.kind == "split":
         if v.groups is None or len(v.groups) < 2:
             _fail("split verdict without at least two groups")
+        nbr = [[j for j, q in enumerate(finals)
+                if j != i and p.dist(q) <= POS_TOL]
+               for i, p in enumerate(finals)]
+        clusters = connected_components(nbr, range(len(finals)))
+        if len(clusters) != len(v.groups):
+            _fail(f"split verdict groups: {len(v.groups)} points for "
+                  f"{len(clusters)} clusters of trajectory ends")
+        taken = set()
+        for g in v.groups:
+            d, c = min((min(g.dist(finals[i]) for i in comp), c)
+                       for c, comp in enumerate(clusters))
+            if not d <= POS_TOL or c in taken:
+                _fail(f"split verdict group point {g} is not within "
+                      "POS_TOL of a cluster of trajectory ends of its own")
+            taken.add(c)
     elif v.kind == "timeout":
-        if not any(ev.kind == "horizon" for ev in trace.events):
+        horizons = [ev.time for ev in trace.events if ev.kind == "horizon"]
+        if not horizons:
             _fail("timeout verdict without a horizon event")
+        if not abs(v.time - horizons[-1]) <= TIME_TOL:
+            _fail(f"timeout verdict time {v.time} is not the time of the "
+                  f"horizon event, {horizons[-1]}")
     else:
         _fail(f"unknown verdict kind {v.kind!r}")
+    if v.kind != "timeout":
+        end = max(traj.end_time for traj in trace.trajectories)
+        if not abs(v.time - end) <= TIME_TOL:
+            _fail(f"{v.kind} verdict time {v.time} is not the time the "
+                  f"trajectories end, {end}")
 
 
 def check_trajectory_starts(cfg: InitialConfiguration,

@@ -58,6 +58,13 @@ def _writing(path: str):
         raise SystemExit(f"error: cannot write {path}: {exc.strerror}")
 
 
+def _assumption_set(text: str) -> AssumptionSet:
+    try:
+        return AssumptionSet.parse(text)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _program_factory(algorithm: str, cfg: InitialConfiguration,
                      assumption_set: str | None):
     if algorithm == "dedicated":
@@ -68,11 +75,7 @@ def _program_factory(algorithm: str, cfg: InitialConfiguration,
         if not assumption_set:
             raise SystemExit(
                 "error: --algorithm gather-a requires --assumption-set")
-        try:
-            a = AssumptionSet.parse(assumption_set)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        return gather_a_program(a.elements)
+        return gather_a_program(_assumption_set(assumption_set).elements)
     raise SystemExit(f"error: unknown algorithm {algorithm!r}")
 
 
@@ -123,11 +126,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_independence(args) -> int:
-    try:
-        a = AssumptionSet.parse(args.set)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    independent, cert = independence(a)
+    independent, cert = independence(_assumption_set(args.set))
     if independent:
         print("INDEPENDENT")
         return 0
@@ -136,10 +135,7 @@ def cmd_check_independence(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    try:
-        a = AssumptionSet.parse(args.set)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    a = _assumption_set(args.set)
     if not (args.epsilon > 0.0 and math.isfinite(args.epsilon)):
         raise SystemExit("error: --epsilon must be finite and positive")
     try:
@@ -204,7 +200,6 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
-    results.sort(key=lambda r: r["idx"])
 
     gathered = [r for r in results if r["verdict"] == "gathered"]
     violations = [r for r in results if r["violation"]]

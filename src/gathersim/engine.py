@@ -498,40 +498,40 @@ class ProximityGraph:
         n = self._n = len(agents)
         self._cert: list[float] = [math.inf] * (n * n)
         self._cert_queue: list[tuple[float, int]] = []
-        # Pairs the next scan solves whatever their certificate.
-        self._dirty: set[Pair] = set()
 
     def next_events(self, live: list[_Agent], now: float, t_bound: float
-                    ) -> tuple[float, list[tuple[float, str, Pair]]]:
+                    ) -> tuple[float, list[tuple[float, Pair]]]:
         """Every pair's next crossing in [now, t_bound]: into epsilon for
         a pair apart, out of epsilon + SEPARATION_TOL for an adjacent one.
 
         Returns the earliest crossing time (t_bound when there is none) and
-        the crossings as (time, "approach" | "separate", pair), pairs in
-        index order.
+        the crossings as (time, pair), in no particular order; the pair's
+        adjacency tells an approach from a separation (see apply).
 
         live holds the appeared agents.  Each pair (lo, hi) holds a kinetic
         certificate (Basch, Guibas & Hershberger, "Data structures for
         mobile data", SODA 1997): _cert[lo * n + hi] is the earliest time
         at which it can cross under its two agents' current motions, or
-        inf when it cannot before one of them ends.
-        A pair is dirty, and solved afresh from now, when
+        inf when it cannot before one of them ends.  A pair is solved
+        afresh from now for one of two reasons:
         - an agent of it is in changed: every change of a leg installs a
           new motion or drops one, so such an agent never ends a scan
-          interval on the motion it began it with;
-        - its adjacency flipped since the last scan; or
-        - its certificate is due: cert <= t_bound + _CERT_MARGIN.
-        A clean pair has no crossing in this window and is not visited.
-        Dirty pairs are solved in rows, each once: a changed agent, in
-        index order, with the live agents but itself and the changed ones
-        before it, or the lower agent of another dirty pair with the other.
+          interval on the motion it began it with; or
+        - its certificate is due: its heap entry (cert, key) has
+          cert <= t_bound + _CERT_MARGIN.
+        Any other pair has no crossing in this window and is not visited.
+        Pairs are solved in rows, each once: a changed agent, in index
+        order, with the live agents but itself and the changed ones before
+        it, or the lower agent of another due pair with the other.
         r and v are taken from the row agent's side; negating all four
         keeps the solvers' results, which use only |r|^2, |v|^2 and r.v.
-        A dirty pair is solved over the window stretched to E, the end of
-        its first motion; a root inside the window gives the same float as
-        a solve over the window alone, and a later one becomes the
-        certificate.  A pair with a crossing in the window is certified at
-        now, so the next scan solves it again.
+        A pair is solved over the window stretched to E, the end of its
+        first motion; a root inside the window gives the same float as a
+        solve over the window alone, and a later one becomes the
+        certificate.  A pair with a crossing in the window is certified,
+        and queued, at now, and ga_groups does the same at the GA instant
+        for a pair its edge catch joins, so the next scan solves each
+        again: a flip of adjacency always comes with a due certificate.
 
         An apart pair farther than lim apart gets cert inf and no solve,
         by conservative advancement (Mirtich, PhD thesis, Berkeley 1996):
@@ -545,26 +545,23 @@ class ProximityGraph:
         n = self._n
         cert = self._cert
         queue = self._cert_queue
-        dirty = self._dirty
         due = t_bound + _CERT_MARGIN
+        keys = set()
         while queue and queue[0][0] <= due:
             t, key = heapq.heappop(queue)
             if cert[key] == t:  # else a later solve replaced this entry
-                dirty.add(divmod(key, n))
+                keys.add(key)
         agents = self.agents
         changed = self.changed
         rows = []
         if changed and len(live) > 1:
             for i in sorted(changed) if len(changed) > 1 else changed:
                 rows.append((agents[i], live))
-        if dirty:
-            for lo, hi in dirty:
-                if lo not in changed and hi not in changed:
-                    rows.append((agents[lo], (agents[hi],)))
-            self._dirty = again = set()
-        else:
-            again = dirty
-        if not rows:  # a dirty pair with a changed end is in its row
+        for key in keys:
+            lo, hi = divmod(key, n)
+            if lo not in changed and hi not in changed:
+                rows.append((agents[lo], (agents[hi],)))
+        if not rows:  # a due pair with a changed end is in its row
             changed.clear()
             return t_bound, []
         eps = self.eps
@@ -618,14 +615,12 @@ class ProximityGraph:
                 ry = b.y - ay
                 if j in near:
                     s = solve_out(rx, ry, vx, vy, sep, span)
-                    kind = "separate"
                 else:
                     lim = reach + closing * span if vx or vy else eps
                     if rx * rx + ry * ry > lim * lim:
                         cert[key] = inf
                         continue
                     s = solve_in(rx, ry, vx, vy, eps, span)
-                    kind = "approach"
                 if s is None:
                     cert[key] = inf
                     continue
@@ -634,17 +629,14 @@ class ProximityGraph:
                     push(queue, (t, key))
                     continue
                 cert[key] = now
-                pair = (i, j) if i < j else (j, i)
-                again.add(pair)
+                push(queue, (now, key))
                 if s > window:
                     s = window
                 t = now + s
-                hits.append((t, kind, pair))
+                hits.append((t, (i, j) if i < j else (j, i)))
                 if t < t_event:
                     t_event = t
         changed.clear()
-        if len(hits) > 1:
-            hits.sort(key=operator.itemgetter(2))
         return t_event, hits
 
     def touching(self, agent: _Agent, live: list[_Agent]) -> list[Pair]:
@@ -656,34 +648,36 @@ class ProximityGraph:
                 if o is not agent
                 and math.hypot(agent.x - o.x, agent.y - o.y) <= lim]
 
-    def apply(self, t: float, hits: list[tuple[float, str, Pair]]
+    def apply(self, t: float, hits: list[tuple[float, Pair]]
               ) -> set[Pair]:
         """Apply the crossings of hits at the instant t; return the
-        approaching pairs.  A separating pair loses its edge.  An
-        approaching pair was apart at the scan, and nothing joins a pair
-        between the scan and its instant."""
+        approaching pairs.  A hit pair that is adjacent separates and
+        loses its edge; any other approaches.  Its adjacency is the one
+        the scan solved it with: nothing joins or parts a pair between the
+        scan and its instant."""
         nbr = self._nbr
         approaches = set()
-        for ht, kind, pair in hits:
+        for ht, pair in hits:
             if ht > t + TIME_TOL:
                 continue
-            if kind == "approach":
-                approaches.add(pair)
+            i, j = pair
+            if j in nbr[i]:
+                nbr[i].remove(j)
+                nbr[j].remove(i)
             else:
-                i, j = pair
-                nbr[i].discard(j)
-                nbr[j].discard(i)
+                approaches.add(pair)
         return approaches
 
-    def ga_groups(self, new_edges: set[Pair]):
-        """Add new_edges; yield each component that holds one, by smallest
-        member.  Components without one had their GA earlier and stay
-        silent.  Both ends of an edge lie in one component, so searching
-        from one end of each finds every group.  Every member pair within
-        epsilon, up to PROX_TOL, becomes an edge; only pairs without an
-        edge are measured, when the group is asked for, after the GAs
-        before it.  There is no epsilon matrix: a GAView measures its own
-        observer's row when it is read.
+    def ga_groups(self, t: float, new_edges: set[Pair]):
+        """Add new_edges at the GA instant t; yield each component that
+        holds one, by smallest member.  Components without one had their
+        GA earlier and stay silent.  Both ends of an edge lie in one
+        component, so searching from one end of each finds every group.
+        Every member pair within epsilon, up to PROX_TOL, becomes an edge,
+        and is certified and queued at t, so the next scan solves it for
+        its separation.  Only pairs without an edge are measured, when the
+        group is asked for, after the GAs before it.  There is no epsilon
+        matrix: a GAView measures its own observer's row when it is read.
         """
         nbr = self._nbr
         for i, j in new_edges:
@@ -704,7 +698,9 @@ class ProximityGraph:
                         if hypot(xi - b.x, yi - b.y) <= lim:
                             nbr_i.add(j)
                             nbr[j].add(i)
-                            self._dirty.add((i, j))
+                            key = i * self._n + j
+                            self._cert[key] = t
+                            heapq.heappush(self._cert_queue, (t, key))
             yield group
 
 
@@ -999,7 +995,7 @@ class Simulation:
         its members to woken."""
         t = self._now
         agents = self.agents
-        for group in self._prox.ga_groups(new_edges):
+        for group in self._prox.ga_groups(t, new_edges):
             woken.update(group)
             members = [agents[i] for i in group]
             self._gossip(members)

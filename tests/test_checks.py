@@ -11,10 +11,11 @@ from gathersim.algorithms import gather_n_program
 from gathersim.checks import (GA_DIST_SLACK, CheckFailure, _fail,
                               check_all, check_ga_events, check_speeds)
 from gathersim.config import InitialConfiguration
-from gathersim.engine import (Event, Trace, Verdict, connected_components,
-                              run)
-from gathersim.generate import good_config
-from gathersim.geometry import PROX_TOL, TIME_TOL, Point, Trajectory
+from gathersim.engine import (Event, Program, Trace, Verdict,
+                              connected_components, run)
+from gathersim.generate import good_config, ungatherable_config
+from gathersim.geometry import (POS_TOL, PROX_TOL, TIME_TOL, Point,
+                                Trajectory)
 
 
 # -- Reference: check_ga_events as it was before it kept per-pair state --
@@ -358,6 +359,7 @@ def test_step_back_is_a_check_failure(tail):
 def test_final_positions_are_the_trajectory_ends():
     # One more unit-speed leg takes agent 1 two units east after the run:
     # it no longer ends at the gathering point, and the verdict fails.
+    # Agent 1 stopped before, so check_all fails first at its stop.
     cfg = good_config(0, 3)
     trace = run(cfg, gather_n_program(3))
     assert trace.verdict.kind == "gathered"
@@ -370,7 +372,95 @@ def test_final_positions_are_the_trajectory_ends():
     assert trace.final_positions[k] == traj.end_point
     with pytest.raises(CheckFailure,
                        match=f"^gathered verdict but agent {k} ended at "):
+        checks.check_verdict(cfg, trace)
+    with pytest.raises(CheckFailure,
+                       match=f"^agent {k} moves after its stop at "):
         check_all(cfg, trace)
+
+
+def test_move_after_stop_is_a_check_failure():
+    # Agent 2 stops at t ~ 20.44 and rests until the run ends at ~ 176.1.
+    # A unit-speed leg 1 south and back in place of the start of that
+    # rest keeps every speed legal and every event position right.
+    cfg = good_config(0, 3)
+    trace = run(cfg, gather_n_program(3))
+    check_all(cfg, trace)
+    k = 2
+    stop = next(ev for ev in trace.events
+                if ev.kind == "stop" and ev.agents == (k,))
+    traj = trace.trajectories[k]
+    ts, xs, ys = list(traj.times), list(traj.xs), list(traj.ys)
+    b = ts.index(stop.time) + 1
+    assert b == len(ts) - 1 and ts[b] > stop.time + 2.0
+    x, y = xs[b], ys[b]
+    ts[b:b] = [stop.time + 1.0, stop.time + 2.0]
+    xs[b:b] = [x, x]
+    ys[b:b] = [y - 1.0, y]
+    trajectories = list(trace.trajectories)
+    trajectories[k] = Trajectory(ts, xs, ys)
+    doctored = dataclasses.replace(trace, trajectories=tuple(trajectories))
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, doctored)
+    p = stop.positions[0]
+    assert str(err.value) == (
+        f"agent {k} moves after its stop at {stop.time}: at "
+        f"{stop.time + 1.0} it is {math.hypot(x - p.x, y - 1.0 - p.y)} "
+        "from its stop position")
+
+
+def _verdict_case(case: str):
+    """A real run, its verdict doctored by case, and the failure check_all
+    must give."""
+    if case == "timeout at 7":
+        cfg = ungatherable_config(0, 4)
+        trace = run(cfg, gather_n_program(4), horizon=50.0)
+        assert trace.verdict == Verdict("timeout", 50.0)
+        return cfg, trace, Verdict("timeout", 7.0), (
+            "timeout verdict time 7.0 is not the time of the horizon "
+            "event, 50.0")
+    cfg = good_config(0, 3)
+    trace = run(cfg, gather_n_program(3))
+    v = trace.verdict
+    assert v.kind == "gathered"
+    if case == "gathered at -5":
+        return cfg, trace, dataclasses.replace(v, time=-5.0), (
+            f"gathered verdict time -5.0 is not the time the trajectories "
+            f"end, {v.time}")
+    assert case == "split far away"
+    groups = (Point(100.0, 100.0), Point(-100.0, 5.0))
+    return cfg, trace, Verdict("split", v.time, groups=groups), (
+        "split verdict groups: 2 points for 1 clusters of trajectory ends")
+
+
+@pytest.mark.parametrize("case", [
+    "split far away", "timeout at 7", "gathered at -5"])
+def test_doctored_verdict_is_a_check_failure(case):
+    cfg, trace, verdict, message = _verdict_case(case)
+    check_all(cfg, trace)
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, dataclasses.replace(trace, verdict=verdict))
+    assert str(err.value) == message
+
+
+def test_split_groups_match_the_clusters_of_trajectory_ends():
+    # Two still agents 3 apart, eps = 1: the run ends at once, split.
+    # Each group point must lie within POS_TOL of its own cluster.
+    cfg = InitialConfiguration(1.0, (Point(0, 0), Point(3, 0)), (0.0, 0.0))
+    trace = run(cfg, Program)
+    v = trace.verdict
+    assert v.kind == "split" and v.groups == (Point(0, 0), Point(3, 0))
+    check_all(cfg, trace)
+    moved = (Point(0, 0), Point(3, 2 * POS_TOL))
+    for groups in [(Point(0, POS_TOL / 2), Point(3, 0)), v.groups[::-1]]:
+        check_all(cfg, dataclasses.replace(
+            trace, verdict=dataclasses.replace(v, groups=groups)))
+    for groups in [moved, (Point(0, 0), Point(0, 0))]:
+        with pytest.raises(CheckFailure) as err:
+            check_all(cfg, dataclasses.replace(
+                trace, verdict=dataclasses.replace(v, groups=groups)))
+        assert str(err.value) == (
+            f"split verdict group point {groups[1]} is not within POS_TOL "
+            "of a cluster of trajectory ends of its own")
 
 
 # -- Hand-made traces, one per freshness path --

@@ -124,7 +124,7 @@ def _engine_ga_groups(adjacent, new_edges):
     for i, j in adjacent:
         graph._nbr[i].add(j)
         graph._nbr[j].add(i)
-    groups = list(graph.ga_groups(new_edges))
+    groups = list(graph.ga_groups(0.0, new_edges))
     assert _adjacent_pairs(graph._nbr) == adjacent | new_edges
     return groups
 
@@ -374,14 +374,12 @@ def _full_scan_pair_events(graph, live, now, t_bound):
             if j in graph._nbr[i]:
                 s = solve_crossing_out(rx, ry, vx, vy, eps + SEPARATION_TOL,
                                        window)
-                kind = "separate"
             else:
                 s = solve_crossing_in(rx, ry, vx, vy, eps, window)
-                kind = "approach"
             if s is None:
                 continue
             t = now + s
-            hits.append((t, kind, (i, j)))
+            hits.append((t, (i, j)))
             if t < t_event:
                 t_event = t
     return t_event, hits
@@ -398,9 +396,6 @@ def _check_pair_events_against_full_scan(monkeypatch):
         t_event, hits = real(self, live, now, t_bound)
         assert t_event == expect[0]
         assert sorted(hits) == sorted(expect[1])
-        # next_events returns its hits in pair index order.
-        assert [pair for _, _, pair in hits] \
-            == sorted(pair for _, _, pair in hits)
         scans.append((t_event, hits))
         return t_event, hits
 
@@ -425,6 +420,38 @@ def test_pair_certificates_match_full_scan(make, monkeypatch):
     assert groups == [ev.agents for ev in trace.ga_events()]
 
 
+@pytest.mark.parametrize("seed,n", [(0, 6), (1, 7), (2, 8)])
+def test_applied_hit_keeps_its_scan_adjacency(seed, n, monkeypatch):
+    # apply reads a hit's kind from the pair's adjacency when it applies
+    # the hit: a separation when adjacent, else an approach.  That is the
+    # adjacency the scan that found the hit solved the pair with.
+    real_scan = ProximityGraph.next_events
+    real_apply = ProximityGraph.apply
+    at_scan = {}
+    applied = {True: 0, False: 0}
+
+    def scan(self, live, now, t_bound):
+        t_event, hits = real_scan(self, live, now, t_bound)
+        at_scan.clear()
+        for _, (i, j) in hits:
+            at_scan[i, j] = j in self._nbr[i]
+        return t_event, hits
+
+    def apply(self, t, hits):
+        for ht, (i, j) in hits:
+            if ht <= t + TIME_TOL:
+                assert (j in self._nbr[i]) == at_scan[i, j]
+                applied[at_scan[i, j]] += 1
+        return real_apply(self, t, hits)
+
+    monkeypatch.setattr(ProximityGraph, "next_events", scan)
+    monkeypatch.setattr(ProximityGraph, "apply", apply)
+    cfg = good_config(seed, n)
+    run(cfg, gather_n_program(n))
+    # Both kinds were applied: separations and approaches.
+    assert applied[True] > 0 and applied[False] > 0
+
+
 def _check_ga_groups_against_reference(monkeypatch):
     """Make every GA instant assert that the neighbour sets are symmetric
     and irreflexive, and that its groups are form_ga_groups' on the pairs
@@ -432,10 +459,10 @@ def _check_ga_groups_against_reference(monkeypatch):
     real = ProximityGraph.ga_groups
     groups = []
 
-    def checked(self, new_edges):
+    def checked(self, t, new_edges):
         expect = form_ga_groups(_adjacent_pairs(self._nbr), new_edges)
         got = []
-        for group in real(self, new_edges):
+        for group in real(self, t, new_edges):
             got.append(group)
             yield group
         assert got == expect
@@ -536,8 +563,9 @@ def test_adjacency_flip_is_rescanned(monkeypatch):
     # certificate.  At t = 3, when c passes a at distance 1 + 5e-10, b
     # appears between them; that is close enough for the PROX_TOL slack of
     # b's GA, which marks a and c adjacent.  Neither a nor c changed a
-    # leg, so only that flip makes the pair due for the separation the
-    # full scan reports, once c is eps + SEPARATION_TOL from a.
+    # leg, so only the certificate that GA gives the pair makes it due for
+    # the separation the full scan reports, once c is eps + SEPARATION_TOL
+    # from a: the pair's one hit, after t = 3.
     cfg = InitialConfiguration(
         1.0, (Point(0, 0), Point(0.5, 0), Point(1 + 5e-10, -3.0)),
         (0.0, 3.0, 0.0))
@@ -546,10 +574,8 @@ def test_adjacency_flip_is_rescanned(monkeypatch):
     trace = run(cfg, lambda: next(mk), horizon=10.0)
     assert [(ev.time, ev.agents) for ev in trace.ga_events()] \
         == [(3.0, (0, 1, 2))]
-    separations = [t for _, hits in scans
-                   for t, kind, pair in hits
-                   if kind == "separate" and pair == (0, 2)]
-    assert len(separations) == 1 and 3.0 < separations[0] < 3.001
+    hits = [t for _, found in scans for t, pair in found if pair == (0, 2)]
+    assert len(hits) == 1 and 3.0 < hits[0] < 3.001
 
 
 def test_crossing_past_the_window_stays_a_certificate(monkeypatch):
@@ -577,13 +603,14 @@ def test_crossing_past_the_window_stays_a_certificate(monkeypatch):
     assert scans[1] == (1.0, [])
 
 
-def test_scan_solves_each_dirty_pair_once(monkeypatch):
+def test_scan_solves_each_due_pair_once(monkeypatch):
     # Changed agents 1 and 3 share the pair (1, 3), which is also due in
-    # the certificate heap and flipped; (0, 2) is due and (4, 5) flipped
-    # with no changed end.  The scan has to visit eleven pairs once each:
-    # 1 and 3 with each of the four other agents, (1, 3), (0, 2), (4, 5).
-    # Three of them, (0, 3) and (3, 4) at rest and (1, 5) both moving
-    # east, are in lockstep beyond eps and take no solve; eight do.
+    # the certificate heap; (0, 2) is due with two heap entries, and the
+    # adjacent (4, 5) is due at now, as after a crossing or an edge catch,
+    # both with no changed end.  The scan has to visit eleven pairs once
+    # each: 1 and 3 with each of the four other agents, (1, 3), (0, 2),
+    # (4, 5).  Three of them, (0, 3) and (3, 4) at rest and (1, 5) both
+    # moving east, are in lockstep beyond eps and take no solve; eight do.
     def agent(idx, x, vx=None):
         motion = None if vx is None else SimpleNamespace(
             vx=vx, vy=0.0, t_end=5.0)
@@ -595,8 +622,8 @@ def test_scan_solves_each_dirty_pair_once(monkeypatch):
     graph._nbr[4].add(5)
     graph._nbr[5].add(4)
     graph.changed.update((1, 3))
-    graph._dirty.update({(1, 3), (4, 5)})
-    for t, (i, j) in ((0.7, (1, 3)), (0.5, (0, 2))):
+    for t, (i, j) in ((0.7, (1, 3)), (0.5, (0, 2)), (0.5, (0, 2)),
+                      (0.0, (4, 5))):
         graph._cert[i * 6 + j] = t
         heapq.heappush(graph._cert_queue, (t, i * 6 + j))
     calls = []
@@ -611,9 +638,8 @@ def test_scan_solves_each_dirty_pair_once(monkeypatch):
     expect = _full_scan_pair_events(graph, agents, 0.0, 1.0)
     t_event, hits = graph.next_events(agents, 0.0, 1.0)
     assert len(calls) == 8
-    assert (t_event, hits) == expect
-    assert [(kind, pair) for _, kind, pair in hits] == [
-        ("approach", (0, 2)), ("approach", (1, 3)), ("separate", (4, 5))]
+    assert t_event == expect[0] and sorted(hits) == sorted(expect[1])
+    assert sorted(pair for _, pair in hits) == [(0, 2), (1, 3), (4, 5)]
 
 
 
@@ -661,7 +687,7 @@ def test_lockstep_pair_calls_no_solver(monkeypatch):
         assert solve_crossing_in(rx, ry, 0.0, 0.0, 0.5, 4.0) is None
 
     graph, found = scan(0.18, -0.24)
-    assert found == (1.0, [(1.0, "approach", (0, 1))])
+    assert found == (1.0, [(1.0, (0, 1))])
     assert len(calls) == 1
     assert graph._cert[1] == 1.0
 
@@ -670,31 +696,33 @@ def test_skipped_pair_calls_no_solver(monkeypatch):
     # Agent 0 walks east from now = 1 to 5 and agent 1 waits till 9, so
     # the pair would be solved over the span 4, in which it closes by at
     # most 4 _CLOSING_SPEED.  Beyond lim = eps + BOUND_SLACK + that, it
-    # gets cert inf with no solve and no heap entry, flagged dirty or
-    # not.  Agent 1 waits, so the pair is not in lockstep.  At lim or
-    # nearer the pair is solved: from 8.4 it has no root in the span,
-    # from 4.5 it reaches eps at the span's end, its new certificate.
+    # gets cert inf with no solve and no heap entry, whether its
+    # certificate was due at now or not.  Agent 1 waits, so the pair is
+    # not in lockstep.  At lim or nearer the pair is solved: from 8.4 it
+    # has no root in the span, from 4.5 it reaches eps at the span's end,
+    # its new certificate.
     def agent(idx, x, vx, t_end):
         motion = SimpleNamespace(vx=vx, vy=0.0, t_end=t_end)
         return SimpleNamespace(idx=idx, x=x, y=0.0, motion=motion)
 
     calls = _counted_solve_in(monkeypatch)
 
-    def scan(x, dirty=False):
+    def scan(x, due=False):
         agents = [agent(0, 0.0, 1.0, 5.0), agent(1, x, 0.0, 9.0)]
         graph = ProximityGraph(agents, 0.5, 100.0)
         graph._cert[1] = 3.0
         graph.changed.add(0)
-        if dirty:
-            graph._dirty.add((0, 1))
+        if due:
+            graph._cert[1] = 1.0
+            heapq.heappush(graph._cert_queue, (1.0, 1))
         del calls[:]
         assert graph.next_events(agents, 1.0, 2.0) == (2.0, [])
         return graph
 
     lim = 0.5 + BOUND_SLACK + 4.0 * engine._CLOSING_SPEED
     for x in (40.0, math.nextafter(lim, math.inf)):
-        for dirty in (False, True):
-            graph = scan(x, dirty)
+        for due in (False, True):
+            graph = scan(x, due)
             assert calls == []
             assert graph._cert[1] == math.inf and graph._cert_queue == []
     for x in (lim, 8.4):
@@ -801,7 +829,7 @@ def test_leg_aimed_at_partner_after_a_natural_end_meets_on_time(
     assert [(ev.time, ev.agents) for ev in trace.ga_events()] \
         == [(5.75, (0, 1))]
     assert [t for t in solves_at if t < 5.75] == [5.0]
-    assert (5.75, [(5.75, "approach", (0, 1))]) in scans
+    assert (5.75, [(5.75, (0, 1))]) in scans
 
 
 @settings(deadline=None, max_examples=60)
