@@ -13,7 +13,8 @@ from bisect import bisect_right
 
 from .config import InitialConfiguration
 from .engine import Trace, connected_components
-from .geometry import POS_TOL, PROX_TOL, TIME_TOL, first_illegal_leg
+from .geometry import (POS_TOL, PROX_TOL, TIME_TOL, first_illegal_leg,
+                       is_finite_point)
 
 # GA members may sit this far beyond eps in the recorded trajectories:
 # ten times the slack PROX_TOL with which the engine joins a group.
@@ -29,9 +30,12 @@ def _fail(msg: str):
 
 
 def check_event_times(trace: Trace) -> None:
-    """Event log is sorted by time and free of negative times."""
+    """Event log is sorted by time and free of negative and non-finite
+    times."""
     last = -math.inf
     for ev in trace.events:
+        if not math.isfinite(ev.time):
+            _fail(f"event at non-finite time {ev.time}")
         if ev.time < -TIME_TOL:
             _fail(f"event at negative time {ev.time}")
         if ev.time < last - TIME_TOL:
@@ -204,6 +208,34 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
             _fail(f"GA at {t}: group {group} has no fresh contact")
 
 
+def check_orders(trace: Trace) -> None:
+    """Each order follows its GA: the last GA before it in the log is at
+    its time and holds its issuer.  Its recipients are that GA's members
+    but the issuer that have no earlier stop event, in GA order, and its
+    target is finite."""
+    ga = None
+    stopped = set()
+    for ev in trace.events:
+        if ev.kind == "ga":
+            ga = ev
+        elif ev.kind == "stop":
+            stopped.update(ev.agents)
+        elif ev.kind == "order":
+            t = ev.time
+            if ga is None or not abs(t - ga.time) <= TIME_TOL:
+                _fail(f"order at {t} follows no GA at its time")
+            if ev.issuer not in ga.agents:
+                _fail(f"order at {t}: issuer {ev.issuer} is not in the GA "
+                      f"{ga.agents}")
+            expect = tuple([i for i in ga.agents
+                            if i != ev.issuer and i not in stopped])
+            if tuple(ev.agents) != expect:
+                _fail(f"order at {t} is sent to {ev.agents}, not to the "
+                      f"awake members of its GA but the issuer, {expect}")
+            if ev.target is None or not is_finite_point(ev.target):
+                _fail(f"order at {t} has a non-finite target {ev.target}")
+
+
 def check_verdict(cfg: InitialConfiguration, trace: Trace) -> None:
     """The verdict matches where and when the run ended.
 
@@ -276,4 +308,5 @@ def check_all(cfg: InitialConfiguration, trace: Trace) -> None:
     check_trajectory_starts(cfg, trace)
     check_event_positions(trace)
     check_ga_events(cfg, trace)
+    check_orders(trace)
     check_verdict(cfg, trace)

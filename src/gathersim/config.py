@@ -9,7 +9,12 @@ gathering exactly when some pair (i, j) satisfies
 Strict inequality for some pair puts the configuration in the robust GOOD
 class; equality (within TIME_TOL) for the best pair makes it BAD_GATHERABLE,
 gatherable but with no timing slack; strict failure for all pairs makes it
-UNGATHERABLE, where no algorithm can ever bring two agents within epsilon.
+UNGATHERABLE, where no algorithm run by anonymous agents can ever bring two
+agents within epsilon.  That holds for agents that all run one program and
+cannot tell themselves apart: until their first meeting each then walks the
+same solo path, shifted by its start, so agents i and j stay at least
+dist(p_i, p_j) - |t_i - t_j| apart.  Agents that can tell themselves apart
+(engine.AgentRef hashes to the agent's index) may meet.
 """
 
 from __future__ import annotations

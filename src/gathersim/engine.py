@@ -48,10 +48,25 @@ _CERT_MARGIN = 2 * TIME_TOL
 # 1 + SPEED_TOL.
 _CLOSING_SPEED = 2.0 * (1.0 + SPEED_TOL)
 
+# Margin of a sure agent in a symmetric run (see ProximityGraph.next_events)
+# over the pair distance eps + BOUND_SLACK of the cannot-cross test.  A
+# leg matches the run's path when its local start, its duration and each
+# coordinate of its start's displacement lie within _LEG_SLACK of the
+# path's; the drift this allows between two agents' paths stays below
+# _PATH_SLACK.
+_PATH_SLACK = POS_TOL
+_LEG_SLACK = _PATH_SLACK / 16
+
 
 @dataclass(frozen=True, slots=True)
 class AgentRef:
-    """Opaque agent identity: supports equality and hashing, never ordering."""
+    """Opaque agent identity: supports equality and hashing, never ordering.
+
+    Its hash is the agent's engine index, so a program can still tell
+    agents apart, and order them, by hash(): anonymity holds only for
+    programs that do not.  A symmetric run (see Simulation) checks every
+    leg rather than trust that none does.
+    """
     _token: int
 
     def __lt__(self, other):
@@ -372,7 +387,7 @@ _index = operator.attrgetter("idx")
 class _Agent:
     __slots__ = ("idx", "ref", "origin", "start_time", "stopped",
                  "tag", "knowledge", "program", "queue", "motion", "x", "y",
-                 "point", "builder", "ctx")
+                 "point", "builder", "ctx", "leg")
 
     def __init__(self, idx: int, ref: AgentRef, origin: Point,
                  start_time: float, program: Program):
@@ -395,6 +410,8 @@ class _Agent:
         self.point = origin
         self.builder: Optional[TrajectoryBuilder] = None
         self.ctx: Optional[AgentContext] = None
+        # The index of the agent's next leg on a symmetric run's path.
+        self.leg = 0
 
     def here(self) -> Point:
         """The current position as a Point, the same object while the agent
@@ -498,6 +515,9 @@ class ProximityGraph:
         n = self._n = len(agents)
         self._cert: list[float] = [math.inf] * (n * n)
         self._cert_queue: list[tuple[float, int]] = []
+        # The agents whose rows the scan skips: the sure agents while the
+        # run is symmetric, and none after (see next_events).
+        self.sure: frozenset[int] = frozenset()
 
     def next_events(self, live: list[_Agent], now: float, t_bound: float
                     ) -> tuple[float, list[tuple[float, Pair]]]:
@@ -541,6 +561,31 @@ class ProximityGraph:
         epsilon + BOUND_SLACK, where the solver finds no root (see
         BOUND_SLACK in geometry).  A pair in lockstep (relative velocity
         exactly 0) keeps its distance, and its lim is epsilon.
+
+        While the run is symmetric (see Simulation), a changed agent in
+        sure gets no row: one certificate that lasts the run stands in
+        for one solved at every leg.  Every live agent then walks a leg,
+        and every leg so far matched the run's one path, so two agents i
+        and j trace the same path, shifted by their origins and start
+        times, up to the leg slack.  Agent i is sure when
+        d_ij - (1 + SPEED_TOL) |t_i - t_j| > epsilon + BOUND_SLACK +
+        _PATH_SLACK for every other agent j, d_ij the distance of their
+        origins.  The soundness bound: take the agent of the pair that
+        has begun the other's current leg k.  Its own leg k, shifted by
+        the origins, lies within 2 sqrt(2) _LEG_SLACK of the other's; its
+        path moves at most 1 + SPEED_TOL, and it walks leg k at a time
+        within |t_i - t_j| + 4 _LEG_SLACK + 3 TIME_TOL of the other
+        (starts, durations and the stretched span).  So over every span a
+        scan solves, the pair stays farther apart than
+        d_ij - (1 + SPEED_TOL) (|t_i - t_j| + 6 _LEG_SLACK + 6 TIME_TOL)
+        - 2 sqrt(2) _LEG_SLACK > epsilon + BOUND_SLACK, and neither
+        the cannot-cross test nor the solver would give it a certificate
+        other than inf.  A skipped pair keeps that inf, its starting one,
+        so the scan's hits, and every trace, are the full scan's.  The
+        domain is the one BOUND_SLACK states: coordinates up to 1e7, and
+        pairs whose distance R at a solve has R^2 < 2e6 epsilon.  A row
+        of a changed agent that is not sure may skip its pair with a sure
+        one that changed too; that pair is sure as well.
         """
         n = self._n
         cert = self._cert
@@ -555,8 +600,10 @@ class ProximityGraph:
         changed = self.changed
         rows = []
         if changed and len(live) > 1:
+            sure = self.sure
             for i in sorted(changed) if len(changed) > 1 else changed:
-                rows.append((agents[i], live))
+                if i not in sure:
+                    rows.append((agents[i], live))
         for key in keys:
             lo, hi = divmod(key, n)
             if lo not in changed and hi not in changed:
@@ -705,6 +752,20 @@ class ProximityGraph:
 
 
 class Simulation:
+    """One run of cfg under a program factory.
+
+    A run starts symmetric when some agent is sure (see
+    ProximityGraph.next_events).  Until its first meeting, every agent
+    of an anonymous run walks one solo path, shifted by its origin and
+    start time (the paper's impossibility argument).  The run keeps that
+    path, leg by leg, as the first agent to begin each leg walked it,
+    and checks every other leg against it in _set_motion, so a program
+    that tells agents apart only ends the symmetric run early.  The run
+    stops being symmetric for good at its first GA, stop, dropped motion
+    (a clear_plan that halts a moving agent), leg that ends early, or
+    idle agent, or at a leg that does not match the path.
+    """
+
     def __init__(self, cfg: InitialConfiguration,
                  program_factory: ProgramFactory,
                  horizon: Optional[float] = None):
@@ -729,6 +790,14 @@ class Simulation:
         self._ends: list[tuple[float, int, _Agent, _Motion]] = []
         self._seq = itertools.count()
         self._prox = ProximityGraph(self.agents, self.eps, self.horizon)
+        # The symmetric run's path: (local start, vx, vy, duration, dx, dy)
+        # of each leg, (dx, dy) its start's displacement from the origin;
+        # None when the run is not symmetric.
+        self._path: Optional[list[tuple]] = None
+        sure = _sure_agents(cfg, self.eps + BOUND_SLACK + _PATH_SLACK)
+        if sure:
+            self._path = []
+            self._prox.sure = sure
         self.events: list[Event] = []
         # The (issuer, target in its frame) orders of the GA whose on_ga
         # callbacks are running; None outside them.
@@ -739,6 +808,8 @@ class Simulation:
     def _request_stop(self, agent: _Agent) -> None:
         if agent.stopped:
             return
+        if self._path is not None:
+            self._end_symmetry()
         agent.stopped = True
         agent.queue.clear()
         if agent.motion is not None:
@@ -760,7 +831,8 @@ class Simulation:
             builder.move_to(self._now, agent.x, agent.y)
 
     def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
-        """Every change of a leg but a motion's end goes through here."""
+        """Every change of a leg but a motion's end goes through here, so
+        here a symmetric run checks each new leg against its path."""
         if self._now > agent.builder.last_time:
             self._record_leg(agent)
         agent.motion = motion
@@ -768,6 +840,42 @@ class Simulation:
         if motion is not None:
             heapq.heappush(self._ends,
                            (motion.t_end, next(self._seq), agent, motion))
+        if self._path is not None:
+            self._follow_path(agent, motion)
+
+    def _follow_path(self, agent: _Agent, motion: Optional[_Motion]) -> None:
+        """Check a new leg of a symmetric run against the path: the same
+        vx and vy floats, and local start, duration and displacement from
+        the origin within _LEG_SLACK.  The first agent to begin a leg
+        adds it to the path; a dropped motion leaves the path."""
+        if motion is None:
+            self._end_symmetry()
+            return
+        now = self._now
+        o = agent.origin
+        tau = now - agent.start_time
+        dur = motion.t_end - now
+        dx = agent.x - o.x
+        dy = agent.y - o.y
+        k = agent.leg
+        agent.leg = k + 1
+        path = self._path
+        if k == len(path):
+            path.append((tau, motion.vx, motion.vy, dur, dx, dy))
+            return
+        p_tau, vx, vy, p_dur, p_dx, p_dy = path[k]
+        slack = _LEG_SLACK
+        # Written so that NaN fails each test.
+        if not (motion.vx == vx and motion.vy == vy
+                and abs(tau - p_tau) <= slack and abs(dur - p_dur) <= slack
+                and abs(dx - p_dx) <= slack and abs(dy - p_dy) <= slack):
+            self._end_symmetry()
+
+    def _end_symmetry(self) -> None:
+        """The run stops being symmetric: from now on the scan solves
+        every row."""
+        self._path = None
+        self._prox.sure = frozenset()
 
     def _start_pending(self, agent: _Agent) -> None:
         """Begin the next queued instruction, skipping instantaneous ones."""
@@ -967,6 +1075,10 @@ class Simulation:
             for ag in arrived:
                 # What _set_motion(ag, None) does, inline.
                 m = ag.motion
+                if m.t_end > t and self._path is not None:
+                    # Ended early, within TIME_TOL: the agent went faster
+                    # than its path.
+                    self._end_symmetry()
                 self._record_leg(ag)
                 ag.motion = None
                 prox.changed.add(ag.idx)
@@ -986,15 +1098,20 @@ class Simulation:
                 continue
             if not ag.queue:
                 ag.program.on_idle(ag.ctx)
-                if not ag.queue:
-                    continue
-            self._start_pending(ag)
+            if ag.queue:
+                self._start_pending(ag)
+            if ag.motion is None and self._path is not None:
+                # Idle: it rests until an event of its own, which the
+                # path does not say.
+                self._end_symmetry()
 
     def _run_gas(self, new_edges: set[Pair], woken: set[int]) -> None:
         """Run the GA of every component that holds a new edge, and add
         its members to woken."""
         t = self._now
         agents = self.agents
+        if self._path is not None:
+            self._end_symmetry()
         for group in self._prox.ga_groups(t, new_edges):
             woken.update(group)
             members = [agents[i] for i in group]
@@ -1059,6 +1176,27 @@ class Simulation:
             ag.ctx = None
         return Trace(self.events, tuple(ag.tag for ag in self.agents),
                      tuple(trajectories), verdict)
+
+
+def _sure_agents(cfg: InitialConfiguration, reach: float) -> frozenset[int]:
+    """The agents i with d_ij - (1 + SPEED_TOL) |t_i - t_j| > reach for
+    every other agent j, d_ij the distance of their starting points."""
+    n = cfg.n
+    starts = cfg.starts
+    times = cfg.times
+    speed = 1.0 + SPEED_TOL
+    hypot = math.hypot
+    sure = set(range(n))
+    for i in range(n):
+        p = starts[i]
+        ti = times[i]
+        for j in range(i + 1, n):
+            q = starts[j]
+            if not (hypot(p.x - q.x, p.y - q.y)
+                    - speed * abs(ti - times[j]) > reach):
+                sure.discard(i)
+                sure.discard(j)
+    return frozenset(sure)
 
 
 def _cluster_points(points: list[Point]) -> list[tuple[int, ...]]:

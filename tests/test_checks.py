@@ -103,10 +103,23 @@ def _kind(outcome) -> str:
 
 
 def _with_gas(trace: Trace, gas: list[Event]) -> Trace:
-    """trace with its GA events replaced by gas, other events kept."""
-    others = [ev for ev in trace.events if ev.kind != "ga"]
-    events = sorted(others + gas, key=lambda ev: ev.time)
-    return dataclasses.replace(trace, events=events)
+    """trace with its GA events replaced by gas, other events kept.
+
+    Events are sorted by time, and within an instant they keep the log's
+    order, so an order still follows its GA: a GA of the trace keeps its
+    place, and a new GA at place p of gas takes the place of the trace's
+    GA p.
+    """
+    events = trace.events
+    place = {id(ev): k for k, ev in enumerate(events)}
+    ga_places = [k for k, ev in enumerate(events) if ev.kind == "ga"]
+    keyed = [(ev.time, k, ev) for k, ev in enumerate(events)
+             if ev.kind != "ga"]
+    keyed += [(ev.time, place.get(id(ev), ga_places[min(p, len(ga_places)
+                                                        - 1)]), ev)
+              for p, ev in enumerate(gas)]
+    keyed.sort(key=lambda item: item[:2])
+    return dataclasses.replace(trace, events=[ev for *_, ev in keyed])
 
 
 def _positions_at(trace: Trace, agents, t: float) -> tuple[Point, ...]:
@@ -509,3 +522,80 @@ def test_freshness_paths(monkeypatch, ga_times, walked, result):
     assert got == want
     assert _kind(got) == result
     assert [res for *_, res in walks.calls] == walked
+
+
+# -- The order audit --
+
+def _order_case(case: str):
+    """good_config(0, 4) under gather-n, its first order doctored by case,
+    and the failure check_all must give (None: it passes)."""
+    cfg = good_config(0, 4)
+    trace = run(cfg, gather_n_program(4))
+    events = list(trace.events)
+    k = next(k for k, ev in enumerate(events) if ev.kind == "order")
+    order = events[k]
+    ga = next(ev for ev in reversed(events[:k]) if ev.kind == "ga")
+    t = order.time
+    if case == "time NaN":
+        doctored, message = (dataclasses.replace(order, time=math.nan),
+                             "event at non-finite time nan")
+    elif case == "issuer 99":
+        doctored, message = (dataclasses.replace(order, issuer=99),
+                             f"order at {t}: issuer 99 is not in the GA "
+                             f"{ga.agents}")
+    elif case == "recipients (0, 0, 7)":
+        doctored, message = (
+            dataclasses.replace(order, agents=(0, 0, 7)),
+            f"order at {t} is sent to (0, 0, 7), not to the awake members "
+            f"of its GA but the issuer, {order.agents}")
+    elif case == "target (inf, 1e6)":
+        target = Point(math.inf, 1e6)
+        doctored, message = (dataclasses.replace(order, target=target),
+                             f"order at {t} has a non-finite target {target}")
+    elif case == "ahead of its GA":
+        # The GA moves behind its first order.
+        j = events.index(ga)
+        events[j:k + 1] = events[j + 1:k + 1] + [ga]
+        k -= 1
+        doctored, message = order, f"order at {t} follows no GA at its time"
+    else:
+        # The log does not say where a program should send its team, so a
+        # finite target far away is one it may have chosen.
+        assert case == "target (1e6, 1e6)"
+        doctored, message = (
+            dataclasses.replace(order, target=Point(1e6, 1e6)), None)
+    events[k] = doctored
+    return cfg, trace, dataclasses.replace(trace, events=events), message
+
+
+@pytest.mark.parametrize("case", [
+    "time NaN", "issuer 99", "recipients (0, 0, 7)", "target (inf, 1e6)",
+    "ahead of its GA", "target (1e6, 1e6)"])
+def test_doctored_order_is_a_check_failure(case):
+    cfg, trace, doctored, message = _order_case(case)
+    assert sum(ev.kind == "order" for ev in trace.events) == 28
+    check_all(cfg, trace)
+    if message is None:
+        check_all(cfg, doctored)
+        return
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, doctored)
+    assert str(err.value) == message
+
+
+def test_order_skips_members_stopped_before_it():
+    # A member that stopped, even inside the GA's callbacks, gets no
+    # order; one named anyway fails the audit.
+    cfg, trace, _, _ = _order_case("target (1e6, 1e6)")
+    events = list(trace.events)
+    k = next(k for k, ev in enumerate(events) if ev.kind == "order")
+    order = events[k]
+    stop = Event(order.time, "stop", (order.agents[0],),
+                 (Point(0.0, 0.0),))
+    # The log up to that order.
+    checks.check_orders(dataclasses.replace(
+        trace, events=events[:k] + [stop, dataclasses.replace(
+            order, agents=order.agents[1:])]))
+    with pytest.raises(CheckFailure, match="not to the awake members"):
+        checks.check_orders(dataclasses.replace(
+            trace, events=events[:k] + [stop, order]))

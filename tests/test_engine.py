@@ -2,6 +2,7 @@
 
 import functools
 import heapq
+import itertools
 import math
 import os
 import pathlib
@@ -28,7 +29,8 @@ from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
 from gathersim.generate import (config_of_class, good_config, good_pair,
                                 ungatherable_config)
 from gathersim.geometry import (BOUND_SLACK, POS_TOL, SEPARATION_TOL,
-                                TIME_TOL, Point, TrajectoryBuilder, Vec2,
+                                SPEED_TOL, TIME_TOL, Point,
+                                TrajectoryBuilder, Vec2,
                                 solve_crossing_in, solve_crossing_out)
 
 
@@ -848,6 +850,179 @@ def test_speed_bounds_keep_every_scan_equal_to_the_full_scan(
             scans = _check_pair_events_against_full_scan(mp)
             run(moved, factory)
         assert len(scans) > n
+
+class _Waiter(Program):
+    """Stands where it appeared in waits of one time unit: it is never
+    idle."""
+
+    def on_appear(self, ctx):
+        ctx.issue(Wait(1.0))
+
+    on_idle = on_appear
+
+
+class _Split(Program):
+    """A program that is not anonymous: it waits 0.1, then runs gather-n,
+    and at its first idle poll from local time 6 on, choose(ctx) may make
+    it a _Waiter for good."""
+
+    def __init__(self, choose, walk):
+        self.choose = choose
+        self.inner = walk()
+        self.chosen = False
+
+    def on_appear(self, ctx):
+        # A first leg that lasts no whole number of time units.
+        ctx.issue(Wait(0.1))
+
+    def on_ga(self, ctx, view):
+        self.inner.on_ga(ctx, view)
+
+    def on_order(self, ctx, target, issuer):
+        self.inner.on_order(ctx, target, issuer)
+
+    def on_idle(self, ctx):
+        if ctx.now < 1.0:
+            self.inner.on_appear(ctx)
+            return
+        if not self.chosen and ctx.now >= 6.0:
+            self.chosen = True
+            if self.choose(ctx):
+                self.inner = _Waiter()
+        self.inner.on_idle(ctx)
+
+
+def _split_factory(kind, n):
+    """Agents that tell themselves apart by their ref's hash, by state
+    shared across instances (the order of their choices), or by their
+    local time at the choice: the wait of 0.1 ends at a time rounded
+    from their start time, so the local time's last bits differ."""
+    walk = gather_n_program(n)
+    if kind == "hash":
+        def choose(ctx):
+            return hash(ctx.self_ref) % 2 == 0
+    elif kind == "shared":
+        polls = itertools.count()
+
+        def choose(ctx):
+            return next(polls) % 2 == 0
+    else:
+        assert kind == "local time"
+
+        def choose(ctx):
+            # Its last bit: the spacing of floats in [4, 8) is 2 ** -50.
+            return int(ctx.now * 2 ** 50) % 2 == 1
+    return lambda: _Split(choose, walk)
+
+
+@pytest.mark.parametrize("kind", ["hash", "shared", "local time"])
+def test_non_anonymous_programs_match_the_full_scan(kind, monkeypatch):
+    # No algorithm run by anonymous agents gathers an UNGATHERABLE
+    # configuration, so agents that meet here told themselves apart.  The
+    # symmetric run checks every leg and ends at the first that leaves
+    # its path: every scan still equals the full scan.
+    scans = _check_pair_events_against_full_scan(monkeypatch)
+    gas = 0
+    for s in range(4):
+        cfg = ungatherable_config(100 + s, 4)
+        sim = Simulation(cfg, _split_factory(kind, 4), horizon=300.0)
+        assert sim._prox.sure == set(range(4))
+        trace = sim.run()
+        check_all(cfg, trace)
+        gas += len(trace.ga_events())
+    assert gas > 0
+    assert len(scans) > 100
+
+
+def _sure_pair(margin):
+    """Two agents at (0, 0) from time 0 and at (x, 0) from 0.5, eps 1.2:
+    x is the float whose margin x - (1 + SPEED_TOL) 0.5 is margin."""
+    speed = 1.0 + SPEED_TOL
+    x = margin + speed * 0.5
+    for _ in range(8):
+        x = math.nextafter(x, -math.inf)
+    while x - speed * 0.5 < margin:
+        x = math.nextafter(x, math.inf)
+    assert x - speed * 0.5 == margin
+    return InitialConfiguration(1.2, (Point(0.0, 0.0), Point(x, 0.0)),
+                                (0.0, 0.5))
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_sure_threshold_one_float_either_side(side, monkeypatch):
+    # The sure threshold: eps + BOUND_SLACK + _PATH_SLACK.  One float
+    # above it both agents are sure and the symmetric run solves no
+    # pair; one float below it neither is, and the pair is solved.  Both
+    # scans equal the full scan.
+    threshold = 1.2 + BOUND_SLACK + engine._PATH_SLACK
+    cfg = _sure_pair(math.nextafter(threshold, side * math.inf))
+    sim = Simulation(cfg, gather_n_program(2))
+    assert sim._prox.sure == ({0, 1} if side > 0 else set())
+    calls = _counted_solve_in(monkeypatch)
+    scans = _check_pair_events_against_full_scan(monkeypatch)
+    ended = []
+    real_end = Simulation._end_symmetry
+    monkeypatch.setattr(Simulation, "_end_symmetry",
+                        lambda self: ended.append(self._now) or real_end(self))
+    trace = sim.run()
+    assert trace.verdict.kind == "timeout"
+    assert len(scans) > 100
+    if side > 0:
+        assert ended == [] and calls == []
+    else:
+        assert len(calls) > 100
+
+
+@pytest.mark.parametrize("shift", ["as-is", "far-plane", "late-time"])
+def test_ungatherable_runs_stay_symmetric_and_solve_nothing(shift,
+                                                           monkeypatch):
+    # Every agent of these runs is sure, and every leg stays on the path
+    # to the horizon, also with coordinates near 1e7 and clocks near 1e6.
+    calls = _counted_solve_in(monkeypatch)
+    outs = []
+    real_out = engine.solve_crossing_out
+    monkeypatch.setattr(engine, "solve_crossing_out",
+                        lambda *args: outs.append(args) or real_out(*args))
+    for s in range(3):
+        cfg = ungatherable_config(s, 8)
+        horizon = default_horizon(cfg)
+        if shift == "far-plane":
+            cfg = cfg.translated(Vec2(1e7, -1e7))
+        elif shift == "late-time":
+            cfg = cfg.time_shifted(1e6)
+            horizon += 1e6
+        sim = Simulation(cfg, gather_n_program(8), horizon)
+        assert sim._prox.sure == set(range(8))
+        trace = sim.run()
+        assert trace.verdict.kind == "timeout"
+        assert sim._path is not None and len(sim._path) > 300
+    assert calls == [] and outs == []
+
+
+@pytest.mark.parametrize("case, end", [
+    ("ga", 0.0), ("early end", 1.0 - 5e-10), ("late arrival", None)])
+def test_symmetric_run_ends_where_the_path_stops_holding(case, end):
+    # Agents that wait in legs of one time unit: 2 and 3 are far from
+    # the rest and sure.  0 and 1 start within eps of each other, so in
+    # the "ga" case their GA ends the symmetric run at once.  Otherwise 0
+    # is far from 1, and 1 appears within TIME_TOL before the end of 0's
+    # first wait, which then ends early and so faster than the path, or
+    # 1 appears beyond TIME_TOL before it, and the run stays symmetric.
+    t1 = {"ga": 0.0, "early end": 1.0 - 5e-10,
+          "late arrival": 1.0 - 5e-9}[case]
+    x1 = 0.3 if case == "ga" else -10.0
+    cfg = InitialConfiguration(
+        0.5, (Point(0.0, 0.0), Point(x1, 0.0), Point(10.0, 0.0),
+              Point(0.0, 10.0)), (0.0, t1, 0.0, 0.0))
+    sim = Simulation(cfg, _Waiter, horizon=20.0)
+    assert {2, 3} <= sim._prox.sure
+    ended = []
+    real_end = sim._end_symmetry
+    sim._end_symmetry = lambda: ended.append(sim._now) or real_end()
+    sim.run()
+    assert ended == ([] if end is None else [end])
+    assert (sim._path is None) == (end is not None)
+
 
 def _view_for(sim, observer, group):
     """The _view_bits of observer's view, built per observer from the live
