@@ -115,9 +115,9 @@ def _with_gas(trace: Trace, gas: list[Event]) -> Trace:
     ga_places = [k for k, ev in enumerate(events) if ev.kind == "ga"]
     keyed = [(ev.time, k, ev) for k, ev in enumerate(events)
              if ev.kind != "ga"]
-    keyed += [(ev.time, place.get(id(ev), ga_places[min(p, len(ga_places)
-                                                        - 1)]), ev)
-              for p, ev in enumerate(gas)]
+    for p, ev in enumerate(gas):
+        k = place.get(id(ev), ga_places[min(p, len(ga_places) - 1)])
+        keyed.append((ev.time, k, ev))
     keyed.sort(key=lambda item: item[:2])
     return dataclasses.replace(trace, events=[ev for *_, ev in keyed])
 
@@ -526,15 +526,25 @@ def test_freshness_paths(monkeypatch, ga_times, walked, result):
 
 # -- The order audit --
 
-def _order_case(case: str):
-    """good_config(0, 4) under gather-n, its first order doctored by case,
-    and the failure check_all must give (None: it passes)."""
+def _first_order():
+    """good_config(0, 4) under gather-n, its events, and the places of
+    its first order and of the GA that order follows."""
     cfg = good_config(0, 4)
     trace = run(cfg, gather_n_program(4))
+    assert sum(ev.kind == "order" for ev in trace.events) == 28
+    check_all(cfg, trace)
     events = list(trace.events)
     k = next(k for k, ev in enumerate(events) if ev.kind == "order")
-    order = events[k]
-    ga = next(ev for ev in reversed(events[:k]) if ev.kind == "ga")
+    j = max(j for j in range(k) if events[j].kind == "ga")
+    return cfg, trace, events, k, j
+
+
+@pytest.mark.parametrize("case", [
+    "time NaN", "issuer 99", "recipients (0, 0, 7)", "target (inf, 1e6)",
+    "ahead of its GA"])
+def test_doctored_order_is_a_check_failure(case):
+    cfg, trace, events, k, j = _first_order()
+    order, ga = events[k], events[j]
     t = order.time
     if case == "time NaN":
         doctored, message = (dataclasses.replace(order, time=math.nan),
@@ -552,47 +562,34 @@ def _order_case(case: str):
         target = Point(math.inf, 1e6)
         doctored, message = (dataclasses.replace(order, target=target),
                              f"order at {t} has a non-finite target {target}")
-    elif case == "ahead of its GA":
+    else:
+        assert case == "ahead of its GA"
         # The GA moves behind its first order.
-        j = events.index(ga)
         events[j:k + 1] = events[j + 1:k + 1] + [ga]
         k -= 1
         doctored, message = order, f"order at {t} follows no GA at its time"
-    else:
-        # The log does not say where a program should send its team, so a
-        # finite target far away is one it may have chosen.
-        assert case == "target (1e6, 1e6)"
-        doctored, message = (
-            dataclasses.replace(order, target=Point(1e6, 1e6)), None)
     events[k] = doctored
-    return cfg, trace, dataclasses.replace(trace, events=events), message
-
-
-@pytest.mark.parametrize("case", [
-    "time NaN", "issuer 99", "recipients (0, 0, 7)", "target (inf, 1e6)",
-    "ahead of its GA", "target (1e6, 1e6)"])
-def test_doctored_order_is_a_check_failure(case):
-    cfg, trace, doctored, message = _order_case(case)
-    assert sum(ev.kind == "order" for ev in trace.events) == 28
-    check_all(cfg, trace)
-    if message is None:
-        check_all(cfg, doctored)
-        return
     with pytest.raises(CheckFailure) as err:
-        check_all(cfg, doctored)
+        check_all(cfg, dataclasses.replace(trace, events=events))
     assert str(err.value) == message
+
+
+def test_order_to_a_far_finite_target_passes():
+    # The log does not say where a program should send its team, so a
+    # finite target far away is one it may have chosen.
+    cfg, trace, events, k, _ = _first_order()
+    events[k] = dataclasses.replace(events[k], target=Point(1e6, 1e6))
+    check_all(cfg, dataclasses.replace(trace, events=events))
 
 
 def test_order_skips_members_stopped_before_it():
     # A member that stopped, even inside the GA's callbacks, gets no
-    # order; one named anyway fails the audit.
-    cfg, trace, _, _ = _order_case("target (1e6, 1e6)")
-    events = list(trace.events)
-    k = next(k for k, ev in enumerate(events) if ev.kind == "order")
+    # order; one named anyway fails the audit.  Checked on the log up to
+    # the first order.
+    _, trace, events, k, _ = _first_order()
     order = events[k]
     stop = Event(order.time, "stop", (order.agents[0],),
                  (Point(0.0, 0.0),))
-    # The log up to that order.
     checks.check_orders(dataclasses.replace(
         trace, events=events[:k] + [stop, dataclasses.replace(
             order, agents=order.agents[1:])]))

@@ -851,6 +851,7 @@ def test_speed_bounds_keep_every_scan_equal_to_the_full_scan(
             run(moved, factory)
         assert len(scans) > n
 
+
 class _Waiter(Program):
     """Stands where it appeared in waits of one time unit: it is never
     idle."""
