@@ -564,28 +564,32 @@ class ProximityGraph:
 
         While the run is symmetric (see Simulation), a changed agent in
         sure gets no row: one certificate that lasts the run stands in
-        for one solved at every leg.  Every live agent then walks a leg,
-        and every leg so far matched the run's one path, so two agents i
-        and j trace the same path, shifted by their origins and start
-        times, up to the leg slack.  Agent i is sure when
+        for one solved at every leg.  Agent i is sure when
         d_ij - (1 + SPEED_TOL) |t_i - t_j| > epsilon + BOUND_SLACK +
         _PATH_SLACK for every other agent j, d_ij the distance of their
-        origins.  The soundness bound: take the agent of the pair that
-        has begun the other's current leg k.  Its own leg k, shifted by
-        the origins, lies within 2 sqrt(2) _LEG_SLACK of the other's; its
-        path moves at most 1 + SPEED_TOL, and it walks leg k at a time
-        within |t_i - t_j| + 4 _LEG_SLACK + 3 TIME_TOL of the other
-        (starts, durations and the stretched span).  So over every span a
-        scan solves, the pair stays farther apart than
-        d_ij - (1 + SPEED_TOL) (|t_i - t_j| + 6 _LEG_SLACK + 6 TIME_TOL)
-        - 2 sqrt(2) _LEG_SLACK > epsilon + BOUND_SLACK, and neither
-        the cannot-cross test nor the solver would give it a certificate
-        other than inf.  A skipped pair keeps that inf, its starting one,
-        so the scan's hits, and every trace, are the full scan's.  The
-        domain is the one BOUND_SLACK states: coordinates up to 1e7, and
-        pairs whose distance R at a solve has R^2 < 2e6 epsilon.  A row
-        of a changed agent that is not sure may skip its pair with a sure
-        one that changed too; that pair is sure as well.
+        origins.  The soundness bound: every live agent walks a leg, and
+        every leg so far matched the path and ended on time, so each
+        agent's own path is continuous and moves at most 1 + SPEED_TOL.
+        Of a pair, take the agent a that has begun the current leg k of
+        the other, b.  Their legs k have one velocity; shifted by the
+        origins, their starts lie within 2 sqrt(2) _LEG_SLACK, their
+        local starts and durations differ by at most 2 _LEG_SLACK, and a
+        scan solves up to 3 TIME_TOL past a leg's end (the stretched span
+        and a root snapped onto it).  Positions advanced in steps jump to
+        a leg's end up to TIME_TOL early.  So at every instant of a
+        solved span, b is within 2 sqrt(2) _LEG_SLACK + (1 + SPEED_TOL)
+        (2 _LEG_SLACK + 4 TIME_TOL) of where a was, shifted, at a time
+        |t_i - t_j| + 4 _LEG_SLACK + 4 TIME_TOL from now at most, and the
+        pair stays farther apart than d_ij - 2 sqrt(2) _LEG_SLACK -
+        (1 + SPEED_TOL) (|t_i - t_j| + 6 _LEG_SLACK + 8 TIME_TOL), which
+        exceeds epsilon + BOUND_SLACK.  Neither the cannot-cross test
+        nor the solver would then give the pair a certificate other than
+        inf.  A skipped pair keeps that inf, its starting one, so the
+        scan's hits, and every trace, are the full scan's.  The domain is
+        the one BOUND_SLACK states: coordinates up to 1e7, and pairs
+        whose distance R at a solve has R^2 < 2e6 epsilon.  A row of a
+        changed agent that is not sure may skip its pair with a sure one
+        that changed too; that pair is sure as well.
         """
         n = self._n
         cert = self._cert
