@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
-from .config import InitialConfiguration
+from .config import InitialConfiguration, pair_margin
 from .geometry import (BOUND_SLACK, POS_TOL, PROX_TOL, SEPARATION_TOL,
                        SPEED_TOL, TIME_TOL, Point, Trajectory,
                        TrajectoryBuilder, Vec2, solve_crossing_in,
@@ -48,12 +48,11 @@ _CERT_MARGIN = 2 * TIME_TOL
 # 1 + SPEED_TOL.
 _CLOSING_SPEED = 2.0 * (1.0 + SPEED_TOL)
 
-# Margin of a sure agent in a symmetric run (see ProximityGraph.next_events)
-# over the pair distance eps + BOUND_SLACK of the cannot-cross test.  A
-# leg matches the run's path when its local start, its duration and each
-# coordinate of its start's displacement lie within _LEG_SLACK of the
-# path's; the drift this allows between two agents' paths stays below
-# _PATH_SLACK.
+# Margin of a sure pair (see ProximityGraph.next_events) over the pair
+# distance eps + BOUND_SLACK of the cannot-cross test.  A leg matches the
+# run's path when its local start, its duration and each coordinate of its
+# start's displacement lie within _LEG_SLACK of the path's; the drift this
+# allows between two agents' paths stays below _PATH_SLACK.
 _PATH_SLACK = POS_TOL
 _LEG_SLACK = _PATH_SLACK / 16
 
@@ -515,9 +514,9 @@ class ProximityGraph:
         n = self._n = len(agents)
         self._cert: list[float] = [math.inf] * (n * n)
         self._cert_queue: list[tuple[float, int]] = []
-        # The agents whose rows the scan skips: the sure agents while the
-        # run is symmetric, and none after (see next_events).
-        self.sure: frozenset[int] = frozenset()
+        # True while the run is symmetric and every pair is sure: the scan
+        # builds no row (see next_events).
+        self.sure = False
 
     def next_events(self, live: list[_Agent], now: float, t_bound: float
                     ) -> tuple[float, list[tuple[float, Pair]]]:
@@ -562,11 +561,11 @@ class ProximityGraph:
         BOUND_SLACK in geometry).  A pair in lockstep (relative velocity
         exactly 0) keeps its distance, and its lim is epsilon.
 
-        While the run is symmetric (see Simulation), a changed agent in
-        sure gets no row: one certificate that lasts the run stands in
-        for one solved at every leg.  Agent i is sure when
-        d_ij - (1 + SPEED_TOL) |t_i - t_j| > epsilon + BOUND_SLACK +
-        _PATH_SLACK for every other agent j, d_ij the distance of their
+        While sure is set, the run is symmetric (see Simulation) and
+        every pair is sure, and the scan builds no row: one certificate
+        that lasts the run stands in for one solved at every leg.  Pair
+        (i, j) is sure when d_ij - (1 + SPEED_TOL) |t_i - t_j| >
+        epsilon + BOUND_SLACK + _PATH_SLACK, d_ij the distance of their
         origins.  The soundness bound: every live agent walks a leg, and
         every leg so far matched the path and ended on time, so each
         agent's own path is continuous and moves at most 1 + SPEED_TOL.
@@ -582,14 +581,14 @@ class ProximityGraph:
         |t_i - t_j| + 4 _LEG_SLACK + 4 TIME_TOL from now at most, and the
         pair stays farther apart than d_ij - 2 sqrt(2) _LEG_SLACK -
         (1 + SPEED_TOL) (|t_i - t_j| + 6 _LEG_SLACK + 8 TIME_TOL), which
-        exceeds epsilon + BOUND_SLACK.  Neither the cannot-cross test
-        nor the solver would then give the pair a certificate other than
-        inf.  A skipped pair keeps that inf, its starting one, so the
+        exceeds epsilon + BOUND_SLACK: Simulation evaluates the sure test
+        from config.pair_margin, within 2e-8 of its exact value in the
+        domain below, and the drift and that rounding stay below
+        _PATH_SLACK.  Neither the cannot-cross test nor the solver would
+        then give the pair a certificate other than inf.  A skipped pair keeps that inf, its starting one, so the
         scan's hits, and every trace, are the full scan's.  The domain is
         the one BOUND_SLACK states: coordinates up to 1e7, and pairs
-        whose distance R at a solve has R^2 < 2e6 epsilon.  A row of a
-        changed agent that is not sure may skip its pair with a sure one
-        that changed too; that pair is sure as well.
+        whose distance R at a solve has R^2 < 2e6 epsilon.
         """
         n = self._n
         cert = self._cert
@@ -603,11 +602,9 @@ class ProximityGraph:
         agents = self.agents
         changed = self.changed
         rows = []
-        if changed and len(live) > 1:
-            sure = self.sure
+        if changed and len(live) > 1 and not self.sure:
             for i in sorted(changed) if len(changed) > 1 else changed:
-                if i not in sure:
-                    rows.append((agents[i], live))
+                rows.append((agents[i], live))
         for key in keys:
             lo, hi = divmod(key, n)
             if lo not in changed and hi not in changed:
@@ -758,10 +755,11 @@ class ProximityGraph:
 class Simulation:
     """One run of cfg under a program factory.
 
-    A run starts symmetric when some agent is sure (see
-    ProximityGraph.next_events).  Until its first meeting, every agent
-    of an anonymous run walks one solo path, shifted by its origin and
-    start time (the paper's impossibility argument).  The run keeps that
+    A run starts symmetric when every pair is sure (see
+    ProximityGraph.next_events), which only an UNGATHERABLE configuration
+    with margin can be.  Until its first meeting, every agent of an
+    anonymous run walks one solo path, shifted by its origin and start
+    time (the paper's impossibility argument).  The run keeps that
     path, leg by leg, as the first agent to begin each leg walked it,
     and checks every other leg against it in _set_motion, so a program
     that tells agents apart only ends the symmetric run early.  The run
@@ -798,10 +796,13 @@ class Simulation:
         # of each leg, (dx, dy) its start's displacement from the origin;
         # None when the run is not symmetric.
         self._path: Optional[list[tuple]] = None
-        sure = _sure_agents(cfg, self.eps + BOUND_SLACK + _PATH_SLACK)
-        if sure:
+        # -pair_margin is d_ij - |t_i - t_j| - eps.
+        times = cfg.times
+        reach = BOUND_SLACK + _PATH_SLACK
+        if all(-pair_margin(cfg, i, j) - SPEED_TOL * abs(times[i] - times[j])
+               > reach for i, j in itertools.combinations(range(cfg.n), 2)):
             self._path = []
-            self._prox.sure = sure
+            self._prox.sure = True
         self.events: list[Event] = []
         # The (issuer, target in its frame) orders of the GA whose on_ga
         # callbacks are running; None outside them.
@@ -879,7 +880,7 @@ class Simulation:
         """The run stops being symmetric: from now on the scan solves
         every row."""
         self._path = None
-        self._prox.sure = frozenset()
+        self._prox.sure = False
 
     def _start_pending(self, agent: _Agent) -> None:
         """Begin the next queued instruction, skipping instantaneous ones."""
@@ -1180,27 +1181,6 @@ class Simulation:
             ag.ctx = None
         return Trace(self.events, tuple(ag.tag for ag in self.agents),
                      tuple(trajectories), verdict)
-
-
-def _sure_agents(cfg: InitialConfiguration, reach: float) -> frozenset[int]:
-    """The agents i with d_ij - (1 + SPEED_TOL) |t_i - t_j| > reach for
-    every other agent j, d_ij the distance of their starting points."""
-    n = cfg.n
-    starts = cfg.starts
-    times = cfg.times
-    speed = 1.0 + SPEED_TOL
-    hypot = math.hypot
-    sure = set(range(n))
-    for i in range(n):
-        p = starts[i]
-        ti = times[i]
-        for j in range(i + 1, n):
-            q = starts[j]
-            if not (hypot(p.x - q.x, p.y - q.y)
-                    - speed * abs(ti - times[j]) > reach):
-                sure.discard(i)
-                sure.discard(j)
-    return frozenset(sure)
 
 
 def _cluster_points(points: list[Point]) -> list[tuple[int, ...]]:

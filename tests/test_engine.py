@@ -21,7 +21,8 @@ from gathersim import engine
 from gathersim.algorithms import (dedicated_program, gather_a_program,
                                   gather_n_program)
 from gathersim.checks import check_all
-from gathersim.config import Feasibility, InitialConfiguration
+from gathersim.config import (Feasibility, InitialConfiguration,
+                             pair_margin)
 from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
                               InvalidInstruction, Program, ProximityGraph,
                               Simulation, Wait, connected_components,
@@ -927,7 +928,7 @@ def test_non_anonymous_programs_match_the_full_scan(kind, monkeypatch):
     for s in range(4):
         cfg = ungatherable_config(100 + s, 4)
         sim = Simulation(cfg, _split_factory(kind, 4), horizon=300.0)
-        assert sim._prox.sure == set(range(4))
+        assert sim._prox.sure
         trace = sim.run()
         check_all(cfg, trace)
         gas += len(trace.ga_events())
@@ -935,30 +936,34 @@ def test_non_anonymous_programs_match_the_full_scan(kind, monkeypatch):
     assert len(scans) > 100
 
 
-def _sure_pair(margin):
-    """Two agents at (0, 0) from time 0 and at (x, 0) from 0.5, eps 1.2:
-    x is the float whose margin x - (1 + SPEED_TOL) 0.5 is margin."""
-    speed = 1.0 + SPEED_TOL
-    x = margin + speed * 0.5
+def _sure_pair(side):
+    """Two agents at (0, 0) from time 0 and at (x, 0) from 0.5, eps 1.2,
+    with x the least float that makes the pair sure, or the float below
+    it.  The sure test: -pair_margin - SPEED_TOL |t_i - t_j| >
+    BOUND_SLACK + _PATH_SLACK."""
+    def sure(x):
+        cfg = InitialConfiguration(1.2, (Point(0.0, 0.0), Point(x, 0.0)),
+                                   (0.0, 0.5))
+        return cfg, (-pair_margin(cfg, 0, 1) - SPEED_TOL * 0.5
+                     > BOUND_SLACK + engine._PATH_SLACK)
+
+    x = 1.2 + 0.5 + BOUND_SLACK + engine._PATH_SLACK
     for _ in range(8):
         x = math.nextafter(x, -math.inf)
-    while x - speed * 0.5 < margin:
+    assert not sure(x)[1]
+    while not sure(x)[1]:
         x = math.nextafter(x, math.inf)
-    assert x - speed * 0.5 == margin
-    return InitialConfiguration(1.2, (Point(0.0, 0.0), Point(x, 0.0)),
-                                (0.0, 0.5))
+    return sure(x if side > 0 else math.nextafter(x, -math.inf))[0]
 
 
 @pytest.mark.parametrize("side", [1, -1])
 def test_sure_threshold_one_float_either_side(side, monkeypatch):
-    # The sure threshold: eps + BOUND_SLACK + _PATH_SLACK.  One float
-    # above it both agents are sure and the symmetric run solves no
-    # pair; one float below it neither is, and the pair is solved.  Both
-    # scans equal the full scan.
-    threshold = 1.2 + BOUND_SLACK + engine._PATH_SLACK
-    cfg = _sure_pair(math.nextafter(threshold, side * math.inf))
+    # At the least float that makes the pair sure, the run is symmetric
+    # and solves no pair; one float below it, it is not, and the pair is
+    # solved.  Both scans equal the full scan.
+    cfg = _sure_pair(side)
     sim = Simulation(cfg, gather_n_program(2))
-    assert sim._prox.sure == ({0, 1} if side > 0 else set())
+    assert sim._prox.sure == (side > 0)
     calls = _counted_solve_in(monkeypatch)
     scans = _check_pair_events_against_full_scan(monkeypatch)
     ended = []
@@ -977,7 +982,7 @@ def test_sure_threshold_one_float_either_side(side, monkeypatch):
 @pytest.mark.parametrize("shift", ["as-is", "far-plane", "late-time"])
 def test_ungatherable_runs_stay_symmetric_and_solve_nothing(shift,
                                                            monkeypatch):
-    # Every agent of these runs is sure, and every leg stays on the path
+    # Every pair of these runs is sure, and every leg stays on the path
     # to the horizon, also with coordinates near 1e7 and clocks near 1e6.
     calls = _counted_solve_in(monkeypatch)
     outs = []
@@ -993,7 +998,7 @@ def test_ungatherable_runs_stay_symmetric_and_solve_nothing(shift,
             cfg = cfg.time_shifted(1e6)
             horizon += 1e6
         sim = Simulation(cfg, gather_n_program(8), horizon)
-        assert sim._prox.sure == set(range(8))
+        assert sim._prox.sure
         trace = sim.run()
         assert trace.verdict.kind == "timeout"
         assert sim._path is not None and len(sim._path) > 300
@@ -1001,28 +1006,32 @@ def test_ungatherable_runs_stay_symmetric_and_solve_nothing(shift,
 
 
 @pytest.mark.parametrize("case, end", [
-    ("ga", 0.0), ("early end", 1.0 - 5e-10), ("late arrival", None)])
+    ("near pair", None), ("early end", 1.0 - 5e-10),
+    ("late arrival", None)])
 def test_symmetric_run_ends_where_the_path_stops_holding(case, end):
     # Agents that wait in legs of one time unit: 2 and 3 are far from
-    # the rest and sure.  0 and 1 start within eps of each other, so in
-    # the "ga" case their GA ends the symmetric run at once.  Otherwise 0
-    # is far from 1, and 1 appears within TIME_TOL before the end of 0's
-    # first wait, which then ends early and so faster than the path, or
-    # 1 appears beyond TIME_TOL before it, and the run stays symmetric.
-    t1 = {"ga": 0.0, "early end": 1.0 - 5e-10,
+    # the rest.  In the "near pair" case 0 and 1 start within eps of each
+    # other, so not every pair is sure, the run never starts symmetric
+    # and every pair is scanned: 0 and 1 meet.  Otherwise 0 is far from
+    # 1, and 1 appears within TIME_TOL before the end of 0's first wait,
+    # which then ends early and so faster than the path, or 1 appears
+    # beyond TIME_TOL before it, and the run stays symmetric.
+    t1 = {"near pair": 0.0, "early end": 1.0 - 5e-10,
           "late arrival": 1.0 - 5e-9}[case]
-    x1 = 0.3 if case == "ga" else -10.0
+    x1 = 0.3 if case == "near pair" else -10.0
     cfg = InitialConfiguration(
         0.5, (Point(0.0, 0.0), Point(x1, 0.0), Point(10.0, 0.0),
               Point(0.0, 10.0)), (0.0, t1, 0.0, 0.0))
     sim = Simulation(cfg, _Waiter, horizon=20.0)
-    assert {2, 3} <= sim._prox.sure
+    starts = case != "near pair"
+    assert sim._prox.sure == starts and (sim._path is not None) == starts
     ended = []
     real_end = sim._end_symmetry
     sim._end_symmetry = lambda: ended.append(sim._now) or real_end()
-    sim.run()
+    trace = sim.run()
     assert ended == ([] if end is None else [end])
-    assert (sim._path is None) == (end is not None)
+    assert (sim._path is None) == (not starts or end is not None)
+    assert len(trace.ga_events()) == (0 if starts else 1)
 
 
 def _view_for(sim, observer, group):
