@@ -56,6 +56,10 @@ _CLOSING_SPEED = 2.0 * (1.0 + SPEED_TOL)
 _PATH_SLACK = POS_TOL
 _LEG_SLACK = _PATH_SLACK / 16
 
+# A symmetric run keeps at most this many of its instants: a leg begun
+# more than half of them ago is replayed when the list is cut back.
+_MAX_INSTANTS = 1024
+
 
 @dataclass(frozen=True, slots=True)
 class AgentRef:
@@ -386,7 +390,7 @@ _index = operator.attrgetter("idx")
 class _Agent:
     __slots__ = ("idx", "ref", "origin", "start_time", "stopped",
                  "tag", "knowledge", "program", "queue", "motion", "x", "y",
-                 "point", "builder", "ctx", "leg")
+                 "point", "builder", "ctx", "leg", "since")
 
     def __init__(self, idx: int, ref: AgentRef, origin: Point,
                  start_time: float, program: Program):
@@ -411,6 +415,9 @@ class _Agent:
         self.ctx: Optional[AgentContext] = None
         # The index of the agent's next leg on a symmetric run's path.
         self.leg = 0
+        # In a symmetric run, the place in the run's instant list of the
+        # instant at which x and y were last current (see _replay).
+        self.since = 0
 
     def here(self) -> Point:
         """The current position as a Point, the same object while the agent
@@ -443,6 +450,8 @@ class AgentContext:
     @property
     def position(self) -> Point:
         ag = self._agent
+        if self._sim._path is not None:
+            self._sim._replay(ag)
         o = ag.origin
         return Point(ag.x - o.x, ag.y - o.y)
 
@@ -562,8 +571,12 @@ class ProximityGraph:
         exactly 0) keeps its distance, and its lim is epsilon.
 
         While sure is set, the run is symmetric (see Simulation) and
-        every pair is sure, and the scan builds no row: one certificate
-        that lasts the run stands in for one solved at every leg.  Pair
+        every pair is sure, and the scan returns at once: it builds no
+        row, and no certificate is due, as none was ever made.  One
+        certificate that lasts the run stands in for one solved at every
+        leg.  The scan then reads no position, and none is current: a
+        live agent's x and y hold only at its own events and after
+        Simulation._sync.  Pair
         (i, j) is sure when d_ij - (1 + SPEED_TOL) |t_i - t_j| >
         epsilon + BOUND_SLACK + _PATH_SLACK, d_ij the distance of their
         origins.  The soundness bound: every live agent walks a leg, and
@@ -590,6 +603,10 @@ class ProximityGraph:
         the one BOUND_SLACK states: coordinates up to 1e7, and pairs
         whose distance R at a solve has R^2 < 2e6 epsilon.
         """
+        changed = self.changed
+        if self.sure:
+            changed.clear()
+            return t_bound, []
         n = self._n
         cert = self._cert
         queue = self._cert_queue
@@ -600,9 +617,8 @@ class ProximityGraph:
             if cert[key] == t:  # else a later solve replaced this entry
                 keys.add(key)
         agents = self.agents
-        changed = self.changed
         rows = []
-        if changed and len(live) > 1 and not self.sure:
+        if changed and len(live) > 1:
             for i in sorted(changed) if len(changed) > 1 else changed:
                 rows.append((agents[i], live))
         for key in keys:
@@ -766,6 +782,13 @@ class Simulation:
     stops being symmetric for good at its first GA, stop, dropped motion
     (a clear_plan that halts a moving agent), leg that ends early, or
     idle agent, or at a leg that does not match the path.
+
+    While a run is symmetric nothing reads the agents' positions but
+    their own events, so an instant touches only the agents whose legs
+    end or begin in it: _advance_to records the instant instead of
+    moving every agent, and an agent's x and y are current only at its
+    own events and after _sync, which replays the float steps of an
+    eager advance (see _replay).
     """
 
     def __init__(self, cfg: InitialConfiguration,
@@ -796,12 +819,17 @@ class Simulation:
         # of each leg, (dx, dy) its start's displacement from the origin;
         # None when the run is not symmetric.
         self._path: Optional[list[tuple]] = None
+        # The symmetric run's instants, the last one now, from the one the
+        # oldest leg in flight began at; None when the run is not
+        # symmetric.
+        self._instants: Optional[list[float]] = None
         # -pair_margin is d_ij - |t_i - t_j| - eps.
         times = cfg.times
         reach = BOUND_SLACK + _PATH_SLACK
         if all(-pair_margin(cfg, i, j) - SPEED_TOL * abs(times[i] - times[j])
                > reach for i, j in itertools.combinations(range(cfg.n), 2)):
             self._path = []
+            self._instants = [self._now]
             self._prox.sure = True
         self.events: list[Event] = []
         # The (issuer, target in its frame) orders of the GA whose on_ga
@@ -837,7 +865,13 @@ class Simulation:
 
     def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
         """Every change of a leg but a motion's end goes through here, so
-        here a symmetric run checks each new leg against its path."""
+        here a symmetric run checks each new leg against its path.  A
+        dropped motion leaves the path, and ends the symmetric run before
+        the leg is recorded, so the agent is replayed to where it is."""
+        symmetric = self._path is not None
+        if symmetric and motion is None:
+            self._end_symmetry()
+            symmetric = False
         if self._now > agent.builder.last_time:
             self._record_leg(agent)
         agent.motion = motion
@@ -845,17 +879,15 @@ class Simulation:
         if motion is not None:
             heapq.heappush(self._ends,
                            (motion.t_end, next(self._seq), agent, motion))
-        if self._path is not None:
+        if symmetric:
+            agent.since = len(self._instants) - 1
             self._follow_path(agent, motion)
 
-    def _follow_path(self, agent: _Agent, motion: Optional[_Motion]) -> None:
+    def _follow_path(self, agent: _Agent, motion: _Motion) -> None:
         """Check a new leg of a symmetric run against the path: the same
         vx and vy floats, and local start, duration and displacement from
         the origin within _LEG_SLACK.  The first agent to begin a leg
-        adds it to the path; a dropped motion leaves the path."""
-        if motion is None:
-            self._end_symmetry()
-            return
+        adds it to the path."""
         now = self._now
         o = agent.origin
         tau = now - agent.start_time
@@ -877,10 +909,72 @@ class Simulation:
             self._end_symmetry()
 
     def _end_symmetry(self) -> None:
-        """The run stops being symmetric: from now on the scan solves
-        every row."""
+        """The run stops being symmetric: every agent is replayed to now,
+        and from now on the agents move at every instant and the scan
+        solves every row."""
+        self._sync()
         self._path = None
+        self._instants = None
         self._prox.sure = False
+
+    def _sync(self) -> None:
+        """Bring every moving live agent of a symmetric run up to now; in
+        a run that is not symmetric positions are always current."""
+        if self._path is not None:
+            replay = self._replay
+            for ag in self._live:
+                if ag.motion is not None:
+                    replay(ag)
+
+    def _replay(self, agent: _Agent) -> None:
+        """Bring an agent of a symmetric run up to now.
+
+        From the instant at which its x and y were last current, take at
+        every later instant of the run the float step an eager
+        _advance_to takes: so x and y are bit for bit the floats an
+        advance of every agent at every instant gives.
+        """
+        m = agent.motion
+        instants = self._instants
+        k = agent.since
+        last = len(instants) - 1
+        if m is None or k == last:
+            return
+        agent.since = last
+        x = agent.x
+        y = agent.y
+        vx = m.vx
+        vy = m.vy
+        snap = m.t_end - TIME_TOL
+        prev = instants[k]
+        for k in range(k + 1, last + 1):
+            t = instants[k]
+            dt = t - prev
+            prev = t
+            if dt > 0.0:
+                if t >= snap:
+                    x = m.x_end
+                    y = m.y_end
+                else:
+                    x = x + vx * dt
+                    y = y + vy * dt
+        agent.x = x
+        agent.y = y
+
+    def _cut_instants(self) -> None:
+        """Cut the instant list back to the instant the oldest leg in
+        flight began at, after replaying the legs begun more than half of
+        _MAX_INSTANTS ago, so that the list never outgrows the cap."""
+        instants = self._instants
+        floor = len(instants) - _MAX_INSTANTS // 2
+        moving = [ag for ag in self._live if ag.motion is not None]
+        for ag in moving:
+            if ag.since < floor:
+                self._replay(ag)
+        oldest = min([ag.since for ag in moving], default=len(instants) - 1)
+        del instants[:oldest]
+        for ag in moving:
+            ag.since -= oldest
 
     def _start_pending(self, agent: _Agent) -> None:
         """Begin the next queued instruction, skipping instantaneous ones."""
@@ -939,8 +1033,17 @@ class Simulation:
     def _advance_to(self, t: float) -> None:
         """Move the live agents on to time t.
 
-        Makes no trajectory record: a leg is recorded when it ends.
+        Makes no trajectory record: a leg is recorded when it ends.  A
+        symmetric run only adds t to its instants: its agents' x and y
+        are then current only at their own events and after _sync.
         """
+        instants = self._instants
+        if instants is not None:
+            instants.append(t)
+            if len(instants) > _MAX_INSTANTS:
+                self._cut_instants()
+            self._now = t
+            return
         dt = t - self._now
         if dt > 0.0:
             for ag in self._live:
@@ -1061,6 +1164,8 @@ class Simulation:
                 ag.program.on_appear(ag.ctx)
         if pair_hits or appeared_now:  # else no edge can be new
             new_edges = prox.apply(t, pair_hits) if pair_hits else set()
+            if self._path is not None:
+                self._sync()
             for ag in appeared_now:
                 new_edges.update(prox.touching(ag, live))
             if new_edges:
@@ -1080,10 +1185,17 @@ class Simulation:
             for ag in arrived:
                 # What _set_motion(ag, None) does, inline.
                 m = ag.motion
-                if m.t_end > t and self._path is not None:
-                    # Ended early, within TIME_TOL: the agent went faster
-                    # than its path.
-                    self._end_symmetry()
+                if self._path is not None:
+                    if m.t_end > t:
+                        # Ended early, within TIME_TOL: the agent went
+                        # faster than its path.
+                        self._end_symmetry()
+                    else:
+                        # Where an eager advance has put it: at least one
+                        # instant since its leg began lies past
+                        # t_end - TIME_TOL.
+                        ag.x = m.x_end
+                        ag.y = m.y_end
                 self._record_leg(ag)
                 ag.motion = None
                 prox.changed.add(ag.idx)
@@ -1148,6 +1260,9 @@ class Simulation:
         if timed_out:
             self._advance_to(self.horizon)
             self.events.append(Event(self.horizon, "horizon"))
+        if self._path is not None:
+            # Replayed, not ended: the run was symmetric to its end.
+            self._sync()
         final_positions = []
         trajectories = []
         end = max(self._now, max(ag.start_time for ag in self.agents))

@@ -395,6 +395,8 @@ def _check_pair_events_against_full_scan(monkeypatch):
     scans = []
 
     def checked(self, live, now, t_bound):
+        if live:  # a symmetric run's positions are current only once synced
+            live[0].ctx._sim._sync()
         expect = _full_scan_pair_events(self, live, now, t_bound)
         t_event, hits = real(self, live, now, t_bound)
         assert t_event == expect[0]
@@ -1034,6 +1036,168 @@ def test_symmetric_run_ends_where_the_path_stops_holding(case, end):
     assert len(trace.ga_events()) == (0 if starts else 1)
 
 
+def _column_bits(trace):
+    """The JSONL lines, and the float.hex of every trajectory column."""
+    return trace.jsonl_lines(), [
+        [[v.hex() for v in col] for col in (traj.times, traj.xs, traj.ys)]
+        for traj in trace.trajectories]
+
+
+def _lazy_and_eager(cfg, factory, horizon=None):
+    """Run cfg as it is, symmetric with lazy positions, and as the
+    reference, which ends the symmetry before it starts and so moves
+    every agent at every instant.  Returns both simulations and traces."""
+    lazy = Simulation(cfg, factory(), horizon)
+    assert lazy._prox.sure
+    eager = Simulation(cfg, factory(), horizon)
+    eager._end_symmetry()
+    return lazy, lazy.run(), eager, eager.run()
+
+
+@pytest.mark.parametrize("shift", ["as-is", "far-plane", "late-time"])
+def test_symmetric_positions_replay_the_eager_floats(shift):
+    # A symmetric run moves an agent only at its own events and replays
+    # the others when they are read; its trace is bit for bit the one of
+    # a run that moves every agent at every instant, also with
+    # coordinates near 1e7 and clocks near 1e6.
+    for s in range(6):
+        cfg = ungatherable_config(s, 8)
+        horizon = None
+        if shift == "far-plane":
+            cfg = cfg.translated(Vec2(1e7, -1e7))
+        elif shift == "late-time":
+            cfg = cfg.time_shifted(1e6)
+            horizon = 1e6 + 400.0
+        lazy, trace, eager, ref = _lazy_and_eager(
+            cfg, lambda: gather_n_program(8), horizon)
+        assert trace.verdict.kind == "timeout"
+        assert lazy._path is not None and eager._path is None
+        assert _column_bits(trace) == _column_bits(ref)
+
+
+def _kept_instants(monkeypatch):
+    """Record the length of a symmetric run's instant list after every
+    advance; returns the list of lengths."""
+    kept = []
+    real = Simulation._advance_to
+
+    def advance(self, t):
+        real(self, t)
+        if self._instants is not None:
+            kept.append(len(self._instants))
+
+    monkeypatch.setattr(Simulation, "_advance_to", advance)
+    return kept
+
+
+def test_symmetric_instant_list_stays_bounded(monkeypatch):
+    # Over a horizon of 5000 a symmetric run has more than eight times as
+    # many instants as it keeps.
+    cfg = ungatherable_config(0, 8)
+    kept = _kept_instants(monkeypatch)
+    lazy, trace, _, ref = _lazy_and_eager(
+        cfg, lambda: gather_n_program(8), 5000.0)
+    assert lazy._path is not None
+    assert len(kept) > 8 * engine._MAX_INSTANTS
+    assert max(kept) <= engine._MAX_INSTANTS
+    assert _column_bits(trace) == _column_bits(ref)
+
+
+class _LongThenShort(Program):
+    """One long walk, then short walks east and west, for good."""
+
+    def __init__(self):
+        self.east = True
+
+    def on_appear(self, ctx):
+        ctx.issue(Go(Vec2(0.6, 0.8), 150.0))
+
+    def on_idle(self, ctx):
+        self.east = not self.east
+        ctx.issue(Go(Vec2(1.0 if self.east else -1.0, 0.0), 0.0625))
+
+
+def test_leg_older_than_the_kept_instants_is_replayed_exactly(
+        monkeypatch):
+    # Agent 1's long walk spans more of agent 0's short ones than the
+    # instant list keeps, so the list is cut back past its start: the
+    # walk is replayed at the cut, and its floats are still the eager
+    # ones.
+    cfg = InitialConfiguration(
+        0.5, (Point(0.0, 0.0), Point(0.0, -400.0)), (0.0, 100.0))
+    kept = _kept_instants(monkeypatch)
+    lazy, trace, _, ref = _lazy_and_eager(
+        cfg, lambda: _LongThenShort, 400.0)
+    assert lazy._path is not None
+    walk = [t for t in trace.trajectories[0].times if 100.0 < t < 250.0]
+    assert len(walk) > engine._MAX_INSTANTS >= max(kept)
+    assert _column_bits(trace) == _column_bits(ref)
+
+
+class _Meddler(Program):
+    """gather-n, with state shared by every instance: each keeps the ctx
+    of every agent that appeared.  With act "read", at each idle poll it
+    logs where every other agent is, mid-leg; with act "clear" or "stop",
+    the 200th poll of the run clears the plan of, or stops, every other
+    agent, each in the middle of a walk."""
+
+    def __init__(self, shared, act):
+        self.shared = shared
+        self.act = act
+        self.inner = gather_n_program(8)()
+
+    def on_appear(self, ctx):
+        self.shared["ctxs"].append(ctx)
+        self.inner.on_appear(ctx)
+
+    def on_ga(self, ctx, view):
+        self.inner.on_ga(ctx, view)
+
+    def on_order(self, ctx, target, issuer):
+        self.inner.on_order(ctx, target, issuer)
+
+    def on_idle(self, ctx):
+        shared = self.shared
+        others = [o for o in shared["ctxs"] if o is not ctx]
+        shared["polls"] += 1
+        if self.act == "read":
+            for other in others:
+                p = other.position
+                shared["log"].append((p.x.hex(), p.y.hex()))
+        elif shared["polls"] == 200:
+            for other in others:
+                if self.act == "clear":
+                    other.clear_plan()
+                else:
+                    other.stop()
+        self.inner.on_idle(ctx)
+
+
+@pytest.mark.parametrize("act", ["read", "clear", "stop"])
+def test_programs_that_read_or_halt_other_agents_see_eager_floats(act):
+    # Every position a program reads off another agent's context, and
+    # every record a halt of that agent makes, is the eager float.
+    for s in range(3):
+        cfg = ungatherable_config(s, 8)
+        logs = []
+
+        def factory():
+            shared = {"ctxs": [], "log": [], "polls": 0}
+            logs.append(shared["log"])
+            return lambda: _Meddler(shared, act)
+
+        lazy, trace, _, ref = _lazy_and_eager(cfg, factory, 300.0)
+        assert logs[0] == logs[1]
+        assert (len(logs[0]) > 1000) == (act == "read")
+        assert _column_bits(trace) == _column_bits(ref)
+        assert (lazy._path is not None) == (act == "read")
+        stops = [ev for ev in trace.events if ev.kind == "stop"]
+        assert len(stops) == (0 if act == "read" else
+                              len(cfg.times) - 1 if act == "stop" else
+                              len(stops))
+        check_all(cfg, trace)
+
+
 def _view_for(sim, observer, group):
     """The _view_bits of observer's view, built per observer from the live
     agents, without the shared snapshot; adjacency is measured from the
@@ -1436,6 +1600,7 @@ class _EveryEventRecorder(Simulation):
 
     def _advance_to(self, t):
         super()._advance_to(t)
+        self._sync()  # a symmetric run's positions are current only once synced
         for ag in self._live:
             if not isinstance(ag.builder, _LastRecordOfEachLeg):
                 ag.builder = _LastRecordOfEachLeg(ag.builder)
