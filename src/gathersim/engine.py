@@ -783,12 +783,13 @@ class Simulation:
     (a clear_plan that halts a moving agent), leg that ends early, or
     idle agent, or at a leg that does not match the path.
 
-    While a run is symmetric nothing reads the agents' positions but
-    their own events, so an instant touches only the agents whose legs
-    end or begin in it: _advance_to records the instant instead of
-    moving every agent, and an agent's x and y are current only at its
-    own events and after _sync, which replays the float steps of an
-    eager advance (see _replay).
+    While a run is symmetric only an agent's own events need its
+    position, so an instant touches only the agents whose legs end or
+    begin in it: _advance_to records the instant instead of moving every
+    agent.  An agent's x and y are then current only at its own events
+    and after _sync; every other reader (an appearance, a program's
+    AgentContext.position, the end of symmetry or of the run) replays
+    them first, with the float steps of an eager advance (see _replay).
     """
 
     def __init__(self, cfg: InitialConfiguration,

@@ -1046,7 +1046,9 @@ def _column_bits(trace):
 def _lazy_and_eager(cfg, factory, horizon=None):
     """Run cfg as it is, symmetric with lazy positions, and as the
     reference, which ends the symmetry before it starts and so moves
-    every agent at every instant.  Returns both simulations and traces."""
+    every agent at every instant.  factory() makes each run's program
+    factory, so the runs share no program state.  Returns both
+    simulations and traces."""
     lazy = Simulation(cfg, factory(), horizon)
     assert lazy._prox.sure
     eager = Simulation(cfg, factory(), horizon)
