@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 
 from .config import InitialConfiguration
-from .engine import Trace, connected_components
+from .engine import Trace, cluster_points, connected_components
 from .geometry import (POS_TOL, PROX_TOL, TIME_TOL, first_illegal_leg,
                        is_finite_point)
 
@@ -258,10 +258,7 @@ def check_verdict(cfg: InitialConfiguration, trace: Trace) -> None:
     elif v.kind == "split":
         if v.groups is None or len(v.groups) < 2:
             _fail("split verdict without at least two groups")
-        nbr = [[j for j, q in enumerate(finals)
-                if j != i and p.dist(q) <= POS_TOL]
-               for i, p in enumerate(finals)]
-        clusters = connected_components(nbr, range(len(finals)))
+        clusters = cluster_points(finals)
         if len(clusters) != len(v.groups):
             _fail(f"split verdict groups: {len(v.groups)} points for "
                   f"{len(clusters)} clusters of trajectory ends")

@@ -29,7 +29,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import InitialConfiguration, pair_margin
 from .geometry import (BOUND_SLACK, POS_TOL, PROX_TOL, SEPARATION_TOL,
@@ -56,8 +56,8 @@ _CLOSING_SPEED = 2.0 * (1.0 + SPEED_TOL)
 _PATH_SLACK = POS_TOL
 _LEG_SLACK = _PATH_SLACK / 16
 
-# A symmetric run keeps at most this many of its instants: a leg begun
-# more than half of them ago is replayed when the list is cut back.
+# A symmetric run keeps at most this many of its instants: past it, every
+# agent is synced and the list restarts at the current instant.
 _MAX_INSTANTS = 1024
 
 
@@ -416,7 +416,7 @@ class _Agent:
         # The index of the agent's next leg on a symmetric run's path.
         self.leg = 0
         # In a symmetric run, the place in the run's instant list of the
-        # instant at which x and y were last current (see _replay).
+        # instant at which x and y were last current (see _sync).
         self.since = 0
 
     def here(self) -> Point:
@@ -449,9 +449,10 @@ class AgentContext:
 
     @property
     def position(self) -> Point:
+        sim = self._sim
+        if sim._instants is not None:
+            sim._sync()
         ag = self._agent
-        if self._sim._path is not None:
-            self._sim._replay(ag)
         o = ag.origin
         return Point(ag.x - o.x, ag.y - o.y)
 
@@ -567,8 +568,7 @@ class ProximityGraph:
         pair would be solved over, and its agents close at most
         _CLOSING_SPEED, so over that span it stays beyond
         epsilon + BOUND_SLACK, where the solver finds no root (see
-        BOUND_SLACK in geometry).  A pair in lockstep (relative velocity
-        exactly 0) keeps its distance, and its lim is epsilon.
+        BOUND_SLACK in geometry).
 
         While sure is set, the run is symmetric (see Simulation) and
         every pair is sure, and the scan returns at once: it builds no
@@ -598,10 +598,16 @@ class ProximityGraph:
         from config.pair_margin, within 2e-8 of its exact value in the
         domain below, and the drift and that rounding stay below
         _PATH_SLACK.  Neither the cannot-cross test nor the solver would
-        then give the pair a certificate other than inf.  A skipped pair keeps that inf, its starting one, so the
-        scan's hits, and every trace, are the full scan's.  The domain is
-        the one BOUND_SLACK states: coordinates up to 1e7, and pairs
-        whose distance R at a solve has R^2 < 2e6 epsilon.
+        then give the pair a certificate other than inf.  A skipped pair
+        keeps that inf, its starting one, so the scan's hits, and every
+        trace, are the full scan's.  The bound covers an appearance too:
+        the later agent j stands at its origin, and the earlier one i has
+        moved at most (1 + SPEED_TOL) |t_i - t_j| from its own, so the
+        pair is farther apart than epsilon + BOUND_SLACK, beyond the
+        epsilon + PROX_TOL of Simulation's touching test, and the
+        appearance makes no edge.  The domain is the one BOUND_SLACK
+        states: coordinates up to 1e7, and pairs whose distance R at a
+        solve has R^2 < 2e6 epsilon.
         """
         changed = self.changed
         if self.sure:
@@ -680,7 +686,7 @@ class ProximityGraph:
                 if j in near:
                     s = solve_out(rx, ry, vx, vy, sep, span)
                 else:
-                    lim = reach + closing * span if vx or vy else eps
+                    lim = reach + closing * span
                     if rx * rx + ry * ry > lim * lim:
                         cert[key] = inf
                         continue
@@ -787,9 +793,12 @@ class Simulation:
     position, so an instant touches only the agents whose legs end or
     begin in it: _advance_to records the instant instead of moving every
     agent.  An agent's x and y are then current only at its own events
-    and after _sync; every other reader (an appearance, a program's
-    AgentContext.position, the end of symmetry or of the run) replays
-    them first, with the float steps of an eager advance (see _replay).
+    and after _sync, which brings every agent up to now with the float
+    steps of an eager advance.  It runs where positions are read or the
+    list would outgrow _MAX_INSTANTS: in a program's
+    AgentContext.position, at the end of symmetry or of the run, and in
+    _advance_to.  An appearance reads none: no pair can meet while the
+    run is symmetric (see ProximityGraph.next_events).
     """
 
     def __init__(self, cfg: InitialConfiguration,
@@ -868,7 +877,7 @@ class Simulation:
         """Every change of a leg but a motion's end goes through here, so
         here a symmetric run checks each new leg against its path.  A
         dropped motion leaves the path, and ends the symmetric run before
-        the leg is recorded, so the agent is replayed to where it is."""
+        the leg is recorded, so the agent is synced to where it is."""
         symmetric = self._path is not None
         if symmetric and motion is None:
             self._end_symmetry()
@@ -910,7 +919,7 @@ class Simulation:
             self._end_symmetry()
 
     def _end_symmetry(self) -> None:
-        """The run stops being symmetric: every agent is replayed to now,
+        """The run stops being symmetric: every agent is synced to now,
         and from now on the agents move at every instant and the scan
         solves every row."""
         self._sync()
@@ -919,63 +928,36 @@ class Simulation:
         self._prox.sure = False
 
     def _sync(self) -> None:
-        """Bring every moving live agent of a symmetric run up to now; in
-        a run that is not symmetric positions are always current."""
-        if self._path is not None:
-            replay = self._replay
-            for ag in self._live:
-                if ag.motion is not None:
-                    replay(ag)
+        """Bring every moving live agent of a symmetric run up to now,
+        and restart the instant list at now; in a run that is not
+        symmetric positions are always current.
 
-    def _replay(self, agent: _Agent) -> None:
-        """Bring an agent of a symmetric run up to now.
-
-        From the instant at which its x and y were last current, take at
-        every later instant of the run the float step an eager
-        _advance_to takes: so x and y are bit for bit the floats an
-        advance of every agent at every instant gives.
+        From the instant at which an agent's x and y were last current,
+        take at every later instant the float step an eager _advance_to
+        takes, so x and y are bit for bit the floats an advance of every
+        agent at every instant gives.
         """
-        m = agent.motion
         instants = self._instants
-        k = agent.since
-        last = len(instants) - 1
-        if m is None or k == last:
+        if instants is None:
             return
-        agent.since = last
-        x = agent.x
-        y = agent.y
-        vx = m.vx
-        vy = m.vy
-        snap = m.t_end - TIME_TOL
-        prev = instants[k]
-        for k in range(k + 1, last + 1):
-            t = instants[k]
-            dt = t - prev
-            prev = t
-            if dt > 0.0:
-                if t >= snap:
-                    x = m.x_end
-                    y = m.y_end
-                else:
-                    x = x + vx * dt
-                    y = y + vy * dt
-        agent.x = x
-        agent.y = y
-
-    def _cut_instants(self) -> None:
-        """Cut the instant list back to the instant the oldest leg in
-        flight began at, after replaying the legs begun more than half of
-        _MAX_INSTANTS ago, so that the list never outgrows the cap."""
-        instants = self._instants
-        floor = len(instants) - _MAX_INSTANTS // 2
-        moving = [ag for ag in self._live if ag.motion is not None]
-        for ag in moving:
-            if ag.since < floor:
-                self._replay(ag)
-        oldest = min([ag.since for ag in moving], default=len(instants) - 1)
-        del instants[:oldest]
-        for ag in moving:
-            ag.since -= oldest
+        for ag in self._live:
+            m = ag.motion
+            if m is None:
+                continue
+            k = ag.since
+            ag.since = 0
+            prev = instants[k]
+            for t in instants[k + 1:]:
+                dt = t - prev
+                prev = t
+                if dt > 0.0:
+                    if t >= m.t_end - TIME_TOL:
+                        ag.x = m.x_end
+                        ag.y = m.y_end
+                    else:
+                        ag.x = ag.x + m.vx * dt
+                        ag.y = ag.y + m.vy * dt
+        del instants[:-1]
 
     def _start_pending(self, agent: _Agent) -> None:
         """Begin the next queued instruction, skipping instantaneous ones."""
@@ -1036,13 +1018,14 @@ class Simulation:
 
         Makes no trajectory record: a leg is recorded when it ends.  A
         symmetric run only adds t to its instants: its agents' x and y
-        are then current only at their own events and after _sync.
+        are then current only at their own events and after _sync, which
+        also runs here once the list passes _MAX_INSTANTS.
         """
         instants = self._instants
         if instants is not None:
             instants.append(t)
             if len(instants) > _MAX_INSTANTS:
-                self._cut_instants()
+                self._sync()
             self._now = t
             return
         dt = t - self._now
@@ -1163,10 +1146,10 @@ class Simulation:
             live.sort(key=_index)
             for ag in appeared_now:
                 ag.program.on_appear(ag.ctx)
-        if pair_hits or appeared_now:  # else no edge can be new
+        # No edge can be new without a hit or an appearance, nor while
+        # every pair is sure (see ProximityGraph.next_events).
+        if (pair_hits or appeared_now) and not prox.sure:
             new_edges = prox.apply(t, pair_hits) if pair_hits else set()
-            if self._path is not None:
-                self._sync()
             for ag in appeared_now:
                 new_edges.update(prox.touching(ag, live))
             if new_edges:
@@ -1228,8 +1211,6 @@ class Simulation:
         its members to woken."""
         t = self._now
         agents = self.agents
-        if self._path is not None:
-            self._end_symmetry()
         for group in self._prox.ga_groups(t, new_edges):
             woken.update(group)
             members = [agents[i] for i in group]
@@ -1261,9 +1242,8 @@ class Simulation:
         if timed_out:
             self._advance_to(self.horizon)
             self.events.append(Event(self.horizon, "horizon"))
-        if self._path is not None:
-            # Replayed, not ended: the run was symmetric to its end.
-            self._sync()
+        # Synced, not ended: a symmetric run stays symmetric to its end.
+        self._sync()
         final_positions = []
         trajectories = []
         end = max(self._now, max(ag.start_time for ag in self.agents))
@@ -1282,7 +1262,7 @@ class Simulation:
         if timed_out:
             verdict = Verdict("timeout", self.horizon)
         else:
-            groups = _cluster_points(final_positions)
+            groups = cluster_points(final_positions)
             if len(groups) == 1:
                 verdict = Verdict("gathered", self._now,
                                   point=final_positions[0])
@@ -1299,7 +1279,7 @@ class Simulation:
                      tuple(trajectories), verdict)
 
 
-def _cluster_points(points: list[Point]) -> list[tuple[int, ...]]:
+def cluster_points(points: Sequence[Point]) -> list[tuple[int, ...]]:
     """Groups of points chained together by gaps of at most POS_TOL."""
     n = len(points)
     nbr = [[] for _ in range(n)]

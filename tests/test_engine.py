@@ -613,9 +613,8 @@ def test_scan_solves_each_due_pair_once(monkeypatch):
     # the certificate heap; (0, 2) is due with two heap entries, and the
     # adjacent (4, 5) is due at now, as after a crossing or an edge catch,
     # both with no changed end.  The scan has to visit eleven pairs once
-    # each: 1 and 3 with each of the four other agents, (1, 3), (0, 2),
-    # (4, 5).  Three of them, (0, 3) and (3, 4) at rest and (1, 5) both
-    # moving east, are in lockstep beyond eps and take no solve; eight do.
+    # each, with one solve each: 1 and 3 with each of the four other
+    # agents, (1, 3), (0, 2), (4, 5).
     def agent(idx, x, vx=None):
         motion = None if vx is None else SimpleNamespace(
             vx=vx, vy=0.0, t_end=5.0)
@@ -642,7 +641,8 @@ def test_scan_solves_each_due_pair_once(monkeypatch):
         monkeypatch.setattr(engine, name, counted)
     expect = _full_scan_pair_events(graph, agents, 0.0, 1.0)
     t_event, hits = graph.next_events(agents, 0.0, 1.0)
-    assert len(calls) == 8
+    assert len(calls) == 11
+    assert len({(args[0], args[1]) for args in calls}) == 11
     assert t_event == expect[0] and sorted(hits) == sorted(expect[1])
     assert sorted(pair for _, pair in hits) == [(0, 2), (1, 3), (4, 5)]
 
@@ -662,12 +662,12 @@ def _counted_solve_in(monkeypatch):
     return calls
 
 
-def test_lockstep_pair_calls_no_solver(monkeypatch):
+def test_lockstep_pair_is_solved_once(monkeypatch):
     # Agents 0 and 1 walk on identical motions, so their relative
-    # velocity is exactly 0.  Farther apart than eps, the pair cannot
-    # approach: it gets cert inf and no heap entry, with no solve.
-    # Within eps and not adjacent, the same pair is solved and meets at
-    # now.
+    # velocity is exactly 0, and they lie within lim of each other.
+    # Farther apart than eps, the pair cannot approach: its one solve
+    # finds no root, and it gets cert inf and no heap entry.  Within eps
+    # and not adjacent, the same pair is solved once and meets at now.
     def agent(idx, x, y):
         motion = SimpleNamespace(vx=0.6, vy=-0.8, t_end=5.0)
         return SimpleNamespace(idx=idx, x=x, y=y, motion=motion)
@@ -681,15 +681,13 @@ def test_lockstep_pair_calls_no_solver(monkeypatch):
         del calls[:]
         return graph, graph.next_events(agents, 1.0, 2.0)
 
-    # Beyond eps, and also beyond eps by less than the lim of a moving
-    # pair over the span of 4.
+    # Beyond eps, 5 and 1 apart, within the lim of about 8.5 over the
+    # span of 4, up to E = 5.
     for rx, ry in ((3.0, -4.0), (0.6, -0.8)):
         graph, found = scan(rx, ry)
         assert found == (2.0, [])
-        assert calls == []
+        assert [args[2:] for args in calls] == [(0.0, 0.0, 0.5, 4.0)]
         assert graph._cert[1] == math.inf and graph._cert_queue == []
-        # What the solver gives over the span up to E = 5: no root.
-        assert solve_crossing_in(rx, ry, 0.0, 0.0, 0.5, 4.0) is None
 
     graph, found = scan(0.18, -0.24)
     assert found == (1.0, [(1.0, (0, 1))])
@@ -762,8 +760,7 @@ def test_pair_beyond_lim_has_no_root(eps, window, share, speed, r_angle,
     v = speed * engine._CLOSING_SPEED
     v_angle = r_angle + math.pi + v_turn
     vx, vy = v * math.cos(v_angle), v * math.sin(v_angle)
-    lim = eps + BOUND_SLACK + engine._CLOSING_SPEED * t_end \
-        if vx or vy else eps
+    lim = eps + BOUND_SLACK + engine._CLOSING_SPEED * t_end
     dist = lim * (1.0 + rel)
     rx, ry = dist * math.cos(r_angle), dist * math.sin(r_angle)
     assume(rx * rx + ry * ry < 2e6 * eps)
@@ -949,7 +946,8 @@ def _sure_pair(side):
         return cfg, (-pair_margin(cfg, 0, 1) - SPEED_TOL * 0.5
                      > BOUND_SLACK + engine._PATH_SLACK)
 
-    x = 1.2 + 0.5 + BOUND_SLACK + engine._PATH_SLACK
+    # Near the threshold, so the walk up takes a few floats, not millions.
+    x = 1.2 + 0.5 + SPEED_TOL * 0.5 + BOUND_SLACK + engine._PATH_SLACK
     for _ in range(8):
         x = math.nextafter(x, -math.inf)
     assert not sure(x)[1]
@@ -1075,6 +1073,40 @@ def test_symmetric_positions_replay_the_eager_floats(shift):
         assert trace.verdict.kind == "timeout"
         assert lazy._path is not None and eager._path is None
         assert _column_bits(trace) == _column_bits(ref)
+
+
+@pytest.mark.parametrize("shift", ["as-is", "far-plane", "late-time",
+                                   "sure-pair"])
+def test_appearance_is_beyond_eps_while_every_pair_is_sure(shift):
+    # While every pair is sure, an appearance makes no edge, and a
+    # symmetric run skips its touching test: the appearing agent stands
+    # at its origin, and an earlier one has moved at most
+    # (1 + SPEED_TOL) |t_i - t_j| from its own.  In the eager reference,
+    # every agent that appeared no later lies beyond eps + BOUND_SLACK of
+    # the appearing one, also at the least float that makes a pair sure.
+    if shift == "sure-pair":
+        cases = [(_sure_pair(1), 20.0)]
+    else:
+        cases = []
+        for s in range(6):
+            cfg = ungatherable_config(s, 8)
+            horizon = None
+            if shift == "far-plane":
+                cfg = cfg.translated(Vec2(1e7, -1e7))
+            elif shift == "late-time":
+                cfg = cfg.time_shifted(1e6)
+                horizon = 1e6 + 400.0
+            cases.append((cfg, horizon))
+    for cfg, horizon in cases:
+        _, _, _, ref = _lazy_and_eager(
+            cfg, lambda: gather_n_program(cfg.n), horizon)
+        assert ref.ga_events() == []
+        for j, (o, t_j) in enumerate(zip(cfg.starts, cfg.times)):
+            for i, t_i in enumerate(cfg.times):
+                if i != j and t_i <= t_j:
+                    x, y = ref.trajectories[i].xy_at(t_j)
+                    assert math.hypot(x - o.x, y - o.y) \
+                        > cfg.epsilon + BOUND_SLACK
 
 
 def _kept_instants(monkeypatch):
