@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 
 from .config import InitialConfiguration
-from .engine import Trace, cluster_points, connected_components
+from .engine import Trace, cluster_points
 from .geometry import (POS_TOL, PROX_TOL, TIME_TOL, first_illegal_leg,
                        is_finite_point)
 
@@ -135,6 +135,23 @@ def check_event_positions(trace: Trace) -> None:
                               "stop position")
 
 
+def _spanning_tree(xy, limit: float):
+    """Edges (a, b) of a tree grown from xy[0] over the points within
+    limit of each other, or None if it does not reach them all."""
+    unreached, stack, tree = list(range(1, len(xy))), [0], []
+    while stack and unreached:
+        a = stack.pop()
+        (xa, ya), keep = xy[a], []
+        for b in unreached:
+            if math.hypot(xa - xy[b][0], ya - xy[b][1]) <= limit:
+                tree.append((a, b))
+                stack.append(b)
+            else:
+                keep.append(b)
+        unreached = keep
+    return None if unreached else tree
+
+
 def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     """GA groups are well formed, proximity-connected and contain a fresh
     contact.
@@ -149,63 +166,91 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     that stay adjacent may keep appearing in group events; what may not
     happen is a whole group re-firing with no new contact at all.
 
-    Each pair keeps the time of its last common GA and whether it was
-    farther apart than eps + PROX_TOL then, both set in the loop that
-    measures every pair of the group.  A close pair whose last common GA
-    lies more than TIME_TOL back and found it apart is fresh without a
-    breakpoint walk.  This is exact: that GA's time is the first cut of
-    _pair_separated, which would sample the same positions there and
-    measure the same distance.  Only close pairs that neither this rule
-    nor a first meeting makes fresh are walked, and only when no pair of
-    the group is fresh already.
+    No per-pair state is kept, only a GA index: per agent, the GAs that
+    hold it and its _event_xy sample at each.  A pair found farther than
+    eps + PROX_TOL at its last common GA, more than TIME_TOL back, is
+    fresh without a walk: those samples are the floats the walk's first
+    cut measures.  A spanning tree certifies connectivity: a GA with the
+    previous GA's members re-measures its tree, and a new tree is grown
+    only if an edge is no longer close.  Freshness tries first the close
+    pairs of members that moved since their own last GA, nearest to eps
+    first (a new contact starts at eps), walking each at once; then the
+    other close pairs; then their walks.  The rule is that some close
+    pair is fresh, so the order sets only the cost; non-movers are tried
+    too, as an agent can leave and come back to the bit-identical point.
     """
     eps = cfg.epsilon
     eps_close = eps + GA_DIST_SLACK
     apart_limit = eps + PROX_TOL
-    n = len(trace.trajectories)
-    # Row i, column j > i: the time of the pair's last common GA (None
-    # before the first) and whether it was farther than apart_limit then.
-    last = [[None] * n for _ in range(n)]
-    apart = [[False] * n for _ in range(n)]
+    ga_times = []
+    gas_of = [[] for _ in trace.trajectories]
+    xys_of = [[] for _ in trace.trajectories]
+    tree_group = tree = None
     for ev in trace.ga_events():
         t = ev.time
         group, xy = _event_xy(trace, ev)
-        if len(set(group)) != len(group):
+        m = len(group)
+        if len(set(group)) != m:
             _fail(f"GA at {t} names an agent twice: {ev.agents}")
-        if len(ev.tags) != len(group):
-            _fail(f"GA at {t} records {len(ev.tags)} tags for {len(group)} "
-                  "agents")
-        if len(group) < 2:
+        if len(ev.tags) != m:
+            _fail(f"GA at {t} records {len(ev.tags)} tags for {m} agents")
+        if m < 2:
             _fail(f"GA at {t} with fewer than two agents")
-        # The within-eps graph of the group, as neighbour lists.
-        nbr = {i: [] for i in group}
-        fresh = False
+        if group != tree_group or any(
+                math.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1])
+                > eps_close for a, b in tree):
+            tree, tree_group = _spanning_tree(xy, eps_close), group
+            if tree is None:
+                _fail(f"GA at {t}: group {group} not proximity-connected")
         walks = []
+
+        def fresh(a, b, walk):
+            # Without walk, a pair only a walk can show fresh goes on walks.
+            # gi[p] == gj[q] is the pair's last common GA: each step
+            # bisects one list below the other's entry.
+            i, j = group[a], group[b]
+            gi, gj = gas_of[i], gas_of[j]
+            p, q = len(gi) - 1, len(gj) - 1
+            while p >= 0 and q >= 0 and gi[p] != gj[q]:
+                if gi[p] > gj[q]:
+                    p = bisect_right(gi, gj[q], 0, p) - 1
+                else:
+                    q = bisect_right(gj, gi[p], 0, q) - 1
+            if p < 0 or q < 0:
+                return True
+            prev = ga_times[gi[p]]
+            if not t - prev > TIME_TOL:
+                return False
+            (xi, yi), (xj, yj) = xys_of[i][p], xys_of[j][q]
+            if math.hypot(xi - xj, yi - yj) > apart_limit:
+                return True
+            if walk:
+                return _pair_separated(trace, i, j, prev, t, eps)
+            walks.append((i, j, prev))
+            return False
+
+        movers, still, near = [], [], []
         for a, i in enumerate(group):
-            xi, yi = xy[a]
-            last_i, apart_i, nbr_i = last[i], apart[i], nbr[i]
-            for b in range(a + 1, len(group)):
-                j = group[b]
-                xj, yj = xy[b]
-                d = math.hypot(xi - xj, yi - yj)
+            moved = not xys_of[i] or xys_of[i][-1] != xy[a]
+            (movers if moved else still).append(a)
+        for k, a in enumerate(movers):
+            xa, ya = xy[a]
+            for b in movers[k + 1:] + still:
+                d = math.hypot(xa - xy[b][0], ya - xy[b][1])
                 if d <= eps_close:
-                    nbr_i.append(j)
-                    nbr[j].append(i)
-                    prev = last_i[j]
-                    if prev is None:
-                        fresh = True
-                    elif t - prev > TIME_TOL:
-                        if apart_i[j]:
-                            fresh = True
-                        else:
-                            walks.append((i, j, prev))
-                last_i[j] = t
-                apart_i[j] = d > apart_limit
-        if len(connected_components(nbr, (group[0],))[0]) != len(nbr):
-            _fail(f"GA at {t}: group {group} not proximity-connected")
-        if not fresh and not any(_pair_separated(trace, i, j, prev, t, eps)
-                                 for i, j, prev in walks):
+                    near.append((abs(d - eps), a, b))
+        if not (any(fresh(a, b, True) for _, a, b in sorted(near))
+                or any(fresh(a, b, False)
+                       for k, a in enumerate(still) for b in still[k + 1:]
+                       if math.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1])
+                       <= eps_close)
+                or any(_pair_separated(trace, i, j, prev, t, eps)
+                       for i, j, prev in walks)):
             _fail(f"GA at {t}: group {group} has no fresh contact")
+        ga_times.append(t)
+        for i, p in zip(group, xy):
+            gas_of[i].append(len(ga_times) - 1)
+            xys_of[i].append(p)
 
 
 def check_orders(trace: Trace) -> None:

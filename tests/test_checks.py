@@ -215,6 +215,31 @@ def test_doctored_traces_match_reference(real_runs, monkeypatch):
     assert {result for *_, result in walks.calls} == {True, False}
 
 
+# Wider teams: GAs of the whole team that repeat their predecessor's
+# members, so the audit reuses spanning trees and tries movers first.
+WIDE_RUNS = [(0, 8), (1, 8), (0, 16), (1, 16)]
+
+
+@pytest.fixture(scope="module")
+def wide_runs():
+    out = []
+    for seed, n in WIDE_RUNS:
+        cfg = good_config(seed, n)
+        out.append((cfg, run(cfg, gather_n_program(n))))
+    return out
+
+
+def test_doctored_wide_traces_match_reference(wide_runs, monkeypatch):
+    whole = False
+    for cfg, trace in wide_runs:
+        gas = trace.ga_events()
+        repeats = [b for a, b in zip(gas, gas[1:]) if a.agents == b.agents]
+        assert repeats
+        whole = whole or any(len(b.agents) == cfg.n for b in repeats)
+    assert whole
+    test_doctored_traces_match_reference(wide_runs, monkeypatch)
+
+
 @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
                    reason="ROADMAP item 1")
 def test_missing_first_ga_is_a_check_failure():
@@ -517,6 +542,67 @@ def _hand_trace(ga_times) -> Trace:
 def test_freshness_paths(monkeypatch, ga_times, walked, result):
     walks = _Walks(monkeypatch)
     trace = _hand_trace(ga_times)
+    want = _outcome(reference_check_ga_events, HAND_CFG, trace)
+    got = _outcome(check_ga_events, HAND_CFG, trace)
+    assert got == want
+    assert _kind(got) == result
+    assert [res for *_, res in walks.calls] == walked
+
+
+def _line_trace(paths, ga_times) -> Trace:
+    """Agents on the x axis, each paths[i] = (times, xs), and a GA of
+    them all at each of ga_times."""
+    trajs = tuple(Trajectory(ts, xs, [0.0] * len(ts)) for ts, xs in paths)
+    agents = tuple(range(len(trajs)))
+    trace = Trace(events=[], final_tags=("",) * len(agents),
+                  trajectories=trajs, verdict=Verdict("timeout", 10.0))
+    trace.events = [Event(t, "ga", agents, _positions_at(trace, agents, t),
+                          ("",) * len(agents)) for t in ga_times]
+    return trace
+
+
+@pytest.mark.parametrize("x2, result", [
+    # Agent 2 ends 1 + 2 GA_DIST_SLACK right of agent 0, within eps of
+    # agent 1: the chain 0-1-2 still connects the group.
+    (1.0 + 2 * GA_DIST_SLACK, "pass"),
+    # It ends as far left of agent 0, 1.5 from agent 1: no chain does.
+    (-1.0 - 2 * GA_DIST_SLACK, "not proximity-connected"),
+])
+def test_repeat_ga_remeasures_its_spanning_tree(x2, result):
+    # Agents 0 and 1 wait at x = 0 and 0.5.  At the first GA agent 2
+    # waits at -0.9, so the tree grown from agent 0 holds the edges 0-1
+    # and 0-2.  Agent 2 then walks to x2, which stretches the edge 0-2
+    # past eps + GA_DIST_SLACK by the second GA, of the same members.
+    walk = abs(x2 + 0.9)
+    trace = _line_trace([([0.0, 10.0], [0.0, 0.0]),
+                         ([0.0, 10.0], [0.5, 0.5]),
+                         ([0.0, 1.0, 1.0 + walk, 10.0],
+                          [-0.9, -0.9, x2, x2])], [0.5, 5.0])
+    want = _outcome(reference_check_ga_events, HAND_CFG, trace)
+    got = _outcome(check_ga_events, HAND_CFG, trace)
+    assert got == want
+    assert _kind(got) == result
+
+
+@pytest.mark.parametrize("excursion, walked, result", [
+    # Agent 1 walks out to x = 2, 2 from agent 0, and back: only a walk
+    # can show its pairs fresh.
+    (True, [True], "pass"),
+    # The same trace with agent 1 waiting throughout has no fresh pair.
+    (False, [False, False, False], "no fresh contact"),
+])
+def test_returner_is_fresh_by_the_walk(monkeypatch, excursion, walked,
+                                       result):
+    # Agents 0 and 2 wait at x = 0 and -0.5, agent 1 is at 0.5 at both
+    # GAs.  No member moved since its last GA, so the fresh pair is one
+    # the mover-first order tries last.
+    walks = _Walks(monkeypatch)
+    returner = (([0.0, 1.0, 2.5, 4.0, 10.0], [0.5, 0.5, 2.0, 0.5, 0.5])
+                if excursion else ([0.0, 10.0], [0.5, 0.5]))
+    trace = _line_trace([([0.0, 10.0], [0.0, 0.0]), returner,
+                         ([0.0, 10.0], [-0.5, -0.5])], [0.5, 5.0])
+    back = trace.trajectories[1]
+    assert back.xy_at(0.5) == back.xy_at(5.0)
     want = _outcome(reference_check_ga_events, HAND_CFG, trace)
     got = _outcome(check_ga_events, HAND_CFG, trace)
     assert got == want
