@@ -174,10 +174,11 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     previous GA's members re-measures its tree, and a new tree is grown
     only if an edge is no longer close.  Freshness tries first the close
     pairs of members that moved since their own last GA, nearest to eps
-    first (a new contact starts at eps), walking each at once; then the
-    other close pairs; then their walks.  The rule is that some close
-    pair is fresh, so the order sets only the cost; non-movers are tried
-    too, as an agent can leave and come back to the bit-identical point.
+    first (a new contact starts at eps); then the other close pairs.  A
+    pair its samples do not show fresh is walked at once.  The rule is
+    that some close pair is fresh, so the order sets only the cost;
+    non-movers are tried too, as an agent can leave and come back to the
+    bit-identical point.
     """
     eps = cfg.epsilon
     eps_close = eps + GA_DIST_SLACK
@@ -202,10 +203,8 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
             tree, tree_group = _spanning_tree(xy, eps_close), group
             if tree is None:
                 _fail(f"GA at {t}: group {group} not proximity-connected")
-        walks = []
 
-        def fresh(a, b, walk):
-            # Without walk, a pair only a walk can show fresh goes on walks.
+        def fresh(a, b):
             # gi[p] == gj[q] is the pair's last common GA: each step
             # bisects one list below the other's entry.
             i, j = group[a], group[b]
@@ -222,12 +221,8 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
             if not t - prev > TIME_TOL:
                 return False
             (xi, yi), (xj, yj) = xys_of[i][p], xys_of[j][q]
-            if math.hypot(xi - xj, yi - yj) > apart_limit:
-                return True
-            if walk:
-                return _pair_separated(trace, i, j, prev, t, eps)
-            walks.append((i, j, prev))
-            return False
+            return (math.hypot(xi - xj, yi - yj) > apart_limit
+                    or _pair_separated(trace, i, j, prev, t, eps))
 
         movers, still, near = [], [], []
         for a, i in enumerate(group):
@@ -239,13 +234,11 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
                 d = math.hypot(xa - xy[b][0], ya - xy[b][1])
                 if d <= eps_close:
                     near.append((abs(d - eps), a, b))
-        if not (any(fresh(a, b, True) for _, a, b in sorted(near))
-                or any(fresh(a, b, False)
+        if not (any(fresh(a, b) for _, a, b in sorted(near))
+                or any(fresh(a, b)
                        for k, a in enumerate(still) for b in still[k + 1:]
                        if math.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1])
-                       <= eps_close)
-                or any(_pair_separated(trace, i, j, prev, t, eps)
-                       for i, j, prev in walks)):
+                       <= eps_close)):
             _fail(f"GA at {t}: group {group} has no fresh contact")
         ga_times.append(t)
         for i, p in zip(group, xy):
@@ -295,9 +288,12 @@ def check_verdict(cfg: InitialConfiguration, trace: Trace) -> None:
     finals = trace.final_positions
     if len(finals) != cfg.n:
         _fail("final position count does not match agent count")
+    # Written so that NaN fails each test.
     if v.kind == "gathered":
+        if v.point is None:
+            _fail("gathered verdict without a point")
         for idx, p in enumerate(finals):
-            if p.dist(v.point) > POS_TOL * 10.0:
+            if not p.dist(v.point) <= POS_TOL * 10.0:
                 _fail(f"gathered verdict but agent {idx} ended at {p}, "
                       f"{p.dist(v.point)} from {v.point}")
     elif v.kind == "split":
@@ -309,6 +305,8 @@ def check_verdict(cfg: InitialConfiguration, trace: Trace) -> None:
                   f"{len(clusters)} clusters of trajectory ends")
         taken = set()
         for g in v.groups:
+            if g is None:
+                _fail("split verdict with a missing group point")
             d, c = min((min(g.dist(finals[i]) for i in comp), c)
                        for c, comp in enumerate(clusters))
             if not d <= POS_TOL or c in taken:
@@ -337,10 +335,11 @@ def check_trajectory_starts(cfg: InitialConfiguration,
     for idx, traj in enumerate(trace.trajectories):
         if not traj.times:
             _fail(f"agent {idx} has an empty trajectory")
-        if abs(traj.start_time - cfg.times[idx]) > TIME_TOL:
+        # Written so that NaN fails each test.
+        if not abs(traj.start_time - cfg.times[idx]) <= TIME_TOL:
             _fail(f"agent {idx} trajectory starts at {traj.start_time}, "
                   f"appearance is {cfg.times[idx]}")
-        if traj.start_point.dist(cfg.starts[idx]) > POS_TOL:
+        if not traj.start_point.dist(cfg.starts[idx]) <= POS_TOL:
             _fail(f"agent {idx} trajectory starts away from its origin")
 
 

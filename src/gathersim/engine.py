@@ -415,8 +415,8 @@ class _Agent:
         self.ctx: Optional[AgentContext] = None
         # The index of the agent's next leg on a symmetric run's path.
         self.leg = 0
-        # In a symmetric run, the place in the run's instant list of the
-        # instant at which x and y were last current (see _sync).
+        # The place in the run's instant list of the instant at which x
+        # and y were last current (see Simulation._sync).
         self.since = 0
 
     def here(self) -> Point:
@@ -449,9 +449,7 @@ class AgentContext:
 
     @property
     def position(self) -> Point:
-        sim = self._sim
-        if sim._instants is not None:
-            sim._sync()
+        self._sim._sync()
         ag = self._agent
         o = ag.origin
         return Point(ag.x - o.x, ag.y - o.y)
@@ -789,12 +787,12 @@ class Simulation:
     (a clear_plan that halts a moving agent), leg that ends early, or
     idle agent, or at a leg that does not match the path.
 
+    Only _sync steps agents along their legs: from the instant an
+    agent's x and y were last current, through each instant _advance_to
+    listed since.  A run that is not symmetric syncs at every instant.
     While a run is symmetric only an agent's own events need its
     position, so an instant touches only the agents whose legs end or
-    begin in it: _advance_to records the instant instead of moving every
-    agent.  An agent's x and y are then current only at its own events
-    and after _sync, which brings every agent up to now with the float
-    steps of an eager advance.  It runs where positions are read or the
+    begin in it, and _sync runs only where positions are read or the
     list would outgrow _MAX_INSTANTS: in a program's
     AgentContext.position, at the end of symmetry or of the run, and in
     _advance_to.  An appearance reads none: no pair can meet while the
@@ -829,17 +827,16 @@ class Simulation:
         # of each leg, (dx, dy) its start's displacement from the origin;
         # None when the run is not symmetric.
         self._path: Optional[list[tuple]] = None
-        # The symmetric run's instants, the last one now, from the one the
-        # oldest leg in flight began at; None when the run is not
-        # symmetric.
-        self._instants: Optional[list[float]] = None
+        # The instants not yet stepped, the last one now, from the one the
+        # oldest leg in flight began at; just now once every agent is
+        # synced, as always in a run that is not symmetric.
+        self._instants = [self._now]
         # -pair_margin is d_ij - |t_i - t_j| - eps.
         times = cfg.times
         reach = BOUND_SLACK + _PATH_SLACK
         if all(-pair_margin(cfg, i, j) - SPEED_TOL * abs(times[i] - times[j])
                > reach for i, j in itertools.combinations(range(cfg.n), 2)):
             self._path = []
-            self._instants = [self._now]
             self._prox.sure = True
         self.events: list[Event] = []
         # The (issuer, target in its frame) orders of the GA whose on_ga
@@ -882,15 +879,14 @@ class Simulation:
         if symmetric and motion is None:
             self._end_symmetry()
             symmetric = False
-        if self._now > agent.builder.last_time:
-            self._record_leg(agent)
+        self._record_leg(agent)
         agent.motion = motion
+        agent.since = len(self._instants) - 1
         self._prox.changed.add(agent.idx)
         if motion is not None:
             heapq.heappush(self._ends,
                            (motion.t_end, next(self._seq), agent, motion))
         if symmetric:
-            agent.since = len(self._instants) - 1
             self._follow_path(agent, motion)
 
     def _follow_path(self, agent: _Agent, motion: _Motion) -> None:
@@ -924,21 +920,21 @@ class Simulation:
         solves every row."""
         self._sync()
         self._path = None
-        self._instants = None
         self._prox.sure = False
 
     def _sync(self) -> None:
-        """Bring every moving live agent of a symmetric run up to now,
-        and restart the instant list at now; in a run that is not
-        symmetric positions are always current.
+        """Bring every moving live agent up to now, and restart the
+        instant list at now; the one place that steps agents along legs.
 
         From the instant at which an agent's x and y were last current,
-        take at every later instant the float step an eager _advance_to
-        takes, so x and y are bit for bit the floats an advance of every
-        agent at every instant gives.
+        take at every later instant the step to it: the leg's end from
+        t_end - TIME_TOL on, else x + vx (t_k - t_(k-1)).  So x and y are
+        the same floats whether an agent is moved at every instant or
+        brought up to date across many.  With one instant listed, every
+        agent is current and nothing is read.
         """
         instants = self._instants
-        if instants is None:
+        if len(instants) == 1:
             return
         for ag in self._live:
             m = ag.motion
@@ -1014,33 +1010,19 @@ class Simulation:
         raise InvalidInstruction("too many zero-duration instructions")
 
     def _advance_to(self, t: float) -> None:
-        """Move the live agents on to time t.
+        """Move the clock on to time t, and add t to the instants.
 
         Makes no trajectory record: a leg is recorded when it ends.  A
-        symmetric run only adds t to its instants: its agents' x and y
-        are then current only at their own events and after _sync, which
-        also runs here once the list passes _MAX_INSTANTS.
+        run that is not symmetric syncs every agent here, at every
+        instant; a symmetric one only once the list passes _MAX_INSTANTS,
+        so its agents' x and y are current only at their own events and
+        after _sync.
         """
         instants = self._instants
-        if instants is not None:
-            instants.append(t)
-            if len(instants) > _MAX_INSTANTS:
-                self._sync()
-            self._now = t
-            return
-        dt = t - self._now
-        if dt > 0.0:
-            for ag in self._live:
-                m = ag.motion
-                if m is None:
-                    continue
-                if t >= m.t_end - TIME_TOL:
-                    ag.x = m.x_end
-                    ag.y = m.y_end
-                else:
-                    ag.x = ag.x + m.vx * dt
-                    ag.y = ag.y + m.vy * dt
+        instants.append(t)
         self._now = t
+        if self._path is None or len(instants) > _MAX_INSTANTS:
+            self._sync()
 
     # -- knowledge -----------------------------------------------------------
 
@@ -1169,22 +1151,18 @@ class Simulation:
             for ag in arrived:
                 # What _set_motion(ag, None) does, inline.
                 m = ag.motion
-                if self._path is not None:
-                    if m.t_end > t:
-                        # Ended early, within TIME_TOL: the agent went
-                        # faster than its path.
-                        self._end_symmetry()
-                    else:
-                        # Where an eager advance has put it: at least one
-                        # instant since its leg began lies past
-                        # t_end - TIME_TOL.
-                        ag.x = m.x_end
-                        ag.y = m.y_end
+                if m.t_end > t and self._path is not None:
+                    # Ended early, within TIME_TOL: the agent went faster
+                    # than its path.
+                    self._end_symmetry()
+                # The leg's end, where a sync puts it from t_end - TIME_TOL
+                # on: a symmetric run has not synced it, and rounding can
+                # keep t just short of that.
+                ag.x = m.x_end
+                ag.y = m.y_end
                 self._record_leg(ag)
                 ag.motion = None
                 prox.changed.add(ag.idx)
-                ag.x = m.x_end
-                ag.y = m.y_end
                 woken.add(ag.idx)
                 if m.stop_on_arrival:
                     self._request_stop(ag)

@@ -480,6 +480,42 @@ def test_doctored_verdict_is_a_check_failure(case):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("point", [
+    Point(math.nan, math.nan), Point(math.nan, 0.0), None],
+    ids=["nan-nan", "nan-0", "none"])
+def test_gathered_verdict_without_a_finite_point_is_a_check_failure(point):
+    # A NaN distance is not within 10 POS_TOL, and a gathered verdict
+    # without a point is a failed check, not an AttributeError.
+    cfg = good_config(0, 3)
+    trace = run(cfg, gather_n_program(3))
+    v = trace.verdict
+    assert v.kind == "gathered"
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, dataclasses.replace(
+            trace, verdict=dataclasses.replace(v, point=point)))
+    end = trace.final_positions[0]
+    assert str(err.value) == (
+        "gathered verdict without a point" if point is None else
+        f"gathered verdict but agent 0 ended at {end}, nan from {point}")
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, math.nan), (math.nan, 0.0)])
+def test_trajectory_that_starts_with_a_nan_sliver_is_a_check_failure(x, y):
+    # A breakpoint at the start time, at a NaN point, is a sliver that
+    # the speed rule lets pass; the trajectory does not start at its
+    # agent's origin.
+    cfg = good_config(0, 3)
+    trace = run(cfg, gather_n_program(3))
+    traj = trace.trajectories[0]
+    ts, xs, ys = traj.times, traj.xs, traj.ys
+    sliver = Trajectory([ts[0]] + ts, [x] + xs, [y] + ys)
+    doctored = dataclasses.replace(
+        trace, trajectories=(sliver,) + trace.trajectories[1:])
+    with pytest.raises(CheckFailure) as err:
+        checks.check_trajectory_starts(cfg, doctored)
+    assert str(err.value) == "agent 0 trajectory starts away from its origin"
+
+
 def test_split_groups_match_the_clusters_of_trajectory_ends():
     # Two still agents 3 apart, eps = 1: the run ends at once, split.
     # Each group point must lie within POS_TOL of its own cluster.
@@ -499,6 +535,17 @@ def test_split_groups_match_the_clusters_of_trajectory_ends():
         assert str(err.value) == (
             f"split verdict group point {groups[1]} is not within POS_TOL "
             "of a cluster of trajectory ends of its own")
+
+
+def test_split_verdict_with_a_missing_group_point_is_a_check_failure():
+    cfg = InitialConfiguration(1.0, (Point(0, 0), Point(3, 0)), (0.0, 0.0))
+    trace = run(cfg, Program)
+    v = trace.verdict
+    assert v.kind == "split"
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, dataclasses.replace(
+            trace, verdict=dataclasses.replace(v, groups=(v.groups[0], None))))
+    assert str(err.value) == "split verdict with a missing group point"
 
 
 # -- Hand-made traces, one per freshness path --

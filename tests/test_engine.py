@@ -1041,17 +1041,40 @@ def _column_bits(trace):
         for traj in trace.trajectories]
 
 
+class _EagerStep(Simulation):
+    """The reference mover: every advance steps every moving live agent
+    to t at once, in a loop of its own, so the engine's _sync, which
+    would step them from the instant list, never reads one."""
+
+    def _advance_to(self, t):
+        dt = t - self._now
+        if dt > 0.0:
+            for ag in self._live:
+                m = ag.motion
+                if m is None:
+                    continue
+                if t >= m.t_end - TIME_TOL:
+                    ag.x = m.x_end
+                    ag.y = m.y_end
+                else:
+                    ag.x = ag.x + m.vx * dt
+                    ag.y = ag.y + m.vy * dt
+        self._now = t
+
+
 def _lazy_and_eager(cfg, factory, horizon=None):
     """Run cfg as it is, symmetric with lazy positions, and as the
-    reference, which ends the symmetry before it starts and so moves
-    every agent at every instant.  factory() makes each run's program
-    factory, so the runs share no program state.  Returns both
-    simulations and traces."""
+    reference, an _EagerStep run that ends the symmetry before it starts
+    and so moves every agent at every instant.  factory() makes each
+    run's program factory, so the runs share no program state.  Returns
+    both simulations and traces."""
     lazy = Simulation(cfg, factory(), horizon)
     assert lazy._prox.sure
-    eager = Simulation(cfg, factory(), horizon)
+    eager = _EagerStep(cfg, factory(), horizon)
     eager._end_symmetry()
-    return lazy, lazy.run(), eager, eager.run()
+    trace, ref = lazy.run(), eager.run()
+    assert len(eager._instants) == 1  # _sync never stepped an agent
+    return lazy, trace, eager, ref
 
 
 @pytest.mark.parametrize("shift", ["as-is", "far-plane", "late-time"])
@@ -1117,7 +1140,7 @@ def _kept_instants(monkeypatch):
 
     def advance(self, t):
         real(self, t)
-        if self._instants is not None:
+        if self._path is not None:
             kept.append(len(self._instants))
 
     monkeypatch.setattr(Simulation, "_advance_to", advance)
