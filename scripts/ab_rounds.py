@@ -4,12 +4,11 @@
     python3 scripts/ab_rounds.py OLD_SRC NEW_SRC --workload no-meet --rounds 24
 
 OLD_SRC and NEW_SRC are directories that hold a gathersim package, such
-as src of two checkouts.  Each tree is imported in turn, with every
-gathersim module cleared from sys.modules in between, and the workload's
-corpus is built with it from perfbench/corpus.py (of this checkout, which
-the script only reads), the way scripts/corpus_digest.py builds it.
-Whole rounds are then timed in alternation, ABBA, so that drift of the
-host weighs on both sides alike: an operation is engine.run,
+as src of two checkouts.  Each tree is imported in turn (see
+scripts/srctree.py), and the workload's corpus is built with it from
+perfbench/corpus.py, the way scripts/corpus_digest.py builds it.  Whole
+rounds are then timed in alternation, ABBA, so that drift of the host
+weighs on both sides alike: an operation is engine.run,
 checks.check_all, Trace.jsonl_lines and render.render_svg, as in the
 benchmark.  The script prints each side's median round and the median
 of the per-round ratios NEW / OLD with their quartiles.
@@ -20,32 +19,19 @@ development aid only: claims of a gain rest on perfbench/run.py.
 """
 
 import argparse
-import importlib
-import pathlib
 import statistics
 import sys
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+import srctree
 
 
 def load(src: str, workload: str, seed: int):
     """Import the gathersim of src and build the workload's corpus with
     it; return one function that runs a whole round."""
-    for name in list(sys.modules):
-        if name == "gathersim" or name.startswith("gathersim.") \
-                or name == "corpus":
-            del sys.modules[name]
-    sys.path[:0] = [str(pathlib.Path(src).resolve()),
-                    str(ROOT / "perfbench")]
-    try:
-        corpus = importlib.import_module("corpus")
-        checks = importlib.import_module("gathersim.checks")
-        engine = importlib.import_module("gathersim.engine")
-        render = importlib.import_module("gathersim.render")
-    finally:
-        del sys.path[:2]
-    ops = corpus.build_corpus(workload, seed)
+    tree = srctree.load(src)
+    checks, engine, render = tree.checks, tree.engine, tree.render
+    ops = tree.corpus.build_corpus(workload, seed)
 
     def round_() -> None:
         for op in ops:

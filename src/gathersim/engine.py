@@ -56,10 +56,6 @@ _CLOSING_SPEED = 2.0 * (1.0 + SPEED_TOL)
 _PATH_SLACK = POS_TOL
 _LEG_SLACK = _PATH_SLACK / 16
 
-# A symmetric run keeps at most this many of its instants: past it, every
-# agent is synced and the list restarts at the current instant.
-_MAX_INSTANTS = 1024
-
 
 @dataclass(frozen=True, slots=True)
 class AgentRef:
@@ -376,12 +372,28 @@ def default_horizon(cfg: InitialConfiguration) -> float:
 
 @dataclass(slots=True)
 class _Motion:
+    """A leg: from (x0, y0) at t0, at velocity (vx, vy), until t_end at
+    (x_end, y_end)."""
+    t0: float
+    x0: float
+    y0: float
     t_end: float
     x_end: float
     y_end: float
     vx: float
     vy: float
     stop_on_arrival: bool
+
+    def at(self, t: float) -> tuple[float, float]:
+        """The place at time t: the leg's end from t_end - TIME_TOL on,
+        else x0 + vx (t - t0), rounded once; the start itself while
+        t - t0 is not above 0, so that signed zeros are kept."""
+        if t >= self.t_end - TIME_TOL:
+            return self.x_end, self.y_end
+        dt = t - self.t0
+        if dt > 0.0:
+            return self.x0 + self.vx * dt, self.y0 + self.vy * dt
+        return self.x0, self.y0
 
 
 _index = operator.attrgetter("idx")
@@ -390,7 +402,7 @@ _index = operator.attrgetter("idx")
 class _Agent:
     __slots__ = ("idx", "ref", "origin", "start_time", "stopped",
                  "tag", "knowledge", "program", "queue", "motion", "x", "y",
-                 "point", "builder", "ctx", "leg", "since")
+                 "point", "builder", "ctx", "leg")
 
     def __init__(self, idx: int, ref: AgentRef, origin: Point,
                  start_time: float, program: Program):
@@ -415,9 +427,6 @@ class _Agent:
         self.ctx: Optional[AgentContext] = None
         # The index of the agent's next leg on a symmetric run's path.
         self.leg = 0
-        # The place in the run's instant list of the instant at which x
-        # and y were last current (see Simulation._sync).
-        self.since = 0
 
     def here(self) -> Point:
         """The current position as a Point, the same object while the agent
@@ -449,10 +458,11 @@ class AgentContext:
 
     @property
     def position(self) -> Point:
-        self._sim._sync()
         ag = self._agent
+        m = ag.motion
+        x, y = (ag.x, ag.y) if m is None else m.at(self._sim._now)
         o = ag.origin
-        return Point(ag.x - o.x, ag.y - o.y)
+        return Point(x - o.x, y - o.y)
 
     @property
     def tag(self) -> str:
@@ -585,8 +595,8 @@ class ProximityGraph:
         origins, their starts lie within 2 sqrt(2) _LEG_SLACK, their
         local starts and durations differ by at most 2 _LEG_SLACK, and a
         scan solves up to 3 TIME_TOL past a leg's end (the stretched span
-        and a root snapped onto it).  Positions advanced in steps jump to
-        a leg's end up to TIME_TOL early.  So at every instant of a
+        and a root snapped onto it).  A position jumps to its leg's end up
+        to TIME_TOL early (see _Motion.at).  So at every instant of a
         solved span, b is within 2 sqrt(2) _LEG_SLACK + (1 + SPEED_TOL)
         (2 _LEG_SLACK + 4 TIME_TOL) of where a was, shifted, at a time
         |t_i - t_j| + 4 _LEG_SLACK + 4 TIME_TOL from now at most, and the
@@ -787,16 +797,15 @@ class Simulation:
     (a clear_plan that halts a moving agent), leg that ends early, or
     idle agent, or at a leg that does not match the path.
 
-    Only _sync steps agents along their legs: from the instant an
-    agent's x and y were last current, through each instant _advance_to
-    listed since.  A run that is not symmetric syncs at every instant.
-    While a run is symmetric only an agent's own events need its
-    position, so an instant touches only the agents whose legs end or
-    begin in it, and _sync runs only where positions are read or the
-    list would outgrow _MAX_INSTANTS: in a program's
-    AgentContext.position, at the end of symmetry or of the run, and in
-    _advance_to.  An appearance reads none: no pair can meet while the
-    run is symmetric (see ProximityGraph.next_events).
+    A moving agent's place is a closed form of its leg, _Motion.at, so
+    it does not depend on the instants the clock stopped at.  _sync puts
+    every moving agent there; a run that is not symmetric syncs at every
+    instant.  While a run is symmetric only an agent's own events need
+    its position, so an instant touches only the agents whose legs end
+    or begin in it, and _sync runs only at the end of symmetry or of the
+    run; a program's AgentContext.position computes its own agent's
+    place.  An appearance reads none: no pair can meet while the run is
+    symmetric (see ProximityGraph.next_events).
     """
 
     def __init__(self, cfg: InitialConfiguration,
@@ -827,10 +836,6 @@ class Simulation:
         # of each leg, (dx, dy) its start's displacement from the origin;
         # None when the run is not symmetric.
         self._path: Optional[list[tuple]] = None
-        # The instants not yet stepped, the last one now, from the one the
-        # oldest leg in flight began at; just now once every agent is
-        # synced, as always in a run that is not symmetric.
-        self._instants = [self._now]
         # -pair_margin is d_ij - |t_i - t_j| - eps.
         times = cfg.times
         reach = BOUND_SLACK + _PATH_SLACK
@@ -881,7 +886,6 @@ class Simulation:
             symmetric = False
         self._record_leg(agent)
         agent.motion = motion
-        agent.since = len(self._instants) - 1
         self._prox.changed.add(agent.idx)
         if motion is not None:
             heapq.heappush(self._ends,
@@ -923,37 +927,15 @@ class Simulation:
         self._prox.sure = False
 
     def _sync(self) -> None:
-        """Bring every moving live agent up to now, and restart the
-        instant list at now; the one place that steps agents along legs.
-
-        From the instant at which an agent's x and y were last current,
-        take at every later instant the step to it: the leg's end from
-        t_end - TIME_TOL on, else x + vx (t_k - t_(k-1)).  So x and y are
-        the same floats whether an agent is moved at every instant or
-        brought up to date across many.  With one instant listed, every
-        agent is current and nothing is read.
-        """
-        instants = self._instants
-        if len(instants) == 1:
-            return
+        """Put every moving live agent where its leg has it now (see
+        _Motion.at).  The place depends on the leg and the clock alone,
+        so x and y are the same floats whether an agent is synced at
+        every instant or once after many."""
+        now = self._now
         for ag in self._live:
             m = ag.motion
-            if m is None:
-                continue
-            k = ag.since
-            ag.since = 0
-            prev = instants[k]
-            for t in instants[k + 1:]:
-                dt = t - prev
-                prev = t
-                if dt > 0.0:
-                    if t >= m.t_end - TIME_TOL:
-                        ag.x = m.x_end
-                        ag.y = m.y_end
-                    else:
-                        ag.x = ag.x + m.vx * dt
-                        ag.y = ag.y + m.vy * dt
-        del instants[:-1]
+            if m is not None:
+                ag.x, ag.y = m.at(now)
 
     def _start_pending(self, agent: _Agent) -> None:
         """Begin the next queued instruction, skipping instantaneous ones."""
@@ -977,8 +959,8 @@ class Simulation:
                 if dist <= POS_TOL:
                     continue
                 self._set_motion(agent, _Motion(
-                    self._now + dist, agent.x + dx * dist,
-                    agent.y + dy * dist, dx, dy, False))
+                    self._now, agent.x, agent.y, self._now + dist,
+                    agent.x + dx * dist, agent.y + dy * dist, dx, dy, False))
                 return
             if kind is Wait:
                 if not instr.duration >= 0.0:
@@ -987,8 +969,8 @@ class Simulation:
                 if instr.duration <= TIME_TOL:
                     continue
                 self._set_motion(agent, _Motion(
-                    self._now + instr.duration, agent.x, agent.y,
-                    0.0, 0.0, False))
+                    self._now, agent.x, agent.y, self._now + instr.duration,
+                    agent.x, agent.y, 0.0, 0.0, False))
                 return
             if kind is GotoStop:
                 if not (math.isfinite(instr.target.x)
@@ -1004,24 +986,22 @@ class Simulation:
                     self._request_stop(agent)
                     return
                 self._set_motion(agent, _Motion(
-                    self._now + d, tx, ty, dx / d, dy / d, True))
+                    self._now, agent.x, agent.y, self._now + d, tx, ty,
+                    dx / d, dy / d, True))
                 return
             raise InvalidInstruction(f"unknown instruction {instr!r}")
         raise InvalidInstruction("too many zero-duration instructions")
 
     def _advance_to(self, t: float) -> None:
-        """Move the clock on to time t, and add t to the instants.
+        """Move the clock on to time t.
 
         Makes no trajectory record: a leg is recorded when it ends.  A
         run that is not symmetric syncs every agent here, at every
-        instant; a symmetric one only once the list passes _MAX_INSTANTS,
-        so its agents' x and y are current only at their own events and
-        after _sync.
+        instant; a symmetric one does not, so its agents' x and y are
+        current only at their own events and after _sync.
         """
-        instants = self._instants
-        instants.append(t)
         self._now = t
-        if self._path is None or len(instants) > _MAX_INSTANTS:
+        if self._path is None:
             self._sync()
 
     # -- knowledge -----------------------------------------------------------

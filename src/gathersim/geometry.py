@@ -65,8 +65,7 @@ from typing import Optional, Sequence, Union
 #                 (2 eps) outside eps, R the pair's distance at the solve,
 #                 which is below BOUND_SLACK while R^2 < 2e6 eps, and a GA
 #                 beyond GA_DIST_SLACK fails the checker.  Far above the
-#                 float spacing at coordinates up to 1e7 (1.9e-9), by which
-#                 positions advanced in steps drift from a leg's line.
+#                 float spacing at coordinates up to 1e7 (1.9e-9).
 TIME_TOL = 1e-9
 PROX_TOL = 1e-9
 POS_TOL = 1e-6

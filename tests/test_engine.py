@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -1041,48 +1042,25 @@ def _column_bits(trace):
         for traj in trace.trajectories]
 
 
-class _EagerStep(Simulation):
-    """The reference mover: every advance steps every moving live agent
-    to t at once, in a loop of its own, so the engine's _sync, which
-    would step them from the instant list, never reads one."""
-
-    def _advance_to(self, t):
-        dt = t - self._now
-        if dt > 0.0:
-            for ag in self._live:
-                m = ag.motion
-                if m is None:
-                    continue
-                if t >= m.t_end - TIME_TOL:
-                    ag.x = m.x_end
-                    ag.y = m.y_end
-                else:
-                    ag.x = ag.x + m.vx * dt
-                    ag.y = ag.y + m.vy * dt
-        self._now = t
-
-
 def _lazy_and_eager(cfg, factory, horizon=None):
     """Run cfg as it is, symmetric with lazy positions, and as the
-    reference, an _EagerStep run that ends the symmetry before it starts
-    and so moves every agent at every instant.  factory() makes each
-    run's program factory, so the runs share no program state.  Returns
-    both simulations and traces."""
+    reference, a run that ends the symmetry before it starts and so
+    syncs every agent at every instant.  factory() makes each run's
+    program factory, so the runs share no program state.  Returns both
+    simulations and traces."""
     lazy = Simulation(cfg, factory(), horizon)
     assert lazy._prox.sure
-    eager = _EagerStep(cfg, factory(), horizon)
+    eager = Simulation(cfg, factory(), horizon)
     eager._end_symmetry()
-    trace, ref = lazy.run(), eager.run()
-    assert len(eager._instants) == 1  # _sync never stepped an agent
-    return lazy, trace, eager, ref
+    return lazy, lazy.run(), eager, eager.run()
 
 
 @pytest.mark.parametrize("shift", ["as-is", "far-plane", "late-time"])
 def test_symmetric_positions_replay_the_eager_floats(shift):
-    # A symmetric run moves an agent only at its own events and replays
-    # the others when they are read; its trace is bit for bit the one of
-    # a run that moves every agent at every instant, also with
-    # coordinates near 1e7 and clocks near 1e6.
+    # A symmetric run moves an agent only at its own events and places
+    # the others on their legs when they are read; its trace is bit for
+    # bit the one of a run that moves every agent at every instant, also
+    # with coordinates near 1e7 and clocks near 1e6.
     for s in range(6):
         cfg = ungatherable_config(s, 8)
         horizon = None
@@ -1121,8 +1099,9 @@ def test_appearance_is_beyond_eps_while_every_pair_is_sure(shift):
                 horizon = 1e6 + 400.0
             cases.append((cfg, horizon))
     for cfg, horizon in cases:
-        _, _, _, ref = _lazy_and_eager(
+        _, trace, _, ref = _lazy_and_eager(
             cfg, lambda: gather_n_program(cfg.n), horizon)
+        assert _column_bits(trace) == _column_bits(ref)
         assert ref.ga_events() == []
         for j, (o, t_j) in enumerate(zip(cfg.starts, cfg.times)):
             for i, t_i in enumerate(cfg.times):
@@ -1130,34 +1109,6 @@ def test_appearance_is_beyond_eps_while_every_pair_is_sure(shift):
                     x, y = ref.trajectories[i].xy_at(t_j)
                     assert math.hypot(x - o.x, y - o.y) \
                         > cfg.epsilon + BOUND_SLACK
-
-
-def _kept_instants(monkeypatch):
-    """Record the length of a symmetric run's instant list after every
-    advance; returns the list of lengths."""
-    kept = []
-    real = Simulation._advance_to
-
-    def advance(self, t):
-        real(self, t)
-        if self._path is not None:
-            kept.append(len(self._instants))
-
-    monkeypatch.setattr(Simulation, "_advance_to", advance)
-    return kept
-
-
-def test_symmetric_instant_list_stays_bounded(monkeypatch):
-    # Over a horizon of 5000 a symmetric run has more than eight times as
-    # many instants as it keeps.
-    cfg = ungatherable_config(0, 8)
-    kept = _kept_instants(monkeypatch)
-    lazy, trace, _, ref = _lazy_and_eager(
-        cfg, lambda: gather_n_program(8), 5000.0)
-    assert lazy._path is not None
-    assert len(kept) > 8 * engine._MAX_INSTANTS
-    assert max(kept) <= engine._MAX_INSTANTS
-    assert _column_bits(trace) == _column_bits(ref)
 
 
 class _LongThenShort(Program):
@@ -1174,21 +1125,65 @@ class _LongThenShort(Program):
         ctx.issue(Go(Vec2(1.0 if self.east else -1.0, 0.0), 0.0625))
 
 
-def test_leg_older_than_the_kept_instants_is_replayed_exactly(
-        monkeypatch):
-    # Agent 1's long walk spans more of agent 0's short ones than the
-    # instant list keeps, so the list is cut back past its start: the
-    # walk is replayed at the cut, and its floats are still the eager
-    # ones.
-    cfg = InitialConfiguration(
-        0.5, (Point(0.0, 0.0), Point(0.0, -400.0)), (0.0, 100.0))
-    kept = _kept_instants(monkeypatch)
+# Agent 1's long walk, from t = 100 to 250, spans 1,600 of agent 0's
+# short walks.
+_LONG_THEN_SHORT = InitialConfiguration(
+    0.5, (Point(0.0, 0.0), Point(0.0, -400.0)), (0.0, 100.0))
+
+
+def test_long_leg_across_many_short_ones_matches_the_eager_floats():
     lazy, trace, _, ref = _lazy_and_eager(
-        cfg, lambda: _LongThenShort, 400.0)
+        _LONG_THEN_SHORT, lambda: _LongThenShort, 400.0)
     assert lazy._path is not None
     walk = [t for t in trace.trajectories[0].times if 100.0 < t < 250.0]
-    assert len(walk) > engine._MAX_INSTANTS >= max(kept)
+    assert len(walk) > 1000
     assert _column_bits(trace) == _column_bits(ref)
+
+
+class _LongWalkWatcher(_LongThenShort):
+    """_LongThenShort that, at each idle poll, logs the simulation time
+    and where every other agent is, read off its shared context."""
+
+    def __init__(self, shared):
+        super().__init__()
+        self.shared = shared
+
+    def on_appear(self, ctx):
+        self.shared["ctxs"].append(ctx)
+        super().on_appear(ctx)
+
+    def on_idle(self, ctx):
+        for other in self.shared["ctxs"]:
+            if other is not ctx:
+                self.shared["log"].append((other._sim._now, other.position))
+        super().on_idle(ctx)
+
+
+def test_positions_read_mid_leg_do_not_drift_from_its_line():
+    # A position is its leg's start plus velocity times elapsed time,
+    # rounded once per read, so however many instants the long walk
+    # spans, every read lies on the exact line through the leg's float
+    # start and velocity up to a few ulps; stepped from instant to
+    # instant instead, the rounding would add up along the walk.
+    logs = []
+
+    def factory():
+        shared = {"ctxs": [], "log": []}
+        logs.append(shared["log"])
+        return lambda: _LongWalkWatcher(shared)
+
+    lazy, _, eager, _ = _lazy_and_eager(_LONG_THEN_SHORT, factory, 400.0)
+    assert lazy._path is not None and eager._path is None
+    t0 = Fraction(100.0)
+    vx, vy = Fraction(0.6), Fraction(0.8)
+    for log in logs:
+        walk = [(t, p) for t, p in log if 100.0 < t < 250.0]
+        assert len(walk) > 1000
+        err = max(max(abs(Fraction(p.x) - vx * (Fraction(t) - t0)),
+                      abs(Fraction(p.y) - vy * (Fraction(t) - t0)))
+                  for t, p in walk)
+        assert err < Fraction(1, 10 ** 13)
+    assert logs[0] == logs[1]
 
 
 class _Meddler(Program):

@@ -13,8 +13,8 @@ from gathersim.assumption import AssumptionSet, build_dependent_counterexample
 from gathersim.engine import run
 from gathersim.generate import good_config, good_pair, ungatherable_config
 
-GOLDEN_SHA256 = ("0f38755ba0e4be32f9745d1f567f2359"
-                 "d8ade1c5631aa6b2c94641871355901f")
+GOLDEN_SHA256 = ("b30755a20219e9cd154a3f2211d8a5a3"
+                 "ae3ef0492fe1594a809a4cbaed13c976")
 
 
 def _corpus_traces():
