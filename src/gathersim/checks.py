@@ -9,12 +9,15 @@ double as an independent audit of a run.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
+from itertools import combinations
 
 from .config import InitialConfiguration
 from .engine import Trace, cluster_points
-from .geometry import (POS_TOL, PROX_TOL, TIME_TOL, first_illegal_leg,
-                       is_finite_point)
+from .geometry import (BOUND_SLACK, CLOSING_SPEED, POS_TOL, PROX_TOL,
+                       SEPARATION_TOL, SPEED_TOL, TIME_TOL, first_illegal_leg,
+                       is_finite_point, solve_crossing_in, solve_crossing_out)
 
 # GA members may sit this far beyond eps in the recorded trajectories:
 # ten times the slack PROX_TOL with which the engine joins a group.
@@ -90,28 +93,6 @@ def _event_xy(trace: Trace, ev) -> tuple[list[int], list[tuple[float, float]]]:
     return group, xy
 
 
-def _pair_separated(trace: Trace, i: int, j: int, t0: float,
-                    t1: float, eps: float) -> bool:
-    """Whether dist(i, j) exceeded eps + PROX_TOL somewhere in [t0, t1].
-
-    Distance along straight legs is convex, so the maximum over an
-    interval is attained at a trajectory breakpoint.  The engine parts a
-    pair only beyond eps + SEPARATION_TOL, so a pair within eps + PROX_TOL
-    throughout never left eps.  The walk stops at the first breakpoint
-    farther apart than that.
-    """
-    ta, tb = trace.trajectories[i], trace.trajectories[j]
-    cuts = sorted({*ta.breakpoint_times_between(t0, t1),
-                   *tb.breakpoint_times_between(t0, t1), t0, t1})
-    limit = eps + PROX_TOL
-    for t in cuts:
-        ax, ay = ta.xy_at(t)
-        bx, by = tb.xy_at(t)
-        if math.hypot(ax - bx, ay - by) > limit:
-            return True
-    return False
-
-
 def check_event_positions(trace: Trace) -> None:
     """Each appear and stop event names one agent and records its
     trajectory position to within POS_TOL.  A stopped agent stays put:
@@ -152,42 +133,156 @@ def _spanning_tree(xy, limit: float):
     return None if unreached else tree
 
 
+def _legs(traj):
+    """A trajectory's columns, its leg velocities and its excess: how far
+    its legs run, in sum, beyond (1 + SPEED_TOL) times their durations.
+    Over any span s its path covers at most (1 + SPEED_TOL) s plus that."""
+    ts, xs, ys = traj.times, traj.xs, traj.ys
+    vxs, vys, excess = [], [], 0.0
+    for t0, t1, x0, x1, y0, y1 in zip(ts, ts[1:], xs, xs[1:], ys, ys[1:]):
+        dt = t1 - t0
+        excess += max(0.0, math.hypot(x1 - x0, y1 - y0) - (1 + SPEED_TOL) * dt)
+        vxs.append((x1 - x0) / dt if dt > 0.0 else 0.0)
+        vys.append((y1 - y0) / dt if dt > 0.0 else 0.0)
+    return ts, xs, ys, vxs, vys, excess
+
+
+def _entries(a, b, j, t, end, skip, gas, eps):
+    """The times in [t, end] at which agents a and b, as _legs, enter eps
+    by the band rule; t is the later one's appearance, j b's index and gas
+    the times and members of a's GAs.  The pair enters at t within eps +
+    PROX_TOL.  Apart, it enters where its distance drops to eps, unless a
+    GA of that window holds both and finds it within PROX_TOL of eps,
+    before that root or while the pair grazes the circle after it: the
+    first such GA takes the entry, be it an edge the engine joined there
+    or a grazing root solved a hair off the engine's.  It parts only
+    beyond eps + SEPARATION_TOL.  Apart at t, it goes on from skip.
+
+    Windows end at the agents' breakpoints.  By conservative advancement
+    (Mirtich, PhD thesis, Berkeley 1996) the walk jumps where the pair
+    cannot reach the circle it solves for: its distance moves at most
+    CLOSING_SPEED s plus both excesses over a span s, or its relative
+    speed times s within a window, and BOUND_SLACK short of the circle
+    the solvers find no root (see BOUND_SLACK in geometry)."""
+    ta, xa, ya, ua, wa, ea = a
+    tb, xb, yb, ub, wb, eb = b
+    gts, held = gas
+    sep = eps + SEPARATION_TOL
+    out = []
+    inside = None
+    while True:
+        ka = bisect_right(ta, t, 0, len(ta) - 1) - 1
+        kb = bisect_right(tb, t, 0, len(tb) - 1) - 1
+        rx = xb[kb] + ub[kb] * (t - tb[kb]) - xa[ka] - ua[ka] * (t - ta[ka])
+        ry = yb[kb] + wb[kb] * (t - tb[kb]) - ya[ka] - wa[ka] * (t - ta[ka])
+        d = math.hypot(rx, ry)
+        if inside is None:
+            inside = d <= eps + PROX_TOL
+            if inside:
+                out.append(t)
+            elif skip > t:
+                t = skip
+                continue
+        if t >= end:
+            return out
+        w = min(ta[ka + 1], tb[kb + 1], end)
+        gap = (sep - d if inside else d - eps) - BOUND_SLACK
+        if gap - ea - eb > CLOSING_SPEED * (w - t):
+            t += (gap - ea - eb) / CLOSING_SPEED
+            continue
+        vx = ub[kb] - ua[ka]
+        vy = wb[kb] - wa[ka]
+        s = near = None
+        if gap <= math.hypot(vx, vy) * (w - t):
+            if inside:
+                s = solve_crossing_out(rx, ry, vx, vy, sep, w - t)
+            elif rx * vx + ry * vy < 0.0 or d <= eps + PROX_TOL:
+                near = solve_crossing_in(rx, ry, vx, vy, eps + PROX_TOL,
+                                         w - t)
+        if near is not None:
+            s = solve_crossing_in(rx, ry, vx, vy, eps, w - t)
+            for g in range(bisect_left(gts, t + near), bisect_right(gts, w)):
+                u = gts[g] - t
+                if s is not None and u > s:
+                    # Past the root only while the pair grazes the circle.
+                    c = -(rx * vx + ry * vy) / ((vx * vx + vy * vy) or 1.0)
+                    c = min(max(c, s), u)
+                    if math.hypot(rx + vx * c, ry + vy * c) < eps - PROX_TOL:
+                        break
+                if j in held[g] and abs(math.hypot(rx + vx * u, ry + vy * u)
+                                        - eps) <= PROX_TOL:
+                    s = u
+                    break
+        if s is None:
+            t = w
+            continue
+        t += s
+        inside = not inside
+        if inside:
+            out.append(t)
+
+
+def _translate(a, e, until: float) -> bool:
+    """Whether trajectory a is trajectory e's path shifted by their origins
+    and start times up to the time until: so shifted, a's breakpoints
+    before until are e's first ones, and its place at until is e's, to
+    TIME_TOL in time and POS_TOL / 2 in each coordinate, and e has no
+    other breakpoint short of until by more than TIME_TOL."""
+    ta, te = a.times[0], e.times[0]
+    until = min(until, a.times[-1])
+    k = bisect_left(a.times, until)
+    if k == 0:
+        return True
+    if e.times[-1] - te < until - ta or bisect_left(
+            e.times, te + (until - ta) - TIME_TOL) != k:
+        return False
+    xa, ya = a.xy_at(until)
+    xe, ye = e.xy_at(te + (until - ta))
+    for ca, ce, tol in ((a.times[:k], e.times[:k], TIME_TOL),
+                        (a.xs[:k] + [xa], e.xs[:k] + [xe], POS_TOL / 2),
+                        (a.ys[:k] + [ya], e.ys[:k] + [ye], POS_TOL / 2)):
+        diff = list(map(operator.sub, ca, ce))
+        if not -tol <= min(diff) - diff[0] <= max(diff) - diff[0] <= tol:
+            return False
+    return True
+
+
 def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
-    """GA groups are well formed, proximity-connected and contain a fresh
-    contact.
+    """GA groups are well formed and proximity-connected, and every
+    meeting of the engine's band rule has its GA.
 
     Well formed: a GA names each member once, with one recorded
     position, within POS_TOL of its trajectory, and one tag.
+    Connectivity: at the event time the members form one connected
+    component of the within-eps graph, certified by a spanning tree.  A
+    GA with the previous GA's members re-measures that tree; a new tree
+    is grown only if an edge is no longer close.
 
-    Connectivity: at the event time the participants form one connected
-    component of the within-eps graph.  Freshness: every GA has at least
-    one pair meeting for the first time, or meeting again after the pair's
-    distance exceeded eps + PROX_TOL since their previous common GA.  Pairs
-    that stay adjacent may keep appearing in group events; what may not
-    happen is a whole group re-firing with no new contact at all.
+    Meetings: each pair is walked for its entries (see _entries) over
+    its common span, up to a timed-out run's horizon.  The first GA that
+    holds both agents at an entry's time, to within TIME_TOL, claims it;
+    every entry is claimed, and every GA claims one no GA claimed before.
 
-    No per-pair state is kept, only a GA index: per agent, the GAs that
-    hold it and its _event_xy sample at each.  A pair found farther than
-    eps + PROX_TOL at its last common GA, more than TIME_TOL back, is
-    fresh without a walk: those samples are the floats the walk's first
-    cut measures.  A spanning tree certifies connectivity: a GA with the
-    previous GA's members re-measures its tree, and a new tree is grown
-    only if an edge is no longer close.  Freshness tries first the close
-    pairs of members that moved since their own last GA, nearest to eps
-    first (a new contact starts at eps); then the other close pairs.  A
-    pair its samples do not show fresh is walked at once.  The rule is
-    that some close pair is fresh, so the order sets only the cost;
-    non-movers are tried too, as an agent can leave and come back to the
-    bit-identical point.
+    Before the first GA the walk skips a pair that the paper's symmetry
+    argument proves apart, where _translate shows both paths to be the
+    earliest agent e's, shifted.  Pair (i, j), t_i <= t_j, is sure when
+    d_ij - (1 + SPEED_TOL) (t_j - t_i) > eps + BOUND_SLACK + 2 POS_TOL +
+    3 x_e, d_ij the distance of their starts and x_e e's excess (see
+    _legs).  Term by term: p_j(t) - p_i(t) is d_ij's vector, plus e's
+    displacement from t - t_j to t - t_i after its start, at most
+    (1 + SPEED_TOL) (t_j - t_i) + x_e, plus two translate errors.  Each
+    is at most sqrt(2) POS_TOL / 2 on matched legs, plus e's path over
+    the TIME_TOL their breakpoints may differ by, below POS_TOL + x_e.
+    So until the first GA the pair is beyond eps + BOUND_SLACK, where it
+    neither appears nor meets a GA near eps, nor has a solver root.
     """
     eps = cfg.epsilon
     eps_close = eps + GA_DIST_SLACK
-    apart_limit = eps + PROX_TOL
-    ga_times = []
-    gas_of = [[] for _ in trace.trajectories]
-    xys_of = [[] for _ in trace.trajectories]
+    trajs = trace.trajectories
+    gas = trace.ga_events()
+    gas_of = [[] for _ in trajs]
     tree_group = tree = None
-    for ev in trace.ga_events():
+    for k, ev in enumerate(gas):
         t = ev.time
         group, xy = _event_xy(trace, ev)
         m = len(group)
@@ -203,47 +298,45 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
             tree, tree_group = _spanning_tree(xy, eps_close), group
             if tree is None:
                 _fail(f"GA at {t}: group {group} not proximity-connected")
-
-        def fresh(a, b):
-            # gi[p] == gj[q] is the pair's last common GA: each step
-            # bisects one list below the other's entry.
-            i, j = group[a], group[b]
-            gi, gj = gas_of[i], gas_of[j]
-            p, q = len(gi) - 1, len(gj) - 1
-            while p >= 0 and q >= 0 and gi[p] != gj[q]:
-                if gi[p] > gj[q]:
-                    p = bisect_right(gi, gj[q], 0, p) - 1
-                else:
-                    q = bisect_right(gj, gi[p], 0, q) - 1
-            if p < 0 or q < 0:
-                return True
-            prev = ga_times[gi[p]]
-            if not t - prev > TIME_TOL:
-                return False
-            (xi, yi), (xj, yj) = xys_of[i][p], xys_of[j][q]
-            return (math.hypot(xi - xj, yi - yj) > apart_limit
-                    or _pair_separated(trace, i, j, prev, t, eps))
-
-        movers, still, near = [], [], []
-        for a, i in enumerate(group):
-            moved = not xys_of[i] or xys_of[i][-1] != xy[a]
-            (movers if moved else still).append(a)
-        for k, a in enumerate(movers):
-            xa, ya = xy[a]
-            for b in movers[k + 1:] + still:
-                d = math.hypot(xa - xy[b][0], ya - xy[b][1])
-                if d <= eps_close:
-                    near.append((abs(d - eps), a, b))
-        if not (any(fresh(a, b) for _, a, b in sorted(near))
-                or any(fresh(a, b)
-                       for k, a in enumerate(still) for b in still[k + 1:]
-                       if math.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1])
-                       <= eps_close)):
-            _fail(f"GA at {t}: group {group} has no fresh contact")
-        ga_times.append(t)
-        for i, p in zip(group, xy):
-            gas_of[i].append(len(ga_times) - 1)
-            xys_of[i].append(p)
+        for i in group:
+            gas_of[i].append(k)
+    held = [set(ev.agents) for ev in gas]
+    gas_of = [(ks, [gas[k].time for k in ks], [held[k] for k in ks])
+              for ks in gas_of]
+    first = gas[0].time if gas else math.inf
+    e = min(range(len(trajs)), key=lambda i: trajs[i].times[0])
+    legs = {e: _legs(trajs[e])}
+    reach = eps + BOUND_SLACK + 2 * POS_TOL + 3 * legs[e][5]
+    shifted = [_translate(traj, trajs[e], first) for traj in trajs]
+    stop = min([ev.time for ev in trace.events if ev.kind == "horizon"],
+               default=math.inf)
+    claimed = [False] * len(gas)
+    for i, j in combinations(range(len(trajs)), 2):
+        a, b = trajs[i], trajs[j]
+        t = max(a.times[0], b.times[0])
+        end = min(a.times[-1], b.times[-1], stop)
+        skip = first if shifted[i] and shifted[j] and math.hypot(
+            a.xs[0] - b.xs[0], a.ys[0] - b.ys[0]) - (1 + SPEED_TOL) * abs(
+            a.times[0] - b.times[0]) > reach else -math.inf
+        if t > end or skip >= end:
+            continue
+        for k in (i, j):
+            if k not in legs:
+                legs[k] = _legs(trajs[k])
+        ks, gts, sets = gas_of[i]
+        for s in _entries(legs[i], legs[j], j, t, end, skip, (gts, sets),
+                          eps):
+            p = bisect_left(gts, s - TIME_TOL)
+            while p < len(gts) and gts[p] <= s + TIME_TOL and j not in sets[p]:
+                p += 1
+            if not (p < len(gts) and gts[p] <= s + TIME_TOL):
+                _fail(f"agents {i} and {j} come within eps at {s}, and no "
+                      "GA then holds both")
+            claimed[ks[p]] = True
+    for ev, ok in zip(gas, claimed):
+        if not ok:
+            _fail(f"GA at {ev.time}: group {sorted(ev.agents)} has no fresh "
+                  "contact")
 
 
 def check_orders(trace: Trace) -> None:

@@ -32,8 +32,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import InitialConfiguration, pair_margin
-from .geometry import (BOUND_SLACK, POS_TOL, PROX_TOL, SEPARATION_TOL,
-                       SPEED_TOL, TIME_TOL, Point, Trajectory,
+from .geometry import (BOUND_SLACK, CLOSING_SPEED, POS_TOL, PROX_TOL,
+                       SEPARATION_TOL, SPEED_TOL, TIME_TOL, Point, Trajectory,
                        TrajectoryBuilder, Vec2, solve_crossing_in,
                        solve_crossing_out)
 
@@ -43,10 +43,6 @@ MAX_INSTANT_INSTRUCTIONS = 1000
 # Slack of the pair certificates over the scan window: larger than the
 # TIME_TOL by which the crossing solvers accept a root past their window.
 _CERT_MARGIN = 2 * TIME_TOL
-
-# The fastest a pair can close: both agents move at speed at most
-# 1 + SPEED_TOL.
-_CLOSING_SPEED = 2.0 * (1.0 + SPEED_TOL)
 
 # Margin of a sure pair (see ProximityGraph.next_events) over the pair
 # distance eps + BOUND_SLACK of the cannot-cross test.  A leg matches the
@@ -572,9 +568,9 @@ class ProximityGraph:
 
         An apart pair farther than lim apart gets cert inf and no solve,
         by conservative advancement (Mirtich, PhD thesis, Berkeley 1996):
-        lim is epsilon + BOUND_SLACK + _CLOSING_SPEED times the span the
+        lim is epsilon + BOUND_SLACK + CLOSING_SPEED times the span the
         pair would be solved over, and its agents close at most
-        _CLOSING_SPEED, so over that span it stays beyond
+        CLOSING_SPEED, so over that span it stays beyond
         epsilon + BOUND_SLACK, where the solver finds no root (see
         BOUND_SLACK in geometry).
 
@@ -648,7 +644,7 @@ class ProximityGraph:
         # a root they clamp onto the stretched end lies beyond the window.
         stretch = window + _CERT_MARGIN
         reach = eps + BOUND_SLACK
-        closing = _CLOSING_SPEED
+        closing = CLOSING_SPEED
         horizon = self.horizon
         nbr = self._nbr
         sep = eps + SEPARATION_TOL

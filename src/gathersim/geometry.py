@@ -10,7 +10,7 @@ times, xs and ys; its Segment objects are a view built on request.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -54,10 +54,9 @@ from typing import Optional, Sequence, Union
 #                 so every chain of adjacent agents passes the checker.
 # BOUND_SLACK     distance.  Margin of the cannot-cross test of
 #                 engine.next_events, which skips a pair farther than
-#                 eps + BOUND_SLACK + 2 (1 + SPEED_TOL) s apart, s the
-#                 span it would be solved over: agents move at speed at
-#                 most 1 + SPEED_TOL, so such a pair has no crossing into
-#                 eps within s.  Exceeds 2 * TIME_TOL, the distance the
+#                 eps + BOUND_SLACK + CLOSING_SPEED s apart, s the span
+#                 it would be solved over: such a pair has no crossing
+#                 into eps within s.  Exceeds 2 * TIME_TOL, the distance the
 #                 pair covers over the TIME_TOL past s in which
 #                 solve_crossing_in still accepts a root, so the solver
 #                 would find none either.  Exceeds checks.GA_DIST_SLACK: a
@@ -66,6 +65,10 @@ from typing import Optional, Sequence, Union
 #                 which is below BOUND_SLACK while R^2 < 2e6 eps, and a GA
 #                 beyond GA_DIST_SLACK fails the checker.  Far above the
 #                 float spacing at coordinates up to 1e7 (1.9e-9).
+# CLOSING_SPEED   speed.  The fastest a pair can close: both agents move
+#                 at speed at most 1 + SPEED_TOL.  The cannot-cross test
+#                 of engine.next_events and the pair walk of
+#                 checks.check_ga_events advance by it.
 TIME_TOL = 1e-9
 PROX_TOL = 1e-9
 POS_TOL = 1e-6
@@ -76,6 +79,7 @@ DISC_FLOOR = 1e-30
 SEPARATION_TOL = 5 * PROX_TOL
 BOUND_SLACK = POS_TOL
 SPEED_TOL2 = SPEED_TOL * SPEED_TOL
+CLOSING_SPEED = 2.0 * (1.0 + SPEED_TOL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,12 +278,6 @@ class Trajectory:
 
     def position_at(self, t: float) -> Point:
         return Point(*self.xy_at(t))
-
-    def breakpoint_times_between(self, t0: float,
-                                 t1: float) -> Sequence[float]:
-        """Breakpoint times t with t0 < t < t1, in trajectory order."""
-        times = self.times
-        return times[bisect_right(times, t0):bisect_left(times, t1)]
 
 
 class TrajectoryBuilder:

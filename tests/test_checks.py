@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,7 @@ from gathersim.algorithms import gather_n_program
 from gathersim.checks import (GA_DIST_SLACK, CheckFailure, _fail,
                               check_all, check_ga_events, check_speeds)
 from gathersim.config import InitialConfiguration
-from gathersim.engine import (Event, Program, Trace, Verdict,
+from gathersim.engine import (Event, Program, ProximityGraph, Trace, Verdict,
                               connected_components, run)
 from gathersim.generate import good_config, ungatherable_config
 from gathersim.geometry import (POS_TOL, PROX_TOL, TIME_TOL, Point,
@@ -32,8 +33,8 @@ def _ref_pair_separated(trace: Trace, i: int, j: int, t0: float,
     interval is attained at a trajectory breakpoint.
     """
     ta, tb = trace.trajectories[i], trace.trajectories[j]
-    cuts = sorted({*ta.breakpoint_times_between(t0, t1),
-                   *tb.breakpoint_times_between(t0, t1), t0, t1})
+    cuts = sorted({*(t for traj in (ta, tb) for t in traj.times[
+        bisect_right(traj.times, t0):bisect_left(traj.times, t1)]), t0, t1})
     best = max(ta.position_at(t).dist(tb.position_at(t)) for t in cuts)
     return best > eps + PROX_TOL
 
@@ -96,7 +97,7 @@ def _kind(outcome) -> str:
     if outcome == "pass":
         return outcome
     for kind in ("no fresh contact", "not proximity-connected",
-                 "fewer than two agents"):
+                 "fewer than two agents", "no GA then holds both"):
         if outcome[1].endswith(kind):
             return kind
     return outcome[1]
@@ -157,21 +158,6 @@ def _doctored(trace: Trace):
                    _with_gas(trace, gas[:k] + [fewer] + gas[k + 1:]))
 
 
-class _Walks:
-    """Records the pairs that check_ga_events walks breakpoint by breakpoint."""
-
-    def __init__(self, monkeypatch):
-        self.calls = []
-        walk = checks._pair_separated
-
-        def recorded(trace, i, j, t0, t1, eps):
-            result = walk(trace, i, j, t0, t1, eps)
-            self.calls.append((i, j, t0, t1, result))
-            return result
-
-        monkeypatch.setattr(checks, "_pair_separated", recorded)
-
-
 # -- Real traces, doctored one GA at a time --
 
 RUNS = [(0, 3), (1, 4), (2, 5), (3, 6)]
@@ -193,26 +179,27 @@ def test_real_traces_pass_both_checkers(real_runs):
         assert _outcome(check_ga_events, cfg, trace) == "pass"
 
 
-def test_doctored_traces_match_reference(real_runs, monkeypatch):
-    walks = _Walks(monkeypatch)
+def test_doctored_traces_match_reference(real_runs):
+    # The band walk fails every trace the reference fails.  It also
+    # fails a trace with a GA deleted or moved by 1e-3, which the
+    # reference's freshness rule lets pass: a meeting then has no GA.  A
+    # GA without a member the reference passes fails too if that member
+    # met another one there.
     seen = set()
     for cfg, trace in real_runs:
         for label, doctored in _doctored(trace):
             want = _outcome(reference_check_ga_events, cfg, doctored)
             got = _outcome(check_ga_events, cfg, doctored)
-            if want != "pass" and want[0] == "ValueError":
-                # The reference leaked position_at's error; the checker
-                # names the agent and the time instead.
+            if want != "pass" or label.startswith(("delete", "shift")):
+                assert got != "pass", label
                 assert got[0] == "CheckFailure", label
-                assert "outside its trajectory span" in got[1], label
-                seen.add("out of span")
-                continue
-            assert got == want, label
+            elif label.startswith("drop member"):
+                assert _kind(got) in ("pass", "no GA then holds both"), label
+            else:
+                assert got == "pass", label
             seen.add(_kind(got))
-    assert seen >= {"pass", "no fresh contact", "not proximity-connected"}
-    # Some doctored GA made the checker walk breakpoints, with both
-    # answers.
-    assert {result for *_, result in walks.calls} == {True, False}
+    assert seen >= {"pass", "no fresh contact", "not proximity-connected",
+                    "no GA then holds both"}
 
 
 # Wider teams: GAs of the whole team that repeat their predecessor's
@@ -229,7 +216,7 @@ def wide_runs():
     return out
 
 
-def test_doctored_wide_traces_match_reference(wide_runs, monkeypatch):
+def test_doctored_wide_traces_match_reference(wide_runs):
     whole = False
     for cfg, trace in wide_runs:
         gas = trace.ga_events()
@@ -237,14 +224,37 @@ def test_doctored_wide_traces_match_reference(wide_runs, monkeypatch):
         assert repeats
         whole = whole or any(len(b.agents) == cfg.n for b in repeats)
     assert whole
-    test_doctored_traces_match_reference(wide_runs, monkeypatch)
+    test_doctored_traces_match_reference(wide_runs)
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="ROADMAP item 1")
+def _edited(trace):
+    """(label, trace) for every single GA of trace deleted, duplicated,
+    or moved by 1e-3 either way with its positions sampled again."""
+    gas = trace.ga_events()
+    for k, ev in enumerate(gas):
+        yield f"delete {k}", _with_gas(trace, gas[:k] + gas[k + 1:])
+        yield f"duplicate {k}", _with_gas(trace, gas[:k + 1] + gas[k:])
+        for dt in (-1e-3, 1e-3):
+            t = ev.time + dt
+            try:
+                moved = dataclasses.replace(
+                    ev, time=t, positions=_positions_at(trace, ev.agents, t))
+            except ValueError:  # t lies outside a trajectory
+                continue
+            yield (f"shift {k} by {dt}",
+                   _with_gas(trace, gas[:k] + [moved] + gas[k + 1:]))
+
+
+def test_every_single_ga_edit_is_a_check_failure(real_runs, wide_runs):
+    for cfg, trace in real_runs + wide_runs:
+        check_all(cfg, trace)
+        for label, edited in _edited(trace):
+            with pytest.raises(CheckFailure):
+                check_all(cfg, edited)
+
+
 def test_missing_first_ga_is_a_check_failure():
-    # check_ga_events vets only the GAs a trace names, so a trace without
-    # its first meeting still passes.  A complete GA oracle rejects it.
+    # The band walk finds the first meeting, and no GA records it.
     for seed in range(6):
         cfg = good_config(seed, 4)
         trace = run(cfg, gather_n_program(4))
@@ -548,19 +558,26 @@ def test_split_verdict_with_a_missing_group_point_is_a_check_failure():
     assert str(err.value) == "split verdict with a missing group point"
 
 
-# -- Hand-made traces, one per freshness path --
+# -- Hand-made traces, one per path of the band walk --
 
-# eps = 1.  Agent 0 waits at the origin.  Agent 1 walks in from (3, 0),
-# is at distance eps at t=2 and 0.5 at t=2.5, walks back out to 3 by
-# t=5, in again to 0.5 by t=7.5, and waits there until t=10.
+# eps = 1.  Agent 0 waits at the origin.  Agent 1 walks south from
+# (1 + H, 3) to (1 + H, 0), which it reaches at t = 3 moving across the
+# line to agent 0, and rests there until t = 4 at distance eps + H,
+# within eps + PROX_TOL.  It then walks west, reaching eps at 4 + H and
+# 0.5 at 4.5 + H, east to 3 by 7 + H, leaving the band on the way, and
+# west again to 0.5 by 9.5 + H, reaching eps at 9 + H.  It waits there
+# until t = 10.
 EPS = 1.0
-HAND_CFG = InitialConfiguration(EPS, (Point(0, 0), Point(3, 0)), (0.0, 0.0))
+H = 5e-10
+HAND_CFG = InitialConfiguration(EPS, (Point(0, 0), Point(1 + H, 3)),
+                                (0.0, 0.0))
 
 
 def _hand_trace(ga_times) -> Trace:
     waits = Trajectory([0.0, 10.0], [0.0, 0.0], [0.0, 0.0])
-    walks = Trajectory([0.0, 2.0, 2.5, 5.0, 7.5, 10.0],
-                       [3.0, 1.0, 0.5, 3.0, 0.5, 0.5], [0.0] * 6)
+    walks = Trajectory([0.0, 3.0, 4.0, 4.5 + H, 7.0 + H, 9.5 + H, 10.0],
+                       [1.0 + H, 1.0 + H, 1.0 + H, 0.5, 3.0, 0.5, 0.5],
+                       [3.0] + [0.0] * 6)
     trace = Trace(events=[], final_tags=("", ""), trajectories=(waits, walks),
                   verdict=Verdict("timeout", 10.0))
     trace.events = [Event(t, "ga", (0, 1), _positions_at(trace, (0, 1), t),
@@ -568,38 +585,66 @@ def _hand_trace(ga_times) -> Trace:
     return trace
 
 
+def _walked(monkeypatch) -> list[float]:
+    """The entry times the band walks of check_ga_events find."""
+    walked = []
+    walk = checks._entries
+
+    def recorded(*args):
+        out = walk(*args)
+        walked.extend(out)
+        return out
+
+    monkeypatch.setattr(checks, "_entries", recorded)
+    return walked
+
+
 @pytest.mark.parametrize("ga_times, walked, result", [
-    # A pair that never met is fresh.
-    ([2.0], [], "pass"),
-    # The pair's last GA found it at distance eps + 5e-9, farther than
-    # eps + PROX_TOL: fresh from the flag, with no walk.
-    ([2.0 - 5e-9, 2.5], [], "pass"),
-    # At 2.5 the pair was 0.5 apart, so 7.5 walks and finds t=5.
-    ([2.5, 7.5], [True], "pass"),
-    # At distance eps the pair was within eps + PROX_TOL, so 2.5 walks,
-    # and the pair never left eps between the two GAs.
-    ([2.0, 2.5], [False], "no fresh contact"),
-    # Nothing between 7.5 and 8 separates the pair.
-    ([2.5, 7.5, 8.0], [True, False], "no fresh contact"),
-    # The flag needs the last GA more than TIME_TOL back: the pair is
-    # apart at eps + 5e-9, yet a GA at the same instant is not fresh.
-    ([2.0 - 5e-9, 2.0 - 5e-9], [], "no fresh contact"),
-    ([2.0 - 5e-9, 2.0 - 5e-9 + TIME_TOL / 2], [], "no fresh contact"),
+    # A GA at each entry.
+    ([4.0 + H, 9.0 + H], [4.0 + H, 9.0 + H], "pass"),
+    # A GA in the rest finds the pair within PROX_TOL of eps: it takes the
+    # contact, and the walk west from t = 4 makes no entry.
+    ([3.5, 9.0 + H], [3.5, 9.0 + H], "pass"),
+    # A GA TIME_TOL / 2 after the root finds the pair within PROX_TOL of
+    # eps too, and the entry is at the GA.
+    ([4.0 + H + TIME_TOL / 2, 9.0 + H], [4.0 + H + TIME_TOL / 2, 9.0 + H],
+     "pass"),
+    # At 4.2 the pair is 0.8 apart and entered at 4 + H.
+    ([4.0 + H, 4.2, 9.0 + H], [4.0 + H, 9.0 + H], "no fresh contact"),
+    # Nothing between 9 + H and 9.8 parts the pair.
+    ([4.0 + H, 9.0 + H, 9.8], [4.0 + H, 9.0 + H], "no fresh contact"),
+    # A GA repeated at its instant, or TIME_TOL / 2 later, claims the
+    # entry its first copy claimed.
+    ([4.0 + H, 4.0 + H, 9.0 + H], [4.0 + H, 9.0 + H], "no fresh contact"),
+    ([4.0 + H, 4.0 + H + TIME_TOL / 2, 9.0 + H], [4.0 + H, 9.0 + H],
+     "no fresh contact"),
 ])
 def test_freshness_paths(monkeypatch, ga_times, walked, result):
-    walks = _Walks(monkeypatch)
-    trace = _hand_trace(ga_times)
-    want = _outcome(reference_check_ga_events, HAND_CFG, trace)
-    got = _outcome(check_ga_events, HAND_CFG, trace)
-    assert got == want
+    entries = _walked(monkeypatch)
+    got = _outcome(check_ga_events, HAND_CFG, _hand_trace(ga_times))
     assert _kind(got) == result
-    assert [res for *_, res in walks.calls] == walked
+    assert entries == pytest.approx(walked, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ga_times, missed", [
+    ([9.0 + H], 4.0 + H), ([4.0 + H], 9.0 + H),
+    # A GA 1e-3 late finds the pair 1e-3 inside eps.
+    ([4.0 + H + 1e-3, 9.0 + H], 4.0 + H)])
+def test_meeting_without_its_ga_is_a_check_failure(ga_times, missed):
+    with pytest.raises(CheckFailure) as err:
+        check_ga_events(HAND_CFG, _hand_trace(ga_times))
+    message = str(err.value)
+    assert message.startswith("agents 0 and 1 come within eps at ")
+    assert message.endswith(", and no GA then holds both")
+    at = float(message.split(" at ")[1].split(",")[0])
+    assert at == pytest.approx(missed, rel=0.0, abs=1e-12)
 
 
 def _line_trace(paths, ga_times) -> Trace:
-    """Agents on the x axis, each paths[i] = (times, xs), and a GA of
-    them all at each of ga_times."""
-    trajs = tuple(Trajectory(ts, xs, [0.0] * len(ts)) for ts, xs in paths)
+    """Agents each on paths[i] = (times, xs), or (times, xs, ys) off the
+    x axis, and a GA of them all at each of ga_times."""
+    trajs = tuple(Trajectory(ts, xs, ys[0] if ys else [0.0] * len(ts))
+                  for ts, xs, *ys in paths)
     agents = tuple(range(len(trajs)))
     trace = Trace(events=[], final_tags=("",) * len(agents),
                   trajectories=trajs, verdict=Verdict("timeout", 10.0))
@@ -612,19 +657,23 @@ def _line_trace(paths, ga_times) -> Trace:
     # Agent 2 ends 1 + 2 GA_DIST_SLACK right of agent 0, within eps of
     # agent 1: the chain 0-1-2 still connects the group.
     (1.0 + 2 * GA_DIST_SLACK, "pass"),
-    # It ends as far left of agent 0, 1.5 from agent 1: no chain does.
+    # It ends as far left of agent 0, 1.05 from agent 1: no chain does.
     (-1.0 - 2 * GA_DIST_SLACK, "not proximity-connected"),
 ])
 def test_repeat_ga_remeasures_its_spanning_tree(x2, result):
-    # Agents 0 and 1 wait at x = 0 and 0.5.  At the first GA agent 2
-    # waits at -0.9, so the tree grown from agent 0 holds the edges 0-1
-    # and 0-2.  Agent 2 then walks to x2, which stretches the edge 0-2
-    # past eps + GA_DIST_SLACK by the second GA, of the same members.
+    # Agents 0 and 1 wait at x = 0 and 0.05.  At the first GA, at t = 0,
+    # agent 2 waits at -0.9 and agent 3 at (0, 1), so the tree grown from
+    # agent 0 holds the edges 0-1, 0-2 and 0-3.  Agent 2 then walks to
+    # x2, which stretches the edge 0-2 past eps + GA_DIST_SLACK by the
+    # second GA, of the same members.  Agent 3 walks out to (0, 3) and
+    # back, and meets agent 0 again at that GA.
     walk = abs(x2 + 0.9)
     trace = _line_trace([([0.0, 10.0], [0.0, 0.0]),
-                         ([0.0, 10.0], [0.5, 0.5]),
+                         ([0.0, 10.0], [0.05, 0.05]),
                          ([0.0, 1.0, 1.0 + walk, 10.0],
-                          [-0.9, -0.9, x2, x2])], [0.5, 5.0])
+                          [-0.9, -0.9, x2, x2]),
+                         ([0.0, 2.0, 3.0, 5.0, 10.0], [0.0] * 5,
+                          [1.0, 3.0, 3.0, 1.0, 1.0])], [0.0, 5.0])
     want = _outcome(reference_check_ga_events, HAND_CFG, trace)
     got = _outcome(check_ga_events, HAND_CFG, trace)
     assert got == want
@@ -632,29 +681,24 @@ def test_repeat_ga_remeasures_its_spanning_tree(x2, result):
 
 
 @pytest.mark.parametrize("excursion, walked, result", [
-    # Agent 1 walks out to x = 2, 2 from agent 0, and back: only a walk
-    # can show its pairs fresh.
-    (True, [True], "pass"),
-    # The same trace with agent 1 waiting throughout has no fresh pair.
-    (False, [False, False, False], "no fresh contact"),
+    # Agent 1 walks out to x = 2, 2 from agent 0, and back: it meets
+    # agent 0 again at 3.5 and agent 2 at 4.
+    (True, [0.0, 3.5, 0.0, 0.0, 4.0], "pass"),
+    # The same trace with agent 1 waiting throughout meets no one again.
+    (False, [0.0, 0.0, 0.0], "no fresh contact"),
 ])
 def test_returner_is_fresh_by_the_walk(monkeypatch, excursion, walked,
                                        result):
-    # Agents 0 and 2 wait at x = 0 and -0.5, agent 1 is at 0.5 at both
-    # GAs.  No member moved since its last GA, so the fresh pair is one
-    # the mover-first order tries last.
-    walks = _Walks(monkeypatch)
+    # Agents 0 and 2 wait at x = 0 and -0.5, and every pair meets at its
+    # appearance.  Agent 1 is at 0.5 at t = 0 and at each GA.
+    entries = _walked(monkeypatch)
     returner = (([0.0, 1.0, 2.5, 4.0, 10.0], [0.5, 0.5, 2.0, 0.5, 0.5])
                 if excursion else ([0.0, 10.0], [0.5, 0.5]))
     trace = _line_trace([([0.0, 10.0], [0.0, 0.0]), returner,
-                         ([0.0, 10.0], [-0.5, -0.5])], [0.5, 5.0])
-    back = trace.trajectories[1]
-    assert back.xy_at(0.5) == back.xy_at(5.0)
-    want = _outcome(reference_check_ga_events, HAND_CFG, trace)
+                         ([0.0, 10.0], [-0.5, -0.5])], [0.0, 3.5, 4.0])
     got = _outcome(check_ga_events, HAND_CFG, trace)
-    assert got == want
     assert _kind(got) == result
-    assert [res for *_, res in walks.calls] == walked
+    assert entries == walked
 
 
 # -- The order audit --
@@ -729,3 +773,36 @@ def test_order_skips_members_stopped_before_it():
     with pytest.raises(CheckFailure, match="not to the awake members"):
         checks.check_orders(dataclasses.replace(
             trace, events=events[:k] + [stop, order]))
+
+
+# -- A meeting the engine missed --
+
+@pytest.mark.parametrize("seed", range(3))
+def test_meeting_the_engine_missed_is_a_check_failure(monkeypatch, seed):
+    # The engine joins the first pair that approaches but runs no GA for
+    # it: the run goes on with legal trajectories, and the band walk finds
+    # the meeting that no GA records.
+    dropped = []
+    apply = ProximityGraph.apply
+
+    def drops_one(graph, t, hits):
+        approaches = apply(graph, t, hits)
+        if not dropped and approaches:
+            i, j = pair = min(approaches)
+            dropped.append((t, pair))
+            graph._nbr[i].add(j)
+            graph._nbr[j].add(i)
+            approaches.discard(pair)
+        return approaches
+
+    monkeypatch.setattr(ProximityGraph, "apply", drops_one)
+    cfg = good_config(seed, 4)
+    trace = run(cfg, gather_n_program(4))
+    [(t, (i, j))] = dropped
+    assert not any(ev.time == t and {i, j} <= set(ev.agents)
+                   for ev in trace.ga_events())
+    check_speeds(trace)
+    with pytest.raises(CheckFailure) as err:
+        check_all(cfg, trace)
+    assert str(err.value) == (f"agents {i} and {j} come within eps at {t}, "
+                              "and no GA then holds both")

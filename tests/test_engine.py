@@ -30,8 +30,8 @@ from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
                               default_horizon, run)
 from gathersim.generate import (config_of_class, good_config, good_pair,
                                 ungatherable_config)
-from gathersim.geometry import (BOUND_SLACK, POS_TOL, SEPARATION_TOL,
-                                SPEED_TOL, TIME_TOL, Point,
+from gathersim.geometry import (BOUND_SLACK, CLOSING_SPEED, POS_TOL,
+                                SEPARATION_TOL, SPEED_TOL, TIME_TOL, Point,
                                 TrajectoryBuilder, Vec2,
                                 solve_crossing_in, solve_crossing_out)
 
@@ -699,7 +699,7 @@ def test_lockstep_pair_is_solved_once(monkeypatch):
 def test_skipped_pair_calls_no_solver(monkeypatch):
     # Agent 0 walks east from now = 1 to 5 and agent 1 waits till 9, so
     # the pair would be solved over the span 4, in which it closes by at
-    # most 4 _CLOSING_SPEED.  Beyond lim = eps + BOUND_SLACK + that, it
+    # most 4 CLOSING_SPEED.  Beyond lim = eps + BOUND_SLACK + that, it
     # gets cert inf with no solve and no heap entry, whether its
     # certificate was due at now or not.  Agent 1 waits, so the pair is
     # not in lockstep.  At lim or nearer the pair is solved: from 8.4 it
@@ -723,7 +723,7 @@ def test_skipped_pair_calls_no_solver(monkeypatch):
         assert graph.next_events(agents, 1.0, 2.0) == (2.0, [])
         return graph
 
-    lim = 0.5 + BOUND_SLACK + 4.0 * engine._CLOSING_SPEED
+    lim = 0.5 + BOUND_SLACK + 4.0 * CLOSING_SPEED
     for x in (40.0, math.nextafter(lim, math.inf)):
         for due in (False, True):
             graph = scan(x, due)
@@ -747,7 +747,7 @@ def test_skipped_pair_calls_no_solver(monkeypatch):
 def test_pair_beyond_lim_has_no_root(eps, window, share, speed, r_angle,
                                      v_turn, rel):
     # Agent 0 stands still at the origin until t_end, agent 1 moves at
-    # any speed up to _CLOSING_SPEED, a pair's fastest closing, on a
+    # any speed up to CLOSING_SPEED, a pair's fastest closing, on a
     # longer motion, v_turn off straight at agent 0; the pair is solved
     # from now = 0 over the span max(t_end, window + _CERT_MARGIN).  Its
     # distance lies within 1e-12 (relative) of lim, or below lim, and its
@@ -756,12 +756,12 @@ def test_pair_beyond_lim_has_no_root(eps, window, share, speed, r_angle,
     # the solver finds no root over that span.
     stretch = window + engine._CERT_MARGIN
     longest = (math.sqrt(2e6 * eps) / (1.0 + 1e-12) - eps - BOUND_SLACK) \
-        / engine._CLOSING_SPEED
+        / CLOSING_SPEED
     t_end = stretch + share * (longest - stretch)
-    v = speed * engine._CLOSING_SPEED
+    v = speed * CLOSING_SPEED
     v_angle = r_angle + math.pi + v_turn
     vx, vy = v * math.cos(v_angle), v * math.sin(v_angle)
-    lim = eps + BOUND_SLACK + engine._CLOSING_SPEED * t_end
+    lim = eps + BOUND_SLACK + CLOSING_SPEED * t_end
     dist = lim * (1.0 + rel)
     rx, ry = dist * math.cos(r_angle), dist * math.sin(r_angle)
     assume(rx * rx + ry * ry < 2e6 * eps)

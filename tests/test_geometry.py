@@ -299,10 +299,6 @@ def _linear_position_at(traj, t):
     return Point(sp.x + (ep.x - sp.x) * u, sp.y + (ep.y - sp.y) * u)
 
 
-def _linear_times_between(traj, t0, t1):
-    return [t for t in traj.times if t0 < t < t1]
-
-
 # Sub-tolerance durations sit on the lookup's edges.
 durations = st.one_of(st.just(0.0),
                       st.floats(TIME_TOL / 4, 4 * TIME_TOL),
@@ -344,10 +340,6 @@ def test_position_at_bisect_matches_linear_scan(traj, fractions):
         # The float sampler gives the same coordinates, bit for bit.
         assert [c.hex() for c in traj.xy_at(t)] \
             == [c.hex() for c in pos.coords]
-    for t0 in queries:
-        for t1 in queries:
-            assert list(traj.breakpoint_times_between(t0, t1)) \
-                == _linear_times_between(traj, t0, t1)
 
 
 def test_builder_keeps_every_record():
