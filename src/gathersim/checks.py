@@ -61,20 +61,30 @@ def check_speeds(trace: Trace) -> None:
                   f"{math.hypot(xs[k + 1] - xs[k], ys[k + 1] - ys[k]) / dt}")
 
 
-def _event_xy(trace: Trace, ev) -> tuple[list[int], list[tuple[float, float]]]:
+def _positions(trajs, evs) -> list:
+    """Per agent, an iterator over its xys_at of the times of the events
+    of evs, in turn, once for each time an event names it."""
+    when = [[] for _ in trajs]
+    for ev in evs:
+        for i in ev.agents:
+            if 0 <= i < len(trajs):
+                when[i].append(ev.time)
+    return [iter(traj.xys_at(ts)) for traj, ts in zip(trajs, when)]
+
+
+def _event_xy(at, ev) -> tuple[list[int], list[tuple[float, float]]]:
     """ev's agents, sorted, and their trajectory positions at ev.time in
-    that order, once ev is shown to record each one within POS_TOL."""
+    that order, next in at, once each is shown recorded within POS_TOL."""
     t = ev.time
     what = "GA" if ev.kind == "ga" else ev.kind
     group = sorted(ev.agents)
-    n = len(trace.trajectories)
+    n = len(at)
     xy = []
     for i in group:
         if not 0 <= i < n:
             _fail(f"{what} at {t} names agent {i}, not one of the {n} agents")
-        try:
-            xy.append(trace.trajectories[i].xy_at(t))
-        except ValueError:
+        xy.append(next(at[i]))
+        if xy[-1] is None:
             _fail(f"{what} at {t}: agent {i} has no position, the time lies "
                   "outside its trajectory span")
     if len(ev.positions) != len(xy):
@@ -98,22 +108,22 @@ def check_event_positions(trace: Trace) -> None:
     trajectory position to within POS_TOL.  A stopped agent stays put:
     no later breakpoint of its trajectory, and so no point of its
     straight legs, lies more than POS_TOL from its stop position."""
-    for ev in trace.events:
-        if ev.kind == "appear" or ev.kind == "stop":
-            if len(ev.agents) != 1:
-                _fail(f"{ev.kind} at {ev.time} names {len(ev.agents)} "
-                      "agents, not one")
-            _event_xy(trace, ev)
-            if ev.kind == "stop":
-                i, p = ev.agents[0], ev.positions[0]
-                traj = trace.trajectories[i]
-                ts, xs, ys = traj.times, traj.xs, traj.ys
-                for k in range(bisect_right(ts, ev.time), len(ts)):
-                    d = math.hypot(xs[k] - p.x, ys[k] - p.y)
-                    if not d <= POS_TOL:
-                        _fail(f"agent {i} moves after its stop at "
-                              f"{ev.time}: at {ts[k]} it is {d} from its "
-                              "stop position")
+    evs = [ev for ev in trace.events if ev.kind in ("appear", "stop")]
+    at = _positions(trace.trajectories, evs)
+    for ev in evs:
+        if len(ev.agents) != 1:
+            _fail(f"{ev.kind} at {ev.time} names {len(ev.agents)} agents, "
+                  "not one")
+        _event_xy(at, ev)
+        if ev.kind == "stop":
+            i, p = ev.agents[0], ev.positions[0]
+            traj = trace.trajectories[i]
+            ts, xs, ys = traj.times, traj.xs, traj.ys
+            for k in range(bisect_right(ts, ev.time), len(ts)):
+                d = math.hypot(xs[k] - p.x, ys[k] - p.y)
+                if not d <= POS_TOL:
+                    _fail(f"agent {i} moves after its stop at {ev.time}: "
+                          f"at {ts[k]} it is {d} from its stop position")
 
 
 def _spanning_tree(xy, limit: float):
@@ -158,21 +168,28 @@ def _entries(a, b, j, t, end, skip, gas, eps):
     or a grazing root solved a hair off the engine's.  It parts only
     beyond eps + SEPARATION_TOL.  Apart at t, it goes on from skip.
 
-    Windows end at the agents' breakpoints.  By conservative advancement
-    (Mirtich, PhD thesis, Berkeley 1996) the walk jumps where the pair
-    cannot reach the circle it solves for: its distance moves at most
-    CLOSING_SPEED s plus both excesses over a span s, or its relative
-    speed times s within a window, and BOUND_SLACK short of the circle
-    the solvers find no root (see BOUND_SLACK in geometry)."""
+    Windows end at the agents' breakpoints, which the walk reads once per
+    pair, in time order, with a forward cursor per agent.  By conservative
+    advancement (Mirtich, PhD thesis, Berkeley 1996) the walk jumps where
+    the pair cannot reach the circle it solves for: its distance moves at
+    most CLOSING_SPEED s plus both excesses over a span s, or its relative
+    speed times s within a window, and BOUND_SLACK short of the circle the
+    solvers find no root (see BOUND_SLACK in geometry)."""
     ta, xa, ya, ua, wa, ea = a
     tb, xb, yb, ub, wb, eb = b
     gts, held = gas
     sep = eps + SEPARATION_TOL
+    ka, kb, na, nb, la, lb = 0, 0, ta[1], tb[1], len(ta) - 2, len(tb) - 2
     out = []
     inside = None
     while True:
-        ka = bisect_right(ta, t, 0, len(ta) - 1) - 1
-        kb = bisect_right(tb, t, 0, len(tb) - 1) - 1
+        # Leg ka is a's last leg that starts by t, or its final one.
+        while na <= t and ka < la:
+            ka += 1
+            na = ta[ka + 1]
+        while nb <= t and kb < lb:
+            kb += 1
+            nb = tb[kb + 1]
         rx = xb[kb] + ub[kb] * (t - tb[kb]) - xa[ka] - ua[ka] * (t - ta[ka])
         ry = yb[kb] + wb[kb] * (t - tb[kb]) - ya[ka] - wa[ka] * (t - ta[ka])
         d = math.hypot(rx, ry)
@@ -185,7 +202,9 @@ def _entries(a, b, j, t, end, skip, gas, eps):
                 continue
         if t >= end:
             return out
-        w = min(ta[ka + 1], tb[kb + 1], end)
+        w = nb if nb < na else na
+        if end < w:
+            w = end
         gap = (sep - d if inside else d - eps) - BOUND_SLACK
         if gap - ea - eb > CLOSING_SPEED * (w - t):
             t += (gap - ea - eb) / CLOSING_SPEED
@@ -281,10 +300,11 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
     trajs = trace.trajectories
     gas = trace.ga_events()
     gas_of = [[] for _ in trajs]
+    at = _positions(trajs, gas)
     tree_group = tree = None
     for k, ev in enumerate(gas):
         t = ev.time
-        group, xy = _event_xy(trace, ev)
+        group, xy = _event_xy(at, ev)
         m = len(group)
         if len(set(group)) != m:
             _fail(f"GA at {t} names an agent twice: {ev.agents}")
@@ -292,9 +312,12 @@ def check_ga_events(cfg: InitialConfiguration, trace: Trace) -> None:
             _fail(f"GA at {t} records {len(ev.tags)} tags for {m} agents")
         if m < 2:
             _fail(f"GA at {t} with fewer than two agents")
-        if group != tree_group or any(
-                math.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1])
-                > eps_close for a, b in tree):
+        if group == tree_group:
+            for a, b in tree:
+                if math.dist(xy[a], xy[b]) > eps_close:
+                    tree_group = None  # an edge is no longer close
+                    break
+        if group != tree_group:
             tree, tree_group = _spanning_tree(xy, eps_close), group
             if tree is None:
                 _fail(f"GA at {t}: group {group} not proximity-connected")

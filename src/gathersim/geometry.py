@@ -201,12 +201,12 @@ class Trajectory:
     is a view built from the columns on each read.  Trajectory(times, xs,
     ys) keeps the given lists, not copies.
 
-    position_at, and xy_at which gives the same coordinates as a tuple,
-    are defined on [start_time, end_time]; queries before the start or
-    after the end raise.
+    position_at, xy_at (its coordinates as a tuple) and xys_at (those of
+    many times at once, None for a time out of span) are defined on
+    [start_time, end_time]; queries before the start or after the end raise.
     """
 
-    # _keys: times plus TIME_TOL, built on the first xy_at.
+    # _keys: times plus TIME_TOL, built on the first xys_at.
     __slots__ = ("times", "xs", "ys", "_keys")
 
     def __init__(self, times: list[float], xs: list[float],
@@ -254,27 +254,34 @@ class Trajectory:
 
     def xy_at(self, t: float) -> tuple[float, float]:
         """Coordinates of position_at(t), without building a Point."""
-        times = self.times
-        start, end = times[0], times[-1]
-        if t < start - TIME_TOL or t > end + TIME_TOL:
+        xy = self.xys_at((t,))[0]
+        if xy is None:
             raise ValueError(f"time {t} outside trajectory span "
-                             f"[{start}, {end}]")
-        t = min(max(t, start), end)
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = [u + TIME_TOL for u in times]
-        # Leg k - 1 is the first leg with t <= its end time + TIME_TOL;
-        # keys[k] is that end plus TIME_TOL, and t <= end bounds the
-        # search.
-        k = bisect_left(keys, t, 1)
-        t0 = times[k - 1]
-        x0 = self.xs[k - 1]
-        y0 = self.ys[k - 1]
-        dur = times[k] - t0
-        if dur <= 0.0:
-            return (x0, y0)
-        u = (t - t0) / dur
-        return (x0 + (self.xs[k] - x0) * u, y0 + (self.ys[k] - y0) * u)
+                             f"[{self.times[0]}, {self.times[-1]}]")
+        return xy
+
+    def xys_at(self, ts: Sequence[float]) -> list:
+        """xy_at of each time of ts, in any order, or None where it raises."""
+        times, xs, ys = self.times, self.xs, self.ys
+        start, end = times[0], times[-1]
+        keys = self._keys = self._keys or [u + TIME_TOL for u in times]
+        out = []
+        for t in ts:
+            if t < start - TIME_TOL or t > end + TIME_TOL:
+                out.append(None)
+                continue
+            t = start if t < start else end if t > end else t
+            # Leg k - 1 is the first with t <= its end + TIME_TOL, which is
+            # keys[k]; t <= end bounds the search.
+            k = bisect_left(keys, t, 1)
+            t0, x0, y0 = times[k - 1], xs[k - 1], ys[k - 1]
+            dur = times[k] - t0
+            if dur <= 0.0:
+                out.append((x0, y0))
+            else:
+                u = (t - t0) / dur
+                out.append((x0 + (xs[k] - x0) * u, y0 + (ys[k] - y0) * u))
+        return out
 
     def position_at(self, t: float) -> Point:
         return Point(*self.xy_at(t))

@@ -6,6 +6,8 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gathersim import checks
 from gathersim.algorithms import gather_n_program
@@ -15,8 +17,10 @@ from gathersim.config import InitialConfiguration
 from gathersim.engine import (Event, Program, ProximityGraph, Trace, Verdict,
                               connected_components, run)
 from gathersim.generate import good_config, ungatherable_config
-from gathersim.geometry import (POS_TOL, PROX_TOL, TIME_TOL, Point,
-                                Trajectory)
+from gathersim.geometry import (BOUND_SLACK, CLOSING_SPEED, POS_TOL,
+                                PROX_TOL, SEPARATION_TOL, TIME_TOL, Point,
+                                Trajectory, solve_crossing_in,
+                                solve_crossing_out)
 
 
 # -- Reference: check_ga_events as it was before it kept per-pair state --
@@ -80,6 +84,72 @@ def reference_check_ga_events(cfg: InitialConfiguration,
             _fail(f"GA at {ev.time}: group {group} has no fresh contact")
         for i, j in combinations(group, 2):
             last_meeting[(i, j)] = ev.time
+
+
+# -- Reference: checks._entries as it was with a bisect per window --
+
+def _ref_entries(a, b, j, t, end, skip, gas, eps):
+    """checks._entries, finding each agent's leg by bisection at every
+    window instead of by a forward cursor."""
+    ta, xa, ya, ua, wa, ea = a
+    tb, xb, yb, ub, wb, eb = b
+    gts, held = gas
+    sep = eps + SEPARATION_TOL
+    out = []
+    inside = None
+    while True:
+        ka = bisect_right(ta, t, 0, len(ta) - 1) - 1
+        kb = bisect_right(tb, t, 0, len(tb) - 1) - 1
+        rx = xb[kb] + ub[kb] * (t - tb[kb]) - xa[ka] - ua[ka] * (t - ta[ka])
+        ry = yb[kb] + wb[kb] * (t - tb[kb]) - ya[ka] - wa[ka] * (t - ta[ka])
+        d = math.hypot(rx, ry)
+        if inside is None:
+            inside = d <= eps + PROX_TOL
+            if inside:
+                out.append(t)
+            elif skip > t:
+                t = skip
+                continue
+        if t >= end:
+            return out
+        w = min(ta[ka + 1], tb[kb + 1], end)
+        gap = (sep - d if inside else d - eps) - BOUND_SLACK
+        if gap - ea - eb > CLOSING_SPEED * (w - t):
+            t += (gap - ea - eb) / CLOSING_SPEED
+            continue
+        vx = ub[kb] - ua[ka]
+        vy = wb[kb] - wa[ka]
+        s = near = None
+        if gap <= math.hypot(vx, vy) * (w - t):
+            if inside:
+                s = solve_crossing_out(rx, ry, vx, vy, sep, w - t)
+            elif rx * vx + ry * vy < 0.0 or d <= eps + PROX_TOL:
+                near = solve_crossing_in(rx, ry, vx, vy, eps + PROX_TOL,
+                                         w - t)
+        if near is not None:
+            s = solve_crossing_in(rx, ry, vx, vy, eps, w - t)
+            for g in range(bisect_left(gts, t + near), bisect_right(gts, w)):
+                u = gts[g] - t
+                if s is not None and u > s:
+                    c = -(rx * vx + ry * vy) / ((vx * vx + vy * vy) or 1.0)
+                    c = min(max(c, s), u)
+                    if math.hypot(rx + vx * c, ry + vy * c) < eps - PROX_TOL:
+                        break
+                if j in held[g] and abs(math.hypot(rx + vx * u, ry + vy * u)
+                                        - eps) <= PROX_TOL:
+                    s = u
+                    break
+        if s is None:
+            t = w
+            continue
+        t += s
+        inside = not inside
+        if inside:
+            out.append(t)
+
+
+def _hexes(times) -> list[str]:
+    return [t.hex() for t in times]
 
 
 # -- Helpers --
@@ -251,6 +321,80 @@ def test_every_single_ga_edit_is_a_check_failure(real_runs, wide_runs):
         for label, edited in _edited(trace):
             with pytest.raises(CheckFailure):
                 check_all(cfg, edited)
+
+
+def test_cursor_walk_matches_the_bisect_walk(monkeypatch, real_runs,
+                                            wide_runs):
+    # Every pair the audit walks on RUNS and WIDE_RUNS, from its skip and
+    # from its start, gives the reference's entries bit for bit.
+    walk, walks = checks._entries, []
+
+    def both(*args):
+        out = walk(*args)
+        assert _hexes(out) == _hexes(_ref_entries(*args))
+        unskipped = args[:5] + (-math.inf,) + args[6:]
+        assert _hexes(walk(*unskipped)) == _hexes(_ref_entries(*unskipped))
+        walks.append(out)
+        return out
+
+    monkeypatch.setattr(checks, "_entries", both)
+    for cfg, trace in real_runs + wide_runs:
+        check_ga_events(cfg, trace)
+    assert len(walks) == sum(n * (n - 1) // 2 for _, n in RUNS + WIDE_RUNS)
+    assert sum(map(len, walks)) > len(walks)
+
+
+WALK_EPS = 1.0
+# Grid durations put breakpoints of both agents on common instants, and
+# 0.0 makes legs that last no time.
+_walk_legs = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0),
+    st.booleans(), st.floats(0.0, 2 * math.pi)), min_size=1, max_size=8)
+
+
+def _unit_legs(t, x, y, legs) -> Trajectory:
+    """A path from (x, y) at t along legs of (duration, moving, heading),
+    each at unit speed or at rest."""
+    ts, xs, ys = [t], [x], [y]
+    for dur, moving, ang in legs:
+        step = dur if moving else 0.0
+        ts.append(ts[-1] + dur)
+        xs.append(xs[-1] + step * math.cos(ang))
+        ys.append(ys[-1] + step * math.sin(ang))
+    return Trajectory(ts, xs, ys)
+
+
+@st.composite
+def walked_pairs(draw):
+    """Arguments of checks._entries for a random pair: a from time 0,
+    often at rest first; b from one of a's breakpoints or between them,
+    often at rest first at eps +- k 1e-10 from a; GAs at breakpoints or
+    between them, holding b or not; and a skip and an end."""
+    rest = st.tuples(st.floats(0.0, 3.0), st.just(False), st.just(0.0))
+    head = st.lists(rest, max_size=1)
+    a = _unit_legs(0.0, 0.0, 0.0, draw(head) + draw(_walk_legs))
+    t = draw(st.sampled_from(a.times) | st.floats(0.0, a.end_time))
+    ax, ay = a.xy_at(t)
+    r = draw(st.integers(-20, 20).map(lambda k: WALK_EPS + k * 1e-10)
+             | st.floats(0.0, 4.0))
+    ang = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, 7.0))
+    b = _unit_legs(t, ax + r * math.cos(ang), ay + r * math.sin(ang),
+                   draw(head) + draw(_walk_legs))
+    end = min(a.end_time, b.end_time)
+    end = draw(st.sampled_from([end, (t + end) / 2]))
+    inner = st.sampled_from(a.times + b.times) | st.floats(t, end)
+    gts = sorted(draw(st.lists(inner, max_size=6)))
+    held = [draw(st.sampled_from([{0, 1}, {0}])) for _ in gts]
+    skip = draw(st.sampled_from([-math.inf, t]) | inner)
+    assume(skip < end)
+    return (checks._legs(a), checks._legs(b), 1, t, end, skip,
+            (gts, held), WALK_EPS)
+
+
+@given(walked_pairs())
+@settings(max_examples=400, deadline=None)
+def test_cursor_walk_matches_the_bisect_walk_on_random_legs(args):
+    assert _hexes(checks._entries(*args)) == _hexes(_ref_entries(*args))
 
 
 def test_missing_first_ga_is_a_check_failure():

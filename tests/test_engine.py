@@ -1076,6 +1076,19 @@ def test_symmetric_positions_replay_the_eager_floats(shift):
         assert _column_bits(trace) == _column_bits(ref)
 
 
+@pytest.mark.parametrize("vx, vy", [(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])
+def test_leg_keeps_a_signed_zero_start_up_to_its_start(vx, vy):
+    # A leg from (-0.0, -0.0) gives its start with both signs at its own
+    # start instant and just before it; x0 + vx (t - t0) there would be
+    # -0.0 + 0.0, which is +0.0.  Just after it the place moves on.
+    t0 = 2.0
+    leg = engine._Motion(t0, -0.0, -0.0, t0 + 3.0, 3.0 * vx, 3.0 * vy,
+                         vx, vy, False)
+    for t in (t0, t0 - 1e-12):
+        assert [math.copysign(1.0, c) for c in leg.at(t)] == [-1.0, -1.0]
+    assert leg.at(t0 + 0.5) == (0.5 * vx, 0.5 * vy)
+
+
 @pytest.mark.parametrize("shift", ["as-is", "far-plane", "late-time",
                                    "sure-pair"])
 def test_appearance_is_beyond_eps_while_every_pair_is_sure(shift):

@@ -342,6 +342,44 @@ def test_position_at_bisect_matches_linear_scan(traj, fractions):
             == [c.hex() for c in pos.coords]
 
 
+def _xy_or_none(traj, t):
+    try:
+        return traj.xy_at(t)
+    except ValueError:
+        return None
+
+
+@given(contiguous_trajectories(), st.lists(st.floats(0.0, 1.0), max_size=4),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_xys_at_is_xy_at_of_each_time(traj, fractions, rng):
+    ts = [b + d for b in traj.times
+          for d in (0.0, -TIME_TOL / 2, TIME_TOL / 2)]
+    ts += [seg.start_time + f * seg.duration
+           for seg in traj.segments for f in fractions]
+    # xy_at raises beyond TIME_TOL of the span's ends, and not within it:
+    # one ulp either side of each bound.
+    for edge in (traj.start_time - TIME_TOL, traj.end_time + TIME_TOL):
+        ts += [math.nextafter(edge, -math.inf), edge,
+               math.nextafter(edge, math.inf)]
+    # Times may step back by up to TIME_TOL, as check_event_times allows,
+    # and the batch takes them in any order.
+    stepped = [u for t in sorted(ts) for u in (t, t - TIME_TOL)]
+    for batch in (ts, stepped, rng.sample(ts, len(ts))):
+        got = traj.xys_at(batch)
+        assert len(got) == len(batch)
+        for t, xy in zip(batch, got):
+            want = _xy_or_none(traj, t)
+            if want is None:
+                assert xy is None, t
+            else:
+                assert [c.hex() for c in xy] == [c.hex() for c in want], t
+    lo, hi = traj.start_time - TIME_TOL, traj.end_time + TIME_TOL
+    below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    early, first, last, late = traj.xys_at([below, lo, hi, above])
+    assert early is None and late is None and None not in (first, last)
+
+
 def test_builder_keeps_every_record():
     b = TrajectoryBuilder(0.0, Point(0, 0))
     for k in range(1, 6):
