@@ -44,7 +44,7 @@ MAX_INSTANT_INSTRUCTIONS = 1000
 # TIME_TOL by which the crossing solvers accept a root past their window.
 _CERT_MARGIN = 2 * TIME_TOL
 
-# Margin of a sure pair (see ProximityGraph.next_events) over the pair
+# Margin of a sure pair (see Simulation.run) over the pair
 # distance eps + BOUND_SLACK of the cannot-cross test.  A leg matches the
 # run's path when its local start, its duration and each coordinate of its
 # start's displacement lie within _LEG_SLACK of the path's; the drift this
@@ -528,8 +528,8 @@ class ProximityGraph:
         n = self._n = len(agents)
         self._cert: list[float] = [math.inf] * (n * n)
         self._cert_queue: list[tuple[float, int]] = []
-        # True while the run is symmetric and every pair is sure: the scan
-        # builds no row (see next_events).
+        # True while the run is symmetric and every pair is sure: the run
+        # calls no scan (see Simulation.run).
         self.sure = False
 
     def next_events(self, live: list[_Agent], now: float, t_bound: float
@@ -573,50 +573,8 @@ class ProximityGraph:
         CLOSING_SPEED, so over that span it stays beyond
         epsilon + BOUND_SLACK, where the solver finds no root (see
         BOUND_SLACK in geometry).
-
-        While sure is set, the run is symmetric (see Simulation) and
-        every pair is sure, and the scan returns at once: it builds no
-        row, and no certificate is due, as none was ever made.  One
-        certificate that lasts the run stands in for one solved at every
-        leg.  The scan then reads no position, and none is current: a
-        live agent's x and y hold only at its own events and after
-        Simulation._sync.  Pair
-        (i, j) is sure when d_ij - (1 + SPEED_TOL) |t_i - t_j| >
-        epsilon + BOUND_SLACK + _PATH_SLACK, d_ij the distance of their
-        origins.  The soundness bound: every live agent walks a leg, and
-        every leg so far matched the path and ended on time, so each
-        agent's own path is continuous and moves at most 1 + SPEED_TOL.
-        Of a pair, take the agent a that has begun the current leg k of
-        the other, b.  Their legs k have one velocity; shifted by the
-        origins, their starts lie within 2 sqrt(2) _LEG_SLACK, their
-        local starts and durations differ by at most 2 _LEG_SLACK, and a
-        scan solves up to 3 TIME_TOL past a leg's end (the stretched span
-        and a root snapped onto it).  A position jumps to its leg's end up
-        to TIME_TOL early (see _Motion.at).  So at every instant of a
-        solved span, b is within 2 sqrt(2) _LEG_SLACK + (1 + SPEED_TOL)
-        (2 _LEG_SLACK + 4 TIME_TOL) of where a was, shifted, at a time
-        |t_i - t_j| + 4 _LEG_SLACK + 4 TIME_TOL from now at most, and the
-        pair stays farther apart than d_ij - 2 sqrt(2) _LEG_SLACK -
-        (1 + SPEED_TOL) (|t_i - t_j| + 6 _LEG_SLACK + 8 TIME_TOL), which
-        exceeds epsilon + BOUND_SLACK: Simulation evaluates the sure test
-        from config.pair_margin, within 2e-8 of its exact value in the
-        domain below, and the drift and that rounding stay below
-        _PATH_SLACK.  Neither the cannot-cross test nor the solver would
-        then give the pair a certificate other than inf.  A skipped pair
-        keeps that inf, its starting one, so the scan's hits, and every
-        trace, are the full scan's.  The bound covers an appearance too:
-        the later agent j stands at its origin, and the earlier one i has
-        moved at most (1 + SPEED_TOL) |t_i - t_j| from its own, so the
-        pair is farther apart than epsilon + BOUND_SLACK, beyond the
-        epsilon + PROX_TOL of Simulation's touching test, and the
-        appearance makes no edge.  The domain is the one BOUND_SLACK
-        states: coordinates up to 1e7, and pairs whose distance R at a
-        solve has R^2 < 2e6 epsilon.
         """
         changed = self.changed
-        if self.sure:
-            changed.clear()
-            return t_bound, []
         n = self._n
         cert = self._cert
         queue = self._cert_queue
@@ -781,17 +739,16 @@ class ProximityGraph:
 class Simulation:
     """One run of cfg under a program factory.
 
-    A run starts symmetric when every pair is sure (see
-    ProximityGraph.next_events), which only an UNGATHERABLE configuration
-    with margin can be.  Until its first meeting, every agent of an
-    anonymous run walks one solo path, shifted by its origin and start
-    time (the paper's impossibility argument).  The run keeps that
-    path, leg by leg, as the first agent to begin each leg walked it,
-    and checks every other leg against it in _set_motion, so a program
-    that tells agents apart only ends the symmetric run early.  The run
-    stops being symmetric for good at its first GA, stop, dropped motion
-    (a clear_plan that halts a moving agent), leg that ends early, or
-    idle agent, or at a leg that does not match the path.
+    A run starts symmetric when every pair is sure (see run), which only
+    an UNGATHERABLE configuration with margin can be.  Until its first
+    meeting, every agent of an anonymous run walks one solo path, shifted
+    by its origin and start time (the paper's impossibility argument).  The
+    run keeps that path, leg by leg, as the first agent to begin each leg
+    walked it, and checks every other leg against it in _set_motion, so a
+    program that tells agents apart only ends the symmetric run early.  The
+    run stops being symmetric for good at its first GA, stop, dropped
+    motion (a clear_plan that halts a moving agent), leg that ends early,
+    or idle agent, or at a leg that does not match the path.
 
     A moving agent's place is a closed form of its leg, _Motion.at, so
     it does not depend on the instants the clock stopped at.  _sync puts
@@ -801,7 +758,7 @@ class Simulation:
     or begin in it, and _sync runs only at the end of symmetry or of the
     run; a program's AgentContext.position computes its own agent's
     place.  An appearance reads none: no pair can meet while the run is
-    symmetric (see ProximityGraph.next_events).
+    symmetric (see run).
     """
 
     def __init__(self, cfg: InitialConfiguration,
@@ -1046,9 +1003,53 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Trace:
+        """Run the instants of the run in time order, to its end or its
+        horizon.  Each pass scans the pairs up to the next appearance or
+        leg end, or the horizon, and runs the earliest instant with work.
+
+        While the proximity graph's sure is set, the run is symmetric (see
+        Simulation) and every pair is sure, and run calls no scan: the
+        next instant is the due one, with no hit, and no certificate is
+        due, as none was ever made.  One certificate that lasts the run
+        stands in for one solved at every leg.  No position is read, and
+        none is current: a live agent's x and y hold only at its own
+        events and after _sync.  Pair
+        (i, j) is sure when d_ij - (1 + SPEED_TOL) |t_i - t_j| >
+        epsilon + BOUND_SLACK + _PATH_SLACK, d_ij the distance of their
+        origins.  The soundness bound: every live agent walks a leg, and
+        every leg so far matched the path and ended on time, so each
+        agent's own path is continuous and moves at most 1 + SPEED_TOL.
+        Of a pair, take the agent a that has begun the current leg k of
+        the other, b.  Their legs k have one velocity; shifted by the
+        origins, their starts lie within 2 sqrt(2) _LEG_SLACK, their
+        local starts and durations differ by at most 2 _LEG_SLACK, and a
+        scan solves up to 3 TIME_TOL past a leg's end (the stretched span
+        and a root snapped onto it).  A position jumps to its leg's end up
+        to TIME_TOL early (see _Motion.at).  So at every instant of a
+        solved span, b is within 2 sqrt(2) _LEG_SLACK + (1 + SPEED_TOL)
+        (2 _LEG_SLACK + 4 TIME_TOL) of where a was, shifted, at a time
+        |t_i - t_j| + 4 _LEG_SLACK + 4 TIME_TOL from now at most, and the
+        pair stays farther apart than d_ij - 2 sqrt(2) _LEG_SLACK -
+        (1 + SPEED_TOL) (|t_i - t_j| + 6 _LEG_SLACK + 8 TIME_TOL), which
+        exceeds epsilon + BOUND_SLACK: Simulation evaluates the sure test
+        from config.pair_margin, within 2e-8 of its exact value in the
+        domain below, and the drift and that rounding stay below
+        _PATH_SLACK.  Neither the cannot-cross test nor the solver would
+        then give the pair a certificate other than inf.  A skipped pair
+        keeps that inf, its starting one, so the scan's hits, and every
+        trace, are the full scan's.  The bound covers an appearance too:
+        the later agent j stands at its origin, and the earlier one i has
+        moved at most (1 + SPEED_TOL) |t_i - t_j| from its own, so the
+        pair is farther apart than epsilon + BOUND_SLACK, beyond the
+        epsilon + PROX_TOL of Simulation's touching test, and the
+        appearance makes no edge.  The domain is the one BOUND_SLACK
+        states: coordinates up to 1e7, and pairs whose distance R at a
+        solve has R^2 < 2e6 epsilon.
+        """
         horizon = self.horizon
         arrivals = self._arrivals
         ends = self._ends
+        prox = self._prox
         while True:
             while ends and ends[0][2].motion is not ends[0][3]:
                 heapq.heappop(ends)
@@ -1062,8 +1063,17 @@ class Simulation:
             if arrivals and arrivals[0].start_time < t_due:
                 t_due = arrivals[0].start_time
 
-            t_event, pair_hits = self._prox.next_events(
-                self._live, self._now, max(min(t_due, horizon), self._now))
+            # min(t_due, horizon), then max with now, by comparisons: the
+            # builtins cost more, at every instant.
+            t_bound = horizon if horizon < t_due else t_due
+            if self._now > t_bound:
+                t_bound = self._now
+            if prox.sure:
+                prox.changed.clear()  # as a scan does
+                t_event, pair_hits = t_bound, []
+            else:
+                t_event, pair_hits = prox.next_events(
+                    self._live, self._now, t_bound)
 
             # t_event is the earliest hit when there is one, so an instant
             # at the horizon has work exactly when it has a hit or when
@@ -1077,6 +1087,49 @@ class Simulation:
             self._process_instant(pair_hits)
 
     def _process_instant(self, pair_hits: list) -> None:
+        """Run the instant now, given the scan's hits.
+
+        An instant whose only work is one leg end takes a short path: it
+        has no hit, no appearance due within TIME_TOL, and one entry of
+        the motion-end heap due within TIME_TOL, which is live and does
+        not stop its agent on arrival.  The agent is put at its leg's end
+        and polled as _general_instant does it, which runs every other
+        instant.  In a symmetric run nearly every instant is one of these.
+        """
+        ends = self._ends
+        if ends and not pair_hits:
+            t = self._now
+            lim = t + TIME_TOL
+            arrivals = self._arrivals
+            size = len(ends)
+            # The heap's second-smallest entry is ends[1] or ends[2].
+            if (ends[0][0] <= lim
+                    and (size < 2 or ends[1][0] > lim)
+                    and (size < 3 or ends[2][0] > lim)
+                    and not (arrivals and arrivals[0].start_time <= lim)):
+                _, _, ag, m = ends[0]
+                if ag.motion is m and not m.stop_on_arrival:
+                    heapq.heappop(ends)
+                    if m.t_end > t and self._path is not None:
+                        # Ended early: see _general_instant.
+                        self._end_symmetry()
+                    ag.x = m.x_end
+                    ag.y = m.y_end
+                    self._record_leg(ag)
+                    ag.motion = None
+                    self._prox.changed.add(ag.idx)
+                    if not ag.queue:
+                        ag.program.on_idle(ag.ctx)
+                    if ag.queue:
+                        self._start_pending(ag)
+                    if ag.motion is None and self._path is not None:
+                        self._end_symmetry()  # idle
+                    return
+        self._general_instant(pair_hits)
+
+    def _general_instant(self, pair_hits: list) -> None:
+        """Run any instant: appearances, then GAs, then leg ends, then
+        the idle polls of every agent they concern, in index order."""
         t = self._now
         lim = t + TIME_TOL
         prox = self._prox
@@ -1105,7 +1158,7 @@ class Simulation:
             for ag in appeared_now:
                 ag.program.on_appear(ag.ctx)
         # No edge can be new without a hit or an appearance, nor while
-        # every pair is sure (see ProximityGraph.next_events).
+        # every pair is sure (see run).
         if (pair_hits or appeared_now) and not prox.sure:
             new_edges = prox.apply(t, pair_hits) if pair_hits else set()
             for ag in appeared_now:

@@ -28,8 +28,8 @@ from gathersim.engine import (PROX_TOL, AgentRef, Go, GotoStop,
                               InvalidInstruction, Program, ProximityGraph,
                               Simulation, Wait, connected_components,
                               default_horizon, run)
-from gathersim.generate import (config_of_class, good_config, good_pair,
-                                ungatherable_config)
+from gathersim.generate import (boundary_pair, config_of_class, good_config,
+                                good_pair, ungatherable_config)
 from gathersim.geometry import (BOUND_SLACK, CLOSING_SPEED, POS_TOL,
                                 SEPARATION_TOL, SPEED_TOL, TIME_TOL, Point,
                                 TrajectoryBuilder, Vec2,
@@ -391,13 +391,17 @@ def _full_scan_pair_events(graph, live, now, t_bound):
 
 def _check_pair_events_against_full_scan(monkeypatch):
     """Make every pair scan assert that it equals the full scan; returns
-    the list of (t_event, hits) the scans produced."""
+    the list of (t_event, hits) the scans produced.
+
+    While every pair is sure, run calls no scan: it advances to the
+    scan's bound, and the full scan over that window must find no hit.
+    Each such advance is checked, and counted as a scan of (t, [])."""
     real = ProximityGraph.next_events
+    real_advance = Simulation._advance_to
     scans = []
 
     def checked(self, live, now, t_bound):
-        if live:  # a symmetric run's positions are current only once synced
-            live[0].ctx._sim._sync()
+        assert not self.sure
         expect = _full_scan_pair_events(self, live, now, t_bound)
         t_event, hits = real(self, live, now, t_bound)
         assert t_event == expect[0]
@@ -405,7 +409,18 @@ def _check_pair_events_against_full_scan(monkeypatch):
         scans.append((t_event, hits))
         return t_event, hits
 
+    def advance(self, t):
+        if self._prox.sure:
+            # A symmetric run's positions are current only once synced.
+            self._sync()
+            expect = _full_scan_pair_events(self._prox, self._live,
+                                            self._now, t)
+            assert expect == (t, [])
+            scans.append((t, []))
+        real_advance(self, t)
+
     monkeypatch.setattr(ProximityGraph, "next_events", checked)
+    monkeypatch.setattr(Simulation, "_advance_to", advance)
     return scans
 
 
@@ -985,11 +1000,20 @@ def test_ungatherable_runs_stay_symmetric_and_solve_nothing(shift,
                                                            monkeypatch):
     # Every pair of these runs is sure, and every leg stays on the path
     # to the horizon, also with coordinates near 1e7 and clocks near 1e6.
+    # The log holds every scan call and every end of symmetry, in order:
+    # no scan is called before the symmetry ends, and it never ends.
     calls = _counted_solve_in(monkeypatch)
     outs = []
     real_out = engine.solve_crossing_out
     monkeypatch.setattr(engine, "solve_crossing_out",
                         lambda *args: outs.append(args) or real_out(*args))
+    log = []
+    real_scan = ProximityGraph.next_events
+    real_end = Simulation._end_symmetry
+    monkeypatch.setattr(ProximityGraph, "next_events",
+                        lambda *args: log.append("scan") or real_scan(*args))
+    monkeypatch.setattr(Simulation, "_end_symmetry",
+                        lambda self: log.append("end") or real_end(self))
     for s in range(3):
         cfg = ungatherable_config(s, 8)
         horizon = default_horizon(cfg)
@@ -1003,7 +1027,7 @@ def test_ungatherable_runs_stay_symmetric_and_solve_nothing(shift,
         trace = sim.run()
         assert trace.verdict.kind == "timeout"
         assert sim._path is not None and len(sim._path) > 300
-    assert calls == [] and outs == []
+    assert calls == [] and outs == [] and log == []
 
 
 @pytest.mark.parametrize("case, end", [
@@ -1074,6 +1098,225 @@ def test_symmetric_positions_replay_the_eager_floats(shift):
         assert trace.verdict.kind == "timeout"
         assert lazy._path is not None and eager._path is None
         assert _column_bits(trace) == _column_bits(ref)
+
+
+class _GeneralBody(Simulation):
+    """The reference for the short path of a lone leg end: every instant
+    runs the general body."""
+
+    def _process_instant(self, pair_hits):
+        self._general_instant(pair_hits)
+
+
+def _short_and_general(cfg, factory, horizon=None):
+    """Run cfg as it is and as a _GeneralBody.  factory() makes each
+    run's program factory, so the runs share no program state.  Both
+    runs must end their symmetry at the same instants, and every instant
+    of the first must find the changed agents cleared, by the scan or in
+    its place while every pair is sure.  Returns both traces, the times
+    of the first run's instants that took the short path and of those
+    that ran the general body, and the instants at which its symmetry
+    ended."""
+    every, general, ended, ref_ended = [], [], [], []
+    real_every = Simulation._process_instant
+    real_general = Simulation._general_instant
+    real_end = Simulation._end_symmetry
+
+    def counted_every(self, pair_hits):
+        assert not self._prox.changed
+        every.append(self._now)
+        real_every(self, pair_hits)
+
+    def counted_general(self, pair_hits):
+        general.append(self._now)
+        real_general(self, pair_hits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "_process_instant", counted_every)
+        mp.setattr(Simulation, "_general_instant", counted_general)
+        mp.setattr(Simulation, "_end_symmetry",
+                   lambda self: ended.append(self._now) or real_end(self))
+        trace = Simulation(cfg, factory(), horizon).run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "_end_symmetry",
+                   lambda self: ref_ended.append(self._now) or real_end(self))
+        ref = _GeneralBody(cfg, factory(), horizon).run()
+    assert ended == ref_ended
+    short = list(every)
+    for t in general:
+        short.remove(t)
+    return SimpleNamespace(trace=trace, ref=ref, short=short,
+                           general=general, ended=ended)
+
+
+@pytest.mark.parametrize("shift", ["as-is", "far-plane", "late-time"])
+def test_short_path_matches_the_general_body_on_symmetric_runs(shift):
+    # Nearly every instant of a symmetric run is one leg end, and takes
+    # the short path; the trace is bit for bit the general body's.
+    for s in range(6):
+        cfg = ungatherable_config(s, 8)
+        horizon = None
+        if shift == "far-plane":
+            cfg = cfg.translated(Vec2(1e7, -1e7))
+        elif shift == "late-time":
+            cfg = cfg.time_shifted(1e6)
+            horizon = 1e6 + 400.0
+        got = _short_and_general(cfg, lambda: gather_n_program(8), horizon)
+        assert got.trace.verdict.kind == "timeout"
+        assert _column_bits(got.trace) == _column_bits(got.ref)
+        assert len(got.short) > 300
+        assert len(got.short) > 20 * len(got.general)
+        assert got.ended == []
+
+
+@pytest.mark.parametrize("seed,n", [(0, 4), (1, 6), (2, 8), (3, 8)])
+def test_short_path_matches_the_general_body_under_gather_n(seed, n,
+                                                            monkeypatch):
+    _check_pair_events_against_full_scan(monkeypatch)
+    cfg = good_config(seed, n)
+    got = _short_and_general(cfg, lambda: gather_n_program(n))
+    assert got.trace.ga_events()
+    assert _column_bits(got.trace) == _column_bits(got.ref)
+    assert got.short and got.general
+
+
+@pytest.mark.parametrize("make", [good_pair, boundary_pair],
+                         ids=["good", "boundary"])
+def test_short_path_matches_the_general_body_under_dedicated(make,
+                                                             monkeypatch):
+    _check_pair_events_against_full_scan(monkeypatch)
+    took = 0
+    for seed in range(8):
+        cfg = make(seed)
+        got = _short_and_general(
+            cfg, lambda: dedicated_program(cfg, cfg.epsilon),
+            _dedicated_horizon(cfg))
+        assert _column_bits(got.trace) == _column_bits(got.ref)
+        took += len(got.short)
+    assert took > 0
+
+
+class _Script(Program):
+    """Issues the instructions of its plan one at a time, at its
+    appearance and at each idle poll, then nothing, and logs each
+    callback as (kind, its agent's number, local time).  An agent
+    that turns drops its plan at a GA and walks west."""
+
+    def __init__(self, k, plan, log, turns):
+        self.k = k
+        self.plan = list(plan)
+        self.log = log
+        self.turns = turns
+
+    def _next(self, ctx, kind):
+        self.log.append((kind, self.k, ctx.now))
+        if self.plan:
+            ctx.issue(self.plan.pop(0))
+
+    def on_appear(self, ctx):
+        self._next(ctx, "appear")
+
+    def on_idle(self, ctx):
+        self._next(ctx, "idle")
+
+    def on_ga(self, ctx, view):
+        self.log.append(("ga", self.k, ctx.now))
+        if self.turns:
+            ctx.clear_plan()
+            ctx.issue(Go(WEST, 2.0))
+
+
+_FAR3 = ((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))
+
+# name: (eps, starts, times, plans, the agents that turn, the instant
+# of the case, and whether it takes the short path).  Runs end at 8.
+_EDGE_INSTANTS = {
+    # Agent 1's wait ends at 1, agent 0's 5e-10 later, and both are
+    # polled at 1 in index order, though the heap holds agent 1's end
+    # first.  Agent 0's end is the heap's second entry, ends[1].
+    "two leg ends": (0.5, _FAR3, (0.0, 0.0, 0.0),
+                     [[Wait(1.0 + 5e-10), Wait(1.0)], [Wait(1.0)] * 2,
+                      [Wait(0.5), Wait(3.0)]], (), 1.0, False),
+    # The same with the second end in ends[2]: the legs were set in index
+    # order, 0, 1, 2, so the heap is [0, 1, 2] by agent.
+    "two leg ends, the second in ends[2]": (
+        0.5, _FAR3, (0.0, 0.0, 0.0),
+        [[Wait(1.0)], [Wait(5.0)], [Wait(1.0 + 5e-10)]], (), 1.0, False),
+    "leg end at an appearance": (0.5, _FAR3[:2], (0.0, 1.0),
+                                 [[Wait(1.0)] * 2, [Wait(1.0)]], (),
+                                 1.0, False),
+    "GotoStop arrival": (0.5, _FAR3[:2], (0.0, 0.25),
+                         [[GotoStop(Point(1.0, 0.0))], [Wait(1.0)]], (),
+                         1.0, False),
+    # A symmetric run of waits: agent 0 is the first left idle, at 3,
+    # which ends the symmetry on the short path.
+    "agent left idle": (0.5, _FAR3, (0.0, 0.25, 0.5), [[Wait(1.0)] * 3] * 3,
+                        (), 3.0, True),
+    # The same run with a leg that ends 5e-10 after the horizon: the
+    # instant at the horizon ends it early, and so the symmetry, though
+    # the agent walks on.
+    "early end at the horizon": (
+        0.5, _FAR3, (0.0, 0.25, 0.5),
+        [[Wait(1.0)] * 3 + [Wait(5.0 + 5e-10), Wait(1.0)]] * 3, (), 8.0,
+        True),
+    # Agent 0 stops at (1, 0) at 1, where the symmetry has ended, and is
+    # left idle there.  Agent 1 walks west all along: it meets agent 0
+    # only because the end of agent 0's leg makes the scan solve the
+    # pair again.
+    "idle agent met later": (0.5, ((0.0, 0.0), (5.0, 0.0)), (0.0, 0.0),
+                             [[Go(EAST, 1.0)], [Go(WEST, 10.0)]], (), 1.0,
+                             True),
+    # Agent 0 walks onto agent 1's eps disc at its leg's end, 1; the GA
+    # there turns it, and its heap entry, due then, goes stale.
+    "stale at its due time": (0.5, ((0.0, 0.0), (1.5, 0.0), (0.0, 10.0)),
+                              (0.0, 0.0, 0.0),
+                              [[Go(EAST, 1.0)], [], [Wait(3.0)]], (0,),
+                              1.0, False),
+    # The GA at 0.5 turns agent 0, whose entry due at 1 goes stale.  It
+    # is the heap's second entry when agent 2's wait ends 5e-10 earlier:
+    # that instant has one live leg end, but not one due entry.
+    "stale second entry": (0.5, ((0.0, 0.0), (1.0, 0.0), (0.0, 10.0)),
+                           (0.0, 0.0, 0.0),
+                           [[Go(EAST, 1.0)], [], [Wait(1.0 - 5e-10)]],
+                           (0,), 1.0 - 5e-10, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_INSTANTS))
+def test_edge_instants_match_the_general_body(case):
+    eps, starts, times, plans, turns, at, short_path = _EDGE_INSTANTS[case]
+    cfg = InitialConfiguration(eps, tuple(Point(*p) for p in starts), times)
+    logs = []
+
+    def factory():
+        log = []
+        logs.append(log)
+        made = itertools.count()
+
+        def program():
+            k = next(made)
+            return _Script(k, plans[k], log, k in turns)
+        return program
+
+    got = _short_and_general(cfg, factory, 8.0)
+    assert _column_bits(got.trace) == _column_bits(got.ref)
+    assert logs[0] == logs[1]
+    assert (at in got.short) == short_path
+    assert (at in got.general) != short_path
+    polled = [k for kind, k, now in logs[0]
+              if kind == "idle" and now + times[k] == at]
+    if case.startswith("two leg ends"):
+        assert polled == ([0, 1] if case == "two leg ends" else [0, 2])
+    if case == "GotoStop arrival":
+        stops = [ev.time for ev in got.trace.events if ev.kind == "stop"]
+        assert stops == [at]
+    if case in ("agent left idle", "early end at the horizon"):
+        assert got.ended == [at]
+    if case == "idle agent met later":
+        assert [ev.time for ev in got.trace.ga_events()] == [3.5]
+    if case.startswith("stale"):
+        assert [ev.time for ev in got.trace.ga_events()] == [
+            1.0 if case == "stale at its due time" else 0.5]
 
 
 @pytest.mark.parametrize("vx, vy", [(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])

@@ -491,7 +491,7 @@ def test_tolerance_orderings():
     assert geometry.GRAZE_TOL > sys.float_info.epsilon
     assert geometry.DISC_FLOOR > 0.0
     # The drift between two paths that match leg by leg, as the
-    # next_events docstring bounds it, and the 2e-8 rounding of the sure
+    # Simulation.run docstring bounds it, and the 2e-8 rounding of the sure
     # test stay below the sure margin.
     leg = engine._LEG_SLACK
     assert (2 * math.sqrt(2) * leg + (1 + geometry.SPEED_TOL)
