@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("--workload", required=True,
-                    choices=("large-n", "no-meet", "sweep-mix"))
+                    choices=srctree.WORKLOADS)
     ap.add_argument("--rounds", type=int, required=True)
     ap.add_argument("--seed", type=int, default=3)
     args = ap.parse_args(argv)

@@ -32,8 +32,6 @@ import sys
 
 import srctree
 
-WORKLOADS = ("large-n", "no-meet", "sweep-mix")
-
 
 def outcome(checks, op, trace) -> str:
     try:
@@ -89,7 +87,7 @@ def main(argv=None) -> int:
     old = srctree.load(args.old_src)
     new = srctree.load(args.new_src)
     status = 0
-    for workload in WORKLOADS:
+    for workload in srctree.WORKLOADS:
         for seed in args.seeds:
             d = compare(old, new, workload, seed)
             print(f"{workload} seed {seed}: {d['operations']} operations, "

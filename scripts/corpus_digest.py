@@ -2,8 +2,9 @@
 """Fingerprint the benchmark corpus: one line per workload and seed.
 
 Runs every operation of every workload's corpus (built by
-perfbench/corpus.py, which this script only reads) the way the benchmark
-does: engine.run, checks.check_all, Trace.jsonl_lines and
+perfbench/corpus.py, which this script only reads, with the gathersim of
+this checkout's src, loaded through scripts/srctree.py) the way the
+benchmark does: engine.run, checks.check_all, Trace.jsonl_lines and
 render.render_svg.  For each workload and seed it prints two lines.  The
 first holds the sha256 of all JSONL lines and SVG documents in corpus
 order, and the sha256 of the check_all outcomes ("ok" or the failure
@@ -23,20 +24,17 @@ updates the file and says why in CHANGES.md.
 
 import argparse
 import hashlib
-import pathlib
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-WORKLOADS = ("large-n", "no-meet", "sweep-mix")
+import srctree
 
 
-def digest(build_corpus, workload: str,
-           seed: int) -> tuple[int, str, str, str]:
-    from gathersim import checks, engine, render
+def digest(tree, workload: str, seed: int) -> tuple[int, str, str, str]:
+    checks, engine, render = tree.checks, tree.engine, tree.render
     traces = hashlib.sha256()
     outcomes = hashlib.sha256()
     paths = hashlib.sha256()
-    ops = build_corpus(workload, seed)
+    ops = tree.corpus.build_corpus(workload, seed)
     for op in ops:
         trace = engine.run(op.cfg, op.factory, op.horizon)
         try:
@@ -61,12 +59,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     args = ap.parse_args(argv)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from corpus import build_corpus
-    for workload in WORKLOADS:
+    tree = srctree.load(str(srctree.ROOT / "src"))
+    for workload in srctree.WORKLOADS:
         for seed in args.seeds:
-            count, traces, outcomes, paths = digest(build_corpus, workload,
-                                                    seed)
+            count, traces, outcomes, paths = digest(tree, workload, seed)
             print(f"{workload} seed {seed}: {count} operations "
                   f"jsonl+svg {traces} check_all {outcomes}", flush=True)
             print(f"{workload} seed {seed}: trajectories {paths}",

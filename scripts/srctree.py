@@ -1,9 +1,10 @@
 """Import the gathersim package of a given source tree.
 
-The A/B scripts compare two trees in one process.  load() imports one
-tree's gathersim, with every gathersim module cleared from sys.modules
-first, together with the benchmark's perfbench/corpus.py (of this
-checkout, which is only read), so the corpus is built with that tree.
+The corpus scripts load their trees through here, and the A/B scripts
+compare two trees in one process.  load() imports one tree's gathersim,
+with every gathersim module cleared from sys.modules first, together
+with the benchmark's perfbench/corpus.py (of this checkout, which is
+only read), so the corpus is built with that tree.
 The modules it returns keep working after the next load() clears
 sys.modules again.
 """
@@ -14,6 +15,9 @@ import sys
 from types import SimpleNamespace
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# The benchmark's workloads, as perfbench/corpus.py names them.
+WORKLOADS = ("large-n", "no-meet", "sweep-mix")
 
 
 def load(src: str) -> SimpleNamespace:

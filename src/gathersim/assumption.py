@@ -116,6 +116,12 @@ def build_dependent_counterexample(a: AssumptionSet,
     trajectories stay inside; clusters are then laid out on a line with
     discs separated by at least 2 eps, so no cross-cluster meeting can ever
     fire and each cluster plays out exactly its standalone run.
+
+    Raises ValueError for an eps the construction cannot serve: one so
+    small that the eps/2 spacing of a cluster falls within the engine's
+    tolerances, so the cluster is not robustly gatherable, or one so large
+    that a cluster's standalone run times out.  A cluster that splits
+    raises RuntimeError: that is a bug.
     """
     from .algorithms import gather_a_program  # local import, avoids a cycle
     from .engine import run
@@ -136,7 +142,16 @@ def build_dependent_counterexample(a: AssumptionSet,
     for m in sizes:
         pts, times = canonical_good_cluster(m, eps, Point(0.0, 0.0))
         sub = InitialConfiguration(eps, tuple(pts), tuple(times))
+        if classify(sub).kind != Feasibility.GOOD:
+            raise ValueError(
+                f"epsilon {eps!r} is too small: a cluster of {m} agents "
+                f"spaced eps/2 apart is not robustly gatherable")
         trace = run(sub, gather_a_program(a.elements))
+        if trace.verdict.kind == "timeout":
+            raise ValueError(
+                f"epsilon {eps!r} is too large: a cluster of {m} agents "
+                "spaced eps/2 apart did not gather by its default horizon "
+                "(verdict timeout)")
         if trace.verdict.kind != "gathered":
             raise RuntimeError(
                 f"standalone cluster of {m} agents failed to gather "

@@ -512,7 +512,8 @@ class ProximityGraph:
     A joining pair forms a new edge, and every component that holds a new
     edge has a GA.  agents is the run's agent list; the engine adds to
     changed every agent whose leg changed, or that appeared, since the
-    last scan.
+    last scan.  The graph keeps no state of a symmetric run: while one
+    lasts, Simulation.run calls no scan (see there).
     """
 
     def __init__(self, agents: list[_Agent], eps: float, horizon: float):
@@ -528,9 +529,6 @@ class ProximityGraph:
         n = self._n = len(agents)
         self._cert: list[float] = [math.inf] * (n * n)
         self._cert_queue: list[tuple[float, int]] = []
-        # True while the run is symmetric and every pair is sure: the run
-        # calls no scan (see Simulation.run).
-        self.sure = False
 
     def next_events(self, live: list[_Agent], now: float, t_bound: float
                     ) -> tuple[float, list[tuple[float, Pair]]]:
@@ -558,21 +556,29 @@ class ProximityGraph:
         it, or the lower agent of another due pair with the other.
         r and v are taken from the row agent's side; negating all four
         keeps the solvers' results, which use only |r|^2, |v|^2 and r.v.
-        A pair is solved over the window stretched to E, the end of its
-        first motion; a root inside the window gives the same float as a
-        solve over the window alone, and a later one becomes the
-        certificate.  A pair with a crossing in the window is certified,
-        and queued, at now, and ga_groups does the same at the GA instant
-        for a pair its edge catch joins, so the next scan solves each
-        again: a flip of adjacency always comes with a due certificate.
+        A pair is solved with no end to its span, so a root inside the
+        window gives the same float as a solve over the window alone.  A
+        later root up to E, the end of the pair's first motion, becomes
+        the certificate.  A root past E is no crossing of these motions,
+        but a solve from a later instant, from positions rounded
+        otherwise, can move it to E or before (a grazing approach moves it
+        most), only if it puts the pair across the circle it crosses at
+        E.  So such a pair that stands within BOUND_SLACK of that circle
+        at E is certified at E, and the scan whose window ends there
+        solves it again; any other gets cert inf, as no rounding moves a
+        pair that far.  A pair with a crossing in the window is
+        certified, and queued, at now, and ga_groups does the same at the
+        GA instant for a pair its edge catch joins, so the next scan
+        solves each again: a flip of adjacency always comes with a due
+        certificate.
 
         An apart pair farther than lim apart gets cert inf and no solve,
         by conservative advancement (Mirtich, PhD thesis, Berkeley 1996):
-        lim is epsilon + BOUND_SLACK + CLOSING_SPEED times the span the
-        pair would be solved over, and its agents close at most
-        CLOSING_SPEED, so over that span it stays beyond
-        epsilon + BOUND_SLACK, where the solver finds no root (see
-        BOUND_SLACK in geometry).
+        lim is epsilon + BOUND_SLACK + CLOSING_SPEED times the pair's span
+        up to E, and its agents close at most CLOSING_SPEED, so over that
+        span it stays beyond epsilon + BOUND_SLACK, where the solver finds
+        no root (see BOUND_SLACK in geometry), from positions rounded
+        either way.
         """
         changed = self.changed
         n = self._n
@@ -598,14 +604,17 @@ class ProximityGraph:
             return t_bound, []
         eps = self.eps
         window = t_bound - now
-        # Stretched past the window by more than the solvers' TIME_TOL, so
-        # a root they clamp onto the stretched end lies beyond the window.
+        # The least span: the window and more than the solvers' TIME_TOL.
         stretch = window + _CERT_MARGIN
         reach = eps + BOUND_SLACK
         closing = CLOSING_SPEED
         horizon = self.horizon
         nbr = self._nbr
         sep = eps + SEPARATION_TOL
+        # The squared distances at E within BOUND_SLACK of epsilon, from
+        # outside, and of sep, from inside (see above).
+        reach2 = reach * reach
+        inside2 = (sep - BOUND_SLACK) ** 2
         time_tol = TIME_TOL
         solve_in = solve_crossing_in
         solve_out = solve_crossing_out
@@ -631,10 +640,8 @@ class ProximityGraph:
                     continue  # itself, or a changed agent's earlier row
                 key = row + j if i < j else j * n + i
                 m = b.motion
-                if m is None or m.t_end >= cap:
-                    span = cap - now
-                else:
-                    span = m.t_end - now
+                end = cap if m is None or m.t_end >= cap else m.t_end
+                span = end - now
                 if span < stretch:
                     span = stretch
                 if m is None:
@@ -645,19 +652,29 @@ class ProximityGraph:
                     vy = m.vy - avy
                 rx = b.x - ax
                 ry = b.y - ay
-                if j in near:
-                    s = solve_out(rx, ry, vx, vy, sep, span)
+                adjacent = j in near
+                if adjacent:
+                    s = solve_out(rx, ry, vx, vy, sep, inf)
                 else:
                     lim = reach + closing * span
                     if rx * rx + ry * ry > lim * lim:
                         cert[key] = inf
                         continue
-                    s = solve_in(rx, ry, vx, vy, eps, span)
+                    s = solve_in(rx, ry, vx, vy, eps, inf)
                 if s is None:
                     cert[key] = inf
                     continue
                 if s > window + time_tol:
-                    t = cert[key] = now + s
+                    t = now + s
+                    if t > end:  # past E (see above)
+                        px = rx + vx * span
+                        py = ry + vy * span
+                        d2 = px * px + py * py
+                        if (d2 < inside2) if adjacent else (d2 > reach2):
+                            cert[key] = inf
+                            continue
+                        t = end
+                    cert[key] = t
                     push(queue, (t, key))
                     continue
                 cert[key] = now
@@ -795,7 +812,6 @@ class Simulation:
         if all(-pair_margin(cfg, i, j) - SPEED_TOL * abs(times[i] - times[j])
                > reach for i, j in itertools.combinations(range(cfg.n), 2)):
             self._path = []
-            self._prox.sure = True
         self.events: list[Event] = []
         # The (issuer, target in its frame) orders of the GA whose on_ga
         # callbacks are running; None outside them.
@@ -829,10 +845,11 @@ class Simulation:
             builder.move_to(self._now, agent.x, agent.y)
 
     def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
-        """Every change of a leg but a motion's end goes through here, so
-        here a symmetric run checks each new leg against its path.  A
-        dropped motion leaves the path, and ends the symmetric run before
-        the leg is recorded, so the agent is synced to where it is."""
+        """Every change of a leg but a motion's end, which _arrive makes,
+        goes through here, so here a symmetric run checks each new leg
+        against its path.  A dropped motion leaves the path, and ends the
+        symmetric run before the leg is recorded, so the agent is synced
+        to where it is."""
         symmetric = self._path is not None
         if symmetric and motion is None:
             self._end_symmetry()
@@ -845,6 +862,24 @@ class Simulation:
                            (motion.t_end, next(self._seq), agent, motion))
         if symmetric:
             self._follow_path(agent, motion)
+
+    def _arrive(self, agent: _Agent) -> None:
+        """End the agent's leg, due now, and stop the agent if the leg is
+        a GotoStop's.  A leg that ends early, within TIME_TOL, went faster
+        than its path and ends a symmetric run.  The agent is put at the
+        leg's end, where a sync puts it from t_end - TIME_TOL on: a
+        symmetric run has not synced it, and rounding can keep now just
+        short of that."""
+        m = agent.motion
+        if m.t_end > self._now and self._path is not None:
+            self._end_symmetry()
+        agent.x = m.x_end
+        agent.y = m.y_end
+        self._record_leg(agent)
+        agent.motion = None
+        self._prox.changed.add(agent.idx)
+        if m.stop_on_arrival:
+            self._request_stop(agent)
 
     def _follow_path(self, agent: _Agent, motion: _Motion) -> None:
         """Check a new leg of a symmetric run against the path: the same
@@ -877,7 +912,6 @@ class Simulation:
         solves every row."""
         self._sync()
         self._path = None
-        self._prox.sure = False
 
     def _sync(self) -> None:
         """Put every moving live agent where its leg has it now (see
@@ -945,6 +979,20 @@ class Simulation:
             raise InvalidInstruction(f"unknown instruction {instr!r}")
         raise InvalidInstruction("too many zero-duration instructions")
 
+    def _poll(self, agent: _Agent) -> None:
+        """The idle poll of an agent at an instant of its own events.  One
+        that is stopped or moves is left alone; any other is asked for
+        work by on_idle when its queue is empty, then begins its queue.
+        One still idle rests until an event of its own, which the path
+        does not say, so it ends a symmetric run."""
+        if agent.stopped or agent.motion is not None:
+            return
+        if not agent.queue:
+            agent.program.on_idle(agent.ctx)
+        self._start_pending(agent)
+        if agent.motion is None and self._path is not None:
+            self._end_symmetry()
+
     def _advance_to(self, t: float) -> None:
         """Move the clock on to time t.
 
@@ -1007,14 +1055,13 @@ class Simulation:
         horizon.  Each pass scans the pairs up to the next appearance or
         leg end, or the horizon, and runs the earliest instant with work.
 
-        While the proximity graph's sure is set, the run is symmetric (see
-        Simulation) and every pair is sure, and run calls no scan: the
-        next instant is the due one, with no hit, and no certificate is
-        due, as none was ever made.  One certificate that lasts the run
-        stands in for one solved at every leg.  No position is read, and
-        none is current: a live agent's x and y hold only at its own
-        events and after _sync.  Pair
-        (i, j) is sure when d_ij - (1 + SPEED_TOL) |t_i - t_j| >
+        While the run is symmetric (see Simulation), every pair is sure,
+        and run calls no scan: the next instant is the due one, with no
+        hit, and no certificate is due, as none was ever made.  One
+        certificate that lasts the run stands in for one solved at every
+        leg.  No position is read, and none is current: a live agent's x
+        and y hold only at its own events and after _sync.  Pair (i, j)
+        is sure when d_ij - (1 + SPEED_TOL) |t_i - t_j| >
         epsilon + BOUND_SLACK + _PATH_SLACK, d_ij the distance of their
         origins.  The soundness bound: every live agent walks a leg, and
         every leg so far matched the path and ended on time, so each
@@ -1068,7 +1115,7 @@ class Simulation:
             t_bound = horizon if horizon < t_due else t_due
             if self._now > t_bound:
                 t_bound = self._now
-            if prox.sure:
+            if self._path is not None:
                 prox.changed.clear()  # as a scan does
                 t_event, pair_hits = t_bound, []
             else:
@@ -1091,15 +1138,15 @@ class Simulation:
 
         An instant whose only work is one leg end takes a short path: it
         has no hit, no appearance due within TIME_TOL, and one entry of
-        the motion-end heap due within TIME_TOL, which is live and does
-        not stop its agent on arrival.  The agent is put at its leg's end
-        and polled as _general_instant does it, which runs every other
-        instant.  In a symmetric run nearly every instant is one of these.
+        the motion-end heap due within TIME_TOL, which run found live.
+        Its agent ends its leg in _arrive and is polled in _poll, the
+        calls _general_instant makes for each leg end; that body runs
+        every other instant.  In a symmetric run nearly every instant is
+        one of these.
         """
         ends = self._ends
         if ends and not pair_hits:
-            t = self._now
-            lim = t + TIME_TOL
+            lim = self._now + TIME_TOL
             arrivals = self._arrivals
             size = len(ends)
             # The heap's second-smallest entry is ends[1] or ends[2].
@@ -1107,24 +1154,10 @@ class Simulation:
                     and (size < 2 or ends[1][0] > lim)
                     and (size < 3 or ends[2][0] > lim)
                     and not (arrivals and arrivals[0].start_time <= lim)):
-                _, _, ag, m = ends[0]
-                if ag.motion is m and not m.stop_on_arrival:
-                    heapq.heappop(ends)
-                    if m.t_end > t and self._path is not None:
-                        # Ended early: see _general_instant.
-                        self._end_symmetry()
-                    ag.x = m.x_end
-                    ag.y = m.y_end
-                    self._record_leg(ag)
-                    ag.motion = None
-                    self._prox.changed.add(ag.idx)
-                    if not ag.queue:
-                        ag.program.on_idle(ag.ctx)
-                    if ag.queue:
-                        self._start_pending(ag)
-                    if ag.motion is None and self._path is not None:
-                        self._end_symmetry()  # idle
-                    return
+                ag = heapq.heappop(ends)[2]
+                self._arrive(ag)
+                self._poll(ag)
+                return
         self._general_instant(pair_hits)
 
     def _general_instant(self, pair_hits: list) -> None:
@@ -1159,7 +1192,7 @@ class Simulation:
                 ag.program.on_appear(ag.ctx)
         # No edge can be new without a hit or an appearance, nor while
         # every pair is sure (see run).
-        if (pair_hits or appeared_now) and not prox.sure:
+        if (pair_hits or appeared_now) and self._path is None:
             new_edges = prox.apply(t, pair_hits) if pair_hits else set()
             for ag in appeared_now:
                 new_edges.update(prox.touching(ag, live))
@@ -1178,40 +1211,15 @@ class Simulation:
             if len(arrived) > 1:
                 arrived.sort(key=_index)
             for ag in arrived:
-                # What _set_motion(ag, None) does, inline.
-                m = ag.motion
-                if m.t_end > t and self._path is not None:
-                    # Ended early, within TIME_TOL: the agent went faster
-                    # than its path.
-                    self._end_symmetry()
-                # The leg's end, where a sync puts it from t_end - TIME_TOL
-                # on: a symmetric run has not synced it, and rounding can
-                # keep t just short of that.
-                ag.x = m.x_end
-                ag.y = m.y_end
-                self._record_leg(ag)
-                ag.motion = None
-                prox.changed.add(ag.idx)
+                self._arrive(ag)
                 woken.add(ag.idx)
-                if m.stop_on_arrival:
-                    self._request_stop(ag)
 
         # Only a callback of this instant fills a queue or clears a plan,
         # so every other agent either moves, is stopped, or has an empty
         # queue and already issued nothing at an earlier poll.
         agents = self.agents
         for i in sorted(woken) if len(woken) > 1 else woken:
-            ag = agents[i]
-            if ag.stopped or ag.motion is not None:
-                continue
-            if not ag.queue:
-                ag.program.on_idle(ag.ctx)
-            if ag.queue:
-                self._start_pending(ag)
-            if ag.motion is None and self._path is not None:
-                # Idle: it rests until an event of its own, which the
-                # path does not say.
-                self._end_symmetry()
+            self._poll(agents[i])
 
     def _run_gas(self, new_edges: set[Pair], woken: set[int]) -> None:
         """Run the GA of every component that holds a new edge, and add

@@ -280,6 +280,12 @@ class Trajectory:
                 out.append((x0, y0))
             else:
                 u = (t - t0) / dur
+                if u == math.inf:
+                    # t lies past a leg shorter than t's overshoot past
+                    # it: move by the leg's velocity, as inf * 0 is NaN.
+                    out.append((x0 + (xs[k] - x0) / dur * (t - t0),
+                                y0 + (ys[k] - y0) / dur * (t - t0)))
+                    continue
                 out.append((x0 + (xs[k] - x0) * u, y0 + (ys[k] - y0) * u))
         return out
 
@@ -362,7 +368,10 @@ def solve_crossing_in(rx: float, ry: float, vx: float, vy: float,
     root = a0 / q if q > 0.0 else -a1 / (2.0 * a2)
     if root < -TIME_TOL or root > length + TIME_TOL:
         return None
-    return min(max(root, 0.0), length)
+    # min(max(root, 0.0), length) by comparisons, which cost less: each
+    # returns the float the builtin would, -0.0 and NaN included.
+    root = 0.0 if root < 0.0 else root
+    return length if length < root else root
 
 
 def solve_crossing_out(rx: float, ry: float, vx: float, vy: float,
@@ -387,4 +396,5 @@ def solve_crossing_out(rx: float, ry: float, vx: float, vy: float,
     root = (-a1 + sq) / (2.0 * a2)
     if root < 0.0 or root > length + TIME_TOL:
         return None
-    return min(root, length)
+    # min(root, length) by a comparison; see solve_crossing_in.
+    return length if length < root else root

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from gathersim import engine
 from gathersim.assumption import (AssumptionSet, build_dependent_counterexample,
                                   independence)
 from gathersim.config import classify
@@ -147,3 +149,21 @@ def test_counterexample_splits_under_its_set():
 def test_counterexample_rejects_independent_set():
     with pytest.raises(ValueError):
         build_dependent_counterexample(AssumptionSet((3, 4, 5)), 0.5)
+
+
+@pytest.mark.parametrize("eps, cause", [(10.0, "too large"),
+                                        (1e-9, "too small")])
+def test_counterexample_rejects_an_epsilon_it_cannot_serve(eps, cause):
+    # At eps 10 a cluster's standalone run times out at its default
+    # horizon; at 1e-9 its eps/2 spacing falls within the engine's
+    # tolerances, and the cluster is not robustly gatherable.
+    with pytest.raises(ValueError, match=cause) as info:
+        build_dependent_counterexample(AssumptionSet((2, 4)), eps)
+    assert f"epsilon {eps!r}" in str(info.value)
+
+
+def test_counterexample_cluster_that_splits_is_a_bug(monkeypatch):
+    split = SimpleNamespace(verdict=engine.Verdict("split", 1.0))
+    monkeypatch.setattr(engine, "run", lambda cfg, factory: split)
+    with pytest.raises(RuntimeError, match="verdict split"):
+        build_dependent_counterexample(AssumptionSet((2, 4)), 0.5)

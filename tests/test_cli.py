@@ -213,6 +213,9 @@ def test_counterexample_writes_config(tmp_path, capsys):
     code = main(["counterexample", "--set", "2,4",
                  "--epsilon", "0.5", "--out", str(out)])
     assert code == 0
+    assert capsys.readouterr().out == (
+        "DEPENDENT: 4 = 2\u00b72\n"
+        f"wrote 4 agents in clusters of 2,2 to {out}\n")
     data = json.loads(out.read_text())
     assert len(data["agents"]) == 4
     assert main(["classify", str(out)]) == 2
@@ -226,6 +229,19 @@ def test_counterexample_rejects_bad_epsilon(tmp_path, capsys, epsilon):
     assert code == 3
     assert "--epsilon must be finite and positive" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon, cause", [("10", "too large"),
+                                            ("1e-9", "too small")])
+def test_counterexample_epsilon_it_cannot_serve_is_an_input_error(
+        tmp_path, capsys, epsilon, cause):
+    out = tmp_path / "cx.json"
+    code = main(["counterexample", "--set", "2,4",
+                 "--epsilon", epsilon, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: epsilon {float(epsilon)!r} is {cause}")
     assert not out.exists()
 
 

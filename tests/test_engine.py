@@ -13,7 +13,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair
@@ -393,15 +393,19 @@ def _check_pair_events_against_full_scan(monkeypatch):
     """Make every pair scan assert that it equals the full scan; returns
     the list of (t_event, hits) the scans produced.
 
-    While every pair is sure, run calls no scan: it advances to the
-    scan's bound, and the full scan over that window must find no hit.
-    Each such advance is checked, and counted as a scan of (t, [])."""
+    While a run is symmetric, every pair is sure and run calls no scan:
+    it advances to the scan's bound, and the full scan over that window
+    must find no hit.  Each such advance is checked, and counted as a
+    scan of (t, [])."""
     real = ProximityGraph.next_events
     real_advance = Simulation._advance_to
+    real_run = Simulation.run
     scans = []
+    # The Simulation whose run is on, as running[-1].
+    running = []
 
     def checked(self, live, now, t_bound):
-        assert not self.sure
+        assert running[-1]._path is None
         expect = _full_scan_pair_events(self, live, now, t_bound)
         t_event, hits = real(self, live, now, t_bound)
         assert t_event == expect[0]
@@ -410,7 +414,7 @@ def _check_pair_events_against_full_scan(monkeypatch):
         return t_event, hits
 
     def advance(self, t):
-        if self._prox.sure:
+        if self._path is not None:
             # A symmetric run's positions are current only once synced.
             self._sync()
             expect = _full_scan_pair_events(self._prox, self._live,
@@ -419,8 +423,16 @@ def _check_pair_events_against_full_scan(monkeypatch):
             scans.append((t, []))
         real_advance(self, t)
 
+    def tracked(self):
+        running.append(self)
+        try:
+            return real_run(self)
+        finally:
+            running.pop()
+
     monkeypatch.setattr(ProximityGraph, "next_events", checked)
     monkeypatch.setattr(Simulation, "_advance_to", advance)
+    monkeypatch.setattr(Simulation, "run", tracked)
     return scans
 
 
@@ -702,7 +714,7 @@ def test_lockstep_pair_is_solved_once(monkeypatch):
     for rx, ry in ((3.0, -4.0), (0.6, -0.8)):
         graph, found = scan(rx, ry)
         assert found == (2.0, [])
-        assert [args[2:] for args in calls] == [(0.0, 0.0, 0.5, 4.0)]
+        assert [args[2:] for args in calls] == [(0.0, 0.0, 0.5, math.inf)]
         assert graph._cert[1] == math.inf and graph._cert_queue == []
 
     graph, found = scan(0.18, -0.24)
@@ -751,6 +763,31 @@ def test_skipped_pair_calls_no_solver(monkeypatch):
     graph = scan(4.5)
     assert len(calls) == 1
     assert graph._cert[1] == 5.0 and graph._cert_queue == [(5.0, 1)]
+
+
+@pytest.mark.parametrize("gap, cert", [(1e-7, 5.0), (2e-6, math.inf)])
+def test_separation_past_the_first_motion_end(gap, cert):
+    # An adjacent pair at one point: agent 0 walks east till 5 and agent
+    # 1 till 9, so E = 5, parting at the speed that leaves them gap short
+    # of eps + SEPARATION_TOL at E.  Its separation lies past the span of
+    # 4 from now = 1.  Within BOUND_SLACK of the band's edge at E the
+    # pair is certified at E; farther inside it gets cert inf.
+    sep = 0.5 + SEPARATION_TOL
+    angle = 2.0 * math.asin((sep - gap) / 8.0)
+
+    def agent(idx, angle, t_end):
+        motion = SimpleNamespace(vx=math.cos(angle), vy=math.sin(angle),
+                                 t_end=t_end)
+        return SimpleNamespace(idx=idx, x=0.0, y=0.0, motion=motion)
+
+    agents = [agent(0, 0.0, 5.0), agent(1, angle, 9.0)]
+    graph = ProximityGraph(agents, 0.5, 100.0)
+    graph._nbr[0].add(1)
+    graph._nbr[1].add(0)
+    graph.changed.add(0)
+    assert graph.next_events(agents, 1.0, 2.0) == (2.0, [])
+    assert graph._cert[1] == cert
+    assert graph._cert_queue == ([(cert, 1)] if cert < math.inf else [])
 
 
 @settings(deadline=None, max_examples=300)
@@ -855,6 +892,14 @@ def test_leg_aimed_at_partner_after_a_natural_end_meets_on_time(
        seed=st.integers(0, 2 ** 16),
        sizes=st.none() | st.sets(st.integers(2, 9), min_size=1,
                                  max_size=3))
+# Translated by 1e5, each of these walks an agent to within epsilon of a
+# resting one at its leg's end: a root past E from the leg's start comes
+# within TIME_TOL of E when solved from a later instant.
+@example(good=True, n=4, seed=4224, sizes={5})
+@example(good=True, n=3, seed=62745, sizes={4, 9})
+@example(good=True, n=5, seed=47507, sizes={3, 8, 9})
+@example(good=True, n=6, seed=46248, sizes={3, 8})
+@example(good=True, n=7, seed=37639, sizes={5, 7, 9})
 def test_speed_bounds_keep_every_scan_equal_to_the_full_scan(
         good, n, seed, sizes):
     # gather-n when sizes is None, else gather-a with candidate sizes.
@@ -943,7 +988,7 @@ def test_non_anonymous_programs_match_the_full_scan(kind, monkeypatch):
     for s in range(4):
         cfg = ungatherable_config(100 + s, 4)
         sim = Simulation(cfg, _split_factory(kind, 4), horizon=300.0)
-        assert sim._prox.sure
+        assert sim._path is not None
         trace = sim.run()
         check_all(cfg, trace)
         gas += len(trace.ga_events())
@@ -979,7 +1024,7 @@ def test_sure_threshold_one_float_either_side(side, monkeypatch):
     # solved.  Both scans equal the full scan.
     cfg = _sure_pair(side)
     sim = Simulation(cfg, gather_n_program(2))
-    assert sim._prox.sure == (side > 0)
+    assert (sim._path is not None) == (side > 0)
     calls = _counted_solve_in(monkeypatch)
     scans = _check_pair_events_against_full_scan(monkeypatch)
     ended = []
@@ -1023,7 +1068,7 @@ def test_ungatherable_runs_stay_symmetric_and_solve_nothing(shift,
             cfg = cfg.time_shifted(1e6)
             horizon += 1e6
         sim = Simulation(cfg, gather_n_program(8), horizon)
-        assert sim._prox.sure
+        assert sim._path is not None
         trace = sim.run()
         assert trace.verdict.kind == "timeout"
         assert sim._path is not None and len(sim._path) > 300
@@ -1049,7 +1094,7 @@ def test_symmetric_run_ends_where_the_path_stops_holding(case, end):
               Point(0.0, 10.0)), (0.0, t1, 0.0, 0.0))
     sim = Simulation(cfg, _Waiter, horizon=20.0)
     starts = case != "near pair"
-    assert sim._prox.sure == starts and (sim._path is not None) == starts
+    assert (sim._path is not None) == starts
     ended = []
     real_end = sim._end_symmetry
     sim._end_symmetry = lambda: ended.append(sim._now) or real_end()
@@ -1073,7 +1118,7 @@ def _lazy_and_eager(cfg, factory, horizon=None):
     program factory, so the runs share no program state.  Returns both
     simulations and traces."""
     lazy = Simulation(cfg, factory(), horizon)
-    assert lazy._prox.sure
+    assert lazy._path is not None
     eager = Simulation(cfg, factory(), horizon)
     eager._end_symmetry()
     return lazy, lazy.run(), eager, eager.run()
@@ -1245,9 +1290,16 @@ _EDGE_INSTANTS = {
     "leg end at an appearance": (0.5, _FAR3[:2], (0.0, 1.0),
                                  [[Wait(1.0)] * 2, [Wait(1.0)]], (),
                                  1.0, False),
+    # Agent 1's first leg leaves agent 0's path, which ends the symmetry
+    # at 0.25; agent 0 stops at 1 on the short path.
     "GotoStop arrival": (0.5, _FAR3[:2], (0.0, 0.25),
                          [[GotoStop(Point(1.0, 0.0))], [Wait(1.0)]], (),
-                         1.0, False),
+                         1.0, True),
+    # A symmetric run whose path is one GotoStop: agent 0 arrives first,
+    # at 1, and its stop ends the symmetry on the short path.
+    "GotoStop arrival in a symmetric run": (
+        0.5, _FAR3, (0.0, 0.25, 0.5), [[GotoStop(Point(1.0, 0.0))]] * 3,
+        (), 1.0, True),
     # A symmetric run of waits: agent 0 is the first left idle, at 3,
     # which ends the symmetry on the short path.
     "agent left idle": (0.5, _FAR3, (0.0, 0.25, 0.5), [[Wait(1.0)] * 3] * 3,
@@ -1307,10 +1359,13 @@ def test_edge_instants_match_the_general_body(case):
               if kind == "idle" and now + times[k] == at]
     if case.startswith("two leg ends"):
         assert polled == ([0, 1] if case == "two leg ends" else [0, 2])
+    stops = [ev.time for ev in got.trace.events if ev.kind == "stop"]
     if case == "GotoStop arrival":
-        stops = [ev.time for ev in got.trace.events if ev.kind == "stop"]
         assert stops == [at]
-    if case in ("agent left idle", "early end at the horizon"):
+    if case == "GotoStop arrival in a symmetric run":
+        assert stops == [1.0, 1.25, 1.5]
+    if case in ("agent left idle", "early end at the horizon",
+                "GotoStop arrival in a symmetric run"):
         assert got.ended == [at]
     if case == "idle agent met later":
         assert [ev.time for ev in got.trace.ga_events()] == [3.5]

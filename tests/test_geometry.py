@@ -203,6 +203,37 @@ def test_crossing_roots_snap_to_window():
     assert s is not None and abs(s - 1.5) < 1e-9
 
 
+_TINY = 2.0 ** -40  # far inside TIME_TOL
+
+
+@pytest.mark.parametrize("solve, args, length, expect", [
+    # Interior roots, exact in floats.
+    (solve_crossing_in, (2.0, 0.0, -1.0, 0.0), 5.0, 1.5),
+    (solve_crossing_out, (0.0, 0.0, 1.0, 0.0), 10.0, 0.5),
+    # Roots within TIME_TOL past the end snap onto it.
+    (solve_crossing_in, (2.0, 0.0, -1.0, 0.0), 1.5 - 1e-12, 1.5 - 1e-12),
+    (solve_crossing_out, (0.0, 0.0, 1.0, 0.0), 0.5 - 1e-12, 0.5 - 1e-12),
+    # Roots just past a window of no time, whose end is -0.0 or 0.0.
+    (solve_crossing_in, (0.5 + _TINY, 0.0, -1.0, 0.0), -0.0, -0.0),
+    (solve_crossing_out, (0.5 - _TINY, 0.0, 1.0, 0.0), -0.0, -0.0),
+    (solve_crossing_in, (0.5 + _TINY, 0.0, -1.0, 0.0), 0.0, 0.0),
+    # A NaN end keeps the root; a NaN velocity gives a NaN root.
+    (solve_crossing_in, (2.0, 0.0, -1.0, 0.0), math.nan, 1.5),
+    (solve_crossing_in, (2.0, 0.0, math.nan, 0.0), 3.0, math.nan),
+    (solve_crossing_out, (0.0, 0.0, math.nan, 0.0), 3.0, math.nan),
+], ids=["interior in", "interior out", "past the end in",
+        "past the end out", "-0.0 end in", "-0.0 end out", "0.0 end in",
+        "NaN end", "NaN root in", "NaN root out"])
+def test_crossing_roots_clamp_as_the_builtins_do(solve, args, length,
+                                                 expect):
+    # The solvers clamp a root onto [0, length] by comparisons; each
+    # returns the float min(max(root, 0.0), length) gives, signed zeros
+    # and NaN included.  The raw root is the one over an endless window.
+    got = solve(*args, 0.5, length)
+    raw = solve(*args, 0.5, math.inf)
+    assert repr(got) == repr(expect) == repr(min(max(raw, 0.0), length))
+
+
 def test_crossing_out_symmetric():
     s = solve_crossing_out(0.3, 0.0, 1.0, 0.0, 0.5, 10.0)
     assert s is not None and abs(s - 0.2) < 1e-9
@@ -340,6 +371,15 @@ def test_position_at_bisect_matches_linear_scan(traj, fractions):
         # The float sampler gives the same coordinates, bit for bit.
         assert [c.hex() for c in traj.xy_at(t)] \
             == [c.hex() for c in pos.coords]
+
+
+@pytest.mark.parametrize("dx, want", [(0.0, 0.0), (5e-324, 1e-12)])
+def test_place_just_past_a_leg_shorter_than_the_overshoot(dx, want):
+    # 1e-12 past a leg of 5e-324, within TIME_TOL, the share of the leg
+    # overflows to inf; the place follows the leg's velocity, at rest or
+    # at unit speed, where inf * dx gave NaN or inf.
+    traj = Trajectory([0.0, 5e-324, 1.0], [0.0, dx, dx], [0.0, 0.0, 0.0])
+    assert traj.xy_at(1e-12) == (want, 0.0)
 
 
 def _xy_or_none(traj, t):
