@@ -15,6 +15,7 @@ import argparse
 
 from gathersim.algorithms import gather_a_program
 from gathersim.assumption import AssumptionSet, build_dependent_counterexample
+from gathersim.checks import check_all
 from gathersim.config import classify
 from gathersim.engine import run
 
@@ -33,6 +34,7 @@ def main() -> None:
     print(f"configuration class: {classify(cx.config).kind.value}")
 
     trace = run(cx.config, gather_a_program(a.elements))
+    check_all(cx.config, trace)
     v = trace.verdict
     print(f"\nverdict: {v.kind} at t = {v.time:.4f}")
     for k, g in enumerate(v.groups):

@@ -120,10 +120,13 @@ def build_dependent_counterexample(a: AssumptionSet,
     Raises ValueError for an eps the construction cannot serve: one so
     small that the eps/2 spacing of a cluster falls within the engine's
     tolerances, so the cluster is not robustly gatherable, or one so large
-    that a cluster's standalone run times out.  A cluster that splits
-    raises RuntimeError: that is a bug.
+    that a cluster's standalone run times out.  A cluster that splits, or
+    whose run fails checks.check_all, raises RuntimeError: that is a bug.
     """
-    from .algorithms import gather_a_program  # local import, avoids a cycle
+    # Local imports: algorithms would be an import cycle, and importing
+    # gathersim should not load the checker.
+    from .algorithms import gather_a_program
+    from .checks import CheckFailure, check_all
     from .engine import run
 
     if eps <= 0.0:
@@ -156,6 +159,12 @@ def build_dependent_counterexample(a: AssumptionSet,
             raise RuntimeError(
                 f"standalone cluster of {m} agents failed to gather "
                 f"(verdict {trace.verdict.kind}); this indicates a bug")
+        try:
+            check_all(sub, trace)
+        except CheckFailure as exc:
+            raise RuntimeError(
+                f"standalone run of a cluster of {m} agents fails the "
+                f"audit: {exc}; this indicates a bug") from exc
         r = 0.0
         for traj in trace.trajectories:
             for x, y in zip(traj.xs, traj.ys):

@@ -4,7 +4,9 @@ Subcommands: classify, simulate, check-independence, counterexample, sweep.
 Exit codes are a stable contract:
 
   classify            0 ungatherable, 1 boundary-gatherable, 2 good
-  simulate            0 gathered, 1 split, 2 timeout
+  simulate            0 gathered, 1 split, 2 timeout, 4 trace fails the
+                      audit (checks.check_all; the trace and SVG files are
+                      written, no verdict is printed)
   check-independence  0 independent, 1 dependent
   counterexample      0 written
   sweep               0 clean, 1 invariant violations seen
@@ -31,6 +33,7 @@ from .generate import config_of_class
 from .render import write_svg
 
 ERR = 3
+AUDIT_FAILED = 4
 
 
 def _load_config(path: str) -> InitialConfiguration:
@@ -114,6 +117,11 @@ def cmd_simulate(args) -> int:
     if args.svg:
         with _writing(args.svg):
             write_svg(cfg, trace, args.svg)
+    try:
+        check_all(cfg, trace)
+    except CheckFailure as exc:
+        print(f"error: trace fails the audit: {exc}", file=sys.stderr)
+        return AUDIT_FAILED
     v = trace.verdict
     if v.kind == "gathered":
         print(f"GATHERED at ({v.point.x:g},{v.point.y:g}) t={v.time:g}")

@@ -78,27 +78,49 @@ class AgentRef:
         return f"AgentRef(#{self._token})"
 
 
+class InvalidInstruction(ValueError):
+    """An instruction that breaks the model, raised when it is made."""
+
+
+# An instruction validates itself when made, so the engine begins one
+# without a test.  Each test is written so that NaN fails it.
 @dataclass(frozen=True, slots=True)
 class Go:
+    """Walk distance (inf allowed) at unit speed along direction, within
+    SPEED_TOL of unit length."""
     direction: Vec2
     distance: float
+
+    def __post_init__(self):
+        if not self.distance >= 0.0:
+            raise InvalidInstruction(f"distance is negative or NaN: {self!r}")
+        if not abs(self.direction.norm - 1.0) <= SPEED_TOL:
+            raise InvalidInstruction(
+                f"direction is not a unit vector: {self!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Wait:
+    """Rest for duration, not negative (inf allowed)."""
     duration: float
+
+    def __post_init__(self):
+        if not self.duration >= 0.0:
+            raise InvalidInstruction(f"wait is negative or NaN: {self!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class GotoStop:
+    """Walk straight to a finite target, then stop."""
     target: Point  # in the issuing agent's own frame
+
+    def __post_init__(self):
+        if not (math.isfinite(self.target.x)
+                and math.isfinite(self.target.y)):
+            raise InvalidInstruction(f"target is not finite: {self!r}")
 
 
 Instruction = Go | Wait | GotoStop
-
-
-class InvalidInstruction(ValueError):
-    pass
 
 
 class Participant(NamedTuple):
@@ -933,26 +955,14 @@ class Simulation:
             kind = type(instr)
             if kind is Go:
                 dist = instr.distance
-                direction = instr.direction
-                dx = direction.dx
-                dy = direction.dy
-                # Written so that NaN fails each test.
-                if not dist >= 0.0:
-                    raise InvalidInstruction(
-                        f"distance is negative or NaN: {instr!r}")
-                if not abs(math.hypot(dx, dy) - 1.0) <= SPEED_TOL:
-                    raise InvalidInstruction(
-                        f"direction is not a unit vector: {instr!r}")
                 if dist <= POS_TOL:
                     continue
+                dx, dy = instr.direction.dx, instr.direction.dy
                 self._set_motion(agent, _Motion(
                     self._now, agent.x, agent.y, self._now + dist,
                     agent.x + dx * dist, agent.y + dy * dist, dx, dy, False))
                 return
             if kind is Wait:
-                if not instr.duration >= 0.0:
-                    raise InvalidInstruction(
-                        f"wait is negative or NaN: {instr!r}")
                 if instr.duration <= TIME_TOL:
                     continue
                 self._set_motion(agent, _Motion(
@@ -960,10 +970,6 @@ class Simulation:
                     agent.x, agent.y, 0.0, 0.0, False))
                 return
             if kind is GotoStop:
-                if not (math.isfinite(instr.target.x)
-                        and math.isfinite(instr.target.y)):
-                    raise InvalidInstruction(
-                        f"target is not finite: {instr!r}")
                 tx = agent.origin.x + instr.target.x
                 ty = agent.origin.y + instr.target.y
                 dx = tx - agent.x

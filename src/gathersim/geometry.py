@@ -194,9 +194,10 @@ class Trajectory:
 
     The path is stored as breakpoint columns: times[k], xs[k] and ys[k]
     are the time and coordinates of breakpoint k, and leg k runs at
-    constant velocity from breakpoint k to breakpoint k + 1.  Times never
-    step back and every leg obeys the speed rule of first_illegal_leg.  A
-    trajectory recorded by the engine has one leg per instruction leg: one
+    constant velocity from breakpoint k to breakpoint k + 1.  Only the
+    columns' shape is checked here: checks.check_speeds audits that times
+    never step back and that legs obey first_illegal_leg.  A trajectory
+    recorded by the engine has one leg per instruction leg: one
     Go, Wait or GotoStop, or one stretch without an instruction.  segments
     is a view built from the columns on each read.  Trajectory(times, xs,
     ys) keeps the given lists, not copies.
@@ -214,15 +215,6 @@ class Trajectory:
         if not len(times) == len(xs) == len(ys) >= 2:
             raise ValueError("trajectory needs two breakpoints in each "
                              "column")
-        k = first_illegal_leg(times, xs, ys)
-        if k is not None:
-            dt = times[k + 1] - times[k]
-            if dt < 0.0:
-                raise ValueError("trajectory time steps back")
-            raise ValueError(
-                "segment speed "
-                f"{math.hypot(xs[k + 1] - xs[k], ys[k + 1] - ys[k]) / dt} "
-                "is neither 0 nor 1")
         self.times = times
         self.xs = xs
         self.ys = ys
@@ -321,8 +313,8 @@ class TrajectoryBuilder:
         self._ys.append(y)
 
     def build(self) -> Trajectory:
-        """The recorded trajectory, on copies of the record columns; it
-        raises if a record steps back in time or breaks the speed rule.
+        """The recorded trajectory, on copies of the record columns.  Its
+        legs are not checked here: checks.check_speeds audits them.
 
         A builder holding its first record only builds a rest there that
         lasts no time.
@@ -340,8 +332,9 @@ def solve_crossing_in(rx: float, ry: float, vx: float, vy: float,
     R0 is the relative position at s=0 and V the constant relative velocity.
     Uses the standard stable quadratic formula with citardauq pairing so the
     smaller root is accurate even when the roots differ widely in magnitude.
-    Roots within TIME_TOL outside [0, length] are snapped onto the interval;
-    near-tangent passes (discriminant slightly negative) count as touching.
+    A root within TIME_TOL past length is snapped onto it, and no root lies
+    before 0; near-tangent passes (discriminant slightly negative) count as
+    touching.
     """
     a2 = vx * vx + vy * vy
     a0 = rx * rx + ry * ry - eps * eps
@@ -365,12 +358,11 @@ def solve_crossing_in(rx: float, ry: float, vx: float, vy: float,
     sq = math.sqrt(disc)
     # a1 < 0 here, so q > 0 and the smaller root is a0 / q.
     q = -(a1 - sq) / 2.0
+    # a0 > 0 over q > 0, or -a1 > 0 over 2 a2 > 0: root >= +0.0, or NaN.
     root = a0 / q if q > 0.0 else -a1 / (2.0 * a2)
-    if root < -TIME_TOL or root > length + TIME_TOL:
+    if root > length + TIME_TOL:
         return None
-    # min(max(root, 0.0), length) by comparisons, which cost less: each
-    # returns the float the builtin would, -0.0 and NaN included.
-    root = 0.0 if root < 0.0 else root
+    # min(root, length) by a comparison, which costs less; NaN stays.
     return length if length < root else root
 
 

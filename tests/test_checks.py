@@ -507,7 +507,7 @@ def test_moved_event_position_is_a_check_failure(real_runs, kind):
 
 
 def test_segment_at_speed_two_is_a_check_failure():
-    # Trajectory refuses such a leg, so it is put in after the run: one
+    # The engine records no such leg, so it is put in after the run: one
     # more breakpoint in agent 1's columns, 2 away after 1 time unit.
     cfg = good_config(0, 3)
     trace = run(cfg, gather_n_program(3))

@@ -9,8 +9,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from gathersim import cli
+from gathersim import checks, cli
+from gathersim.checks import CheckFailure
 from gathersim.cli import main
+from gathersim.generate import good_config
 
 GOOD = {"epsilon": 0.5,
         "agents": [{"x": 0.0, "y": 0.0, "t": 0.0},
@@ -193,6 +195,55 @@ def test_simulate_unwritable_artifact_is_an_input_error(tmp_path, capsys,
     assert err.startswith(f"error: cannot write {path}: ")
     assert "No such file or directory" in err
     assert not path.parent.exists()
+
+
+def _fails_the_audit(cfg, trace):
+    raise CheckFailure("agent 1 segment at speed 2.0")
+
+
+def test_simulate_exits_4_on_a_trace_that_fails_the_audit(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_all", _fails_the_audit)
+    trace_path = tmp_path / "run.jsonl"
+    code = main(["simulate", write_cfg(tmp_path, GOOD),
+                 "--algorithm", "gather-n", "--trace", str(trace_path)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: trace fails the audit: "
+                            "agent 1 segment at speed 2.0\n")
+    # The trace is written before the audit, so the failure can be read.
+    assert json.loads(
+        trace_path.read_text().splitlines()[-1])["kind"] == "verdict"
+
+
+def test_simulate_far_from_the_origin_fails_the_audit(tmp_path, capsys):
+    # 1e8 from the origin the float spacing, 1.5e-8, exceeds the engine's
+    # absolute distance slacks, and this run records a GA whose group
+    # check_all finds not proximity-connected.  When far runs are mended,
+    # this run passes and the test needs another failing run.
+    cfg = good_config(0, 4)
+    far = {"epsilon": cfg.epsilon,
+           "agents": [{"x": p.x + 1e8, "y": p.y, "t": t}
+                      for p, t in zip(cfg.starts, cfg.times)]}
+    code = main(["simulate", write_cfg(tmp_path, far),
+                 "--algorithm", "gather-n"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: trace fails the audit: GA at ")
+
+
+def test_counterexample_whose_cluster_fails_the_audit_is_a_bug(
+        tmp_path, monkeypatch):
+    # build_dependent_counterexample imports check_all when it is called.
+    monkeypatch.setattr(checks, "check_all", _fails_the_audit)
+    out = tmp_path / "cx.json"
+    with pytest.raises(RuntimeError, match="fails the audit: agent 1 "
+                       "segment at speed 2.0; this indicates a bug"):
+        main(["counterexample", "--set", "2,4", "--epsilon", "0.5",
+              "--out", str(out)])
+    assert not out.exists()
 
 
 def test_check_independence_exit_codes(capsys):

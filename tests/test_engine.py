@@ -1,6 +1,5 @@
 """Engine semantics: events, GA groups, gossip frames, verdicts."""
 
-import functools
 import heapq
 import itertools
 import math
@@ -1766,16 +1765,78 @@ class Issues(Program):
 def test_invalid_instruction_rejected():
     # NaN passes a plain "< 0" test and used to fail only when the
     # trajectory was built; an infinite GotoStop target never ended the
-    # run.  The error names the instruction.
+    # run.  An instruction validates itself when made, and the error
+    # names it.
+    for make, message in (
+            (lambda: Go(Vec2(2.0, 0.0), 1.0),
+             "direction is not a unit vector: "
+             "Go(direction=Vec2(dx=2.0, dy=0.0), distance=1.0)"),
+            (lambda: Go(Vec2(1.0, 0.0), -1.0),
+             "distance is negative or NaN: "
+             "Go(direction=Vec2(dx=1.0, dy=0.0), distance=-1.0)"),
+            (lambda: Go(Vec2(1.0, 0.0), math.nan),
+             "distance is negative or NaN: "
+             "Go(direction=Vec2(dx=1.0, dy=0.0), distance=nan)"),
+            (lambda: Go(Vec2(math.nan, 0.0), 1.0),
+             "direction is not a unit vector: "
+             "Go(direction=Vec2(dx=nan, dy=0.0), distance=1.0)"),
+            (lambda: Go(Vec2(0.0, math.nan), 1.0),
+             "direction is not a unit vector: "
+             "Go(direction=Vec2(dx=0.0, dy=nan), distance=1.0)"),
+            (lambda: Wait(-1.0),
+             "wait is negative or NaN: Wait(duration=-1.0)"),
+            (lambda: Wait(math.nan),
+             "wait is negative or NaN: Wait(duration=nan)"),
+            (lambda: GotoStop(Point(math.nan, 0.0)),
+             "target is not finite: GotoStop(target=Point(x=nan, y=0.0))"),
+            (lambda: GotoStop(Point(0.0, math.inf)),
+             "target is not finite: GotoStop(target=Point(x=0.0, y=inf))"),
+            (lambda: GotoStop(Point(-math.inf, 1.0)),
+             "target is not finite: "
+             "GotoStop(target=Point(x=-inf, y=1.0))")):
+        with pytest.raises(InvalidInstruction,
+                           match=f"^{re.escape(message)}$"):
+            make()
+
+    # A program that makes an invalid instruction fails its run.
+    class IssuesBadGo(Program):
+        def on_appear(self, ctx):
+            ctx.issue(Go(Vec2(1.0, 0.0), -1.0))
+
     cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
-    for instr in (Go(Vec2(2.0, 0.0), 1.0), Go(Vec2(1.0, 0.0), -1.0),
-                  Go(Vec2(1.0, 0.0), math.nan), Go(Vec2(math.nan, 0.0), 1.0),
-                  Go(Vec2(0.0, math.nan), 1.0), Wait(-1.0), Wait(math.nan),
-                  GotoStop(Point(math.nan, 0.0)),
-                  GotoStop(Point(0.0, math.inf)),
-                  GotoStop(Point(-math.inf, 1.0))):
-        with pytest.raises(InvalidInstruction, match=re.escape(repr(instr))):
-            run(cfg, functools.partial(Issues, instr), horizon=5.0)
+    with pytest.raises(InvalidInstruction, match="distance is negative"):
+        run(cfg, IssuesBadGo, horizon=5.0)
+
+
+def test_non_instruction_rejected():
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    with pytest.raises(InvalidInstruction,
+                       match=r"^unknown instruction 'north'$"):
+        run(cfg, lambda: Issues("north"), horizon=5.0)
+
+
+def test_endless_zero_duration_instructions_rejected():
+    # More zero waits in a row than MAX_INSTANT_INSTRUCTIONS fail the run.
+    class WaitsForNothing(Program):
+        def on_appear(self, ctx):
+            for _ in range(engine.MAX_INSTANT_INSTRUCTIONS + 1):
+                ctx.issue(Wait(0.0))
+
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    with pytest.raises(InvalidInstruction,
+                       match="^too many zero-duration instructions$"):
+        run(cfg, WaitsForNothing, horizon=5.0)
+
+
+def test_issue_after_stop_rejected():
+    class IssuesAfterStop(Program):
+        def on_appear(self, ctx):
+            ctx.stop()
+            ctx.issue(Wait(1.0))
+
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    with pytest.raises(InvalidInstruction, match="^agent has stopped$"):
+        run(cfg, IssuesAfterStop, horizon=5.0)
 
 
 @pytest.mark.parametrize("instr", [Wait(math.inf),

@@ -88,20 +88,30 @@ def test_position_at_outside_span_raises():
         traj.position_at(2.5)
 
 
+def _audit_legs(times, xs, ys):
+    """checks.check_speeds on a trace of one agent on these columns: the
+    Trajectory constructor checks their shape only."""
+    trace = engine.Trace(events=[], final_tags=("",),
+                         trajectories=(Trajectory(times, xs, ys),),
+                         verdict=engine.Verdict("timeout", times[-1]))
+    checks.check_speeds(trace)
+
+
 def test_trajectory_rejects_illegal_speed():
-    with pytest.raises(ValueError):
-        Trajectory([0.0, 1.0], [0.0, 2.0], [0.0, 0.0])
+    with pytest.raises(checks.CheckFailure):
+        _audit_legs([0.0, 1.0], [0.0, 2.0], [0.0, 0.0])
 
 
 def test_first_fault_of_a_trajectory_wins():
-    # A speed-2 leg before a step back raises the speed error; the step
-    # back first raises its own.
-    with pytest.raises(ValueError,
-                       match=r"^segment speed 2\.0 is neither 0 nor 1$"):
-        Trajectory([0.0, 1.0, 0.5], [0.0, 2.0, 2.0], [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="^trajectory time steps back$"):
-        Trajectory([0.0, 1.0, 0.5, 1.5], [0.0, 0.0, 0.0, 2.0],
-                   [0.0, 0.0, 0.0, 0.0])
+    # A speed-2 leg before a step back fails on the speed; the step back
+    # first fails on its own.
+    with pytest.raises(checks.CheckFailure,
+                       match=r"^agent 0 segment at speed 2\.0$"):
+        _audit_legs([0.0, 1.0, 0.5], [0.0, 2.0, 2.0], [0.0, 0.0, 0.0])
+    with pytest.raises(checks.CheckFailure, match=r"^agent 0 trajectory "
+                       r"time steps back from 1\.0 to 0\.5$"):
+        _audit_legs([0.0, 1.0, 0.5, 1.5], [0.0, 0.0, 0.0, 2.0],
+                    [0.0, 0.0, 0.0, 0.0])
 
 
 def _legal_speed(dt, dx, dy):
@@ -153,11 +163,11 @@ def test_trajectory_needs_two_breakpoints_in_each_column():
 def test_trajectory_rejects_time_stepping_back():
     # Each step back lies within TIME_TOL, which xy_at treats as one
     # instant; only the monotonicity check catches it.
-    with pytest.raises(ValueError, match="steps back"):
-        Trajectory([1.0, 1.0 - TIME_TOL / 2], [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError, match="steps back"):
-        Trajectory([0.0, 1.0, 1.0 - TIME_TOL / 2], [0.0, 1.0, 1.0],
-                   [0.0, 0.0, 0.0])
+    with pytest.raises(checks.CheckFailure, match="steps back"):
+        _audit_legs([1.0, 1.0 - TIME_TOL / 2], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(checks.CheckFailure, match="steps back"):
+        _audit_legs([0.0, 1.0, 1.0 - TIME_TOL / 2], [0.0, 1.0, 1.0],
+                    [0.0, 0.0, 0.0])
 
 
 def test_head_on_approach_time():
@@ -232,6 +242,60 @@ def test_crossing_roots_clamp_as_the_builtins_do(solve, args, length,
     got = solve(*args, 0.5, length)
     raw = solve(*args, 0.5, math.inf)
     assert repr(got) == repr(expect) == repr(min(max(raw, 0.0), length))
+
+
+def _solve_crossing_in_with_start_clamp(rx, ry, vx, vy, eps, length):
+    """Reference: solve_crossing_in as it was with its start clamp, the
+    root < -TIME_TOL test and the clamp of a negative root to 0.0."""
+    a2 = vx * vx + vy * vy
+    a0 = rx * rx + ry * ry - eps * eps
+    if a0 <= 0.0:
+        return 0.0
+    if a2 <= geometry.SPEED_TOL2:
+        return None
+    a1 = 2.0 * (rx * vx + ry * vy)
+    if a1 >= 0.0:
+        return None
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
+        scale = max(a1 * a1, abs(4.0 * a2 * a0), geometry.DISC_FLOOR)
+        if disc / scale < -GRAZE_TOL:
+            return None
+        disc = 0.0
+    sq = math.sqrt(disc)
+    q = -(a1 - sq) / 2.0
+    root = a0 / q if q > 0.0 else -a1 / (2.0 * a2)
+    if root < -TIME_TOL or root > length + TIME_TOL:
+        return None
+    root = 0.0 if root < 0.0 else root
+    return length if length < root else root
+
+
+def _same_float(a, b):
+    """a and b are the same float, or both None: NaN matches NaN, and a
+    zero matches only the zero of its own sign."""
+    if a is None or b is None:
+        return a is b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# Any float, with the edges of the float line drawn on purpose.
+_solver_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -5e-324, 2.0 ** -1022, -(2.0 ** -1022), 1e-300, 1e300,
+                     TIME_TOL, -TIME_TOL]),
+    st.floats(-5.0, 5.0), st.floats())
+
+
+@given(st.tuples(*[_solver_floats] * 6))
+@settings(max_examples=1000)
+def test_crossing_in_has_no_start_clamp_to_miss(args):
+    # No root of solve_crossing_in lies before 0, so the start clamp it
+    # dropped never fired: it returns what it returned with it, bit for bit.
+    assert _same_float(solve_crossing_in(*args),
+                       _solve_crossing_in_with_start_clamp(*args))
 
 
 def test_crossing_out_symmetric():
