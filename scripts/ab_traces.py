@@ -33,14 +33,6 @@ import sys
 import srctree
 
 
-def outcome(checks, op, trace) -> str:
-    try:
-        checks.check_all(op.cfg, trace)
-    except checks.CheckFailure as exc:
-        return f"fail: {exc}"
-    return "ok"
-
-
 def compare(old, new, workload: str, seed: int) -> dict:
     """Run the workload's corpus under both trees; return the counts and
     maxima that main prints."""
@@ -68,7 +60,7 @@ def compare(old, new, workload: str, seed: int) -> dict:
         for pa, pb in zip(ta.final_positions, tb.final_positions):
             diff["final_position"] = max(diff["final_position"],
                                          math.dist(pa.coords, pb.coords))
-        if outcome(old.checks, a, ta) != outcome(new.checks, b, tb):
+        if srctree.outcome(old, a, ta) != srctree.outcome(new, b, tb):
             diff["check_all"] += 1
         changed = sum(la != lb for la, lb in itertools.zip_longest(
             ta.jsonl_lines(), tb.jsonl_lines()))

@@ -30,18 +30,14 @@ import srctree
 
 
 def digest(tree, workload: str, seed: int) -> tuple[int, str, str, str]:
-    checks, engine, render = tree.checks, tree.engine, tree.render
+    engine, render = tree.engine, tree.render
     traces = hashlib.sha256()
     outcomes = hashlib.sha256()
     paths = hashlib.sha256()
     ops = tree.corpus.build_corpus(workload, seed)
     for op in ops:
         trace = engine.run(op.cfg, op.factory, op.horizon)
-        try:
-            checks.check_all(op.cfg, trace)
-            outcome = "ok"
-        except checks.CheckFailure as exc:
-            outcome = f"fail: {exc}"
+        outcome = srctree.outcome(tree, op, trace)
         for line in trace.jsonl_lines():
             traces.update(line.encode())
             traces.update(b"\n")

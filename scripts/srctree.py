@@ -6,7 +6,8 @@ with every gathersim module cleared from sys.modules first, together
 with the benchmark's perfbench/corpus.py (of this checkout, which is
 only read), so the corpus is built with that tree.
 The modules it returns keep working after the next load() clears
-sys.modules again.
+sys.modules again.  outcome() words a run's check_all result the one way
+both corpus scripts compare it.
 """
 
 import importlib
@@ -37,3 +38,12 @@ def load(src: str) -> SimpleNamespace:
             render=importlib.import_module("gathersim.render"))
     finally:
         del sys.path[:2]
+
+
+def outcome(tree, op, trace) -> str:
+    """check_all of op's run under tree: "ok" or "fail: MESSAGE"."""
+    try:
+        tree.checks.check_all(op.cfg, trace)
+    except tree.checks.CheckFailure as exc:
+        return f"fail: {exc}"
+    return "ok"

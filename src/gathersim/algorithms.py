@@ -22,8 +22,8 @@ import functools
 import math
 from typing import Optional, Sequence
 
-from .config import (InitialConfiguration, NoQualifyingPair, pair_margin,
-                     vector_sequence)
+from .assumption import AssumptionSet
+from .config import InitialConfiguration, qualifying_pairs, vector_sequence
 from .engine import AgentContext, GAView, Go, GotoStop, Program, Wait
 from .geometry import POS_TOL, TIME_TOL, Point, Vec2, lex_less
 
@@ -226,32 +226,30 @@ class DedicatedProgram(Program):
             self._issue_out_and_back(ctx, w)
 
 
-def _dedicated_walk(cfg: InitialConfiguration) -> tuple[Vec2, float]:
-    """Beginner walk vector and pre-walk wait for the best qualifying pair.
+def _dedicated_walk(cfg: InitialConfiguration) -> Optional[tuple[Vec2, float]]:
+    """Beginner walk vector and pre-walk wait for the best qualifying pair
+    of config.qualifying_pairs, or None when no pair qualifies.
 
     Candidates are the qualifying pairs oriented from the earlier start to
     the later one (both ways on a time tie); the lexicographically largest
-    such vector wins, longest wait breaking ties.  An immediate walk along
-    the unoriented largest qualifying vector misses the rendezvous window
-    whenever the time gap exceeds distance + eps, so the orientation and
-    the wait both matter.
+    such vector wins, longest wait breaking ties, then the smaller ordered
+    pair, so the order in which pairs are tried cannot pick the sign of a
+    zero coordinate.  An immediate walk along the unoriented largest
+    qualifying vector misses the rendezvous window whenever the time gap
+    exceeds distance + eps, so the orientation and the wait both matter.
     """
+    ts, ps = cfg.times, cfg.starts
     best = None
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            if i == j or cfg.times[j] < cfg.times[i] - TIME_TOL:
+    for i, j, _ in qualifying_pairs(cfg):
+        for a, b in ((i, j), (j, i)):
+            if ts[b] < ts[a] - TIME_TOL:
                 continue
-            if pair_margin(cfg, i, j) < -TIME_TOL:
-                continue
-            delta = abs(cfg.times[i] - cfg.times[j])
-            u = Vec2(cfg.starts[j].x - cfg.starts[i].x,
-                     cfg.starts[j].y - cfg.starts[i].y)
-            key = (u.dx, u.dy, delta)
+            delta = abs(ts[a] - ts[b])
+            u = Vec2(ps[b].x - ps[a].x, ps[b].y - ps[a].y)
+            key = (u.dx, u.dy, delta, -a, -b)
             if best is None or key > best[0]:
                 best = (key, u, delta)
-    if best is None:
-        raise NoQualifyingPair("no pair can absorb its distance")
-    return best[1], best[2]
+    return None if best is None else best[1:]
 
 
 def dedicated_program(cfg_known: InitialConfiguration, eps: float):
@@ -266,10 +264,7 @@ def dedicated_program(cfg_known: InitialConfiguration, eps: float):
         cfg_known = InitialConfiguration(eps, cfg_known.starts,
                                          cfg_known.times)
     vseq = vector_sequence(cfg_known)
-    try:
-        v, delay = _dedicated_walk(cfg_known)
-    except NoQualifyingPair:
-        v, delay = vseq[-1], 0.0
+    v, delay = _dedicated_walk(cfg_known) or (vseq[-1], 0.0)
     n = cfg_known.n
     return lambda: DedicatedProgram(v, delay, vseq, n)
 
@@ -296,8 +291,6 @@ class GatherProgram(Program):
 
     def __init__(self, assumptions: Sequence[int]):
         self.assumptions = tuple(assumptions)
-        if not self.assumptions:
-            raise ValueError("need at least one candidate size")
         self.final_stop = len(self.assumptions) == 1
         self.ai = 0
         self.star = StarWalk()
@@ -495,16 +488,12 @@ class GatherProgram(Program):
 
 def gather_n_program(n: int):
     """Program factory for agents that know only the team size n."""
-    if n < 2:
-        raise ValueError("team size must be at least 2")
-    return lambda: GatherProgram((n,))
+    return gather_a_program((n,))
 
 
 def gather_a_program(assumptions: Sequence[int]):
-    """Program factory for agents that know a candidate-size set."""
-    a = tuple(sorted(set(int(x) for x in assumptions)))
-    if not a:
-        raise ValueError("assumption set must be non-empty")
-    if a[0] < 2:
-        raise ValueError("candidate sizes must be at least 2")
-    return lambda: GatherProgram(a)
+    """Program factory for agents that know a candidate-size set, given
+    in any order, repeats allowed; assumption.AssumptionSet rejects an
+    empty set and sizes below 2."""
+    a = AssumptionSet(tuple(sorted(set(int(x) for x in assumptions))))
+    return lambda: GatherProgram(a.elements)

@@ -117,11 +117,12 @@ def build_dependent_counterexample(a: AssumptionSet,
     discs separated by at least 2 eps, so no cross-cluster meeting can ever
     fire and each cluster plays out exactly its standalone run.
 
-    Raises ValueError for an eps the construction cannot serve: one so
-    small that the eps/2 spacing of a cluster falls within the engine's
-    tolerances, so the cluster is not robustly gatherable, or one so large
-    that a cluster's standalone run times out.  A cluster that splits, or
-    whose run fails checks.check_all, raises RuntimeError: that is a bug.
+    Raises ValueError for an eps the construction cannot serve: one that
+    InitialConfiguration rejects, one so small that the eps/2 spacing of a
+    cluster falls within the engine's tolerances, so the cluster is not
+    robustly gatherable, or one so large that a cluster's standalone run
+    times out.  A cluster that splits, or whose run fails checks.check_all,
+    raises RuntimeError: that is a bug.
     """
     # Local imports: algorithms would be an import cycle, and importing
     # gathersim should not load the checker.
@@ -129,8 +130,6 @@ def build_dependent_counterexample(a: AssumptionSet,
     from .checks import CheckFailure, check_all
     from .engine import run
 
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     independent, cert = independence(a)
     if independent:
         raise ValueError(f"assumption set {a.elements} is independent; "

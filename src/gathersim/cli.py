@@ -28,7 +28,7 @@ from .assumption import (AssumptionSet, build_dependent_counterexample,
                          independence)
 from .checks import CheckFailure, check_all
 from .config import Feasibility, InitialConfiguration, classify
-from .engine import ProgramFactory, Simulation, default_horizon
+from .engine import ProgramFactory, Simulation
 from .generate import config_of_class
 from .render import write_svg
 
@@ -84,12 +84,13 @@ def _program_factory(algorithm: str, cfg: InitialConfiguration,
 
 def _simulation(cfg: InitialConfiguration, factory: ProgramFactory,
                 horizon: float | None) -> Simulation:
-    if horizon is None and not math.isfinite(default_horizon(cfg)):
-        raise SystemExit("error: the default horizon of this configuration "
-                         "is not finite; give one with --horizon")
     try:
         return Simulation(cfg, factory, horizon)
     except ValueError as exc:
+        if horizon is None:
+            raise SystemExit("error: the default horizon of this "
+                             "configuration is not finite; give one with "
+                             "--horizon")
         raise SystemExit(f"error: {exc}")
 
 

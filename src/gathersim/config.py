@@ -138,29 +138,32 @@ def pair_margin(cfg: InitialConfiguration, i: int, j: int) -> float:
     return abs(cfg.times[i] - cfg.times[j]) - (d - cfg.epsilon)
 
 
-def classify(cfg: InitialConfiguration) -> FeasibilityClass:
-    """Feasibility class plus the lexicographically first qualifying pair.
-
-    Margins within TIME_TOL of zero count as equality, so boundary
-    configurations land in BAD_GATHERABLE deterministically.
-    """
-    first_strict = None
-    first_equal = None
+def qualifying_pairs(cfg: InitialConfiguration):
+    """(i, j, margin) for each pair i < j, in lex order, whose pair_margin
+    is at least -TIME_TOL: the pairs that admit gathering, margins within
+    TIME_TOL of zero counting as equality."""
     n = cfg.n
     for i in range(n):
         for j in range(i + 1, n):
             m = pair_margin(cfg, i, j)
-            if m > TIME_TOL:
-                if first_strict is None:
-                    first_strict = (i, j)
-            elif m >= -TIME_TOL:
-                if first_equal is None:
-                    first_equal = (i, j)
-    if first_strict is not None:
-        return FeasibilityClass(Feasibility.GOOD, first_strict)
-    if first_equal is not None:
-        return FeasibilityClass(Feasibility.BAD_GATHERABLE, first_equal)
-    return FeasibilityClass(Feasibility.UNGATHERABLE, None)
+            if m >= -TIME_TOL:
+                yield i, j, m
+
+
+def classify(cfg: InitialConfiguration) -> FeasibilityClass:
+    """Feasibility class plus the lexicographically first qualifying pair:
+    GOOD at the first margin above TIME_TOL, else BAD_GATHERABLE at the
+    first pair within TIME_TOL of zero, so boundary configurations land in
+    BAD_GATHERABLE deterministically."""
+    first = None
+    for i, j, m in qualifying_pairs(cfg):
+        if m > TIME_TOL:
+            return FeasibilityClass(Feasibility.GOOD, (i, j))
+        if first is None:
+            first = (i, j)
+    if first is None:
+        return FeasibilityClass(Feasibility.UNGATHERABLE, None)
+    return FeasibilityClass(Feasibility.BAD_GATHERABLE, first)
 
 
 def vector_sequence(cfg: InitialConfiguration) -> list[Vec2]:
@@ -178,7 +181,3 @@ def vector_sequence(cfg: InitialConfiguration) -> list[Vec2]:
                 vecs.append(cfg.starts[j] - cfg.starts[i])
     vecs.sort(key=lambda v: v.coords)
     return vecs
-
-
-class NoQualifyingPair(ValueError):
-    pass

@@ -948,7 +948,7 @@ class Simulation:
 
     def _start_pending(self, agent: _Agent) -> None:
         """Begin the next queued instruction, skipping instantaneous ones."""
-        for _ in range(MAX_INSTANT_INSTRUCTIONS):
+        for _ in range(MAX_INSTANT_INSTRUCTIONS + 1):
             if agent.stopped or agent.motion is not None or not agent.queue:
                 return
             instr = agent.queue.popleft()

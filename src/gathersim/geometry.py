@@ -165,30 +165,6 @@ class Segment:
         return Vec2(d.dx / dur, d.dy / dur)
 
 
-def first_illegal_leg(times: Sequence[float], xs: Sequence[float],
-                      ys: Sequence[float]) -> Optional[int]:
-    """The index k of the first illegal leg, from breakpoint k to k + 1, or
-    None.  The unit-speed rule: a leg stands still or moves at speed 1.
-    Slivers of at most TIME_TOL, left by coalesced events, carry no usable
-    speed and pass; event-time snapping distorts the speed of slightly
-    longer ones, so a leg whose length and duration differ below snapping
-    scale moves at unit speed too.  A leg that steps back in time is
-    illegal."""
-    legs = zip(times, times[1:], xs, xs[1:], ys, ys[1:])
-    for k, (t0, t1, x0, x1, y0, y1) in enumerate(legs):
-        dt = t1 - t0
-        if dt < 0.0:
-            return k
-        # Written so that NaN breaks the rule.
-        if not dt <= TIME_TOL:
-            length = math.hypot(x1 - x0, y1 - y0)
-            sp = length / dt
-            if not (sp <= SPEED_TOL or abs(sp - 1.0) <= UNIT_SPEED_TOL
-                    or abs(length - dt) <= 10.0 * TIME_TOL):
-                return k
-    return None
-
-
 class Trajectory:
     """Piecewise-linear path of a single agent, defined from its start time on.
 
@@ -196,7 +172,7 @@ class Trajectory:
     are the time and coordinates of breakpoint k, and leg k runs at
     constant velocity from breakpoint k to breakpoint k + 1.  Only the
     columns' shape is checked here: checks.check_speeds audits that times
-    never step back and that legs obey first_illegal_leg.  A trajectory
+    never step back and that legs obey the unit-speed rule.  A trajectory
     recorded by the engine has one leg per instruction leg: one
     Go, Wait or GotoStop, or one stretch without an instruction.  segments
     is a view built from the columns on each read.  Trajectory(times, xs,

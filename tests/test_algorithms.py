@@ -1,11 +1,17 @@
 """Star sweep geometry and the three gathering programs."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import pair
 from gathersim.algorithms import (GatherProgram, StarWalk, _dedicated_walk,
@@ -14,11 +20,11 @@ from gathersim.algorithms import (GatherProgram, StarWalk, _dedicated_walk,
                                   ray_direction, star_phase_params,
                                   star_time_through_phase)
 from gathersim.checks import check_all
-from gathersim.config import (Feasibility, InitialConfiguration,
-                              NoQualifyingPair, classify, pair_margin,
+from gathersim.config import (Feasibility, FeasibilityClass,
+                              InitialConfiguration, classify, pair_margin,
                               vector_sequence)
 from gathersim.engine import AgentRef, Go, Wait, run
-from gathersim.generate import good_config
+from gathersim.generate import boundary_pair, good_config
 from gathersim.geometry import TIME_TOL, Point, Vec2, lex_less
 
 
@@ -130,8 +136,7 @@ def test_dedicated_walk_restricted_pair():
 
 def test_dedicated_walk_none():
     cfg = pair(0.5, (0, 0), 0.0, (10, 0), 1.0)
-    with pytest.raises(NoQualifyingPair):
-        _dedicated_walk(cfg)
+    assert _dedicated_walk(cfg) is None
 
 
 def test_dedicated_walk_qualifies_what_classify_calls_gatherable():
@@ -153,12 +158,103 @@ def test_dedicated_walk_qualifies_what_classify_calls_gatherable():
             times = times[::-1]
         cfg = InitialConfiguration(eps, (p, q), times)
         ungatherable = classify(cfg).kind is Feasibility.UNGATHERABLE
-        try:
-            _dedicated_walk(cfg)
-        except NoQualifyingPair:
-            assert ungatherable, cfg
+        assert (_dedicated_walk(cfg) is None) == ungatherable, cfg
+
+
+def _classify_reference(cfg):
+    """Reference: classify as it was, with its own margin tests over every
+    pair."""
+    first_strict = None
+    first_equal = None
+    n = cfg.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = pair_margin(cfg, i, j)
+            if m > TIME_TOL:
+                if first_strict is None:
+                    first_strict = (i, j)
+            elif m >= -TIME_TOL:
+                if first_equal is None:
+                    first_equal = (i, j)
+    if first_strict is not None:
+        return FeasibilityClass(Feasibility.GOOD, first_strict)
+    if first_equal is not None:
+        return FeasibilityClass(Feasibility.BAD_GATHERABLE, first_equal)
+    return FeasibilityClass(Feasibility.UNGATHERABLE, None)
+
+
+def _dedicated_walk_reference(cfg):
+    """Reference: _dedicated_walk as it was, with its own margin test over
+    the ordered pairs; None where it raised for want of a qualifying
+    pair."""
+    best = None
+    for i in range(cfg.n):
+        for j in range(cfg.n):
+            if i == j or cfg.times[j] < cfg.times[i] - TIME_TOL:
+                continue
+            if pair_margin(cfg, i, j) < -TIME_TOL:
+                continue
+            delta = abs(cfg.times[i] - cfg.times[j])
+            u = Vec2(cfg.starts[j].x - cfg.starts[i].x,
+                     cfg.starts[j].y - cfg.starts[i].y)
+            key = (u.dx, u.dy, delta)
+            if best is None or key > best[0]:
+                best = (key, u, delta)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+# Zeros of both signs and repeated values make equal walk vectors.
+_coords = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) \
+    | st.floats(-20.0, 20.0)
+
+
+@st.composite
+def _edge_configs(draw):
+    """2 to 6 agents whose pairs sit at the edges of the pair rule: each
+    later agent starts at a margin within rounding of -TIME_TOL or
+    +TIME_TOL of an earlier one, within TIME_TOL of its start time, or at
+    any time; or a boundary_pair, whose margin is exactly zero."""
+    if draw(st.integers(0, 4)) == 0:
+        return boundary_pair(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 6))
+    eps = draw(st.floats(0.1, 2.0))
+    starts = draw(st.lists(st.builds(Point, _coords, _coords),
+                           min_size=n, max_size=n, unique=True))
+    times = [draw(st.floats(0.0, 10.0))]
+    for k in range(1, n):
+        p = draw(st.integers(0, k - 1))
+        edge = draw(st.sampled_from(["margin", "tie", "free"]))
+        if edge == "margin":
+            gap = draw(st.sampled_from([-TIME_TOL, TIME_TOL])) \
+                * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+            dt = starts[p].dist(starts[k]) - eps + gap
+            times.append(times[p] + draw(st.sampled_from([dt, -dt])))
+        elif edge == "tie":
+            times.append(times[p] + draw(st.sampled_from(
+                [0.0, -TIME_TOL, TIME_TOL]) | st.floats(-TIME_TOL, TIME_TOL)))
         else:
-            assert not ungatherable, cfg
+            times.append(draw(st.floats(0.0, 30.0)))
+    shift = min(min(times), 0.0)
+    return InitialConfiguration(eps, tuple(starts),
+                                tuple(t - shift for t in times))
+
+
+# The walks 3 -> 0 and 1 -> 2 tie at (0.0, 1.0) and (-0.0, 1.0); the
+# first in ordered-pair order, 1 -> 2, was walked.
+@example(InitialConfiguration(
+    1.0, (Point(0.0, 0.0), Point(0.0, 5.0), Point(-0.0, 6.0),
+          Point(-0.0, -1.0)), (0.0, 0.0, 0.0, 0.0)))
+@given(_edge_configs())
+@settings(max_examples=1000)
+def test_one_pair_rule_gives_what_the_two_copies_gave(cfg):
+    # classify and _dedicated_walk read config.qualifying_pairs; each
+    # returns what its own copy of the rule returned, bit for bit: the
+    # class, the witness, the walk vector with the signs of its zeros, and
+    # the wait.
+    assert classify(cfg) == _classify_reference(cfg)
+    assert repr(_dedicated_walk(cfg)) == repr(_dedicated_walk_reference(cfg))
 
 
 def test_dedicated_walk_is_in_sequence():
@@ -261,6 +357,20 @@ def test_gather_a_rejects_bad_sets():
         gather_a_program(())
     with pytest.raises(ValueError):
         gather_a_program((1, 3))
+
+
+def test_factories_validate_sizes_through_assumption_set():
+    # Any order and repeats are accepted; AssumptionSet's messages name
+    # what is wrong with the sizes.
+    assert gather_a_program((5, 2, 3, 2, 5))().assumptions == (2, 3, 5)
+    assert gather_n_program(4)().assumptions == (4,)
+    with pytest.raises(ValueError, match="^assumption set must be "
+                       "non-empty$"):
+        gather_a_program(())
+    for make, sizes in ((gather_a_program, (3, 1)), (gather_n_program, 1)):
+        with pytest.raises(ValueError,
+                           match="^all elements must exceed 1$"):
+            make(sizes)
 
 
 def test_programs_translation_invariant():
@@ -420,3 +530,26 @@ def test_largest_ref_matches_lex_less():
         rng.shuffle(refs)
         assert _largest_ref(ctx, refs) is _ref_largest_ref(ctx, refs)
     assert _largest_ref(ctx, []) is None
+
+
+_IMPORTS = """
+import sys
+import gathersim
+import gathersim.algorithms
+import gathersim.generate
+print("gathersim.checks" in sys.modules)
+"""
+
+
+def test_importing_the_programs_does_not_load_the_checker():
+    # algorithms imports assumption, which imports checks only when it
+    # builds a counterexample: the checker is compiled into no import of
+    # the package, the generators or the programs.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

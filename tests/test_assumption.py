@@ -1,6 +1,7 @@
 """Independence of assumption sets and the dependent-set counterexample."""
 
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -160,6 +161,13 @@ def test_counterexample_rejects_an_epsilon_it_cannot_serve(eps, cause):
     with pytest.raises(ValueError, match=cause) as info:
         build_dependent_counterexample(AssumptionSet((2, 4)), eps)
     assert f"epsilon {eps!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+def test_counterexample_takes_epsilon_as_a_configuration_does(eps):
+    with pytest.raises(ValueError,
+                       match="^epsilon must be finite and positive$"):
+        build_dependent_counterexample(AssumptionSet((2, 4)), eps)
 
 
 def test_counterexample_cluster_that_splits_is_a_bug(monkeypatch):

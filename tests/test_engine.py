@@ -1815,17 +1815,30 @@ def test_non_instruction_rejected():
         run(cfg, lambda: Issues("north"), horizon=5.0)
 
 
-def test_endless_zero_duration_instructions_rejected():
-    # More zero waits in a row than MAX_INSTANT_INSTRUCTIONS fail the run.
+def _waits_for_nothing(count):
     class WaitsForNothing(Program):
         def on_appear(self, ctx):
-            for _ in range(engine.MAX_INSTANT_INSTRUCTIONS + 1):
+            for _ in range(count):
                 ctx.issue(Wait(0.0))
+    return WaitsForNothing
 
+
+def test_endless_zero_duration_instructions_rejected():
+    # More zero waits in a row than MAX_INSTANT_INSTRUCTIONS fail the run.
     cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
     with pytest.raises(InvalidInstruction,
                        match="^too many zero-duration instructions$"):
-        run(cfg, WaitsForNothing, horizon=5.0)
+        run(cfg, _waits_for_nothing(engine.MAX_INSTANT_INSTRUCTIONS + 1),
+            horizon=5.0)
+
+
+def test_as_many_zero_duration_instructions_as_allowed_run():
+    # A program may emit MAX_INSTANT_INSTRUCTIONS of them in a row.
+    cfg = pair(0.5, (0, 0), 0.0, (10, 0), 0.0)
+    trace = run(cfg, _waits_for_nothing(engine.MAX_INSTANT_INSTRUCTIONS),
+                horizon=5.0)
+    assert trace.verdict.kind == "split"
+    assert trace.final_positions == (Point(0, 0), Point(10, 0))
 
 
 def test_issue_after_stop_rejected():

@@ -16,9 +16,8 @@ import gathersim
 from gathersim import checks, engine, geometry
 from gathersim.geometry import (GRAZE_TOL, SPEED_TOL, TIME_TOL,
                                 UNIT_SPEED_TOL, Point, Trajectory,
-                                TrajectoryBuilder, Vec2, first_illegal_leg,
-                                lex_less, solve_crossing_in,
-                                solve_crossing_out)
+                                TrajectoryBuilder, Vec2, lex_less,
+                                solve_crossing_in, solve_crossing_out)
 
 coord = st.floats(-50.0, 50.0)
 points = st.builds(Point, coord, coord)
@@ -134,8 +133,10 @@ _speeds = st.sampled_from([0.0, SPEED_TOL / 2, 2 * SPEED_TOL, 0.5,
 
 
 @given(st.lists(st.tuples(_durations, _speeds, st.floats(0.0, 6.3)),
-                max_size=8))
+                min_size=1, max_size=8))
 def test_first_illegal_leg_matches_the_rule_leg_by_leg(legs):
+    # check_speeds fails on the first leg that steps back or breaks the
+    # rule, and its message names that leg's times or speed.
     times, xs, ys = [0.0], [1.0], [-2.0]
     for dt, sp, ang in legs:
         times.append(times[-1] + dt)
@@ -144,11 +145,20 @@ def test_first_illegal_leg_matches_the_rule_leg_by_leg(legs):
     expect = None
     for k in range(len(legs)):
         dt = times[k + 1] - times[k]
-        if dt < 0.0 or not _legal_speed(
-                dt, xs[k + 1] - xs[k], ys[k + 1] - ys[k]):
-            expect = k
+        dx, dy = xs[k + 1] - xs[k], ys[k + 1] - ys[k]
+        if dt < 0.0:
+            expect = (f"agent 0 trajectory time steps back from {times[k]} "
+                      f"to {times[k + 1]}")
             break
-    assert first_illegal_leg(times, xs, ys) == expect
+        if not _legal_speed(dt, dx, dy):
+            expect = f"agent 0 segment at speed {math.hypot(dx, dy) / dt}"
+            break
+    if expect is None:
+        _audit_legs(times, xs, ys)
+    else:
+        with pytest.raises(checks.CheckFailure) as failure:
+            _audit_legs(times, xs, ys)
+        assert str(failure.value) == expect
 
 
 def test_trajectory_needs_two_breakpoints_in_each_column():
