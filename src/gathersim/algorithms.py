@@ -494,6 +494,6 @@ def gather_n_program(n: int):
 def gather_a_program(assumptions: Sequence[int]):
     """Program factory for agents that know a candidate-size set, given
     in any order, repeats allowed; assumption.AssumptionSet rejects an
-    empty set and sizes below 2."""
-    a = AssumptionSet(tuple(sorted(set(int(x) for x in assumptions))))
+    empty set and sizes that are not integers or are below 2."""
+    a = AssumptionSet(tuple(sorted(set(assumptions))))
     return lambda: GatherProgram(a.elements)

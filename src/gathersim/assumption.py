@@ -38,6 +38,8 @@ class AssumptionSet:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("assumption set must be non-empty")
+        if not all(isinstance(x, int) for x in self.elements):
+            raise ValueError("elements must be integers")
         if list(self.elements) != sorted(set(self.elements)):
             raise ValueError("elements must be strictly increasing")
         if self.elements[0] <= 1:

@@ -783,7 +783,9 @@ class Simulation:
     meeting, every agent of an anonymous run walks one solo path, shifted
     by its origin and start time (the paper's impossibility argument).  The
     run keeps that path, leg by leg, as the first agent to begin each leg
-    walked it, and checks every other leg against it in _set_motion, so a
+    walked it, and checks every other leg against it in _follow_path: every
+    new leg of a symmetric run passes there, whether _set_motion begins it
+    or the short path of a lone leg end (see _process_instant), so a
     program that tells agents apart only ends the symmetric run early.  The
     run stops being symmetric for good at its first GA, stop, dropped
     motion (a clear_plan that halts a moving agent), leg that ends early,
@@ -867,11 +869,10 @@ class Simulation:
             builder.move_to(self._now, agent.x, agent.y)
 
     def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
-        """Every change of a leg but a motion's end, which _arrive makes,
-        goes through here, so here a symmetric run checks each new leg
-        against its path.  A dropped motion leaves the path, and ends the
-        symmetric run before the leg is recorded, so the agent is synced
-        to where it is."""
+        """Give the agent a new leg, or drop its motion, now.  A symmetric
+        run checks the new leg against its path; a dropped motion leaves
+        the path, and ends the symmetric run before the leg is recorded,
+        so the agent is synced to where it is."""
         symmetric = self._path is not None
         if symmetric and motion is None:
             self._end_symmetry()
@@ -946,30 +947,43 @@ class Simulation:
             if m is not None:
                 ag.x, ag.y = m.at(now)
 
-    def _start_pending(self, agent: _Agent) -> None:
-        """Begin the next queued instruction, skipping instantaneous ones."""
-        for _ in range(MAX_INSTANT_INSTRUCTIONS + 1):
-            if agent.stopped or agent.motion is not None or not agent.queue:
-                return
-            instr = agent.queue.popleft()
-            kind = type(instr)
-            if kind is Go:
-                dist = instr.distance
-                if dist <= POS_TOL:
-                    continue
+    def _leg(self, agent: _Agent, instr: Instruction) -> Optional[_Motion]:
+        """The leg that a Go or Wait begins now from where the agent is;
+        None for one that lasts no time, and for any other instruction."""
+        kind = type(instr)
+        if kind is Go:
+            dist = instr.distance
+            if dist > POS_TOL:
+                now = self._now
+                x = agent.x
+                y = agent.y
                 dx, dy = instr.direction.dx, instr.direction.dy
-                self._set_motion(agent, _Motion(
-                    self._now, agent.x, agent.y, self._now + dist,
-                    agent.x + dx * dist, agent.y + dy * dist, dx, dy, False))
-                return
-            if kind is Wait:
-                if instr.duration <= TIME_TOL:
+                return _Motion(now, x, y, now + dist, x + dx * dist,
+                               y + dy * dist, dx, dy, False)
+        elif kind is Wait:
+            if instr.duration > TIME_TOL:
+                now = self._now
+                return _Motion(now, agent.x, agent.y, now + instr.duration,
+                               agent.x, agent.y, 0.0, 0.0, False)
+        return None
+
+    def _start_pending(self, agent: _Agent) -> None:
+        """Begin the queue of an agent without a motion, skipping the
+        instructions that last no time.  One still idle rests until an
+        event of its own, which the path does not say, so it ends a
+        symmetric run."""
+        queue = agent.queue
+        for _ in range(MAX_INSTANT_INSTRUCTIONS + 1):
+            if agent.stopped or not queue:
+                break
+            instr = queue.popleft()
+            motion = self._leg(agent, instr)
+            if motion is None:
+                kind = type(instr)
+                if kind is Go or kind is Wait:
                     continue
-                self._set_motion(agent, _Motion(
-                    self._now, agent.x, agent.y, self._now + instr.duration,
-                    agent.x, agent.y, 0.0, 0.0, False))
-                return
-            if kind is GotoStop:
+                if kind is not GotoStop:
+                    raise InvalidInstruction(f"unknown instruction {instr!r}")
                 tx = agent.origin.x + instr.target.x
                 ty = agent.origin.y + instr.target.y
                 dx = tx - agent.x
@@ -978,26 +992,25 @@ class Simulation:
                 if d <= POS_TOL:
                     self._request_stop(agent)
                     return
-                self._set_motion(agent, _Motion(
-                    self._now, agent.x, agent.y, self._now + d, tx, ty,
-                    dx / d, dy / d, True))
-                return
-            raise InvalidInstruction(f"unknown instruction {instr!r}")
-        raise InvalidInstruction("too many zero-duration instructions")
+                motion = _Motion(self._now, agent.x, agent.y, self._now + d,
+                                 tx, ty, dx / d, dy / d, True)
+            self._set_motion(agent, motion)
+            return
+        else:
+            raise InvalidInstruction("too many zero-duration instructions")
+        if self._path is not None:
+            self._end_symmetry()
 
     def _poll(self, agent: _Agent) -> None:
-        """The idle poll of an agent at an instant of its own events.  One
-        that is stopped or moves is left alone; any other is asked for
-        work by on_idle when its queue is empty, then begins its queue.
-        One still idle rests until an event of its own, which the path
-        does not say, so it ends a symmetric run."""
+        """The idle poll of an agent at an instant of its own events, made
+        by _general_instant and by the short path's fallbacks.  One that is
+        stopped or moves is left alone; any other is asked for work by
+        on_idle when its queue is empty, then begins its queue."""
         if agent.stopped or agent.motion is not None:
             return
         if not agent.queue:
             agent.program.on_idle(agent.ctx)
         self._start_pending(agent)
-        if agent.motion is None and self._path is not None:
-            self._end_symmetry()
 
     def _advance_to(self, t: float) -> None:
         """Move the clock on to time t.
@@ -1145,14 +1158,23 @@ class Simulation:
         An instant whose only work is one leg end takes a short path: it
         has no hit, no appearance due within TIME_TOL, and one entry of
         the motion-end heap due within TIME_TOL, which run found live.
-        Its agent ends its leg in _arrive and is polled in _poll, the
-        calls _general_instant makes for each leg end; that body runs
-        every other instant.  In a symmetric run nearly every instant is
-        one of these.
+        In a symmetric run nearly every instant is one of these.  The
+        short path ends the leg as _arrive does, asks an agent with an
+        empty queue for work by on_idle, and begins the next leg in place
+        when the head of the queue is a Go or Wait that lasts: it pushes
+        the leg's end, a symmetric run checks the leg in _follow_path,
+        and the agent joins the changed ones unless the run is still
+        symmetric.  Every other case falls back to _arrive, _poll and
+        _start_pending, the calls _general_instant makes for a leg end:
+        a leg that ends early in a symmetric run, a GotoStop's arrival, a
+        head that lasts no time or is a GotoStop, and an agent that
+        on_idle stops or leaves idle.  _general_instant runs every other
+        instant.
         """
         ends = self._ends
         if ends and not pair_hits:
-            lim = self._now + TIME_TOL
+            now = self._now
+            lim = now + TIME_TOL
             arrivals = self._arrivals
             size = len(ends)
             # The heap's second-smallest entry is ends[1] or ends[2].
@@ -1161,8 +1183,34 @@ class Simulation:
                     and (size < 3 or ends[2][0] > lim)
                     and not (arrivals and arrivals[0].start_time <= lim)):
                 ag = heapq.heappop(ends)[2]
-                self._arrive(ag)
-                self._poll(ag)
+                m = ag.motion
+                if m.stop_on_arrival or (m.t_end > now
+                                         and self._path is not None):
+                    self._arrive(ag)
+                    self._poll(ag)
+                    return
+                ag.x = m.x_end
+                ag.y = m.y_end
+                self._record_leg(ag)
+                ag.motion = None
+                queue = ag.queue
+                if not queue:
+                    ag.program.on_idle(ag.ctx)
+                if queue and not ag.stopped:
+                    motion = self._leg(ag, queue[0])
+                    if motion is not None:
+                        queue.popleft()
+                        ag.motion = motion
+                        heapq.heappush(ends, (motion.t_end, next(self._seq),
+                                              ag, motion))
+                        if self._path is not None:
+                            self._follow_path(ag, motion)
+                            if self._path is not None:
+                                return
+                        self._prox.changed.add(ag.idx)
+                        return
+                self._prox.changed.add(ag.idx)
+                self._start_pending(ag)
                 return
         self._general_instant(pair_hits)
 

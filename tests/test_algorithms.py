@@ -373,6 +373,15 @@ def test_factories_validate_sizes_through_assumption_set():
             make(sizes)
 
 
+def test_factories_reject_sizes_that_are_not_integers():
+    # A size is rejected, not truncated: [2.9, 3.2] would read as (2, 3).
+    for make, sizes in ((gather_a_program, [2.9, 3.2]),
+                        (gather_a_program, (2, 3.0)), (gather_n_program, 3.0)):
+        with pytest.raises(ValueError, match="^elements must be integers$"):
+            make(sizes)
+    assert gather_a_program([3, 2, 3])().assumptions == (2, 3)
+
+
 def test_programs_translation_invariant():
     cfg = pair(0.5, (0, 0), 0.0, (1, 0), 1.0)
     moved = InitialConfiguration(

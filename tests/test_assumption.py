@@ -175,3 +175,9 @@ def test_counterexample_cluster_that_splits_is_a_bug(monkeypatch):
     monkeypatch.setattr(engine, "run", lambda cfg, factory: split)
     with pytest.raises(RuntimeError, match="verdict split"):
         build_dependent_counterexample(AssumptionSet((2, 4)), 0.5)
+
+
+@pytest.mark.parametrize("elements", [(2.5, 3.0), (2, 3.0), (2.0,)])
+def test_assumption_set_rejects_elements_that_are_not_integers(elements):
+    with pytest.raises(ValueError, match="^elements must be integers$"):
+        AssumptionSet(elements)

@@ -1240,11 +1240,15 @@ def test_short_path_matches_the_general_body_under_dedicated(make,
     assert took > 0
 
 
+_STOP = "stop"
+
+
 class _Script(Program):
-    """Issues the instructions of its plan one at a time, at its
-    appearance and at each idle poll, then nothing, and logs each
-    callback as (kind, its agent's number, local time).  An agent
-    that turns drops its plan at a GA and walks west."""
+    """Takes the steps of its plan one at a time, at its appearance and
+    at each idle poll, then nothing, and logs each callback as (kind, its
+    agent's number, local time).  A step is an instruction to issue, a
+    tuple of instructions to issue together, or _STOP, which stops the
+    agent.  An agent that turns drops its plan at a GA and walks west."""
 
     def __init__(self, k, plan, log, turns):
         self.k = k
@@ -1255,7 +1259,12 @@ class _Script(Program):
     def _next(self, ctx, kind):
         self.log.append((kind, self.k, ctx.now))
         if self.plan:
-            ctx.issue(self.plan.pop(0))
+            step = self.plan.pop(0)
+            if step is _STOP:
+                ctx.stop()
+                return
+            for instr in step if type(step) is tuple else (step,):
+                ctx.issue(instr)
 
     def on_appear(self, ctx):
         self._next(ctx, "appear")
@@ -1330,6 +1339,37 @@ _EDGE_INSTANTS = {
                            (0.0, 0.0, 0.0),
                            [[Go(EAST, 1.0)], [], [Wait(1.0 - 5e-10)]],
                            (0,), 1.0 - 5e-10, False),
+    # The short path begins no leg of a head that lasts no time: at 1
+    # agent 0's Go of length 0 falls back to _start_pending, which skips
+    # it and begins the wait behind it on the path.  Agent 0, left idle
+    # at 2, ends the symmetry there.
+    "zero-length Go at the head": (
+        0.5, _FAR3, (0.0, 0.25, 0.5),
+        [[Wait(1.0), (Go(EAST, 0.0), Wait(1.0))]] * 3, (), 1.0, True),
+    # The same with a Wait(0.0), in a run whose symmetry ended at 0.25,
+    # where agent 1's first leg leaves agent 0's path.
+    "Wait(0.0) at the head": (
+        0.5, _FAR3[:2], (0.0, 0.25),
+        [[Wait(1.0), (Wait(0.0), Go(EAST, 1.0))], [Go(WEST, 1.0)]], (),
+        1.0, True),
+    # At 1 agent 0's GotoStop falls back to _start_pending, which begins
+    # it on the path; the agents stop at 2, 2.25 and 2.5, and the first
+    # stop ends the symmetry.
+    "GotoStop begun on the short path": (
+        0.5, _FAR3, (0.0, 0.25, 0.5),
+        [[Wait(1.0), GotoStop(Point(1.0, 0.0))]] * 3, (), 1.0, True),
+    # Agent 0's on_idle stops it at 1, which ends the symmetry.
+    "on_idle stops the agent": (
+        0.5, _FAR3, (0.0, 0.25, 0.5), [[Wait(1.0), _STOP]] * 3, (), 1.0,
+        True),
+    # Agent 1's second leg, begun on the short path at 1.25, leaves the
+    # path of agent 0, which waits; its check ends the symmetry.  Agent 1
+    # walks west onto agent 0, and meets it only because it joined the
+    # changed agents the next scan solves.
+    "leg off the path met later": (
+        0.5, ((0.0, 0.0), (5.0, 0.0)), (0.0, 0.25),
+        [[Wait(1.0), Wait(10.0)], [Wait(1.0), Go(WEST, 10.0)]], (), 1.25,
+        True),
 }
 
 
@@ -1363,14 +1403,83 @@ def test_edge_instants_match_the_general_body(case):
         assert stops == [at]
     if case == "GotoStop arrival in a symmetric run":
         assert stops == [1.0, 1.25, 1.5]
+    if case == "GotoStop begun on the short path":
+        assert stops == [2.0, 2.25, 2.5]
+    if case == "on_idle stops the agent":
+        assert stops == [1.0, 1.25, 1.5]
     if case in ("agent left idle", "early end at the horizon",
-                "GotoStop arrival in a symmetric run"):
+                "GotoStop arrival in a symmetric run",
+                "on_idle stops the agent", "leg off the path met later"):
         assert got.ended == [at]
+    if case in ("zero-length Go at the head",
+                "GotoStop begun on the short path"):
+        assert got.ended == [2.0]
+    if case == "Wait(0.0) at the head":
+        assert got.ended == [0.25]
     if case == "idle agent met later":
         assert [ev.time for ev in got.trace.ga_events()] == [3.5]
+    if case == "leg off the path met later":
+        assert [ev.time for ev in got.trace.ga_events()] == [5.75]
     if case.startswith("stale"):
         assert [ev.time for ev in got.trace.ga_events()] == [
             1.0 if case == "stale at its due time" else 0.5]
+
+
+_LENGTHS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1e-3, 3.0)
+_INSTRUCTIONS = st.one_of(
+    st.builds(Go, st.sampled_from([EAST, WEST, NORTH, Vec2(0.6, -0.8)]),
+              _LENGTHS),
+    st.builds(Wait, _LENGTHS),
+    st.builds(GotoStop, st.builds(Point, st.sampled_from([-1.0, 0.0, 1.5]),
+                                  st.sampled_from([0.0, 1.0]))))
+_PLANS = st.lists(_INSTRUCTIONS | st.tuples(_INSTRUCTIONS, _INSTRUCTIONS),
+                  max_size=5)
+
+
+@st.composite
+def _script_runs(draw):
+    """A configuration of 2 to 4 agents, 1.5 apart or more on a grid, and
+    each agent's _Script plan, one for all of them or one each, and the
+    agents that turn.  Start times may tie; every pair starts sure."""
+    n = draw(st.integers(2, 4))
+    cells = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=n, max_size=n, unique=True))
+    times = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=n,
+                          max_size=n))
+    cfg = InitialConfiguration(
+        0.5, tuple(Point(1.5 * x, 1.5 * y) for x, y in cells), tuple(times))
+    if draw(st.booleans()):
+        plans = [draw(_PLANS)] * n
+    else:
+        plans = [draw(_PLANS) for _ in range(n)]
+    turns = draw(st.sets(st.integers(0, n - 1)))
+    return cfg, plans, turns
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_script_runs())
+def test_scripted_runs_match_the_general_body(case):
+    # Zero-length heads, GotoStops, stops on arrival, GAs that turn an
+    # agent and tied leg ends, on runs that stay symmetric or leave the
+    # path: the short path's trace and callbacks are the general body's.
+    cfg, plans, turns = case
+    logs = []
+
+    def factory():
+        log = []
+        logs.append(log)
+        made = itertools.count()
+
+        def program():
+            k = next(made)
+            return _Script(k, plans[k], log, k in turns)
+        return program
+
+    with pytest.MonkeyPatch.context() as mp:
+        _check_pair_events_against_full_scan(mp)
+        got = _short_and_general(cfg, factory, 8.0)
+    assert _column_bits(got.trace) == _column_bits(got.ref)
+    assert logs[0] == logs[1]
 
 
 @pytest.mark.parametrize("vx, vy", [(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])
