@@ -14,7 +14,9 @@ benchmark.  The script prints each side's median round and the median
 of the per-round ratios NEW / OLD with their quartiles.  It also prints
 each side's median seconds per round in each layer, timed around the
 same calls: engine.run, check_all, and the JSONL and SVG writers
-together, so a change to one layer shows where its saving sits.
+together, and each layer's median per-round ratio NEW / OLD with its
+quartiles, so a change to one layer shows where its saving sits, and one
+smaller than the spread of whole rounds can still be resolved.
 
 Back-to-back processes on a shared host can differ by far more than a
 change does; alternating in one process resolves a few percent.  It is a
@@ -103,6 +105,11 @@ def main(argv=None) -> int:
         print(f"{name} median seconds per round: " + ", ".join(
             f"{layer} {statistics.median(col):.4f}"
             for layer, col in zip(LAYERS, zip(*spent))))
+    parts = []
+    for k, layer in enumerate(LAYERS):
+        q1, med, q3 = quartiles([b[k] / a[k] for a, b in zip(*layers)])
+        parts.append(f"{layer} {med:.3f} ({q1:.3f}-{q3:.3f})")
+    print("new/old median ratio per layer (quartiles): " + ", ".join(parts))
     return 0
 
 

@@ -93,11 +93,6 @@ class StarWalk:
         self._legs = _star_legs(phase)
         self._next = 0
 
-    @property
-    def stage(self) -> int:
-        """The stage, from 1, of the next instruction."""
-        return self._next // 3 + 1
-
     def next_instruction(self):
         instr = self._legs[self._next]
         self.last_issued_phase = self.phase

@@ -27,9 +27,6 @@ class Certificate:
         terms = " + ".join(f"{c}·{p}" for p, c in self.parts)
         return f"{self.element} = {terms}"
 
-    def total(self) -> int:
-        return sum(p * c for p, c in self.parts)
-
 
 @dataclass(frozen=True)
 class AssumptionSet:

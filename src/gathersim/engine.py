@@ -506,8 +506,7 @@ class AgentContext:
 
     def clear_plan(self) -> None:
         self._agent.queue.clear()
-        if self._agent.motion is not None:
-            self._sim._set_motion(self._agent, None)
+        self._sim._drop_motion(self._agent)
 
     def stop(self) -> None:
         self._sim._request_stop(self._agent)
@@ -535,7 +534,8 @@ class ProximityGraph:
     edge has a GA.  agents is the run's agent list; the engine adds to
     changed every agent whose leg changed, or that appeared, since the
     last scan.  The graph keeps no state of a symmetric run: while one
-    lasts, Simulation.run calls no scan (see there).
+    lasts, Simulation.run calls no scan (see there), and its leg ends and
+    leg starts add no agent to changed (see Simulation._end_symmetry).
     """
 
     def __init__(self, agents: list[_Agent], eps: float, horizon: float):
@@ -783,13 +783,18 @@ class Simulation:
     meeting, every agent of an anonymous run walks one solo path, shifted
     by its origin and start time (the paper's impossibility argument).  The
     run keeps that path, leg by leg, as the first agent to begin each leg
-    walked it, and checks every other leg against it in _follow_path: every
-    new leg of a symmetric run passes there, whether _set_motion begins it
-    or the short path of a lone leg end (see _process_instant), so a
-    program that tells agents apart only ends the symmetric run early.  The
-    run stops being symmetric for good at its first GA, stop, dropped
-    motion (a clear_plan that halts a moving agent), leg that ends early,
-    or idle agent, or at a leg that does not match the path.
+    walked it, and checks every other leg against it in _follow_path:
+    every leg begins in _poll, which passes it there, so a program that
+    tells agents apart only ends the symmetric run early.  The run stops
+    being symmetric for good at its first GA, stop, dropped motion (a
+    clear_plan that halts a moving agent), leg that ends early, or idle
+    agent, or at a leg that does not match the path.
+
+    Each step of an instant is written once.  _arrive is the one leg end
+    and records the leg whole; _poll is the one idle poll and the one
+    place a leg begins; _drop_motion halts an agent that a program clears
+    or stops.  run takes a lone leg end through _arrive and _poll alone,
+    and any other instant through _process_instant.
 
     A moving agent's place is a closed form of its leg, _Motion.at, so
     it does not depend on the instants the clock stopped at.  _sync puts
@@ -850,49 +855,49 @@ class Simulation:
             self._end_symmetry()
         agent.stopped = True
         agent.queue.clear()
-        if agent.motion is not None:
-            self._set_motion(agent, None)
+        self._drop_motion(agent)
         self.events.append(Event(self._now, "stop", (agent.idx,),
                                  (agent.here(),)))
 
     # -- motion --------------------------------------------------------------
 
     def _record_leg(self, agent: _Agent) -> None:
-        """Record the end of the agent's current leg: where it is now.
+        """Record the agent's leg whole, up to now: the leg's start
+        (t0, x0, y0) when the builder's last record is older, then the
+        agent's place now, which ends the leg, or the rest of an agent
+        without one.
 
-        Records are keyed on the clock.  A leg begins at the time of the
-        builder's last record, so a leg that began at this instant, and
-        lasted no time, gets no record.
+        Records are keyed on the clock: beginning a leg records nothing,
+        and a leg that begins and ends within one instant gets no record.
         """
         builder = agent.builder
+        m = agent.motion
+        if m is not None and m.t0 > builder.last_time:
+            builder.move_to(m.t0, m.x0, m.y0)
         if self._now > builder.last_time:
             builder.move_to(self._now, agent.x, agent.y)
 
-    def _set_motion(self, agent: _Agent, motion: Optional[_Motion]) -> None:
-        """Give the agent a new leg, or drop its motion, now.  A symmetric
-        run checks the new leg against its path; a dropped motion leaves
-        the path, and ends the symmetric run before the leg is recorded,
-        so the agent is synced to where it is."""
-        symmetric = self._path is not None
-        if symmetric and motion is None:
+    def _drop_motion(self, agent: _Agent) -> None:
+        """Halt the agent where it is now, if it moves, and record its
+        leg.  A dropped motion leaves the path, so it ends a symmetric
+        run first, which syncs the agent to where it is."""
+        if agent.motion is None:
+            return
+        if self._path is not None:
             self._end_symmetry()
-            symmetric = False
         self._record_leg(agent)
-        agent.motion = motion
+        agent.motion = None
         self._prox.changed.add(agent.idx)
-        if motion is not None:
-            heapq.heappush(self._ends,
-                           (motion.t_end, next(self._seq), agent, motion))
-        if symmetric:
-            self._follow_path(agent, motion)
 
     def _arrive(self, agent: _Agent) -> None:
         """End the agent's leg, due now, and stop the agent if the leg is
-        a GotoStop's.  A leg that ends early, within TIME_TOL, went faster
-        than its path and ends a symmetric run.  The agent is put at the
-        leg's end, where a sync puts it from t_end - TIME_TOL on: a
-        symmetric run has not synced it, and rounding can keep now just
-        short of that."""
+        a GotoStop's: the one leg end of the run.  A leg that ends early,
+        within TIME_TOL, went faster than its path and ends a symmetric
+        run.  The agent is put at the leg's end, where a sync puts it
+        from t_end - TIME_TOL on: a symmetric run has not synced it, and
+        rounding can keep now just short of that.  The leg is recorded
+        whole, and the agent joins the changed ones once the run is not
+        symmetric (see _end_symmetry)."""
         m = agent.motion
         if m.t_end > self._now and self._path is not None:
             self._end_symmetry()
@@ -900,7 +905,8 @@ class Simulation:
         agent.y = m.y_end
         self._record_leg(agent)
         agent.motion = None
-        self._prox.changed.add(agent.idx)
+        if self._path is None:
+            self._prox.changed.add(agent.idx)
         if m.stop_on_arrival:
             self._request_stop(agent)
 
@@ -932,9 +938,14 @@ class Simulation:
     def _end_symmetry(self) -> None:
         """The run stops being symmetric: every agent is synced to now,
         and from now on the agents move at every instant and the scan
-        solves every row."""
+        solves every row.  No leg end or leg start of the symmetric run
+        made its agent join the changed ones; the bound in run covers
+        every matched leg, but not the rest of an agent without a motion,
+        so the live agents without one join them now."""
         self._sync()
         self._path = None
+        self._prox.changed.update([ag.idx for ag in self._live
+                                   if ag.motion is None])
 
     def _sync(self) -> None:
         """Put every moving live agent where its leg has it now (see
@@ -947,82 +958,77 @@ class Simulation:
             if m is not None:
                 ag.x, ag.y = m.at(now)
 
-    def _leg(self, agent: _Agent, instr: Instruction) -> Optional[_Motion]:
-        """The leg that a Go or Wait begins now from where the agent is;
-        None for one that lasts no time, and for any other instruction."""
-        kind = type(instr)
-        if kind is Go:
-            dist = instr.distance
-            if dist > POS_TOL:
-                now = self._now
-                x = agent.x
-                y = agent.y
-                dx, dy = instr.direction.dx, instr.direction.dy
-                return _Motion(now, x, y, now + dist, x + dx * dist,
-                               y + dy * dist, dx, dy, False)
-        elif kind is Wait:
-            if instr.duration > TIME_TOL:
-                now = self._now
-                return _Motion(now, agent.x, agent.y, now + instr.duration,
-                               agent.x, agent.y, 0.0, 0.0, False)
-        return None
+    def _poll(self, agent: _Agent) -> None:
+        """The idle poll of an agent at an instant of its own events, and
+        the one place a leg begins.  An agent that is stopped or moves is
+        left alone.  Any other is asked for work by on_idle when its
+        queue is empty, then begins its queue: it skips the instructions
+        that last no time, and raises InvalidInstruction at the one past
+        MAX_INSTANT_INSTRUCTIONS of them in a row, and turns the first Go,
+        Wait or GotoStop that lasts into its motion, whose end it pushes
+        onto the motion-end heap.  A GotoStop already at its target stops
+        the agent instead.
 
-    def _start_pending(self, agent: _Agent) -> None:
-        """Begin the queue of an agent without a motion, skipping the
-        instructions that last no time.  One still idle rests until an
-        event of its own, which the path does not say, so it ends a
-        symmetric run."""
+        A symmetric run checks the new leg in _follow_path, and the agent
+        joins the changed ones only once the symmetry has ended: while it
+        holds, run's soundness bound keeps every pair of matched legs
+        apart, so no scan needs the leg.  An agent left idle rests until
+        an event of its own, which the path does not say, so it ends a
+        symmetric run.
+        """
+        if agent.stopped or agent.motion is not None:
+            return
         queue = agent.queue
-        for _ in range(MAX_INSTANT_INSTRUCTIONS + 1):
-            if agent.stopped or not queue:
-                break
+        if not queue:
+            agent.program.on_idle(agent.ctx)
+        now = self._now
+        x = agent.x
+        y = agent.y
+        skipped = 0
+        while queue and not agent.stopped:
             instr = queue.popleft()
-            motion = self._leg(agent, instr)
-            if motion is None:
-                kind = type(instr)
-                if kind is Go or kind is Wait:
-                    continue
-                if kind is not GotoStop:
-                    raise InvalidInstruction(f"unknown instruction {instr!r}")
+            kind = type(instr)
+            motion = None
+            if kind is Go:
+                dist = instr.distance
+                if dist > POS_TOL:
+                    dx, dy = instr.direction.dx, instr.direction.dy
+                    motion = _Motion(now, x, y, now + dist, x + dx * dist,
+                                     y + dy * dist, dx, dy, False)
+            elif kind is Wait:
+                if instr.duration > TIME_TOL:
+                    motion = _Motion(now, x, y, now + instr.duration, x, y,
+                                     0.0, 0.0, False)
+            elif kind is GotoStop:
                 tx = agent.origin.x + instr.target.x
                 ty = agent.origin.y + instr.target.y
-                dx = tx - agent.x
-                dy = ty - agent.y
+                dx = tx - x
+                dy = ty - y
                 d = math.hypot(dx, dy)
                 if d <= POS_TOL:
                     self._request_stop(agent)
                     return
-                motion = _Motion(self._now, agent.x, agent.y, self._now + d,
-                                 tx, ty, dx / d, dy / d, True)
-            self._set_motion(agent, motion)
+                motion = _Motion(now, x, y, now + d, tx, ty, dx / d, dy / d,
+                                 True)
+            else:
+                raise InvalidInstruction(f"unknown instruction {instr!r}")
+            if motion is None:  # it lasts no time
+                skipped += 1
+                if skipped > MAX_INSTANT_INSTRUCTIONS:
+                    raise InvalidInstruction(
+                        "too many zero-duration instructions")
+                continue
+            agent.motion = motion
+            heapq.heappush(self._ends,
+                           (motion.t_end, next(self._seq), agent, motion))
+            if self._path is not None:
+                self._follow_path(agent, motion)
+                if self._path is not None:
+                    return
+            self._prox.changed.add(agent.idx)
             return
-        else:
-            raise InvalidInstruction("too many zero-duration instructions")
         if self._path is not None:
             self._end_symmetry()
-
-    def _poll(self, agent: _Agent) -> None:
-        """The idle poll of an agent at an instant of its own events, made
-        by _general_instant and by the short path's fallbacks.  One that is
-        stopped or moves is left alone; any other is asked for work by
-        on_idle when its queue is empty, then begins its queue."""
-        if agent.stopped or agent.motion is not None:
-            return
-        if not agent.queue:
-            agent.program.on_idle(agent.ctx)
-        self._start_pending(agent)
-
-    def _advance_to(self, t: float) -> None:
-        """Move the clock on to time t.
-
-        Makes no trajectory record: a leg is recorded when it ends.  A
-        run that is not symmetric syncs every agent here, at every
-        instant; a symmetric one does not, so its agents' x and y are
-        current only at their own events and after _sync.
-        """
-        self._now = t
-        if self._path is None:
-            self._sync()
 
     # -- knowledge -----------------------------------------------------------
 
@@ -1072,7 +1078,11 @@ class Simulation:
     def run(self) -> Trace:
         """Run the instants of the run in time order, to its end or its
         horizon.  Each pass scans the pairs up to the next appearance or
-        leg end, or the horizon, and runs the earliest instant with work.
+        leg end, or the horizon, sets the clock to the earliest instant
+        with work, and runs it.  An instant whose only work is one leg
+        end, the most common one, is _arrive and _poll of its agent; any
+        other runs _process_instant.  In a symmetric run nearly every
+        instant is a lone leg end.
 
         While the run is symmetric (see Simulation), every pair is sure,
         and run calls no scan: the next instant is the due one, with no
@@ -1149,74 +1159,32 @@ class Simulation:
                     and t_due > t_event + TIME_TOL):
                 return self._finish(timed_out=True)
 
-            self._advance_to(t_event)
-            self._process_instant(pair_hits)
-
-    def _process_instant(self, pair_hits: list) -> None:
-        """Run the instant now, given the scan's hits.
-
-        An instant whose only work is one leg end takes a short path: it
-        has no hit, no appearance due within TIME_TOL, and one entry of
-        the motion-end heap due within TIME_TOL, which run found live.
-        In a symmetric run nearly every instant is one of these.  The
-        short path ends the leg as _arrive does, asks an agent with an
-        empty queue for work by on_idle, and begins the next leg in place
-        when the head of the queue is a Go or Wait that lasts: it pushes
-        the leg's end, a symmetric run checks the leg in _follow_path,
-        and the agent joins the changed ones unless the run is still
-        symmetric.  Every other case falls back to _arrive, _poll and
-        _start_pending, the calls _general_instant makes for a leg end:
-        a leg that ends early in a symmetric run, a GotoStop's arrival, a
-        head that lasts no time or is a GotoStop, and an agent that
-        on_idle stops or leaves idle.  _general_instant runs every other
-        instant.
-        """
-        ends = self._ends
-        if ends and not pair_hits:
-            now = self._now
-            lim = now + TIME_TOL
-            arrivals = self._arrivals
+            # A run that is not symmetric syncs every agent at every
+            # instant; no record is made here, as a leg is recorded when it
+            # ends.
+            self._now = t_event
+            if self._path is None:
+                self._sync()
+            # A lone leg end: no hit, one entry of the motion-end heap due
+            # within TIME_TOL, which the loop's top found live, and no
+            # appearance.  The heap's second-smallest entry is ends[1] or
+            # ends[2].
+            lim = t_event + TIME_TOL
             size = len(ends)
-            # The heap's second-smallest entry is ends[1] or ends[2].
-            if (ends[0][0] <= lim
+            if (not pair_hits and size and ends[0][0] <= lim
                     and (size < 2 or ends[1][0] > lim)
                     and (size < 3 or ends[2][0] > lim)
                     and not (arrivals and arrivals[0].start_time <= lim)):
                 ag = heapq.heappop(ends)[2]
-                m = ag.motion
-                if m.stop_on_arrival or (m.t_end > now
-                                         and self._path is not None):
-                    self._arrive(ag)
-                    self._poll(ag)
-                    return
-                ag.x = m.x_end
-                ag.y = m.y_end
-                self._record_leg(ag)
-                ag.motion = None
-                queue = ag.queue
-                if not queue:
-                    ag.program.on_idle(ag.ctx)
-                if queue and not ag.stopped:
-                    motion = self._leg(ag, queue[0])
-                    if motion is not None:
-                        queue.popleft()
-                        ag.motion = motion
-                        heapq.heappush(ends, (motion.t_end, next(self._seq),
-                                              ag, motion))
-                        if self._path is not None:
-                            self._follow_path(ag, motion)
-                            if self._path is not None:
-                                return
-                        self._prox.changed.add(ag.idx)
-                        return
-                self._prox.changed.add(ag.idx)
-                self._start_pending(ag)
-                return
-        self._general_instant(pair_hits)
+                self._arrive(ag)
+                self._poll(ag)
+            else:
+                self._process_instant(pair_hits)
 
-    def _general_instant(self, pair_hits: list) -> None:
-        """Run any instant: appearances, then GAs, then leg ends, then
-        the idle polls of every agent they concern, in index order."""
+    def _process_instant(self, pair_hits: list) -> None:
+        """Run the instant now, given the scan's hits: appearances, then
+        GAs, then leg ends, then the idle polls of every agent they
+        concern, in index order."""
         t = self._now
         lim = t + TIME_TOL
         prox = self._prox
@@ -1309,7 +1277,7 @@ class Simulation:
 
     def _finish(self, timed_out: bool) -> Trace:
         if timed_out:
-            self._advance_to(self.horizon)
+            self._now = self.horizon
             self.events.append(Event(self.horizon, "horizon"))
         # Synced, not ended: a symmetric run stays symmetric to its end.
         self._sync()

@@ -264,8 +264,10 @@ class Trajectory:
 class TrajectoryBuilder:
     """Incrementally records an agent's motion, one record per leg.
 
-    The engine makes a record when a leg ends: the instruction, or
-    stretch without one, that moved the agent since the previous record.
+    The engine records a leg whole when it ends, is dropped or is cut by
+    the end of the run: the leg's start, when the last record is older,
+    which ends the rest before it, then where the leg ends.  Beginning a
+    leg records nothing.
     Records are keyed on the clock: a leg that begins and ends within one
     instant gets none, so each record after the first ends one leg of the
     built trajectory.  Records are kept as float columns, the ones the

@@ -83,7 +83,7 @@ def test_star_walk_stream_advances_phases():
     _, k1 = star_phase_params(1)
     for _ in range(3 * k1):
         w.next_instruction()
-    assert w.phase == 2 and w.stage == 1
+    assert w.phase == 2 and w._next == 0
     nxt = w.next_instruction()
     assert isinstance(nxt, Go) and nxt.distance == 2
 
@@ -99,7 +99,7 @@ def test_star_legs_table_matches_stage_loop(x):
     assert list(_star_legs(x)) == want
     walk = StarWalk(x)
     assert [walk.next_instruction() for _ in range(3 * k)] == want
-    assert (walk.phase, walk.stage) == (x + 1, 1)
+    assert (walk.phase, walk._next) == (x + 1, 0)
 
 
 def test_star_time_through_phase():

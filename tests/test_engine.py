@@ -393,12 +393,10 @@ def _check_pair_events_against_full_scan(monkeypatch):
     the list of (t_event, hits) the scans produced.
 
     While a run is symmetric, every pair is sure and run calls no scan:
-    it advances to the scan's bound, and the full scan over that window
-    must find no hit.  Each such advance is checked, and counted as a
-    scan of (t, [])."""
+    it sets the clock to the scan's bound, and the full scan over that
+    window must find no hit.  The clock becomes a property whose setter
+    checks each such move, counted as a scan of (t, [])."""
     real = ProximityGraph.next_events
-    real_advance = Simulation._advance_to
-    real_run = Simulation.run
     scans = []
     # The Simulation whose run is on, as running[-1].
     running = []
@@ -412,26 +410,33 @@ def _check_pair_events_against_full_scan(monkeypatch):
         scans.append((t_event, hits))
         return t_event, hits
 
-    def advance(self, t):
-        if self._path is not None:
+    def set_now(self, t):
+        # __init__ sets the clock before the path.
+        if getattr(self, "_path", None) is not None:
             # A symmetric run's positions are current only once synced.
             self._sync()
             expect = _full_scan_pair_events(self._prox, self._live,
                                             self._now, t)
             assert expect == (t, [])
             scans.append((t, []))
-        real_advance(self, t)
+        self.__dict__["_now"] = t
 
-    def tracked(self):
-        running.append(self)
-        try:
-            return real_run(self)
-        finally:
-            running.pop()
+    def tracking(real_run):
+        def tracked(self):
+            running.append(self)
+            try:
+                return real_run(self)
+            finally:
+                running.pop()
+        return tracked
 
     monkeypatch.setattr(ProximityGraph, "next_events", checked)
-    monkeypatch.setattr(Simulation, "_advance_to", advance)
-    monkeypatch.setattr(Simulation, "run", tracked)
+    monkeypatch.setattr(Simulation, "_now",
+                        property(lambda self: self.__dict__["_now"], set_now),
+                        raising=False)
+    # _GeneralBody's run is its own copy of the loop.
+    for cls in (Simulation, _GeneralBody):
+        monkeypatch.setattr(cls, "run", tracking(cls.run))
     return scans
 
 
@@ -1145,11 +1150,40 @@ def test_symmetric_positions_replay_the_eager_floats(shift):
 
 
 class _GeneralBody(Simulation):
-    """The reference for the short path of a lone leg end: every instant
-    runs the general body."""
+    """The reference for run's short path, its branch for a lone leg end:
+    every instant runs the general body, _process_instant."""
 
-    def _process_instant(self, pair_hits):
-        self._general_instant(pair_hits)
+    def run(self):
+        # Simulation.run without the branch for a lone leg end.
+        horizon = self.horizon
+        arrivals = self._arrivals
+        ends = self._ends
+        prox = self._prox
+        while True:
+            while ends and ends[0][2].motion is not ends[0][3]:
+                heapq.heappop(ends)
+            if not arrivals and not ends:
+                return self._finish(timed_out=False)
+            t_due = ends[0][0] if ends else math.inf
+            if arrivals and arrivals[0].start_time < t_due:
+                t_due = arrivals[0].start_time
+            t_bound = horizon if horizon < t_due else t_due
+            if self._now > t_bound:
+                t_bound = self._now
+            if self._path is not None:
+                prox.changed.clear()
+                t_event, pair_hits = t_bound, []
+            else:
+                t_event, pair_hits = prox.next_events(
+                    self._live, self._now, t_bound)
+            if t_event > horizon + TIME_TOL or (
+                    t_event >= horizon - TIME_TOL and not pair_hits
+                    and t_due > t_event + TIME_TOL):
+                return self._finish(timed_out=True)
+            self._now = t_event
+            if self._path is None:
+                self._sync()
+            self._process_instant(pair_hits)
 
 
 def _short_and_general(cfg, factory, horizon=None):
@@ -1158,26 +1192,31 @@ def _short_and_general(cfg, factory, horizon=None):
     runs must end their symmetry at the same instants, and every instant
     of the first must find the changed agents cleared, by the scan or in
     its place while every pair is sure.  Returns both traces, the times
-    of the first run's instants that took the short path and of those
-    that ran the general body, and the instants at which its symmetry
-    ended."""
-    every, general, ended, ref_ended = [], [], [], []
-    real_every = Simulation._process_instant
-    real_general = Simulation._general_instant
+    of the first run's instants that took the short path (an _arrive
+    outside _process_instant) and of those that ran the general body,
+    and the instants at which its symmetry ended."""
+    short, general, ended, ref_ended = [], [], [], []
+    inside = []
+    real_general = Simulation._process_instant
+    real_arrive = Simulation._arrive
     real_end = Simulation._end_symmetry
 
-    def counted_every(self, pair_hits):
-        assert not self._prox.changed
-        every.append(self._now)
-        real_every(self, pair_hits)
-
     def counted_general(self, pair_hits):
+        assert not self._prox.changed
         general.append(self._now)
+        inside.append(self._now)
         real_general(self, pair_hits)
+        inside.pop()
+
+    def counted_arrive(self, agent):
+        if not inside:
+            assert not self._prox.changed
+            short.append(self._now)
+        real_arrive(self, agent)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Simulation, "_process_instant", counted_every)
-        mp.setattr(Simulation, "_general_instant", counted_general)
+        mp.setattr(Simulation, "_process_instant", counted_general)
+        mp.setattr(Simulation, "_arrive", counted_arrive)
         mp.setattr(Simulation, "_end_symmetry",
                    lambda self: ended.append(self._now) or real_end(self))
         trace = Simulation(cfg, factory(), horizon).run()
@@ -1186,9 +1225,6 @@ def _short_and_general(cfg, factory, horizon=None):
                    lambda self: ref_ended.append(self._now) or real_end(self))
         ref = _GeneralBody(cfg, factory(), horizon).run()
     assert ended == ref_ended
-    short = list(every)
-    for t in general:
-        short.remove(t)
     return SimpleNamespace(trace=trace, ref=ref, short=short,
                            general=general, ended=ended)
 
@@ -1339,10 +1375,9 @@ _EDGE_INSTANTS = {
                            (0.0, 0.0, 0.0),
                            [[Go(EAST, 1.0)], [], [Wait(1.0 - 5e-10)]],
                            (0,), 1.0 - 5e-10, False),
-    # The short path begins no leg of a head that lasts no time: at 1
-    # agent 0's Go of length 0 falls back to _start_pending, which skips
-    # it and begins the wait behind it on the path.  Agent 0, left idle
-    # at 2, ends the symmetry there.
+    # A head that lasts no time begins no leg: at 1 the short path's poll
+    # skips agent 0's Go of length 0 and begins the wait behind it on the
+    # path.  Agent 0, left idle at 2, ends the symmetry there.
     "zero-length Go at the head": (
         0.5, _FAR3, (0.0, 0.25, 0.5),
         [[Wait(1.0), (Go(EAST, 0.0), Wait(1.0))]] * 3, (), 1.0, True),
@@ -1352,9 +1387,9 @@ _EDGE_INSTANTS = {
         0.5, _FAR3[:2], (0.0, 0.25),
         [[Wait(1.0), (Wait(0.0), Go(EAST, 1.0))], [Go(WEST, 1.0)]], (),
         1.0, True),
-    # At 1 agent 0's GotoStop falls back to _start_pending, which begins
-    # it on the path; the agents stop at 2, 2.25 and 2.5, and the first
-    # stop ends the symmetry.
+    # At 1 the short path's poll begins agent 0's GotoStop on the path;
+    # the agents stop at 2, 2.25 and 2.5, and the first stop ends the
+    # symmetry.
     "GotoStop begun on the short path": (
         0.5, _FAR3, (0.0, 0.25, 0.5),
         [[Wait(1.0), GotoStop(Point(1.0, 0.0))]] * 3, (), 1.0, True),
@@ -1369,6 +1404,15 @@ _EDGE_INSTANTS = {
     "leg off the path met later": (
         0.5, ((0.0, 0.0), (5.0, 0.0)), (0.0, 0.25),
         [[Wait(1.0), Wait(10.0)], [Wait(1.0), Go(WEST, 10.0)]], (), 1.25,
+        True),
+    # Agent 1, the earlier, is the first to begin a second leg, so the
+    # path takes it; agent 0, left idle at 1.25 on the short path, ends
+    # the symmetry.  Agent 1 walks west onto agent 0 on that matched leg,
+    # and meets it only because an agent without a motion joins the
+    # changed agents when the symmetry ends.
+    "agent left idle met later": (
+        0.5, ((0.0, 0.0), (5.0, 0.0)), (0.25, 0.0),
+        [[Go(EAST, 1.0)], [Go(EAST, 1.0), Go(WEST, 10.0)]], (), 1.25,
         True),
 }
 
@@ -1409,7 +1453,8 @@ def test_edge_instants_match_the_general_body(case):
         assert stops == [1.0, 1.25, 1.5]
     if case in ("agent left idle", "early end at the horizon",
                 "GotoStop arrival in a symmetric run",
-                "on_idle stops the agent", "leg off the path met later"):
+                "on_idle stops the agent", "leg off the path met later",
+                "agent left idle met later"):
         assert got.ended == [at]
     if case in ("zero-length Go at the head",
                 "GotoStop begun on the short path"):
@@ -1420,6 +1465,8 @@ def test_edge_instants_match_the_general_body(case):
         assert [ev.time for ev in got.trace.ga_events()] == [3.5]
     if case == "leg off the path met later":
         assert [ev.time for ev in got.trace.ga_events()] == [5.75]
+    if case == "agent left idle met later":
+        assert [ev.time for ev in got.trace.ga_events()] == [5.5]
     if case.startswith("stale"):
         assert [ev.time for ev in got.trace.ga_events()] == [
             1.0 if case == "stale at its due time" else 0.5]
@@ -2137,17 +2184,25 @@ class _LastRecordOfEachLeg:
 
 
 class _EveryEventRecorder(Simulation):
-    """The reference recorder: every advance records every live agent at
-    the end of its current leg, and leg changes record nothing.  Only the
-    last record of each leg reaches the builder."""
+    """The reference recorder: every move of the clock records every live
+    agent at the end of its current leg, and leg ends record nothing.
+    Only the last record of each leg reaches the builder."""
 
     def _record_leg(self, agent):
         pass
 
-    def _advance_to(self, t):
-        super()._advance_to(t)
+    @property
+    def _now(self):
+        return self.__dict__["_now"]
+
+    @_now.setter
+    def _now(self, t):
+        self.__dict__["_now"] = t
+        live = self.__dict__.get("_live")  # None while __init__ runs
+        if not live:
+            return
         self._sync()  # a symmetric run's positions are current only once synced
-        for ag in self._live:
+        for ag in live:
             if not isinstance(ag.builder, _LastRecordOfEachLeg):
                 ag.builder = _LastRecordOfEachLeg(ag.builder)
             m = ag.motion

@@ -541,16 +541,44 @@ def _defined_names(stmt):
     return set()
 
 
+def _members(cls):
+    """The names a class body defines, dunders aside: its methods,
+    properties, fields and class attributes."""
+    return {name for stmt in cls.body for name in _defined_names(stmt)
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _attributes_read(stmt):
+    """Every attribute name that stmt reads, but a class member's reads
+    of its own name."""
+    if isinstance(stmt, ast.ClassDef):
+        for sub in stmt.body:
+            own = _defined_names(sub)
+            yield from (name for name in _attributes_read(sub)
+                        if name not in own)
+        return
+    for sub in ast.walk(stmt):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def test_every_definition_has_a_caller_outside_tests():
-    # Definitions are functions, classes and module-level assignments.
+    # Definitions are functions, classes and module-level assignments, and
+    # the members of classes; a member is called when some code reads an
+    # attribute of its name.
     package = pathlib.Path(gathersim.__file__).resolve().parent
     defs = set()
+    members = set()
     for path in package.glob("*.py"):
         if path.stem not in ("__init__", "__main__"):
             for stmt in ast.parse(path.read_text("utf-8")).body:
                 defs.update(f"{path.stem}.{name}"
                             for name in _defined_names(stmt))
+                if isinstance(stmt, ast.ClassDef):
+                    members.update(f"{stmt.name}.{name}"
+                                   for name in _members(stmt))
     used = set()
+    attributes = set()
     for folder in ("src", "scripts", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             tree = ast.parse(path.read_text("utf-8"))
@@ -559,11 +587,18 @@ def test_every_definition_has_a_caller_outside_tests():
                 own = _defined_names(stmt)
                 used.update(name for name in _names_read(stmt)
                             if name not in own)
+                attributes.update(_attributes_read(stmt))
     dead = {d for d in defs if d.split(".", 1)[1] not in used}
     # Only tests call star_time_through_phase until a horizon taken from
     # the paper's bound uses it (ROADMAP item 3).  This fails when a new
     # definition has no caller, and again when that one gets one.
     assert sorted(dead) == ["algorithms.star_time_through_phase"]
+    # Members that programs and users read, and that no code here needs.
+    program_facing = {"AgentContext.now", "AgentContext.stop",
+                      "GAView.self_index", "InitialConfiguration.translated",
+                      "InitialConfiguration.time_shifted", "Trace.final_tags"}
+    assert {m for m in members
+            if m.split(".", 1)[1] not in attributes} == program_facing
 
 
 # -- The tolerance model --
